@@ -100,15 +100,20 @@ void SramArbiter::save_state(rtl::StateWriter& w) const {
   w.i32(grant_);
   w.i32(rr_next_);
   w.u32(static_cast<std::uint32_t>(grant_counts_.size()));
-  for (const std::uint64_t c : grant_counts_) w.u64(c);
+  w.array(grant_counts_.data(), grant_counts_.size());
 }
 
 void SramArbiter::load_state(rtl::StateReader& r) {
   grant_ = r.i32();
   rr_next_ = r.i32();
+  // One counter per master, fixed at construction.
   const std::uint32_t n = r.u32();
-  grant_counts_.assign(n, 0);
-  for (std::uint64_t& c : grant_counts_) c = r.u64();
+  if (n != grant_counts_.size())
+    throw SnapshotError("snapshot: arbiter has " +
+                        std::to_string(grant_counts_.size()) +
+                        " master(s) but the blob stores " +
+                        std::to_string(n) + " grant counter(s)");
+  r.array(grant_counts_.data(), grant_counts_.size(), "grant counters");
 }
 
 }  // namespace hwpat::devices

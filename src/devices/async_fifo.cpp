@@ -207,7 +207,7 @@ AsyncFifo::~AsyncFifo() = default;
 
 void AsyncFifo::save_state(rtl::StateWriter& w) const { w.words(mem_); }
 
-void AsyncFifo::load_state(rtl::StateReader& r) { r.words(mem_); }
+void AsyncFifo::load_state(rtl::StateReader& r) { r.fixed_words(mem_); }
 
 int AsyncFifo::size() const {
   return static_cast<int>(wr_->wbin_ - rd_->rbin_);

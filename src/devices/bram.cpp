@@ -47,6 +47,6 @@ void BlockRam::report(rtl::PrimitiveTally& t) const {
 
 void BlockRam::save_state(rtl::StateWriter& w) const { w.words(mem_); }
 
-void BlockRam::load_state(rtl::StateReader& r) { r.words(mem_); }
+void BlockRam::load_state(rtl::StateReader& r) { r.fixed_words(mem_); }
 
 }  // namespace hwpat::devices

@@ -111,7 +111,7 @@ void FifoCore::save_state(rtl::StateWriter& w) const {
 void FifoCore::load_state(rtl::StateReader& r) {
   head_ = r.i32();
   count_ = r.i32();
-  r.words(mem_);
+  r.fixed_words(mem_);
 }
 
 }  // namespace hwpat::devices

@@ -107,7 +107,7 @@ void LifoCore::save_state(rtl::StateWriter& w) const {
 
 void LifoCore::load_state(rtl::StateReader& r) {
   count_ = r.i32();
-  r.words(mem_);
+  r.fixed_words(mem_);
 }
 
 }  // namespace hwpat::devices

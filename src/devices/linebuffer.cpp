@@ -115,9 +115,9 @@ void LineBuffer3::save_state(rtl::StateWriter& w) const {
 }
 
 void LineBuffer3::load_state(rtl::StateReader& r) {
-  r.words(line1_);
-  r.words(line2_);
-  r.words(colq_);
+  r.fixed_words(line1_);
+  r.fixed_words(line2_);
+  r.fixed_words(colq_);
   colq_head_ = r.i32();
   colq_count_ = r.i32();
   wr_x_ = r.i32();

@@ -83,7 +83,7 @@ void ExternalSram::save_state(rtl::StateWriter& w) const {
 void ExternalSram::load_state(rtl::StateReader& r) {
   state_ = static_cast<State>(r.u32());
   countdown_ = r.i32();
-  r.words(mem_);
+  r.fixed_words(mem_);
 }
 
 }  // namespace hwpat::devices

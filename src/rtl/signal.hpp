@@ -150,14 +150,12 @@ class SignalBase {
   [[nodiscard]] virtual bool has_uncommitted_write() const = 0;
 
   /// Serializes the committed (current) value.  Snapshots are taken
-  /// between steps, when next == current, so one value suffices.
+  /// between steps, when next == current, so one value suffices.  The
+  /// simulator encodes bound Word/bool signals in bulk from its value
+  /// arrays instead; this is the path for everything else.
   virtual void save_value(StateWriter& w) const = 0;
   /// Restores a serialized value onto both phases (current and next).
   virtual void load_value(StateReader& r) = 0;
-  /// Non-virtual save/load dispatchers riding the SigKind tags, like
-  /// commit_fast()/as_word_fast().  Defined after Signal<T> below.
-  void save_value_fast(StateWriter& w) const;
-  void load_value_fast(StateReader& r);
 
  protected:
   /// Called by Signal<T>::write(): schedules this signal's id for
@@ -314,13 +312,11 @@ class Signal : public SignalBase {
   // final for the same reason as commit() above.
   [[nodiscard]] Word as_word() const final { return as_word_inline(); }
 
-  /// Non-virtual bodies of save_value()/load_value(), callable directly
-  /// when the concrete type is known statically (the *_fast dispatch).
   /// Word and bool signals get a fixed-width little-endian encoding;
   /// other trivially-copyable payloads fall back to raw process-local
   /// bytes; anything else (a Signal<std::string> testbench wire, say)
   /// is rejected with the signal's path.
-  void save_value_inline(StateWriter& w) const {
+  void save_value(StateWriter& w) const final {
     if constexpr (std::is_same_v<T, Word>) {
       w.word(*curp_);
     } else if constexpr (std::is_same_v<T, bool>) {
@@ -334,7 +330,7 @@ class Signal : public SignalBase {
                   "a module with save_state/load_state instead)");
     }
   }
-  void load_value_inline(StateReader& r) {
+  void load_value(StateReader& r) final {
     if constexpr (std::is_same_v<T, Word>) {
       *curp_ = *nxtp_ = r.word();
     } else if constexpr (std::is_same_v<T, bool>) {
@@ -351,10 +347,6 @@ class Signal : public SignalBase {
   [[nodiscard]] bool has_uncommitted_write() const final {
     return !(*nxtp_ == *curp_);
   }
-
-  // final for the same reason as commit() above.
-  void save_value(StateWriter& w) const final { save_value_inline(w); }
-  void load_value(StateReader& r) final { load_value_inline(r); }
 
  private:
   friend class Simulator;
@@ -429,36 +421,6 @@ inline Word SignalBase::as_word_fast() const {
       break;
   }
   return as_word();
-}
-
-inline void SignalBase::save_value_fast(StateWriter& w) const {
-  // Soundness of the static_casts: same argument as commit_fast().
-  switch (kind_) {
-    case SigKind::kWord:
-      static_cast<const Signal<Word>*>(this)->save_value_inline(w);
-      return;
-    case SigKind::kBool:
-      static_cast<const Signal<bool>*>(this)->save_value_inline(w);
-      return;
-    case SigKind::kOther:
-      break;
-  }
-  save_value(w);
-}
-
-inline void SignalBase::load_value_fast(StateReader& r) {
-  // Soundness of the static_casts: same argument as commit_fast().
-  switch (kind_) {
-    case SigKind::kWord:
-      static_cast<Signal<Word>*>(this)->load_value_inline(r);
-      return;
-    case SigKind::kBool:
-      static_cast<Signal<bool>*>(this)->load_value_inline(r);
-      return;
-    case SigKind::kOther:
-      break;
-  }
-  load_value(r);
 }
 
 }  // namespace hwpat::rtl

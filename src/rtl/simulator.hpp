@@ -635,6 +635,17 @@ class Simulator {
   /// on_clock()/on_clock_check() or registered sequential signals.
   void check_comb_only_contract();
 
+  /// The snapshot's value section: every signal's committed value in id
+  /// order, a Word/bool run at a time straight out of the value arrays.
+  void save_values(StateWriter& w) const;
+  /// Mirror of save_values(), onto both phases.
+  void load_values(StateReader& r);
+  /// The snapshot's fanout section: per signal, the CSR span's length
+  /// and module ids in list order.
+  void save_fanout(StateWriter& w) const;
+  /// Mirror of save_fanout(): validates the whole section before
+  /// publishing it, and rebuilds the read-set CSR as its transpose.
+  void load_fanout(StateReader& r);
   /// Length-framed serialization of every module's save_state payload
   /// (shared by save_snapshot and the construction-time baseline).
   void save_module_states(StateWriter& w) const;

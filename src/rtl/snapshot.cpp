@@ -16,6 +16,7 @@
 // lists are empty (never traced), so an event-kernel restore re-seeds a
 // full settle exactly like the post-bind seeding.
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstring>
 
@@ -31,18 +32,66 @@ constexpr std::uint8_t kFlagFullSweep = 1;
 
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
+/// kFnvPow[k] = kFnvPrime^k (mod 2^64).  An FNV-1a step on a zero byte
+/// is a bare multiply (x ^ 0 == x), so k zero bytes in a row fold into
+/// one multiply by kFnvPow[k] — the same hash from a shorter chain.
+constexpr std::array<std::uint64_t, 9> kFnvPow = [] {
+  std::array<std::uint64_t, 9> p{};
+  p[0] = 1;
+  for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * kFnvPrime;
+  return p;
+}();
+
+void mix_byte(std::uint64_t& h, unsigned char b) {
+  h ^= b;
+  h *= kFnvPrime;
+}
+
+/// FNV-1a over v's eight little-endian bytes.  Most topology fields are
+/// small (ids, widths, flags), so their zero high bytes cost one
+/// multiply together.
 void mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
+  std::size_t n = 0;
+  for (; v != 0; v >>= 8, ++n) mix_byte(h, static_cast<unsigned char>(v));
+  h *= kFnvPow[8 - n];
 }
 
 void mix_str(std::uint64_t& h, const std::string& s) {
   mix(h, s.size());
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
+  for (const char c : s) mix_byte(h, static_cast<unsigned char>(c));
+}
+
+std::size_t path_size(const Module& m) {
+  return m.parent() == nullptr ? m.name().size()
+                               : path_size(*m.parent()) + 1 + m.name().size();
+}
+
+void mix_path_bytes(std::uint64_t& h, const Module& m) {
+  if (m.parent() != nullptr) {
+    mix_path_bytes(h, *m.parent());
+    mix_byte(h, '.');
+  }
+  for (const char c : m.name()) mix_byte(h, static_cast<unsigned char>(c));
+}
+
+/// mix_str(h, m.full_name()) without building the string.
+void mix_path(std::uint64_t& h, const Module& m) {
+  mix(h, path_size(m));
+  mix_path_bytes(h, m);
+}
+
+/// Calls f(kind, first_id, count) for every maximal run of consecutive
+/// signal ids sharing a SigKind.  Word and bool signals own value slots
+/// in id order (Simulator::build_soa), so such a run is a contiguous
+/// stretch of the dense value arrays and moves as one bulk array;
+/// kOther signals keep their values inline and serialize themselves.
+template <typename F>
+void for_each_kind_run(const unsigned char* kinds, std::size_t n, F&& f) {
+  for (std::size_t first = 0; first < n;) {
+    std::size_t end = first + 1;
+    while (end < n && kinds[end] == kinds[first]) ++end;
+    f(static_cast<SigKind>(kinds[first]), first, end - first);
+    first = end;
   }
 }
 
@@ -64,7 +113,7 @@ std::uint64_t Simulator::topology_hash() const {
   std::uint64_t h = 1469598103934665603ull;
   mix(h, modules_.size());
   for (const Module* m : modules_) {
-    mix_str(h, m->full_name());
+    mix_path(h, *m);
     mix(h, static_cast<std::uint64_t>(m->part_));
     mix(h, m->comb_only() ? 1 : 0);
   }
@@ -86,6 +135,128 @@ std::uint64_t Simulator::topology_hash() const {
     mix(h, ds.pruned);
   }
   return h;
+}
+
+void Simulator::save_values(StateWriter& w) const {
+  w.u32(static_cast<std::uint32_t>(signals_.size()));
+  for_each_kind_run(sig_kind_, signals_.size(), [&](SigKind kind,
+                                                    std::size_t first,
+                                                    std::size_t len) {
+    const std::uint32_t slot = sig_slot_[first];
+    switch (kind) {
+      case SigKind::kWord:
+        w.array(word_cur_ + slot, len);
+        return;
+      case SigKind::kBool:
+        w.bools(bool_cur_ + slot, len);
+        return;
+      case SigKind::kOther:
+        for (std::size_t sid = first; sid < first + len; ++sid)
+          signals_[sid]->save_value(w);
+        return;
+    }
+  });
+}
+
+void Simulator::load_values(StateReader& r) {
+  const std::uint32_t ns = r.u32();
+  if (ns != signals_.size())
+    throw SnapshotError("snapshot: signal count mismatch (blob has " +
+                        std::to_string(ns) + ", design has " +
+                        std::to_string(signals_.size()) + ")");
+  for_each_kind_run(sig_kind_, signals_.size(), [&](SigKind kind,
+                                                    std::size_t first,
+                                                    std::size_t len) {
+    const std::uint32_t slot = sig_slot_[first];
+    switch (kind) {
+      case SigKind::kWord:
+        r.array(word_cur_ + slot, len, "signal values");
+        std::copy_n(word_cur_ + slot, len, word_nxt_ + slot);
+        return;
+      case SigKind::kBool:
+        r.bools(bool_cur_ + slot, len);
+        std::copy_n(bool_cur_ + slot, len, bool_nxt_ + slot);
+        return;
+      case SigKind::kOther:
+        for (std::size_t sid = first; sid < first + len; ++sid)
+          signals_[sid]->load_value(r);
+        return;
+    }
+  });
+}
+
+void Simulator::save_fanout(StateWriter& w) const {
+  // Module ids are non-negative, so their int32 encoding is the
+  // historical u32 one.
+  for (std::size_t sid = 0; sid < signals_.size(); ++sid) {
+    w.u32(fan_count_[sid]);
+    w.array(fan_pool_.data() + fan_begin_[sid], fan_count_[sid]);
+  }
+}
+
+void Simulator::load_fanout(StateReader& r) {
+  const std::size_t nsig = signals_.size();
+  const std::size_t nmod = modules_.size();
+  // Pass 1: copy every span into the pool and validate it.  The counts
+  // stay 0 until the whole section checked out, so a corrupted blob
+  // leaves an empty — consistent — fanout behind for reset() to
+  // relearn.  mod_mark_ detects a module id listed twice for one signal.
+  fan_pool_.clear();
+  sens_pool_.clear();
+  std::fill_n(fan_count_, nsig, std::uint32_t{0});
+  std::fill_n(fan_cap_, nsig, std::uint32_t{0});
+  std::fill_n(sens_count_, nmod, std::uint32_t{0});
+  std::fill_n(sens_cap_, nmod, std::uint32_t{0});
+  std::fill_n(mod_mark_, nmod, std::uint64_t{0});
+  for (std::size_t sid = 0; sid < nsig; ++sid) {
+    const std::uint32_t nf = r.u32();
+    if (nf > r.remaining() / sizeof(std::uint32_t))
+      throw SnapshotError("snapshot: truncated blob (fanout of signal '" +
+                          signals_[sid]->full_name() + "' lists " +
+                          std::to_string(nf) + " module id(s), " +
+                          std::to_string(r.remaining()) + " byte(s) left)");
+    const std::uint32_t at = static_cast<std::uint32_t>(fan_pool_.size());
+    fan_pool_.resize(at + nf);
+    r.array(fan_pool_.data() + at, nf, "fanout");
+    fan_begin_[sid] = at;
+    fan_cap_[sid] = nf;
+    const std::uint64_t pass = sid + 1;
+    for (std::uint32_t k = at; k < at + nf; ++k) {
+      const auto id = static_cast<std::uint32_t>(fan_pool_[k]);
+      if (id >= nmod)
+        throw SnapshotError("snapshot: fanout module id " + std::to_string(id) +
+                            " out of range for signal '" +
+                            signals_[sid]->full_name() + "'");
+      if (mod_mark_[id] == pass)
+        throw SnapshotError("snapshot: duplicate fanout module id " +
+                            std::to_string(id) + " for signal '" +
+                            signals_[sid]->full_name() +
+                            "' — corrupted blob");
+      mod_mark_[id] = pass;
+    }
+  }
+  // Pass 2: publish the counts, and build the read sets as the exact
+  // transpose with a counting sort over modules (each read set comes
+  // out in ascending signal order).
+  for (std::size_t sid = 0; sid < nsig; ++sid) {
+    fan_count_[sid] = fan_cap_[sid];
+    for (std::uint32_t k = 0; k < fan_count_[sid]; ++k)
+      ++sens_count_[fan_pool_[fan_begin_[sid] + k]];
+  }
+  std::uint32_t at = 0;
+  for (std::size_t mid = 0; mid < nmod; ++mid) {
+    sens_begin_[mid] = at;
+    sens_cap_[mid] = sens_count_[mid];
+    at += sens_count_[mid];
+    sens_count_[mid] = 0;
+  }
+  sens_pool_.resize(at);
+  for (std::size_t sid = 0; sid < nsig; ++sid)
+    for (std::uint32_t k = 0; k < fan_count_[sid]; ++k) {
+      const std::int32_t mid = fan_pool_[fan_begin_[sid] + k];
+      sens_pool_[sens_begin_[mid] + sens_count_[mid]++] =
+          static_cast<std::int32_t>(sid);
+    }
 }
 
 void Simulator::save_module_states(StateWriter& w) const {
@@ -111,7 +282,11 @@ void Simulator::load_module_states(StateReader& r) {
                   " byte(s), " + std::to_string(r.remaining()) +
                   " left)");
     const std::size_t before = r.consumed();
-    m->load_state(r);
+    try {
+      m->load_state(r);
+    } catch (const SnapshotError& e) {
+      throw SnapshotError("module '" + m->full_name() + "': " + e.what());
+    }
     const std::size_t used = r.consumed() - before;
     if (used != len)
       throw SnapshotError("module '" + m->full_name() +
@@ -147,6 +322,10 @@ Snapshot Simulator::save_snapshot() const {
                   "the step) before snapshotting");
   const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
   StateWriter w;
+  // Everything but the module payloads is bounded by the design's
+  // shape; the payloads start from their construction-time size.
+  w.reserve(64 + 16 * scheds_.size() + 12 * signals_.size() +
+            4 * fan_pool_.size() + baseline_.size());
   // Byte-at-a-time (identical blob): GCC 12's -Wstringop-overflow
   // misfires on vector::insert of the 4-byte array once this TU's
   // inlining shifts.
@@ -174,21 +353,12 @@ Snapshot Simulator::save_snapshot() const {
   w.u64(stats_.partition_skips);
   w.u32(static_cast<std::uint32_t>(stats_.domain_edges.size()));
   for (const std::uint64_t v : stats_.domain_edges) w.u64(v);
-  // Committed signal values.
-  w.u32(static_cast<std::uint32_t>(signals_.size()));
-  for (const SignalBase* s : signals_) s->save_value_fast(w);
+  save_values(w);
   // Learned fanout lists, in order (see file comment).  Read out of the
   // CSR spans — the bytes are identical to the historical per-signal
   // pointer-vector dump, because the spans hold module ids in the same
   // append order the old lists did.
-  for (const SignalBase* s : signals_) {
-    const std::int32_t sid = s->id_;
-    const std::uint32_t nf = fan_count_[sid];
-    w.u32(nf);
-    const std::uint32_t fb = fan_begin_[sid];
-    for (std::uint32_t k = 0; k < nf; ++k)
-      w.u32(static_cast<std::uint32_t>(fan_pool_[fb + k]));
-  }
+  save_fanout(w);
   // Module payloads, length-framed.
   save_module_states(w);
   std::vector<std::uint8_t> bytes = std::move(w).take();
@@ -284,49 +454,11 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     // sampled — must survive), so clearing the list clears the marks.
     for (const std::int32_t sid : vcd_changed_) sig_vcdmark_[sid] = 0;
     vcd_changed_.clear();
-    // Committed signal values.
-    const std::uint32_t ns = r.u32();
-    if (ns != signals_.size())
-      throw SnapshotError("snapshot: signal count mismatch (blob has " +
-                  std::to_string(ns) + ", design has " +
-                  std::to_string(signals_.size()) + ")");
-    for (SignalBase* s : signals_) s->load_value_fast(r);
-    // Fanout lists -> CSR, rebuilt in lockstep with the per-module
-    // accumulated read sets so the  s ∈ reads(m) ⟺ m ∈ fanout(s)
-    // invariant holds at every prefix — a mid-rebuild throw then lands
-    // in reset() with a merely partial (monotone-superset-safe)
-    // sensitivity, never an inconsistent one.  mod_mark_ detects a
-    // duplicated module id inside one signal's list (a corrupted blob
-    // the old pointer-vector restore silently tolerated).
-    fan_pool_.clear();
-    sens_pool_.clear();
-    std::fill_n(fan_begin_, nsig, std::uint32_t{0});
-    std::fill_n(fan_count_, nsig, std::uint32_t{0});
-    std::fill_n(fan_cap_, nsig, std::uint32_t{0});
-    std::fill_n(sens_begin_, nmod, std::uint32_t{0});
-    std::fill_n(sens_count_, nmod, std::uint32_t{0});
-    std::fill_n(sens_cap_, nmod, std::uint32_t{0});
-    std::fill_n(mod_mark_, nmod, std::uint64_t{0});
-    std::uint64_t pass = 0;
-    for (SignalBase* s : signals_) {
-      const std::int32_t sid = s->id_;
-      const std::uint32_t nf = r.u32();
-      ++pass;
-      for (std::uint32_t j = 0; j < nf; ++j) {
-        const std::uint32_t id = r.u32();
-        if (id >= modules_.size())
-          throw SnapshotError("snapshot: fanout module id " + std::to_string(id) +
-                      " out of range for signal '" + s->full_name() +
-                      "'");
-        if (mod_mark_[id] == pass)
-          throw SnapshotError("snapshot: duplicate fanout module id " +
-                      std::to_string(id) + " for signal '" +
-                      s->full_name() + "' — corrupted blob");
-        mod_mark_[id] = pass;
-        fan_push(sid, static_cast<std::int32_t>(id));
-        sens_push(static_cast<std::int32_t>(id), sid);
-      }
-    }
+    load_values(r);
+    // Fanout lists -> CSR, with the per-module read sets rebuilt as
+    // their transpose, so  s ∈ reads(m) ⟺ m ∈ fanout(s)  holds even
+    // when a corrupted section throws half-way (see load_fanout).
+    load_fanout(r);
     std::fill_n(mod_dirty_, nmod, static_cast<unsigned char>(0));
     for (Module* m : modules_) m->seq_touched_ = false;
     // Module payloads.

@@ -15,8 +15,17 @@
 // regardless of host order, so blobs are portable across builds of the
 // same design.  StateReader throws Error on any truncated read, which
 // is what turns a corrupted blob into a clean failure.
+//
+// The codec is bulk: on a little-endian host an integer — or a whole
+// array of them, such as a device memory or a frame buffer — already
+// is its own wire encoding, so it moves with one memcpy.  Only
+// big-endian hosts take the per-byte shift loops.  Elaboration (the
+// construction-time baseline), reset() (its reload) and snapshots all
+// go through this codec, so each costs the state's size at memcpy
+// speed.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -28,6 +37,44 @@
 #include "common/error.hpp"
 
 namespace hwpat::rtl {
+
+namespace le {
+
+/// Encodes n integers as consecutive little-endian fields at dst.
+template <typename T>
+void store(std::uint8_t* dst, const T* src, std::size_t n) {
+  static_assert(std::is_integral_v<T>);
+  if (n == 0) return;  // src may be null for an empty array
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, src, n * sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto v = static_cast<std::make_unsigned_t<T>>(src[i]);
+      for (std::size_t b = 0; b < sizeof(T); ++b)
+        dst[i * sizeof(T) + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    }
+  }
+}
+
+/// Decodes n little-endian fields at src into dst.
+template <typename T>
+void load(T* dst, const std::uint8_t* src, std::size_t n) {
+  static_assert(std::is_integral_v<T>);
+  if (n == 0) return;  // dst may be null for an empty array
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, src, n * sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      std::make_unsigned_t<T> v = 0;
+      for (std::size_t b = 0; b < sizeof(T); ++b)
+        v |= static_cast<std::make_unsigned_t<T>>(src[i * sizeof(T) + b])
+             << (8 * b);
+      dst[i] = static_cast<T>(v);
+    }
+  }
+}
+
+}  // namespace le
 
 /// Opaque serialized simulator state.  Produced by
 /// Simulator::save_snapshot(), consumed by Simulator::restore_snapshot().
@@ -54,17 +101,13 @@ class Snapshot {
 /// Append-only little-endian encoder for snapshot payloads.
 class StateWriter {
  public:
+  /// Pre-sizes the buffer, so a writer whose final size is known up
+  /// front never reallocates (and never re-copies a large payload).
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { le::store(grow(4), &v, 1); }
+  void u64(std::uint64_t v) { le::store(grow(8), &v, 1); }
 
   void boolean(bool v) { u8(v ? 1 : 0); }
   void word(Word v) { u64(v); }
@@ -72,6 +115,7 @@ class StateWriter {
   void i32(int v) { i64(v); }
 
   void bytes(const void* p, std::size_t n) {
+    if (n == 0) return;
     const auto* b = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }
@@ -90,9 +134,27 @@ class StateWriter {
     bytes(&v, sizeof v);
   }
 
+  /// n integers as consecutive little-endian fields, no length prefix
+  /// (the reader must know n): one append on little-endian hosts.
+  template <typename T>
+  void array(const T* p, std::size_t n) {
+    if constexpr (std::endian::native == std::endian::little) {
+      bytes(p, n * sizeof(T));
+    } else {
+      le::store(grow(n * sizeof(T)), p, n);
+    }
+  }
+
+  /// n bools as one byte each (0/1), like boolean().
+  void bools(const bool* p, std::size_t n) {
+    std::uint8_t* dst = grow(n);
+    for (std::size_t i = 0; i < n; ++i) dst[i] = p[i] ? 1 : 0;
+  }
+
+  /// Length-prefixed word vector: u64 count, then the words.
   void words(const std::vector<Word>& v) {
     u64(v.size());
-    for (Word w : v) u64(w);
+    array(v.data(), v.size());
   }
 
   /// Reserves a 4-byte length slot; patch it later with patch_u32().
@@ -103,9 +165,7 @@ class StateWriter {
   }
 
   void patch_u32(std::size_t at, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-      buf_[at + static_cast<std::size_t>(i)] =
-          static_cast<std::uint8_t>(v >> (8 * i));
+    le::store(buf_.data() + at, &v, 1);
   }
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
@@ -115,13 +175,22 @@ class StateWriter {
   }
 
  private:
+  /// Appends n bytes (zeroed) and returns where they start.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
+
   std::vector<std::uint8_t> buf_;
 };
 
 /// Bounds-checked little-endian decoder.  Every read validates the
 /// remaining byte count and throws SnapshotError("snapshot: truncated
 /// ...") on underrun, so corrupted blobs fail loudly instead of
-/// reading junk.
+/// reading junk.  Element counts are checked by division, so a
+/// corrupted length near 2^64 reads as truncation, never as a wrapped
+/// byte count.
 class StateReader {
  public:
   StateReader(const std::uint8_t* data, std::size_t size)
@@ -131,23 +200,19 @@ class StateReader {
       : StateReader(bytes.data(), bytes.size()) {}
 
   std::uint8_t u8() {
-    need(1, "u8");
+    need(1, 1, "u8");
     return data_[pos_++];
   }
 
   std::uint32_t u32() {
-    need(4, "u32");
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-      v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
+    array(&v, 1, "u32");
     return v;
   }
 
   std::uint64_t u64() {
-    need(8, "u64");
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-      v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+    array(&v, 1, "u64");
     return v;
   }
 
@@ -157,14 +222,14 @@ class StateReader {
   int i32() { return static_cast<int>(i64()); }
 
   void bytes(void* p, std::size_t n) {
-    need(n, "raw bytes");
-    std::memcpy(p, data_ + pos_, n);
+    need(n, 1, "raw bytes");
+    if (n != 0) std::memcpy(p, data_ + pos_, n);
     pos_ += n;
   }
 
   std::string str() {
     const std::uint32_t n = u32();
-    need(n, "string");
+    need(n, 1, "string");
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
@@ -178,24 +243,64 @@ class StateReader {
     return v;
   }
 
+  /// Mirror of StateWriter::array(): n little-endian fields into p.
+  template <typename T>
+  void array(T* p, std::size_t n, const char* what = "integer array") {
+    need(n, sizeof(T), what);
+    le::load(p, data_ + pos_, n);
+    pos_ += n * sizeof(T);
+  }
+
+  /// Mirror of StateWriter::bools(): any non-zero byte reads as true.
+  void bools(bool* p, std::size_t n) {
+    need(n, 1, "bool array");
+    for (std::size_t i = 0; i < n; ++i) p[i] = data_[pos_ + i] != 0;
+    pos_ += n;
+  }
+
+  /// Mirror of StateWriter::words() for a vector whose length is part
+  /// of the state (a capture buffer that grows): resized to the stored
+  /// count.
   void words(std::vector<Word>& out) {
     const std::uint64_t n = u64();
-    need(n * 8, "word vector");
+    need(n, sizeof(Word), "word vector");
     out.resize(static_cast<std::size_t>(n));
-    for (auto& w : out) w = u64();
+    array(out.data(), out.size(), "word vector");
+  }
+
+  /// Mirror of StateWriter::words() for a fixed-size memory, overwritten
+  /// in place.  The stored count must equal mem.size(): a memory never
+  /// changes size, so any other count means the blob was saved from a
+  /// differently sized memory (which the topology hash cannot see) or
+  /// was corrupted.
+  void fixed_words(std::vector<Word>& mem) {
+    const std::uint64_t n = u64();
+    if (n != mem.size())
+      throw SnapshotError("snapshot: memory holds " +
+                          std::to_string(mem.size()) +
+                          " word(s) but the blob stores " +
+                          std::to_string(n) +
+                          " — saved from a differently sized memory, or "
+                          "corrupted");
+    array(mem.data(), mem.size(), "memory");
   }
 
   [[nodiscard]] std::size_t consumed() const { return pos_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
  private:
-  void need(std::uint64_t n, const char* what) const {
-    if (n > size_ - pos_)
-      throw SnapshotError(
-          "snapshot: truncated blob (need " + std::to_string(n) +
-          " more byte(s) for " + what + ", have " +
-          std::to_string(size_ - pos_) + " of " + std::to_string(size_) +
-          ")");
+  /// Throws unless `count` elements of `elem` bytes each remain.
+  void need(std::uint64_t count, std::size_t elem, const char* what) const {
+    const std::size_t have = size_ - pos_;
+    if (count <= have / elem) return;
+    const std::string bytes =
+        count <= UINT64_MAX / elem
+            ? std::to_string(count * elem)
+            : std::to_string(count) + " x " + std::to_string(elem);
+    throw SnapshotError("snapshot: truncated blob (need " + bytes +
+                        " more byte(s) for " + what + ", have " +
+                        std::to_string(have) + " of " +
+                        std::to_string(size_) + ")");
   }
 
   const std::uint8_t* data_;

@@ -157,13 +157,32 @@ void save_frame(rtl::StateWriter& w, const Frame& f) {
   w.words(f.pixels());
 }
 
-Frame load_frame(rtl::StateReader& r) {
+/// Bytes of save_frame() for an empty frame: three i32 fields (stored
+/// as 8 bytes each) and the pixel count.
+constexpr std::size_t kFrameHeaderBytes = 4 * 8;
+
+/// Mirror of save_frame() into `f`, reusing its pixel buffer when the
+/// shape is unchanged — the common case, since reset() and a restore
+/// reload frames of the sink's configured size.  A new shape is checked
+/// against the bytes left before anything is allocated, so a corrupted
+/// header cannot request a huge frame.
+void load_frame(rtl::StateReader& r, Frame& f) {
   const int width = r.i32();
   const int height = r.i32();
   const int channels = r.i32();
-  Frame f(width, height, channels);
-  r.words(f.pixels());
-  return f;
+  if (width != f.width() || height != f.height() ||
+      channels != f.channels()) {
+    if (width < 1 || height < 1 || (channels != 1 && channels != 3) ||
+        static_cast<std::uint64_t>(width) *
+                static_cast<std::uint64_t>(height) >
+            r.remaining() / sizeof(Word))
+      throw SnapshotError("snapshot: frame shape " + std::to_string(width) +
+                          "x" + std::to_string(height) + "x" +
+                          std::to_string(channels) +
+                          " is invalid or larger than the rest of the blob");
+    f = Frame(width, height, channels);
+  }
+  r.fixed_words(f.pixels());
 }
 
 }  // namespace
@@ -194,10 +213,13 @@ void VgaSink::save_state(rtl::StateWriter& w) const {
 
 void VgaSink::load_state(rtl::StateReader& r) {
   const std::uint32_t n = r.u32();
-  frames_.clear();
-  frames_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) frames_.push_back(load_frame(r));
-  current_ = load_frame(r);
+  if (n > r.remaining() / kFrameHeaderBytes)
+    throw SnapshotError("snapshot: truncated blob (" + std::to_string(n) +
+                        " collected frame(s) cannot fit in the " +
+                        std::to_string(r.remaining()) + " byte(s) left)");
+  frames_.resize(n);
+  for (Frame& f : frames_) load_frame(r, f);
+  load_frame(r, current_);
   pix_idx_ = static_cast<std::size_t>(r.u64());
   wait_ = r.i32();
   streaming_ = r.boolean();

@@ -31,6 +31,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "designs/design.hpp"
 #include "devices/fifo.hpp"
 #include "rtl/clock.hpp"
 #include "rtl/simulator.hpp"
@@ -141,11 +142,11 @@ struct SnapTop : Module {
                     empty, wr_en,    rd_en, wr_data};
   devices::FifoCore fifo;
 
-  explicit SnapTop(int width = 8)
+  explicit SnapTop(int width = 8, int depth = 4)
       : Module(nullptr, "snaptop"),
         wr_data(*this, "wr_data", width),
         rd_data(*this, "rd_data", width),
-        fifo(this, "fifo", {.width = width, .depth = 4, .strict = true},
+        fifo(this, "fifo", {.width = width, .depth = depth, .strict = true},
              {wr_en, wr_data, rd_en, rd_data, empty, full, level}) {
     set_clock_domain(&fast);
     slow_cnt.set_clock_domain(&slow);
@@ -811,6 +812,202 @@ TEST(Snapshot, DuplicateFanoutEntryInBlobRejectsLoudly) {
   run_steps(sim, 5);
   EXPECT_EQ(top.x.read(), 5u);
   EXPECT_EQ(top.y.read(), 12u);
+}
+
+// ---------------------------------------------------------------------
+// Bulk state codec
+// ---------------------------------------------------------------------
+
+/// The version-1 wire format of one integer, built a byte at a time —
+/// the reference the bulk codec must reproduce exactly.
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i)
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+TEST(StateCodec, BulkArraysEncodeExactlyLikeByteWiseFields) {
+  std::vector<Word> mem(4097);
+  for (std::size_t i = 0; i < mem.size(); ++i)
+    mem[i] = 0x0123456789abcdefull * (i + 1);
+  const std::int32_t ids[3] = {0, 7, 0x01020304};
+  const bool flags[4] = {true, false, false, true};
+
+  rtl::StateWriter w;
+  w.u32(0xa1b2c3d4u);
+  w.words(mem);
+  w.words({});
+  w.array(ids, 3);
+  w.bools(flags, 4);
+  const std::vector<std::uint8_t> got = std::move(w).take();
+
+  std::vector<std::uint8_t> want;
+  append_le(want, 0xa1b2c3d4u, 4);
+  append_le(want, mem.size(), 8);
+  for (const Word v : mem) append_le(want, v, 8);
+  append_le(want, 0, 8);
+  for (const std::int32_t id : ids)
+    append_le(want, static_cast<std::uint32_t>(id), 4);
+  for (const bool f : flags) want.push_back(f ? 1 : 0);
+  ASSERT_EQ(got, want);
+
+  rtl::StateReader r(got);
+  EXPECT_EQ(r.u32(), 0xa1b2c3d4u);
+  std::vector<Word> back(3, 99);  // a growing buffer takes the stored size
+  r.words(back);
+  EXPECT_EQ(back, mem);
+  r.words(back);
+  EXPECT_TRUE(back.empty());
+  std::int32_t ids_back[3] = {};
+  r.array(ids_back, 3);
+  EXPECT_EQ(ids_back[1], ids[1]);
+  EXPECT_EQ(ids_back[2], ids[2]);
+  bool flags_back[4] = {};
+  r.bools(flags_back, 4);
+  EXPECT_TRUE(flags_back[0] && !flags_back[1] && !flags_back[2] &&
+              flags_back[3]);
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(StateCodec, CorruptedLengthsReadAsTruncationNotAsHugeAllocations) {
+  // 2^61 words is 2^64 bytes: a bounds check on n * 8 wraps to 0 and
+  // lets the count through to a resize.
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 61, (std::uint64_t{1} << 61) + 1,
+        ~std::uint64_t{0}, std::uint64_t{3}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    rtl::StateWriter w;
+    w.u64(n);
+    w.u64(42);  // one word of payload, fewer than claimed
+    const std::vector<std::uint8_t> bytes = std::move(w).take();
+    std::vector<Word> out;
+    rtl::StateReader r(bytes);
+    try {
+      r.words(out);
+      FAIL() << "a word vector longer than the blob must throw";
+    } catch (const SnapshotError& e) {
+      EXPECT_THAT(e.what(), HasSubstr("truncated"));
+      EXPECT_THAT(e.what(), HasSubstr("word vector"));
+    }
+  }
+}
+
+/// Two levels of hierarchy under the top, two clock domains, fields
+/// with zero and non-zero high bytes: every input the topology hash
+/// folds in.
+struct HashLeaf : Module {
+  Bus v;
+  HashLeaf(Module* parent, std::string name)
+      : Module(parent, std::move(name)), v(*this, "v", 12) {}
+};
+struct HashMid : Module {
+  HashLeaf a{this, "leaf_a"};
+  HashLeaf b{this, "leaf_b_with_a_longer_name"};
+  HashMid(Module* parent, std::string name)
+      : Module(parent, std::move(name)) {}
+};
+struct HashTop : Module {
+  ClockDomain slow{"slow", 3};
+  HashMid m0{this, "mid0"};
+  HashMid m1{this, "mid1"};
+  Bit flag{*this, "flag"};
+  HashTop() : Module(nullptr, "hash_top") { m1.set_clock_domain(&slow); }
+};
+
+TEST(Snapshot, TopologyHashOfAFixedDesignNeverMoves) {
+  // Every blob carries this hash, so it must not move for an unchanged
+  // design — or blobs saved by an earlier build stop restoring.
+  HashTop top;
+  Simulator sim(top, {});
+  EXPECT_EQ(sim.topology_hash(), 0xcefcc6a9ad41b664ull);
+}
+
+/// Builds a saa2vga pattern design and finds its VGA sink by name (the
+/// design exposes the sink only as const).
+std::unique_ptr<designs::VideoDesign> make_small_saa2vga(Module*& vga) {
+  auto top = designs::make_saa2vga_pattern(
+      {.width = 16, .height = 12, .buffer_depth = 64});
+  vga = nullptr;
+  top->visit([&](Module& m) {
+    if (m.name() == "vga") vga = &m;
+  });
+  return top;
+}
+
+TEST(Snapshot, CorruptedFrameShapeIsRejectedBeforeAllocating) {
+  Module* vga = nullptr;
+  const auto top = make_small_saa2vga(vga);
+  ASSERT_NE(vga, nullptr);
+  rtl::StateWriter w;
+  vga->save_state(w);
+  const std::vector<std::uint8_t> good = std::move(w).take();
+
+  // VgaSink payload: collected-frame count u32, then the frame being
+  // assembled: width, height, channels (8 bytes each) and its pixels.
+  auto with_shape = [&](std::uint64_t width, std::uint64_t height) {
+    std::vector<std::uint8_t> b = good;
+    for (int i = 0; i < 8; ++i) {
+      b[4 + i] = static_cast<std::uint8_t>(width >> (8 * i));
+      b[12 + i] = static_cast<std::uint8_t>(height >> (8 * i));
+    }
+    return b;
+  };
+  for (const auto& [width, height] :
+       {std::pair<std::uint64_t, std::uint64_t>{1u << 30, 1u << 30},
+        {~std::uint64_t{0}, 12}, {16, 0}, {8, 12}}) {
+    SCOPED_TRACE(std::to_string(width) + "x" + std::to_string(height));
+    const std::vector<std::uint8_t> bad = with_shape(width, height);
+    rtl::StateReader r(bad);
+    EXPECT_THROW(vga->load_state(r), SnapshotError);
+  }
+  // The intact payload still loads and re-saves identically.
+  rtl::StateReader r(good);
+  vga->load_state(r);
+  EXPECT_EQ(r.remaining(), 0u);
+  rtl::StateWriter again;
+  vga->save_state(again);
+  EXPECT_EQ(std::move(again).take(), good);
+}
+
+/// SnapTop with a deeper FIFO: the depth changes no signal, so the
+/// topology hash cannot tell the two apart — only the memory length in
+/// the FIFO's payload can.
+struct DeepSnapTop : SnapTop {
+  DeepSnapTop() : SnapTop(8, 8) {}
+};
+
+TEST(Snapshot, MemoryOfAnotherSizeIsRejectedNamingTheModule) {
+  SnapTop shallow;
+  rtl::Snapshot blob;
+  std::uint64_t shallow_hash = 0;
+  {
+    Simulator sim(shallow, {});
+    sim.reset();
+    run_steps(sim, 6);
+    blob = sim.save_snapshot();
+    shallow_hash = sim.topology_hash();
+  }
+  DeepSnapTop deep;
+  Simulator sim(deep, {});
+  sim.reset();
+  ASSERT_EQ(sim.topology_hash(), shallow_hash)
+      << "the FIFO depth became visible to the topology hash; this test "
+         "no longer reaches the payload check";
+  try {
+    sim.restore_snapshot(blob);
+    FAIL() << "a 4-word FIFO memory restored into an 8-word one";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("module 'snaptop.fifo'"));
+    EXPECT_THAT(e.what(), HasSubstr("memory holds 8 word(s)"));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  // Never half-restored: the run continues like a fresh construct.
+  DeepSnapTop fresh;
+  Simulator ref(fresh, {});
+  ref.reset();
+  run_steps(ref, 9);
+  sim.reset_stats();
+  run_steps(sim, 9);
+  EXPECT_EQ(Observed::of(sim, deep), Observed::of(ref, fresh));
 }
 
 }  // namespace
