@@ -121,21 +121,13 @@ void BM_Saa2VgaTriClk(benchmark::State& state) {
                    : static_cast<double>(stats.partition_skips) / slots);
 }
 
-/// Tri-clock capture farm under the parallel settle engine: `lanes`
-/// independent camera→memory→pixel pipelines share the same three
-/// domains (three settle partitions, each lanes× as heavy), and
-/// Options::threads workers drain dirty partitions concurrently.
-/// range(0) = lanes, range(1) = threads (0 = single-threaded kernel).
-/// steps_per_sec across thread counts is THE headline comparison; the
-/// deterministic counters must not move with it (gated separately by
-/// bench_stats_gate --threads N).  Meaningful speedups need real cores:
-/// on a 1-CPU container the threaded rows measure engine overhead, not
-/// parallelism.
+/// Tri-clock capture farm: `lanes` (range(0)) independent
+/// camera→memory→pixel pipelines share the same three domains, so each
+/// of the three settle partitions is lanes× as heavy.
 void BM_Saa2VgaTriClkFarm(benchmark::State& state) {
   // Aligned 1:1:1 periods: every event fires all three domains, so the
-  // post-edge settle has three dirty partitions — the maximally
-  // parallel delta shape (the coprime default mostly dirties ONE
-  // partition per delta, which the engine deliberately runs inline).
+  // post-edge settle has three dirty partitions per delta (the coprime
+  // default mostly dirties one).
   const designs::Saa2VgaTriClkConfig cfg{.width = 32,
                                          .height = 24,
                                          .cdc_depth = 16,
@@ -145,12 +137,11 @@ void BM_Saa2VgaTriClkFarm(benchmark::State& state) {
                                          .pix_period = 1,
                                          .lanes =
                                              static_cast<int>(state.range(0))};
-  const int threads = static_cast<int>(state.range(1));
   std::uint64_t cycles = 0;
   rtl::Simulator::Stats stats;
   for (auto _ : state) {
     auto d = designs::make_saa2vga_triclk(cfg);
-    rtl::Simulator sim(*d, {.threads = threads});
+    rtl::Simulator sim(*d);
     sim.reset();
     if (!sim.run([&] { return d->finished(); }, 50'000'000))
       throw Error("bench_multiclock: timeout (" + sim.progress_report() +
@@ -196,17 +187,8 @@ BENCHMARK(BM_Saa2VgaTriClk<false>)
 BENCHMARK(BM_Saa2VgaTriClk<true>)
     ->Name("saa2vga_triclk/full_sweep")
     ->Args({5, 2, 3});
-// Tri-clock farm: {lanes, threads}.  threads 0 vs 3 on the same 8-lane
-// farm is the parallel-settle headline; 1 and 2 chart the engine's
-// dispatch overhead and scaling curve.
-BENCHMARK(BM_Saa2VgaTriClkFarm)
-    ->Name("saa2vga_triclk_farm")
-    ->Args({8, 0})
-    ->Args({8, 1})
-    ->Args({8, 2})
-    ->Args({8, 3})
-    ->UseRealTime()
-    ->MeasureProcessCPUTime();
+// Tri-clock farm: 8 lanes.
+BENCHMARK(BM_Saa2VgaTriClkFarm)->Name("saa2vga_triclk_farm")->Arg(8);
 
 // Custom main: `--trace FILE` (stripped before google-benchmark sees
 // the args) runs the tri-clock stress case once with a profiling

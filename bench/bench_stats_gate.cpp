@@ -13,12 +13,6 @@
 //   bench_stats_gate --write [bench/baselines.json]   (refresh baselines)
 //   bench_stats_gate --print                          (show counters)
 //
-// Any mode additionally accepts `--threads N`: every scenario then runs
-// under the parallel settle engine (Simulator::Options::threads = N)
-// against the SAME baselines — the deterministic counters are
-// thread-count invariant by design, and CI holds the parallel kernel to
-// the exact single-threaded numbers this way.
-//
 // Any mode also accepts `--trace FILE`: every scenario then runs with
 // a phase tracer attached against the SAME baselines — tracing is
 // wall-time telemetry and must perturb zero counters; the last
@@ -38,7 +32,6 @@
 // same PR to lock the win in.
 #include <cctype>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -57,10 +50,6 @@ using namespace hwpat;
 
 constexpr double kSlack = 0.02;  // tolerated counter growth vs baseline
 constexpr std::uint64_t kMaxCycles = 2'000'000;
-
-/// Simulator::Options::threads for every scenario (--threads N); the
-/// counters must not depend on it.
-int g_threads = 0;
 
 /// With --snapshot, every scenario pauses mid-run for a
 /// save -> restore -> save round trip and then continues to the SAME
@@ -163,10 +152,8 @@ const Scenario kScenarios[] = {
             .cam_period = 1, .mem_period = 1, .pix_period = 1});
      }},
     // Tri-clock capture FARM: three independent lanes sharing the same
-    // three domains — the workload shape of the parallel settle engine.
-    // Its counters (like all of them) must be thread-count invariant:
-    // CI re-runs this whole gate with --threads 3 against the same
-    // baseline entries.
+    // three domains, so every settle partition carries three lanes'
+    // worth of modules.
     {"saa2vga_triclk_farm3",
      [] {
        return designs::make_saa2vga_triclk(
@@ -177,9 +164,7 @@ const Scenario kScenarios[] = {
 
 Counters run_scenario(const Scenario& s) {
   auto d = s.make();
-  rtl::Simulator::Options opt;
-  opt.threads = g_threads;
-  rtl::Simulator sim(*d, opt);
+  rtl::Simulator sim(*d);
   if (!g_trace.empty()) sim.trace_start({});
   sim.reset();
   if (g_snapshot) {
@@ -464,16 +449,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--snapshot") {
       g_snapshot = true;
-    } else if (arg == "--threads") {
-      if (i + 1 >= argc) {
-        std::cerr << "bench_stats_gate: --threads needs a value\n";
-        return 2;
-      }
-      g_threads = std::atoi(argv[++i]);
-      if (g_threads < 0) {
-        std::cerr << "bench_stats_gate: --threads must be >= 0\n";
-        return 2;
-      }
     } else if (!mode_set && arg.rfind("--", 0) == 0) {
       mode = arg;
       mode_set = true;
@@ -487,11 +462,6 @@ int main(int argc, char** argv) {
     }
   }
   try {
-    if (g_threads > 0)
-      std::cout << "bench_stats_gate: parallel settle with threads="
-                << g_threads << " (counters must match the\n"
-                << "single-threaded baselines exactly — they are "
-                   "thread-count invariant)\n";
     if (!g_trace.empty())
       std::cout << "bench_stats_gate: tracer attached to every scenario "
                    "(counters must still match the\nbaselines exactly — "
@@ -515,7 +485,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     std::cerr << "usage: bench_stats_gate [--check|--write|--print] "
-                 "[baselines.json] [--threads N] [--snapshot] "
+                 "[baselines.json] [--snapshot] "
                  "[--trace FILE]\n";
     return 2;
   } catch (const std::exception& e) {

@@ -86,10 +86,9 @@ inline int run_traced(rtl::Module& top, const rtl::Simulator::Options& opt,
     sim.trace_write(path);
     const rtl::Tracer& t = *sim.telemetry();
     std::fprintf(stderr,
-                 "trace: wrote %s (%zu spans, %llu dropped, %zu lanes)\n",
+                 "trace: wrote %s (%zu spans, %llu dropped)\n",
                  path.c_str(), t.span_count(),
-                 static_cast<unsigned long long>(t.dropped()),
-                 t.lane_count());
+                 static_cast<unsigned long long>(t.dropped()));
     std::fputs(t.hot_modules_report(10).c_str(), stderr);
     return 0;
   } catch (const std::exception& e) {
@@ -103,7 +102,7 @@ inline int run_traced(rtl::Module& top, const rtl::Simulator::Options& opt,
 /// uniformly across all bench binaries.
 inline int write_empty_trace(const std::string& path) {
   try {
-    const rtl::Tracer t(rtl::Tracer::Options{}, 1, {});
+    const rtl::Tracer t(rtl::Tracer::Options{}, {});
     t.write_chrome_json(path);
     std::fprintf(stderr, "trace: wrote %s (no simulated design)\n",
                  path.c_str());

@@ -213,7 +213,14 @@ Simulator::Options to_cpp_options(const hwpat_sim_options* opt) {
   o.full_sweep = full.full_sweep != 0;
   o.delta_limit = full.delta_limit;
   o.check_seq_contract = full.check_seq_contract != 0;
-  o.threads = full.threads;
+  // Retired field, kept so the struct layout (and struct_size) holds: a
+  // simulator runs on one thread, so only "none" (0) and "one" (1) are
+  // meaningful.
+  if (full.threads != 0 && full.threads != 1)
+    throw ArgumentError{
+        "hwpat_sim_options.threads must be 0 or 1 (a simulator runs on "
+        "one thread; run simulators in parallel with hwpat_sweep), got " +
+        std::to_string(full.threads)};
   o.tick_ps = full.tick_ps;
   o.fault_plan = full.fault_plan == nullptr ? "" : full.fault_plan;
   return o;
@@ -297,7 +304,7 @@ void hwpat_sim_options_init(hwpat_sim_options* opt) {
   opt->full_sweep = d.full_sweep ? 1 : 0;
   opt->delta_limit = d.delta_limit;
   opt->check_seq_contract = d.check_seq_contract ? 1 : 0;
-  opt->threads = d.threads;
+  opt->threads = 0;
   opt->tick_ps = d.tick_ps;
   opt->fault_plan = "";
 }

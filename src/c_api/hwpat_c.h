@@ -76,7 +76,7 @@ typedef struct hwpat_sim_options {
   int full_sweep;         /* 0/1: reference kernel instead of event-driven */
   int delta_limit;        /* > 0 */
   int check_seq_contract; /* 0/1 */
-  int threads;            /* >= 0: intra-sim parallel settle contexts */
+  int threads;            /* retired, kept for the layout: 0 or 1 only */
   int64_t tick_ps;        /* > 0: physical picoseconds per tick */
   const char* fault_plan; /* NULL/"" = none; "<point>@<step>[+<k>]" */
 } hwpat_sim_options;
@@ -175,7 +175,7 @@ hwpat_status hwpat_sim_memory_stats_get(const hwpat_sim* sim,
 
 typedef struct hwpat_trace_options {
   size_t struct_size;   /* set to sizeof(hwpat_trace_options) */
-  size_t ring_capacity; /* phase spans retained per lane; 0 = default */
+  size_t ring_capacity; /* phase spans retained; 0 = default */
   int profile_modules;  /* 0/1: per-module eval/clock wall time */
 } hwpat_trace_options;
 

@@ -88,9 +88,8 @@ struct Saa2VgaTriClkConfig {
   /// clock domains (a capture farm on one board).  Each lane gets its
   /// own decoder/FIFOs/copy-loop/VGA and a distinct pattern seed
   /// (pattern_seed + lane).  Lanes multiply the per-partition work
-  /// without adding domains — the scaling knob the parallel settle
-  /// engine (Simulator::Options::threads) is benchmarked with.  1 (the
-  /// default) is the original tri-clock design, bit-identically.
+  /// without adding domains.  1 (the default) is the original tri-clock
+  /// design, bit-identically.
   int lanes = 1;
 };
 

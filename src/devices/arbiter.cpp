@@ -104,8 +104,8 @@ void SramArbiter::save_state(rtl::StateWriter& w) const {
 }
 
 void SramArbiter::load_state(rtl::StateReader& r) {
-  grant_ = r.i32();
-  rr_next_ = r.i32();
+  grant_ = r.i32_in(-1, num_masters() - 1, "grant");
+  rr_next_ = r.i32_in(0, num_masters() - 1, "rr_next");
   // One counter per master, fixed at construction.
   const std::uint32_t n = r.u32();
   if (n != grant_counts_.size())

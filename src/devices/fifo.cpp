@@ -109,8 +109,8 @@ void FifoCore::save_state(rtl::StateWriter& w) const {
 }
 
 void FifoCore::load_state(rtl::StateReader& r) {
-  head_ = r.i32();
-  count_ = r.i32();
+  head_ = r.i32_in(0, cfg_.depth - 1, "head");
+  count_ = r.i32_in(0, cfg_.depth, "count");
   r.fixed_words(mem_);
 }
 

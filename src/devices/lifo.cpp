@@ -106,7 +106,7 @@ void LifoCore::save_state(rtl::StateWriter& w) const {
 }
 
 void LifoCore::load_state(rtl::StateReader& r) {
-  count_ = r.i32();
+  count_ = r.i32_in(0, cfg_.depth, "count");
   r.fixed_words(mem_);
 }
 

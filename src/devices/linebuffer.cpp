@@ -1,5 +1,7 @@
 #include "devices/linebuffer.hpp"
 
+#include <limits>
+
 namespace hwpat::devices {
 
 LineBuffer3::LineBuffer3(Module* parent, std::string name,
@@ -118,10 +120,10 @@ void LineBuffer3::load_state(rtl::StateReader& r) {
   r.fixed_words(line1_);
   r.fixed_words(line2_);
   r.fixed_words(colq_);
-  colq_head_ = r.i32();
-  colq_count_ = r.i32();
-  wr_x_ = r.i32();
-  wr_y_ = r.i32();
+  colq_head_ = r.i32_in(0, cfg_.col_fifo_depth - 1, "colq_head");
+  colq_count_ = r.i32_in(0, cfg_.col_fifo_depth, "colq_count");
+  wr_x_ = r.i32_in(0, cfg_.line_width - 1, "wr_x");
+  wr_y_ = r.i32_in(0, std::numeric_limits<int>::max(), "wr_y");
 }
 
 }  // namespace hwpat::devices

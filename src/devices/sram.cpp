@@ -81,8 +81,11 @@ void ExternalSram::save_state(rtl::StateWriter& w) const {
 }
 
 void ExternalSram::load_state(rtl::StateReader& r) {
-  state_ = static_cast<State>(r.u32());
-  countdown_ = r.i32();
+  state_ = static_cast<State>(
+      r.u32_in(0, static_cast<std::uint32_t>(State::Turnaround), "state"));
+  // A busy access counts down to its operation from latency - 1.
+  countdown_ = r.i32_in(state_ == State::Busy ? 1 : 0, cfg_.latency - 1,
+                        "countdown");
   r.fixed_words(mem_);
 }
 

@@ -8,18 +8,14 @@
 // simulator (a SweepDriver job, a run_forked() branch) never pays
 // per-node heap traffic to elaborate.
 //
-// Thread safety: allocate() takes a mutex.  Growth is rare — list
-// capacities stabilize after the first settle — but a parallel-settle
-// worker may grow its partition's pending list mid-round, so the bump
-// path must be safe to call from any context.  Reads of already
-// allocated memory are unsynchronized, as ever.
+// Thread safety: none.  An arena belongs to one Simulator, and a
+// Simulator runs on one thread at a time.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <type_traits>
 #include <vector>
@@ -42,7 +38,6 @@ class Arena {
 
   /// Bump-allocates `bytes` aligned to `align` (a power of two).
   void* allocate(std::size_t bytes, std::size_t align) {
-    std::lock_guard<std::mutex> lk(m_);
     std::uintptr_t p = reinterpret_cast<std::uintptr_t>(cur_);
     p = (p + (align - 1)) & ~(static_cast<std::uintptr_t>(align) - 1);
     if (p + bytes > reinterpret_cast<std::uintptr_t>(end_)) {
@@ -110,7 +105,6 @@ class Arena {
     cur_ = end_ = nullptr;
   }
 
-  std::mutex m_;
   ChunkHeader* head_ = nullptr;
   std::byte* cur_ = nullptr;
   std::byte* end_ = nullptr;

@@ -26,7 +26,6 @@
 // behave exactly as before.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -159,19 +158,14 @@ class SignalBase {
 
  protected:
   /// Called by Signal<T>::write(): schedules this signal's id for
-  /// commit on the writer's pending-commit list (at most once until
-  /// drained; the pending flag lives in the simulator's dense array,
-  /// reached through pend_flag_).  The list is the signal's partition's
-  /// pending list, resolved at elaboration (queue_) — except inside a
-  /// parallel-settle worker, where a thread-local sink reroutes the
-  /// write to the partition the worker is draining, so concurrent
-  /// workers never share a list.
+  /// commit on its partition's pending-commit list, resolved at
+  /// elaboration (queue_) — at most once until drained; the pending
+  /// flag lives in the simulator's dense array, reached through
+  /// pend_flag_.
   void note_write() {
-    ArenaVector<std::int32_t>* q = write_sink_;
-    if (q == nullptr) q = queue_;
-    if (q != nullptr && pend_flag_ != nullptr && *pend_flag_ == 0) {
+    if (queue_ != nullptr && pend_flag_ != nullptr && *pend_flag_ == 0) {
       *pend_flag_ = 1;
-      q->push_back(id_);
+      queue_->push_back(id_);
     }
   }
   /// Called by Signal<T>::read(): reports the read to the active tracer,
@@ -207,30 +201,17 @@ class SignalBase {
   /// Pending-commit list of the signal's partition (ids).
   ArenaVector<std::int32_t>* queue_ = nullptr;
 
-  /// Active trace, if any.  thread_local so simulators over disjoint
-  /// designs — and this simulator's parallel-settle workers — may run
-  /// on different threads.
+  /// Active trace, if any.  thread_local because SweepDriver runs
+  /// simulators over disjoint designs on different worker threads.
   static inline thread_local ReadTracer* tracer_ = nullptr;
-  /// Pending-commit override installed around a parallel-settle
-  /// worker's evaluations: all writes made by the worker land here
-  /// instead of queue_, keeping every pending list single-threaded.
-  /// nullptr (the default everywhere else) selects queue_.
-  static inline thread_local ArenaVector<std::int32_t>* write_sink_ =
-      nullptr;
 };
 
 inline void ReadTracer::record(const SignalBase* s) {
   const int id = s->id_;
   if (id < 0) return;  // unbound signal read under a foreign trace
-  // The stamp cell is written through an atomic_ref (relaxed — a plain
-  // load/store on the targeted ISAs) because parallel-settle workers in
-  // different partitions may trace reads of the same CDC signal
-  // concurrently; stamps are unique per trace across contexts, so a
-  // lost dedup at worst records a duplicate read, which the fanout
-  // merge absorbs.
-  std::atomic_ref<std::uint64_t> cell(stamps_[static_cast<std::size_t>(id)]);
-  if (cell.load(std::memory_order_relaxed) == stamp_) return;
-  cell.store(stamp_, std::memory_order_relaxed);
+  std::uint64_t& cell = stamps_[static_cast<std::size_t>(id)];
+  if (cell == stamp_) return;
+  cell = stamp_;
   reads_.push_back(id);
 }
 

@@ -1,201 +1,11 @@
 #include "rtl/simulator.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "rtl/vcd.hpp"
 
 namespace hwpat::rtl {
-
-// ---------------------------------------------------------------------
-// Parallel settle engine
-// ---------------------------------------------------------------------
-
-/// One execution context of the parallel settle: context 0 belongs to
-/// the calling thread, the rest each to one persistent worker.  A
-/// context owns everything its evaluations touch exclusively — tracer,
-/// eval scratch list, deferred fanout merges, stats — so a settle round
-/// needs no locking at all: partitions are handed out through one
-/// atomic counter, and the round's completion countdown is the only
-/// other shared word.
-struct Simulator::ParallelCtx {
-  explicit ParallelCtx(Simulator* sim)
-      : eval_list(ArenaAlloc<std::int32_t>(&sim->arena_)) {
-    tracer.attach(sim->sig_stamp_);
-  }
-
-  ReadTracer tracer;
-  std::size_t lane = 0;  ///< context index — the telemetry lane/tid
-  ArenaVector<std::int32_t> eval_list;  ///< worklist swap target, per drain
-  /// Fanout merges observed while tracing, deferred so workers never
-  /// mutate the shared CSR pools / last_reader_ array; the coordinating
-  /// thread folds them in after the round's barrier.
-  std::vector<std::pair<std::int32_t, std::int32_t>> merges;
-  std::uint64_t evals = 0;  ///< eval_comb() calls, folded after the round
-  /// Trace stamps: tag | ++count is unique across contexts (the tag is
-  /// the context index in the top byte) and disjoint from the
-  /// single-threaded eval_stamp_ range, which never reaches bit 56.
-  std::uint64_t stamp_tag = 0;
-  std::uint64_t stamp_count = 0;
-  std::exception_ptr error;  ///< first eval_comb() throw, rethrown later
-};
-
-/// Persistent worker pool.  Workers park on a condition variable
-/// between rounds (after a short spin so back-to-back deltas hand off
-/// in nanoseconds, not wakeup latencies) and race down one atomic work
-/// index during a round.  The coordinating thread participates as
-/// context 0, so Options::threads counts *execution contexts*, not
-/// extra threads.
-struct Simulator::ParallelSettle {
-  ParallelSettle(Simulator* sim, int contexts) : sim_(sim) {
-    // Stamp tags live in the top byte: context count must fit it, or
-    // tags would wrap into the single-threaded stamp range and stale
-    // read-stamp collisions could silently drop fanout edges.
-    HWPAT_ASSERT(contexts >= 1 && contexts <= 255);
-    ctxs_.reserve(static_cast<std::size_t>(contexts));
-    for (int i = 0; i < contexts; ++i) {
-      ctxs_.emplace_back(sim);
-      ctxs_.back().lane = static_cast<std::size_t>(i);
-      ctxs_.back().stamp_tag = static_cast<std::uint64_t>(i + 1) << 56;
-    }
-    for (std::size_t i = 1; i < ctxs_.size(); ++i)
-      workers_.emplace_back([this, i] { worker_main(i); });
-  }
-
-  ~ParallelSettle() {
-    {
-      std::lock_guard<std::mutex> lk(m_);
-      quit_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  /// Runs one delta round over `active` (the dirty partitions): hands
-  /// the indices to every context, participates, and blocks until all
-  /// workers finished.  The caller folds merges/stats/errors afterwards.
-  void run_round(const std::vector<std::size_t>& active) {
-    work_ = &active;
-    next_.store(0, std::memory_order_relaxed);
-    unfinished_.store(static_cast<int>(workers_.size()),
-                      std::memory_order_relaxed);
-    {
-      // The lock orders the epoch bump against a worker's wait
-      // predicate, so a worker deciding to sleep can never miss the
-      // notify; workers in the spin phase see the epoch store alone.
-      std::lock_guard<std::mutex> lk(m_);
-      epoch_.fetch_add(1, std::memory_order_release);
-    }
-    cv_.notify_all();
-    drain(ctxs_[0]);
-    // Completion spin: rounds are microseconds apart, a futex sleep
-    // here would dominate the settle.  yield() keeps single-CPU hosts
-    // (CI sanitizer runners) from livelocking against their own pool.
-    while (unfinished_.load(std::memory_order_acquire) != 0)
-      std::this_thread::yield();
-  }
-
-  [[nodiscard]] std::vector<ParallelCtx>& ctxs() { return ctxs_; }
-
- private:
-  void drain(ParallelCtx& c) {
-    const std::vector<std::size_t>& w = *work_;
-    for (;;) {
-      const std::size_t k = next_.fetch_add(1, std::memory_order_relaxed);
-      if (k >= w.size()) return;
-      try {
-        sim_->drain_partition_parallel(w[k], c);
-      } catch (...) {
-        // The throw abandoned the drain mid-list: clear the context's
-        // scratch, or the stale modules would be swapped into a later
-        // round's (possibly foreign) partition worklist after the
-        // documented reset() recovery — double-evaluating them there.
-        c.eval_list.clear();
-        if (!c.error) c.error = std::current_exception();
-      }
-    }
-  }
-
-  void worker_main(std::size_t i) {
-    std::uint64_t seen = 0;
-    for (;;) {
-      // Arm phase: spin briefly for the next round, then park.
-      int spins = 4096;
-      while (epoch_.load(std::memory_order_acquire) == seen &&
-             !quit_.load(std::memory_order_acquire)) {
-        if (--spins > 0) {
-          std::this_thread::yield();
-          continue;
-        }
-        std::unique_lock<std::mutex> lk(m_);
-        cv_.wait(lk, [&] {
-          return quit_ || epoch_.load(std::memory_order_acquire) != seen;
-        });
-        break;
-      }
-      if (quit_.load(std::memory_order_acquire)) return;
-      seen = epoch_.load(std::memory_order_acquire);
-      drain(ctxs_[i]);
-      unfinished_.fetch_sub(1, std::memory_order_release);
-    }
-  }
-
-  Simulator* sim_;
-  std::vector<ParallelCtx> ctxs_;
-  std::vector<std::thread> workers_;
-  std::mutex m_;
-  std::condition_variable cv_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::size_t> next_{0};
-  std::atomic<int> unfinished_{0};
-  std::atomic<bool> quit_{false};
-  const std::vector<std::size_t>* work_ = nullptr;
-};
-
-void Simulator::drain_partition_parallel(std::size_t pi, ParallelCtx& c) {
-  Partition& p = parts_[pi];
-  // Telemetry span over the whole drain, on this context's own lane —
-  // the timeline that makes worker utilization and barrier stalls
-  // visible.  A throw abandons the span (recovery is reset(), as ever).
-  const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
-  // Reroute every write this context makes to the drained partition's
-  // pending list: cross-partition writes (legal, if undisciplined)
-  // land in the writer's list instead of racing the signal's own.
-  SignalBase::write_sink_ = &p.pending;
-  c.eval_list.swap(p.worklist);
-  for (const std::int32_t mid : c.eval_list) {
-    Module* m = modules_[static_cast<std::size_t>(mid)];
-    mod_dirty_[mid] = 0;
-    ++c.evals;
-    c.tracer.begin(c.stamp_tag | ++c.stamp_count);
-    {
-      TraceGuard guard(&c.tracer);
-      try {
-        if (telem_ == nullptr)
-          m->eval_comb();
-        else
-          eval_profiled(m, c.lane);
-      } catch (...) {
-        SignalBase::write_sink_ = nullptr;
-        throw;  // drain() records it; recovery requires reset(), as ever
-      }
-    }
-    // Defer the fanout merge: the CSR pools and last_reader_ are shared
-    // across partitions (CDC readers), so workers only *read* them here.
-    for (const std::int32_t sid : c.tracer.reads())
-      if (last_reader_[sid] != mid) c.merges.emplace_back(sid, mid);
-  }
-  c.eval_list.clear();
-  SignalBase::write_sink_ = nullptr;
-  if (telem_ != nullptr)
-    telem_->add(TracePhase::PartitionSettle, c.lane, t0, telem_->now_ns(),
-                pi);
-}
 
 const char* to_string(RunResult r) {
   switch (r) {
@@ -213,9 +23,6 @@ void Simulator::validate_options(const Options& opt) {
   if (opt.tick_ps <= 0)
     throw Error("Simulator Options::tick_ps must be positive, got " +
                 std::to_string(opt.tick_ps));
-  if (opt.threads < 0)
-    throw Error("Simulator Options::threads must be >= 0, got " +
-                std::to_string(opt.threads));
   try {
     (void)parse_fault_plan(opt.fault_plan);
   } catch (const Error& e) {
@@ -254,22 +61,9 @@ Simulator::Simulator(Module& top, Options opt)
     save_module_states(w);
     baseline_ = std::move(w).take();
   }
-  // The parallel settle engine needs several partitions and the event
-  // kernel; threads are clamped to the domain count (a worker per dirty
-  // partition per delta is the maximum useful parallelism).  threads=1
-  // deliberately still routes through the engine's dispatch path — with
-  // zero workers — so thread-sweep parity tests cover the machinery
-  // itself, not just the counters.
-  const int contexts =
-      std::min<int>(opt_.threads, static_cast<int>(scheds_.size()));
-  if (!opt_.full_sweep && contexts >= 1 && scheds_.size() > 1)
-    par_ = std::make_unique<ParallelSettle>(this, contexts);
 }
 
-Simulator::~Simulator() {
-  par_.reset();  // join the workers before tearing the binding down
-  unbind();
-}
+Simulator::~Simulator() { unbind(); }
 
 void Simulator::bind() {
   for (std::size_t i = 0; i < modules_.size(); ++i) {
@@ -668,11 +462,7 @@ void Simulator::trace_start(const Tracer::Options& topt) {
     paths.reserve(modules_.size());
     for (const Module* m : modules_) paths.push_back(m->full_name());
   }
-  // One lane per parallel-settle execution context; everything the
-  // coordinating thread records (edges, commits, serial settles) lands
-  // on lane 0.
-  const std::size_t lanes = par_ != nullptr ? par_->ctxs().size() : 1;
-  telem_owned_ = std::make_unique<Tracer>(topt, lanes, std::move(paths));
+  telem_owned_ = std::make_unique<Tracer>(topt, std::move(paths));
   telem_ = telem_owned_.get();
 }
 
@@ -688,14 +478,14 @@ void Simulator::trace_write(const std::string& path) const {
   telem_->write_chrome_json(path);
 }
 
-void Simulator::eval_profiled(Module* m, std::size_t lane) {
+void Simulator::eval_profiled(Module* m) {
   if (!telem_->profiling()) {
     m->eval_comb();
     return;
   }
   const std::uint64_t t0 = telem_->now_ns();
   m->eval_comb();  // a throw skips the attribution; recovery as ever
-  telem_->add_eval(lane, m->sim_id_, telem_->now_ns() - t0);
+  telem_->add_eval(m->sim_id_, telem_->now_ns() - t0);
 }
 
 void Simulator::run_on_clock_profiled(Module* m) {
@@ -703,10 +493,9 @@ void Simulator::run_on_clock_profiled(Module* m) {
     m->on_clock();
     return;
   }
-  // on_clock() always runs on the coordinating thread: lane 0.
   const std::uint64_t t0 = telem_->now_ns();
   m->on_clock();
-  telem_->add_clock(0, m->sim_id_, telem_->now_ns() - t0);
+  telem_->add_clock(m->sim_id_, telem_->now_ns() - t0);
 }
 
 // ---------------------------------------------------------------------
@@ -811,16 +600,6 @@ void Simulator::merge_reads(std::int32_t mid,
   }
 }
 
-void Simulator::merge_one(std::int32_t sid, std::int32_t mid) {
-  if (last_reader_[sid] == mid) return;
-  last_reader_[sid] = mid;
-  const std::int32_t* fb = fan_pool_.data() + fan_begin_[sid];
-  const std::int32_t* fe = fb + fan_count_[sid];
-  if (std::find(fb, fe, mid) != fe) return;
-  fan_push(sid, mid);
-  sens_push(mid, sid);
-}
-
 void Simulator::eval_traced(Module* m) {
   ++stats_.evals;
   tracer_.begin(++eval_stamp_);
@@ -829,7 +608,7 @@ void Simulator::eval_traced(Module* m) {
     if (telem_ == nullptr)
       m->eval_comb();
     else
-      eval_profiled(m, 0);
+      eval_profiled(m);
   }
   // Fold newly observed reads into the signals' fanout spans.  The
   // accumulated read set is monotone, so a module is re-evaluated
@@ -840,7 +619,6 @@ void Simulator::eval_traced(Module* m) {
 }
 
 void Simulator::drain_pending(Partition& part) {
-  // Commit drains always run on the coordinating thread (lane 0).
   // Empty drains (every settled delta probes once) record no span.
   const bool span = telem_ != nullptr && !part.pending.empty();
   const std::uint64_t t0 = span ? telem_->now_ns() : 0;
@@ -858,15 +636,14 @@ void Simulator::drain_pending(Partition& part) {
   }
   part.pending.clear();
   if (span)
-    telem_->add(TracePhase::CommitDrain, 0, t0, telem_->now_ns(),
+    telem_->add(TracePhase::CommitDrain, t0, telem_->now_ns(),
                 static_cast<std::uint64_t>(&part - parts_.data()));
 }
 
 void Simulator::commit_pending() {
-  // Ascending partition order, always on the coordinating thread —
-  // commit order is therefore deterministic and thread-count invariant
-  // (not that order matters for values: each signal commits at most
-  // once per drain, and the VCD writer sorts by declaration id).
+  // Ascending partition order, so commit order is deterministic (not
+  // that order matters for values: each signal commits at most once per
+  // drain, and the VCD writer sorts by declaration id).
   if (single_part_) {
     drain_pending(parts_[0]);
     return;
@@ -922,8 +699,8 @@ void Simulator::settle_event() {
     maybe_inject(FaultPoint::Settle);
     ++stats_.deltas;
     active_parts_.swap(dirty_parts_);
-    // Bookkeeping stays on the coordinating thread either way: only the
-    // evaluations themselves are (possibly) farmed out.
+    // All marks happen inside commit_pending() below, never during
+    // evaluation, so swapping each worklist out per delta is safe.
     for (const std::size_t pi : active_parts_) {
       Partition& p = parts_[pi];
       p.queued = false;
@@ -931,43 +708,15 @@ void Simulator::settle_event() {
         p.settle_seen = settle_seq_;
         ++touched;
       }
-    }
-    if (par_ != nullptr && active_parts_.size() > 1) {
-      // Parallel delta: one context per dirty partition (at most), the
-      // calling thread included.  Same eval set, same per-partition
-      // eval order, same commit order as the sequential loop below —
-      // only the wall-clock interleaving across partitions differs, so
-      // every deterministic counter stays thread-count invariant.
-      par_->run_round(active_parts_);
-      std::exception_ptr err;
-      for (ParallelCtx& c : par_->ctxs()) {
-        stats_.evals += c.evals;
-        c.evals = 0;
-        // Fold deferred fanout merges, single-threaded.  Content is a
-        // set union, so fold order only perturbs fanout *list order*
-        // (never the eval sets or counters downstream).
-        for (const auto& [sid, mid] : c.merges) merge_one(sid, mid);
-        c.merges.clear();
-        if (c.error && !err) err = c.error;
-        c.error = nullptr;
+      const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
+      eval_list_.swap(p.worklist);
+      for (const std::int32_t mid : eval_list_) {
+        mod_dirty_[mid] = 0;
+        eval_traced(modules_[static_cast<std::size_t>(mid)]);
       }
-      if (err) std::rethrow_exception(err);  // reset() to recover, as ever
-    } else {
-      // All marks happen inside commit_pending() below, never during
-      // evaluation, so swapping each worklist out per delta is safe.
-      for (const std::size_t pi : active_parts_) {
-        Partition& p = parts_[pi];
-        const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
-        eval_list_.swap(p.worklist);
-        for (const std::int32_t mid : eval_list_) {
-          mod_dirty_[mid] = 0;
-          eval_traced(modules_[static_cast<std::size_t>(mid)]);
-        }
-        eval_list_.clear();
-        if (telem_ != nullptr)
-          telem_->add(TracePhase::PartitionSettle, 0, t0,
-                      telem_->now_ns(), pi);
-      }
+      eval_list_.clear();
+      if (telem_ != nullptr)
+        telem_->add(TracePhase::PartitionSettle, t0, telem_->now_ns(), pi);
     }
     active_parts_.clear();
     commit_pending();
@@ -1136,7 +885,7 @@ void Simulator::settle() {
   }
   needs_recovery_ = false;
   if (telem_ != nullptr)
-    telem_->add(TracePhase::Settle, 0, t0, telem_->now_ns(), tick_);
+    telem_->add(TracePhase::Settle, t0, telem_->now_ns(), tick_);
 }
 
 void Simulator::reset() {
@@ -1190,7 +939,7 @@ void Simulator::reset() {
   settle();
   needs_recovery_ = false;
   if (telem_ != nullptr)
-    telem_->add(TracePhase::Reset, 0, treset, telem_->now_ns());
+    telem_->add(TracePhase::Reset, treset, telem_->now_ns());
   if (vcd_) {
     vcd_full_pending_ = true;
     sample_vcd();
@@ -1236,8 +985,7 @@ void Simulator::step(int n) {
         clock_edge_event();
       }
       if (telem_ != nullptr)
-        telem_->add(TracePhase::EdgeEvent, 0, t0, telem_->now_ns(),
-                    ds.next_edge);
+        telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), ds.next_edge);
       // Time advances only once the event succeeded: an aborted event
       // leaves now() (and everything else) untouched.
       tick_ = ds.next_edge;
@@ -1260,7 +1008,7 @@ void Simulator::step(int n) {
         clock_edge_event();
       }
       if (telem_ != nullptr)
-        telem_->add(TracePhase::EdgeEvent, 0, t0, telem_->now_ns(), t);
+        telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), t);
     } catch (...) {
       // Push the popped edges back un-advanced, so a caught throw (a
       // strict device raising ProtocolError) leaves the heap

@@ -38,13 +38,7 @@
 //    dirty sets, so an edge in one domain leaves another domain's quiet
 //    subtree entirely untouched (Stats::partition_settles /
 //    partition_skips account for it; semantics are unchanged because
-//    the per-delta eval set is the same, merely bucketed).  With
-//    Options::threads > 0 dirty partitions of one delta are drained
-//    concurrently by a persistent worker pool — each worker owns its
-//    partition's worklist and pending list for the delta, the per-delta
-//    commit (single-threaded, ascending partition order) is the only
-//    barrier, and the deterministic counters and VCD bytes are
-//    thread-count invariant.  Module
+//    the per-delta eval set is the same, merely bucketed).  Module
 //    sensitivity is discovered dynamically by tracing which signals
 //    each eval_comb() reads (starting with an instrumented elaboration
 //    settle and kept up to date on every evaluation, so data-dependent
@@ -80,6 +74,10 @@
 // chunks no matter the design size, and a fresh simulator (a
 // SweepDriver job, a run_forked() branch) pays no per-node heap traffic
 // to elaborate.
+//
+// Threading: a Simulator runs on the thread that calls it, one call at
+// a time.  Parallelism lives one level up — SweepDriver (rtl/sweep.hpp)
+// runs many independent simulators at once, one per worker thread.
 //
 // See src/rtl/README.md for the design discussion.
 #pragma once
@@ -147,17 +145,6 @@ class Simulator {
     /// only — those cases, and the invisible-internal-state half of
     /// the contract, are covered by the differential tests instead.
     bool check_seq_contract = true;
-    /// Parallel settle: number of execution contexts (the calling
-    /// thread plus threads-1 persistent workers) draining dirty settle
-    /// partitions concurrently — at most one worker per dirty partition
-    /// per delta, with the per-delta commit as the only barrier and the
-    /// CDC arcs as the only cross-partition data paths.  0 (default)
-    /// selects the single-threaded kernel, bit-identical to before the
-    /// engine existed; any value is clamped to the domain count, and
-    /// single-domain or full-sweep simulators ignore it entirely.  The
-    /// deterministic Stats counters and VCD bytes are thread-count
-    /// invariant (gated in CI across 0/1/2/4).
-    int threads = 0;
     /// Physical duration of one scheduler tick in picoseconds; feeds
     /// the VCD `$timescale` so multi-clock traces are time-correct.
     /// Pick the greatest common divisor of the modelled clock periods
@@ -379,10 +366,9 @@ class Simulator {
   // and by bench_stats_gate --trace in CI).  With tracing off the hot
   // path pays exactly one null-pointer branch per hook.
 
-  /// Attaches a fresh Tracer (replacing any previous one).  Lanes are
-  /// the parallel settle's execution contexts (1 when the engine is
-  /// off); with Options::profile_modules the module paths are captured
-  /// for the hot-modules report.  Call between steps.
+  /// Attaches a fresh Tracer (replacing any previous one).  With
+  /// Options::profile_modules the module paths are captured for the
+  /// hot-modules report.  Call between steps.
   void trace_start(const Tracer::Options& topt = {});
   /// Detaches and destroys the tracer; a no-op when tracing is off.
   void trace_stop();
@@ -537,18 +523,13 @@ class Simulator {
   /// O(reads) instead of the former per-signal linear find.
   void merge_reads(std::int32_t mid,
                    const std::vector<std::int32_t>& reads);
-  /// One deferred (signal, module) fanout merge from a parallel-settle
-  /// context, folded after the round's barrier.  Membership here is a
-  /// contiguous scan of the (typically tiny) CSR span — the epoch
-  /// batching of merge_reads() does not pay off for isolated pairs.
-  void merge_one(std::int32_t sid, std::int32_t mid);
 
   /// Runs one eval_comb() under the read tracer and folds newly observed
   /// reads into the fanout/read-set CSRs.
   void eval_traced(Module* m);
   /// The eval_comb() call itself, with the telemetry profiling hook
   /// folded in (reached only when a tracer is attached).
-  void eval_profiled(Module* m, std::size_t lane);
+  void eval_profiled(Module* m);
   /// One activation-list on_clock() call.  Tracing off — the only
   /// state benchmarked — is a single null-pointer branch.
   void run_on_clock(Module* m) {
@@ -613,13 +594,6 @@ class Simulator {
   /// Snapshots every partition's pending-list size into pend_mark_
   /// (the per-module baseline for check_seq_writes).
   void record_pend_marks();
-  /// Drains dirty partition `pi` for one delta inside a parallel settle
-  /// round: evaluations run under `ctx`'s tracer with writes rerouted
-  /// to the partition's pending list via the thread-local sink, and
-  /// fanout merges are deferred into the context (folded single-threaded
-  /// after the round's barrier).
-  struct ParallelCtx;
-  void drain_partition_parallel(std::size_t pi, ParallelCtx& ctx);
   void mark_vcd_change(std::int32_t sid) {
     // sig_vcdmark_: 0 = clean, 1 = on vcd_changed_, 2 = never sampled
     // (width <= 0 testbench signals) — one branch covers both skips.
@@ -755,11 +729,9 @@ class Simulator {
           pending(ArenaAlloc<std::int32_t>(a)) {}
 
     ArenaVector<std::int32_t> worklist;  ///< dirty module ids, next delta
-    /// Signal ids awaiting commit whose writer routed here — the
-    /// signal's own partition from Signal::write() (resolved at
-    /// elaboration into SignalBase::queue_), or the draining worker's
-    /// partition inside a parallel settle.  Only ever touched by one
-    /// thread at a time.
+    /// Signal ids awaiting commit whose partition this is, enqueued by
+    /// Signal::write() (routed at elaboration through
+    /// SignalBase::queue_).
     ArenaVector<std::int32_t> pending;
     bool queued = false;            ///< on dirty_parts_
     std::uint64_t settle_seen = 0;  ///< last settle_seq_ that touched it
@@ -769,12 +741,6 @@ class Simulator {
   std::vector<std::size_t> active_parts_;  ///< partitions in this delta
   std::uint64_t settle_seq_ = 0;           ///< unique id per settle_event()
   bool single_part_ = true;  ///< one partition: skip bucketing bookkeeping
-
-  /// Persistent worker pool for the parallel settle (Options::threads);
-  /// nullptr when the engine is off (threads == 0, full-sweep, or a
-  /// single-partition design).  Defined in simulator.cpp.
-  struct ParallelSettle;
-  std::unique_ptr<ParallelSettle> par_;
 
   /// Telemetry (trace_start/trace_stop).  telem_ aliases telem_owned_
   /// so the hot-path hooks test one raw pointer; nullptr = tracing off.

@@ -363,8 +363,7 @@ Snapshot Simulator::save_snapshot() const {
   save_module_states(w);
   std::vector<std::uint8_t> bytes = std::move(w).take();
   if (telem_ != nullptr)
-    telem_->add(TracePhase::SnapshotSave, 0, t0, telem_->now_ns(),
-                bytes.size());
+    telem_->add(TracePhase::SnapshotSave, t0, telem_->now_ns(), bytes.size());
   return Snapshot(std::move(bytes));
 }
 
@@ -479,7 +478,7 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     if (vcd_) vcd_full_pending_ = true;
     needs_recovery_ = false;
     if (telem_ != nullptr)
-      telem_->add(TracePhase::SnapshotRestore, 0, t0, telem_->now_ns(),
+      telem_->add(TracePhase::SnapshotRestore, t0, telem_->now_ns(),
                   snap.size_bytes());
   } catch (const Error& e) {
     // Corruption detected after mutation began: never leave the

@@ -221,6 +221,19 @@ class StateReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   int i32() { return static_cast<int>(i64()); }
 
+  /// i32() that must lie in [lo, hi].  Devices load every scalar that
+  /// later indexes their memory (or drives their state machine) through
+  /// this, checked against the construction-time config, so a corrupted
+  /// blob fails here naming `field` instead of indexing out of bounds.
+  int i32_in(int lo, int hi, const char* field) {
+    return static_cast<int>(in_range(i64(), lo, hi, field));
+  }
+  /// u32() that must lie in [lo, hi] (an enum stored as its index).
+  std::uint32_t u32_in(std::uint32_t lo, std::uint32_t hi,
+                       const char* field) {
+    return static_cast<std::uint32_t>(in_range(u32(), lo, hi, field));
+  }
+
   void bytes(void* p, std::size_t n) {
     need(n, 1, "raw bytes");
     if (n != 0) std::memcpy(p, data_ + pos_, n);
@@ -301,6 +314,15 @@ class StateReader {
                         " more byte(s) for " + what + ", have " +
                         std::to_string(have) + " of " +
                         std::to_string(size_) + ")");
+  }
+
+  static std::int64_t in_range(std::int64_t v, std::int64_t lo,
+                               std::int64_t hi, const char* field) {
+    if (v >= lo && v <= hi) return v;
+    throw SnapshotError("snapshot: " + std::string(field) + " = " +
+                        std::to_string(v) + " is outside its valid range [" +
+                        std::to_string(lo) + ", " + std::to_string(hi) +
+                        "] — corrupted blob");
   }
 
   const std::uint8_t* data_;

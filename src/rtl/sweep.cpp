@@ -98,7 +98,7 @@ void run_measured(Simulator& sim, const Module& top,
                           ? static_cast<double>(out.steps) / out.wall_seconds
                           : 0.0;
   if (Tracer* t = sim.telemetry(); t != nullptr) {
-    t->add(TracePhase::SweepJob, 0, tns0, t->now_ns(), index);
+    t->add(TracePhase::SweepJob, tns0, t->now_ns(), index);
     out.telem.spans = t->span_count();
     out.telem.dropped = t->dropped();
     out.telem.settle_ns = t->phase_total(TracePhase::Settle).ns;

@@ -1,9 +1,9 @@
 // SweepDriver: the batch simulation service.
 //
 // A design-space sweep elaborates N parameterized design variants and
-// runs them concurrently on a pool of workers — one Simulator per
-// worker, embarrassingly parallel, entirely orthogonal to the
-// *intra*-simulator parallel settle (Simulator::Options::threads).
+// runs them concurrently on a pool of workers — one single-threaded
+// Simulator per worker, embarrassingly parallel.  This is where the
+// library's parallelism lives: a Simulator itself never spawns threads.
 // Every job owns a private design instance built on the worker thread
 // by its `build` factory, so the only shared state between concurrent
 // runs is read-only configuration; per-variant results (stats, VCD

@@ -61,93 +61,60 @@ const char* to_string(TracePhase p) {
   return "?";
 }
 
-Tracer::Tracer(const Options& opt, std::size_t lanes,
-               std::vector<std::string> module_paths)
+Tracer::Tracer(const Options& opt, std::vector<std::string> module_paths)
     : opt_(opt), paths_(std::move(module_paths)), epoch_ns_(steady_ns()) {
   if (opt_.ring_capacity == 0) opt_.ring_capacity = Options{}.ring_capacity;
-  HWPAT_ASSERT(lanes >= 1);
-  lanes_.resize(lanes);
   if (opt_.profile_modules) {
-    for (Lane& l : lanes_) {
-      l.eval_calls.assign(paths_.size(), 0);
-      l.eval_ns.assign(paths_.size(), 0);
-      l.clock_calls.assign(paths_.size(), 0);
-      l.clock_ns.assign(paths_.size(), 0);
-    }
+    eval_calls_.assign(paths_.size(), 0);
+    eval_ns_.assign(paths_.size(), 0);
+    clock_calls_.assign(paths_.size(), 0);
+    clock_ns_.assign(paths_.size(), 0);
   }
 }
 
 std::uint64_t Tracer::now_ns() const { return steady_ns() - epoch_ns_; }
 
-void Tracer::add(TracePhase phase, std::size_t lane, std::uint64_t start_ns,
+void Tracer::add(TracePhase phase, std::uint64_t start_ns,
                  std::uint64_t end_ns, std::uint64_t arg) {
-  Lane& l = lanes_[lane];
   const std::uint64_t dur = end_ns >= start_ns ? end_ns - start_ns : 0;
-  TraceSpan span{phase, static_cast<std::uint32_t>(lane), start_ns, dur,
-                 arg};
-  if (l.ring.size() < opt_.ring_capacity)
-    l.ring.push_back(span);
+  const TraceSpan span{phase, start_ns, dur, arg};
+  if (ring_.size() < opt_.ring_capacity)
+    ring_.push_back(span);
   else
-    l.ring[l.total % opt_.ring_capacity] = span;
-  ++l.total;
-  PhaseTotal& t = l.phase[static_cast<std::size_t>(phase)];
+    ring_[total_ % opt_.ring_capacity] = span;
+  ++total_;
+  PhaseTotal& t = phase_[static_cast<std::size_t>(phase)];
   ++t.count;
   t.ns += dur;
 }
 
-void Tracer::add_eval(std::size_t lane, int id, std::uint64_t dur_ns) {
-  Lane& l = lanes_[lane];
+void Tracer::add_eval(int id, std::uint64_t dur_ns) {
   const auto i = static_cast<std::size_t>(id);
-  ++l.eval_calls[i];
-  l.eval_ns[i] += dur_ns;
+  ++eval_calls_[i];
+  eval_ns_[i] += dur_ns;
 }
 
-void Tracer::add_clock(std::size_t lane, int id, std::uint64_t dur_ns) {
-  Lane& l = lanes_[lane];
+void Tracer::add_clock(int id, std::uint64_t dur_ns) {
   const auto i = static_cast<std::size_t>(id);
-  ++l.clock_calls[i];
-  l.clock_ns[i] += dur_ns;
-}
-
-std::size_t Tracer::span_count() const {
-  std::size_t n = 0;
-  for (const Lane& l : lanes_) n += l.ring.size();
-  return n;
-}
-
-std::uint64_t Tracer::dropped() const {
-  std::uint64_t n = 0;
-  for (const Lane& l : lanes_) n += l.total - l.ring.size();
-  return n;
+  ++clock_calls_[i];
+  clock_ns_[i] += dur_ns;
 }
 
 std::vector<TraceSpan> Tracer::spans() const {
+  // Reconstruct ring order: once wrapped, the oldest retained span sits
+  // at total % capacity.
+  const std::size_t n = ring_.size();
+  const std::size_t first = total_ > n ? total_ % opt_.ring_capacity : 0;
   std::vector<TraceSpan> out;
-  out.reserve(span_count());
-  for (const Lane& l : lanes_) {
-    // Reconstruct ring order: once wrapped, the oldest retained span
-    // sits at total % capacity.
-    const std::size_t n = l.ring.size();
-    const std::size_t first =
-        l.total > n ? l.total % opt_.ring_capacity : 0;
-    for (std::size_t k = 0; k < n; ++k)
-      out.push_back(l.ring[(first + k) % n]);
-  }
+  out.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) out.push_back(ring_[(first + k) % n]);
+  // Spans are recorded when they end, so an enclosing span (a reset
+  // around its settle) lands after the spans it contains: re-sort.
   std::stable_sort(out.begin(), out.end(),
                    [](const TraceSpan& a, const TraceSpan& b) {
                      return a.start_ns < b.start_ns;
                    });
   return out;
-}
-
-Tracer::PhaseTotal Tracer::phase_total(TracePhase p) const {
-  PhaseTotal t;
-  for (const Lane& l : lanes_) {
-    const PhaseTotal& lt = l.phase[static_cast<std::size_t>(p)];
-    t.count += lt.count;
-    t.ns += lt.ns;
-  }
-  return t;
 }
 
 std::vector<ModuleProfile> Tracer::hot_modules(std::size_t top_n) const {
@@ -156,12 +123,10 @@ std::vector<ModuleProfile> Tracer::hot_modules(std::size_t top_n) const {
   all.resize(paths_.size());
   for (std::size_t i = 0; i < paths_.size(); ++i) {
     all[i].path = paths_[i];
-    for (const Lane& l : lanes_) {
-      all[i].eval_calls += l.eval_calls[i];
-      all[i].eval_ns += l.eval_ns[i];
-      all[i].clock_calls += l.clock_calls[i];
-      all[i].clock_ns += l.clock_ns[i];
-    }
+    all[i].eval_calls = eval_calls_[i];
+    all[i].eval_ns = eval_ns_[i];
+    all[i].clock_calls = clock_calls_[i];
+    all[i].clock_ns = clock_ns_[i];
   }
   // Drop modules that never ran, hottest first, cut to top_n.
   all.erase(std::remove_if(all.begin(), all.end(),
@@ -209,27 +174,20 @@ void Tracer::write_chrome_json(std::ostream& os) const {
     first = false;
   };
   os << "    {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
-        "\"process_name\", \"args\": {\"name\": \"hwpat\"}}";
+        "\"process_name\", \"args\": {\"name\": \"hwpat\"}},\n"
+        "    {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": "
+        "\"thread_name\", \"args\": {\"name\": \"simulator\"}}";
   first = false;
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    sep();
-    os << "    {\"ph\": \"M\", \"pid\": 1, \"tid\": " << i
-       << ", \"name\": \"thread_name\", \"args\": {\"name\": ";
-    put_json_string(os, i == 0 ? std::string("lane 0 (main)")
-                               : "lane " + std::to_string(i) + " (worker)");
-    os << "}}";
-  }
   for (const TraceSpan& s : spans()) {
     sep();
-    os << "    {\"ph\": \"X\", \"pid\": 1, \"tid\": " << s.lane
-       << ", \"name\": \"" << to_string(s.phase) << "\", \"ts\": ";
+    os << "    {\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"name\": \""
+       << to_string(s.phase) << "\", \"ts\": ";
     put_us(os, s.start_ns);
     os << ", \"dur\": ";
     put_us(os, s.dur_ns);
     os << ", \"args\": {\"arg\": " << s.arg << "}}";
   }
-  os << "\n  ],\n  \"hwpat\": {\n    \"lanes\": " << lanes_.size()
-     << ",\n    \"spans\": " << span_count()
+  os << "\n  ],\n  \"hwpat\": {\n    \"spans\": " << span_count()
      << ",\n    \"dropped\": " << dropped() << ",\n    \"phases\": {";
   for (std::size_t p = 0; p < kTracePhaseCount; ++p) {
     const PhaseTotal t = phase_total(static_cast<TracePhase>(p));

@@ -68,6 +68,24 @@ static void test_abi_and_errors(void) {
         HWPAT_ERR_ERROR);
   CHECK(strstr(hwpat_last_error(), "delta_limit") != NULL);
 
+  /* threads is retired (a simulator runs on one thread; hwpat_sweep
+   * runs simulators in parallel): 0 and 1 still create and run, any
+   * other value is an argument error naming the field. */
+  hwpat_sim_options_init(&opt);
+  CHECK(opt.threads == 0);
+  opt.threads = 2;
+  CHECK(hwpat_sim_create("saa2vga_pattern", NULL, &opt, &sim) ==
+        HWPAT_ERR_ARGUMENT);
+  CHECK(strstr(hwpat_last_error(), "threads") != NULL);
+  for (int threads = 0; threads <= 1; ++threads) {
+    hwpat_sim* ok = NULL;
+    opt.threads = threads;
+    CHECK(hwpat_sim_create("saa2vga_pattern", "width=16,height=12", &opt,
+                           &ok) == HWPAT_OK);
+    CHECK(ok != NULL && hwpat_sim_step(ok, 10) == HWPAT_OK);
+    hwpat_sim_destroy(ok);
+  }
+
   /* A spec violation (depth < 1) maps to its own status. */
   CHECK(hwpat_sim_create("saa2vga_pattern", "width=64,height=48,depth=0",
                          NULL, &sim) == HWPAT_ERR_SPEC);

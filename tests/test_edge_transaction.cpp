@@ -98,15 +98,13 @@ struct Observed {
 /// The headline regression: an underflow aborts a 3-domain event as a
 /// no-op, and the completed run is indistinguishable from one where
 /// the illegal read was never attempted.
-void expect_interrupted_run_equals_clean_run(bool full_sweep,
-                                             int threads) {
-  SCOPED_TRACE(std::string("full_sweep=") + (full_sweep ? "1" : "0") +
-               " threads=" + std::to_string(threads));
+void expect_interrupted_run_equals_clean_run(bool full_sweep) {
+  SCOPED_TRACE(std::string("full_sweep=") + (full_sweep ? "1" : "0"));
   constexpr int kSteps = 12;
 
   // Clean run: rd_en stays deasserted throughout.
   TxTop clean;
-  Simulator ref(clean, {.full_sweep = full_sweep, .threads = threads});
+  Simulator ref(clean, {.full_sweep = full_sweep});
   ref.reset();
   ref.step(kSteps);
   const Observed want = Observed::of(ref, clean);
@@ -115,7 +113,7 @@ void expect_interrupted_run_equals_clean_run(bool full_sweep,
   // read-domain edge (tick 3 — which is also a write-domain edge, and
   // the write domain is ordered first in the event) underflows.
   TxTop d;
-  Simulator sim(d, {.full_sweep = full_sweep, .threads = threads});
+  Simulator sim(d, {.full_sweep = full_sweep});
   sim.reset();
   d.rd_en.write(true);
   int caught = 0;
@@ -148,15 +146,11 @@ void expect_interrupted_run_equals_clean_run(bool full_sweep,
 }
 
 TEST(EdgeTransaction, InterruptedThreeDomainRunMatchesCleanRun) {
-  expect_interrupted_run_equals_clean_run(false, 0);
+  expect_interrupted_run_equals_clean_run(false);
 }
 
 TEST(EdgeTransaction, InterruptedRunMatchesCleanRunUnderFullSweep) {
-  expect_interrupted_run_equals_clean_run(true, 0);
-}
-
-TEST(EdgeTransaction, InterruptedRunMatchesCleanRunUnderParallelSettle) {
-  expect_interrupted_run_equals_clean_run(false, 3);
+  expect_interrupted_run_equals_clean_run(true);
 }
 
 TEST(EdgeTransaction, ResetAfterAbortedEventClearsSchedulerState) {
@@ -271,12 +265,11 @@ TEST(EdgeTransaction, ContractViolationWritesNeverLeakIntoNextSettle) {
   EXPECT_EQ(sim.now(), 0u);
 }
 
-/// A throw from eval_comb() mid-settle under the parallel engine must
-/// not strand the worker context's scratch list: after the documented
-/// reset() recovery, stepping on has to match the single-threaded
-/// kernel exactly (a stranded list used to be swapped into a foreign
-/// partition's worklist, double-evaluating its modules there).
-TEST(EdgeTransaction, ParallelSettleRecoversFromEvalThrowAfterReset) {
+/// A throw from eval_comb() mid-settle leaves partially evaluated state
+/// behind; after the documented reset() recovery, stepping on has to
+/// match a run that never threw exactly — no stale worklist entry or
+/// pending write may survive the reset.
+TEST(EdgeTransaction, ResetAfterEvalThrowMatchesRunThatNeverThrew) {
   struct Inc : Module {  // comb: out = a + 1, may be armed to throw
     const Bus& a;
     Bus& out;
@@ -304,9 +297,8 @@ TEST(EdgeTransaction, ParallelSettleRecoversFromEvalThrowAfterReset) {
     Inc ia2{this, "ia2", a1, a2, never};
     Inc ia3{this, "ia3", a2, a3, never};
     Inc ib1{this, "ib1", cb, b1, never};
-    // The bomb sits in the SECOND partition: its context grabs no
-    // further partition after the throw, so (pre-fix) the abandoned
-    // scratch list survived into the rounds after reset().
+    // The bomb sits in the SECOND partition, so the throw abandons a
+    // delta after the first partition already evaluated.
     Inc ib2{this, "ib2", b1, b2, armed};
     Top() : Module(nullptr, "bombtop") {
       set_clock_domain(&da);
@@ -316,25 +308,27 @@ TEST(EdgeTransaction, ParallelSettleRecoversFromEvalThrowAfterReset) {
     }
     void declare_state() override { declare_seq_state(); }
   };
-  auto scenario = [](int threads) {
+  auto scenario = [](bool bomb) {
     Top d;
-    Simulator sim(d, {.threads = threads});
+    Simulator sim(d);
     sim.reset();
-    sim.step(3);  // both domains fire every tick: parallel deltas
-    d.armed = true;
-    EXPECT_THROW(sim.step(), Error);
-    d.armed = false;
-    // reset_stats() BEFORE reset(): the stranded-scratch double-evals
-    // happened inside the reset()-settle itself, so that settle must be
-    // part of the compared counters.
+    sim.step(3);  // both domains fire every tick: two dirty partitions
+    if (bomb) {
+      d.armed = true;
+      EXPECT_THROW(sim.step(), Error);
+      EXPECT_TRUE(sim.needs_recovery());
+      d.armed = false;
+    }
+    // reset_stats() BEFORE reset(): leftovers of the aborted settle
+    // would be evaluated inside the reset()-settle itself, so that
+    // settle must be part of the compared counters.
     sim.reset_stats();
     sim.reset();
     sim.step(5);
     return std::tuple{sim.stats().evals, sim.stats().commits,
                       d.a3.read(), d.b2.read()};
   };
-  EXPECT_EQ(scenario(2), scenario(0));
-  EXPECT_EQ(scenario(3), scenario(0));
+  EXPECT_EQ(scenario(true), scenario(false));
 }
 
 /// Domain-filtered run(): the predicate is only evaluated after

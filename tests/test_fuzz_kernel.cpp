@@ -13,11 +13,10 @@
 // retried tick, and re-enables afterwards — exercising the
 // transactional clock-edge contract on designs nobody hand-wrote.
 // Each design is simulated twice — once under the event-driven kernel,
-// once under the full-sweep reference — and, when multi-domain, again
-// under the parallel settle engine at threads 1, 2 and 4.  Cycle
-// counts, tick counts, every signal's final value, the per-domain edge
-// statistics, the caught-throw count and the *bytes* of the VCD
-// waveform must agree exactly across all of them.
+// once under the full-sweep reference.  Cycle counts, tick counts,
+// every signal's final value, the per-domain edge statistics, the
+// caught-throw count and the *bytes* of the VCD waveform must agree
+// exactly.
 //
 // Every future scheduler change is thereby checked against the
 // reference on designs nobody hand-wrote.  On failure the seed is in
@@ -377,16 +376,13 @@ struct RunResult {
   Simulator::Stats stats;
 };
 
-RunResult run_kernel(unsigned seed, bool full_sweep, int threads = 0) {
+RunResult run_kernel(unsigned seed, bool full_sweep) {
   FuzzDesign d(seed);
-  const std::string path = "fuzz_" + std::to_string(seed) +
-                           (full_sweep ? "_ref" : "_evt") +
-                           (threads > 0 ? "_t" + std::to_string(threads)
-                                        : std::string()) +
-                           ".vcd";
+  const std::string path =
+      "fuzz_" + std::to_string(seed) + (full_sweep ? "_ref" : "_evt") + ".vcd";
   RunResult out;
   {
-    Simulator sim(d, {.full_sweep = full_sweep, .threads = threads});
+    Simulator sim(d, {.full_sweep = full_sweep});
     sim.open_vcd(path);
     sim.reset();
     for (int i = 0; i < d.steps; ++i) {
@@ -446,30 +442,7 @@ TEST(FuzzKernel, EventKernelMatchesFullSweepOnRandomDesigns) {
     ASSERT_LE(evt.stats.evals, ref.stats.evals);
     strict_throws += evt.throws;
     if (evt.stats.partition_skips > 0) ++with_partition_skips;
-    if (evt.stats.domain_edges.size() > 1) {
-      ++multi_domain;
-      // Thread-count sweep: the parallel settle engine must reproduce
-      // the single-threaded event kernel bit for bit — same values,
-      // same deterministic counters, same caught throws, same VCD.
-      for (const int threads : {1, 2, 4}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        const RunResult par = run_kernel(seed, false, threads);
-        ASSERT_EQ(par.cycles, evt.cycles);
-        ASSERT_EQ(par.ticks, evt.ticks);
-        ASSERT_EQ(par.values, evt.values);
-        ASSERT_EQ(par.throws, evt.throws);
-        ASSERT_EQ(par.stats.evals, evt.stats.evals);
-        ASSERT_EQ(par.stats.commits, evt.stats.commits);
-        ASSERT_EQ(par.stats.deltas, evt.stats.deltas);
-        ASSERT_EQ(par.stats.seq_skips, evt.stats.seq_skips);
-        ASSERT_EQ(par.stats.partition_settles,
-                  evt.stats.partition_settles);
-        ASSERT_EQ(par.stats.partition_skips, evt.stats.partition_skips);
-        ASSERT_EQ(par.stats.edges, evt.stats.edges);
-        ASSERT_EQ(par.stats.domain_edges, evt.stats.domain_edges);
-        ASSERT_EQ(par.vcd, evt.vcd) << "VCD bytes differ";
-      }
-    }
+    if (evt.stats.domain_edges.size() > 1) ++multi_domain;
   }
   // The generator must actually exercise the multi-domain machinery,
   // not degenerate into single-clock designs — and the strict devices
@@ -512,17 +485,15 @@ std::uint64_t step_with_retry(Simulator& sim, FuzzDesign& d) {
   return throws;
 }
 
-/// Runs the full scenario for one (seed, kernel, threads) triple.
-/// Returns false when the seed was skipped (no quiet snapshot point —
-/// pathological designs that throw on every remaining step).  Reports
-/// the design's domain count and whether the injected fault fired.
-bool run_snapshot_scenario(unsigned seed, bool full_sweep, int threads,
-                           std::size_t* domain_count, bool* fault_fired) {
+/// Runs the full scenario for one (seed, kernel) pair.  Returns false
+/// when the seed was skipped (no quiet snapshot point — pathological
+/// designs that throw on every remaining step).  Reports whether the
+/// injected fault fired.
+bool run_snapshot_scenario(unsigned seed, bool full_sweep,
+                           bool* fault_fired) {
   std::mt19937 rng(seed ^ 0x5eedu);
-  const std::string tag = "snap_" + std::to_string(seed) +
-                          (full_sweep ? "_ref" : "_evt") +
-                          (threads > 0 ? "_t" + std::to_string(threads)
-                                       : std::string());
+  const std::string tag =
+      "snap_" + std::to_string(seed) + (full_sweep ? "_ref" : "_evt");
 
   // --- Uninterrupted reference run, snapshotting on the way ---------
   FuzzDesign d1(seed);
@@ -534,8 +505,7 @@ bool run_snapshot_scenario(unsigned seed, bool full_sweep, int threads,
   RunResult ref;
   const std::string ref_path = tag + "_ref.vcd";
   {
-    Simulator sim(d1, {.full_sweep = full_sweep, .threads = threads});
-    *domain_count = sim.stats().domain_edges.size();
+    Simulator sim(d1, {.full_sweep = full_sweep});
     sim.reset();
     int done = 0;
     for (; done < snap_at; ++done) ref.throws += step_with_retry(sim, d1);
@@ -575,9 +545,7 @@ bool run_snapshot_scenario(unsigned seed, bool full_sweep, int threads,
   RunResult rep;
   const std::string rep_path = tag + "_rep.vcd";
   {
-    Simulator sim(d2, {.full_sweep = full_sweep,
-                       .threads = threads,
-                       .fault_plan = plan});
+    Simulator sim(d2, {.full_sweep = full_sweep, .fault_plan = plan});
     sim.reset();
     for (int done = 0; done < eff; ++done)
       rep.throws += step_with_retry(sim, d2);
@@ -643,27 +611,17 @@ TEST(FuzzKernel, SnapshotFaultRestoreReplaysByteIdentically) {
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " (replay: HWPAT_FUZZ_SNAP_BASE=" + std::to_string(seed) +
                  " HWPAT_FUZZ_SNAP_SEEDS=1 ./test_fuzz_kernel)");
-    std::size_t domains = 0;
     bool f = false;
-    if (!run_snapshot_scenario(seed, false, 0, &domains, &f)) {
+    if (!run_snapshot_scenario(seed, false, &f)) {
       ++skipped;
       continue;
     }
     ++ran;
     if (f) ++fired;
     ASSERT_FALSE(::testing::Test::HasFailure());
-    ASSERT_TRUE(run_snapshot_scenario(seed, true, 0, &domains, &f));
+    ASSERT_TRUE(run_snapshot_scenario(seed, true, &f));
     if (f) ++fired;
     ASSERT_FALSE(::testing::Test::HasFailure());
-    if (domains > 1) {
-      for (const int threads : {1, 2, 4}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        ASSERT_TRUE(
-            run_snapshot_scenario(seed, false, threads, &domains, &f));
-        if (f) ++fired;
-        ASSERT_FALSE(::testing::Test::HasFailure());
-      }
-    }
   }
   // The mode must genuinely exercise the machinery: most seeds find a
   // quiet snapshot point, and the injected faults actually fire.

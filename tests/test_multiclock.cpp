@@ -738,7 +738,7 @@ TEST(TriClkDesign, RunTimeoutProgressReportsAllThreeDomainsWithPhases) {
 }
 
 // ------------------------------------------------------------------
-// Tri-clock capture farm (lanes > 1) and the parallel settle engine
+// Tri-clock capture farm (lanes > 1)
 // ------------------------------------------------------------------
 
 TEST(TriClkFarm, LanesAreLosslessAndShareThreeDomains) {
@@ -762,53 +762,6 @@ TEST(TriClkFarm, LanesAreLosslessAndShareThreeDomains) {
     EXPECT_EQ(d.lane_sink(i).frames(), input) << "lane " << i;
   }
   EXPECT_GT(sim.stats().partition_skips, 0u);
-}
-
-TEST(TriClkFarm, ParallelSettleIsThreadCountInvariant) {
-  const designs::Saa2VgaTriClkConfig cfg{.width = 8, .height = 6,
-                                         .cdc_depth = 8, .frames = 2,
-                                         .lanes = 3};
-  struct Out {
-    std::uint64_t cycles = 0;
-    Simulator::Stats stats;
-    std::vector<video::Frame> frames;
-    std::string vcd;
-  };
-  auto run = [&](int threads) {
-    designs::Saa2VgaTriClk d(cfg);
-    const std::string path =
-        "triclk_farm_t" + std::to_string(threads) + ".vcd";
-    Out out;
-    {
-      Simulator sim(d, {.threads = threads});
-      sim.open_vcd(path);
-      sim.reset();
-      EXPECT_TRUE(
-          sim.run([&] { return d.finished(); }, kMaxCycles, 0).ok())
-          << sim.progress_report();
-      out.cycles = sim.cycle();
-      out.stats = sim.stats();
-    }
-    out.frames = d.sink().frames();
-    out.vcd = slurp_and_remove(path);
-    return out;
-  };
-  const Out want = run(0);
-  for (const int threads : {1, 2, 3, 8}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const Out got = run(threads);
-    EXPECT_EQ(got.cycles, want.cycles);
-    EXPECT_EQ(got.frames, want.frames);
-    EXPECT_EQ(got.stats.evals, want.stats.evals);
-    EXPECT_EQ(got.stats.commits, want.stats.commits);
-    EXPECT_EQ(got.stats.deltas, want.stats.deltas);
-    EXPECT_EQ(got.stats.seq_skips, want.stats.seq_skips);
-    EXPECT_EQ(got.stats.partition_settles, want.stats.partition_settles);
-    EXPECT_EQ(got.stats.partition_skips, want.stats.partition_skips);
-    EXPECT_EQ(got.stats.edges, want.stats.edges);
-    EXPECT_EQ(got.stats.domain_edges, want.stats.domain_edges);
-    EXPECT_EQ(got.vcd, want.vcd) << "VCD bytes differ";
-  }
 }
 
 // ------------------------------------------------------------------

@@ -11,8 +11,8 @@
 //     values — even internal module state that on_reset() deliberately
 //     leaves alone — so reset-after-restore equals a fresh construct;
 //   * corrupted blobs (truncated, bad magic, wrong version, topology
-//     mismatch) fail loudly with actionable messages and never leave
-//     the simulator half-restored;
+//     mismatch, a device scalar out of range) fail loudly with
+//     actionable messages and never leave the simulator half-restored;
 //   * save/restore from inside a simulator callback is refused;
 //   * the elaboration-time declare_comb_only() contract check rejects
 //     comb-only modules with a sequential process;
@@ -27,6 +27,7 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -1008,6 +1009,45 @@ TEST(Snapshot, MemoryOfAnotherSizeIsRejectedNamingTheModule) {
   sim.reset_stats();
   run_steps(sim, 9);
   EXPECT_EQ(Observed::of(sim, deep), Observed::of(ref, fresh));
+}
+
+TEST(Snapshot, OutOfRangeDeviceScalarIsRejectedNamingTheField) {
+  SnapTop top;  // FIFO depth 4
+  Simulator sim(top, {});
+  sim.reset();
+  run_steps(sim, 6);
+  std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+  // The FIFO is the last module in elaboration order, so its payload —
+  // head, count, then the memory — ends the blob.
+  rtl::StateWriter w;
+  top.fifo.save_state(w);
+  const std::vector<std::uint8_t> payload = std::move(w).take();
+  ASSERT_GE(bytes.size(), payload.size());
+  const std::size_t at = bytes.size() - payload.size();
+  ASSERT_TRUE(std::equal(payload.begin(), payload.end(), bytes.begin() +
+                         static_cast<std::ptrdiff_t>(at)))
+      << "the FIFO payload no longer ends the blob; this test no longer "
+         "reaches the FIFO's count";
+  const std::uint64_t count = 4 + 1;  // depth + 1
+  for (int i = 0; i < 8; ++i)
+    bytes[at + 8 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(count >> (8 * i));
+  try {
+    sim.restore_snapshot(rtl::Snapshot(bytes));
+    FAIL() << "a FIFO count beyond its depth was restored";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("module 'snaptop.fifo'"));
+    EXPECT_THAT(e.what(), HasSubstr("count = 5"));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  // The failed restore left the simulator exactly like a fresh reset().
+  SnapTop fresh;
+  Simulator ref(fresh, {});
+  ref.reset();
+  run_steps(ref, 9);
+  sim.reset_stats();
+  run_steps(sim, 9);
+  EXPECT_EQ(Observed::of(sim, top), Observed::of(ref, fresh));
 }
 
 }  // namespace

@@ -168,9 +168,6 @@ TEST(OptionsValidation, MessagesNameTheField) {
   bad.tick_ps = -5;
   expect_names(bad, "tick_ps");
   bad = {};
-  bad.threads = -1;
-  expect_names(bad, "threads");
-  bad = {};
   bad.fault_plan = "bogus@@";
   expect_names(bad, "fault_plan");
 }
