@@ -52,28 +52,34 @@ enum class SigKind : unsigned char { kWord, kBool, kOther };
 /// Records which signals a combinational process reads while it runs.
 /// The simulator points SignalBase::tracer_ at one of these around each
 /// traced eval_comb() call; read() funnels every signal through record().
-/// Deduplication within one trace is O(1) via a dense per-signal stamp
-/// array owned by the simulator (attach()).
+/// A read whose signal was last merged by the traced module (a known
+/// fanout edge) costs one compare; the rest are deduplicated O(1) by a
+/// per-signal stamp.  Both arrays are the simulator's (attach()).
 class ReadTracer {
  public:
-  /// Points the tracer at the binding simulator's dense stamp array
-  /// (indexed by signal id).  Must be called before the first begin().
-  void attach(std::uint64_t* stamps) { stamps_ = stamps; }
-  /// Starts a new trace.  `stamp` must be unique per trace (the
-  /// simulator uses a monotonically increasing eval counter).
-  void begin(std::uint64_t stamp) {
+  /// Must be called before the first begin().
+  void attach(std::uint64_t* stamps, const std::int32_t* last_reader) {
+    stamps_ = stamps;
+    last_reader_ = last_reader;
+  }
+  /// Starts a new trace of module `mid`.  `stamp` must be unique per
+  /// trace (the simulator uses a monotonically increasing eval counter).
+  void begin(std::uint64_t stamp, std::int32_t mid) {
     stamp_ = stamp;
+    mid_ = mid;
     reads_.clear();
   }
   inline void record(const SignalBase* s);
-  /// Dense ids of the signals read by the traced evaluation.
+  /// Dense ids of the traced evaluation's non-known-edge reads.
   [[nodiscard]] const std::vector<std::int32_t>& reads() const {
     return reads_;
   }
 
  private:
   std::uint64_t stamp_ = 0;
+  std::int32_t mid_ = -1;
   std::uint64_t* stamps_ = nullptr;
+  const std::int32_t* last_reader_ = nullptr;
   std::vector<std::int32_t> reads_;
 };
 
@@ -209,6 +215,7 @@ class SignalBase {
 inline void ReadTracer::record(const SignalBase* s) {
   const int id = s->id_;
   if (id < 0) return;  // unbound signal read under a foreign trace
+  if (last_reader_[id] == mid_) return;  // known edge: in the fanout
   std::uint64_t& cell = stamps_[static_cast<std::size_t>(id)];
   if (cell == stamp_) return;
   cell = stamp_;

@@ -16,13 +16,18 @@ const char* to_string(RunResult r) {
   return "?";
 }
 
+namespace {
+/// Rejects a non-positive Options field with a message naming it.
+void require_positive(const char* field, std::int64_t value) {
+  if (value <= 0)
+    throw Error(std::string("Simulator Options::") + field +
+                " must be positive, got " + std::to_string(value));
+}
+}  // namespace
+
 void Simulator::validate_options(const Options& opt) {
-  if (opt.delta_limit <= 0)
-    throw Error("Simulator Options::delta_limit must be positive, got " +
-                std::to_string(opt.delta_limit));
-  if (opt.tick_ps <= 0)
-    throw Error("Simulator Options::tick_ps must be positive, got " +
-                std::to_string(opt.tick_ps));
+  require_positive("delta_limit", opt.delta_limit);
+  require_positive("tick_ps", opt.tick_ps);
   try {
     (void)parse_fault_plan(opt.fault_plan);
   } catch (const Error& e) {
@@ -97,7 +102,7 @@ void Simulator::bind() {
                            .pending;
   }
   // Register declarations as a CSR over signal ids — the membership
-  // scan check_seq_writes() runs per on_clock() write.
+  // scan check_seq_writes_in() runs per on_clock() write.
   seq_pool_.clear();
   for (std::size_t mi = 0; mi < modules_.size(); ++mi) {
     seq_begin_[mi] = static_cast<std::uint32_t>(seq_pool_.size());
@@ -178,7 +183,7 @@ void Simulator::build_soa() {
         break;
     }
   }
-  tracer_.attach(sig_stamp_);
+  tracer_.attach(sig_stamp_, last_reader_);
 }
 
 std::size_t Simulator::sched_index_for(const ClockDomain* d) {
@@ -376,7 +381,7 @@ void Simulator::inject_slow(FaultPoint p) {
 }
 
 Simulator::DomainInfo Simulator::domain_info(std::size_t i) const {
-  HWPAT_ASSERT(i < scheds_.size());
+  require_domain_index(i, "domain_info");
   const DomainSched& ds = scheds_[i];
   // modules = everything clocked by the domain, including comb-only
   // modules pruned from the activation list.
@@ -390,7 +395,7 @@ void Simulator::reset_stats() {
 }
 
 void Simulator::set_delta_limit(int limit) {
-  HWPAT_ASSERT(limit > 0);
+  require_positive("delta_limit", limit);
   opt_.delta_limit = limit;
 }
 
@@ -571,30 +576,19 @@ void Simulator::sens_push(std::int32_t mid, std::int32_t sid) {
 
 void Simulator::merge_reads(std::int32_t mid,
                             const std::vector<std::int32_t>& reads) {
-  // Fast path: every read signal was last merged by this very module —
-  // by far the common case once sensitivity stabilized (a module
-  // re-evaluating its own fanin over and over).
-  bool fresh = false;
-  for (const std::int32_t sid : reads)
-    if (last_reader_[sid] != mid) {
-      fresh = true;
-      break;
-    }
-  if (!fresh) return;
-  // Membership via seen-stamp: mark everything the module has ever read
-  // (its accumulated read-set span — the exact mirror of "mid is in
+  // The tracer dropped every read whose last_reader_ is `mid` — by far
+  // the common case once sensitivity stabilized.  Membership of the
+  // rest via seen-stamp: mark everything the module has ever read (its
+  // accumulated read-set span — the exact mirror of "mid is in
   // fanout(sid)") under a fresh epoch, then one O(1) probe per read.
-  // Replaces the former per-read std::find over the fanout list, whose
-  // cost exploded exactly when distinct readers alternated.
+  if (reads.empty()) return;
   const std::uint64_t e = ++mark_epoch_;
   const std::uint32_t sb = sens_begin_[mid];
   const std::uint32_t sc = sens_count_[mid];
   for (std::uint32_t k = 0; k < sc; ++k) sig_mark_[sens_pool_[sb + k]] = e;
   for (const std::int32_t sid : reads) {
-    if (last_reader_[sid] == mid) continue;
     last_reader_[sid] = mid;
     if (sig_mark_[sid] == e) continue;  // already a known (sid, mid) edge
-    sig_mark_[sid] = e;
     sens_push(mid, sid);
     fan_push(sid, mid);
   }
@@ -602,7 +596,7 @@ void Simulator::merge_reads(std::int32_t mid,
 
 void Simulator::eval_traced(Module* m) {
   ++stats_.evals;
-  tracer_.begin(++eval_stamp_);
+  tracer_.begin(++eval_stamp_, m->sim_id_);
   {
     TraceGuard guard(&tracer_);
     if (telem_ == nullptr)
@@ -737,11 +731,6 @@ std::size_t Simulator::dirty_module_count() const {
   return n;
 }
 
-void Simulator::record_pend_marks() {
-  for (std::size_t pi = 0; pi < parts_.size(); ++pi)
-    pend_mark_[pi] = parts_[pi].pending.size();
-}
-
 void Simulator::check_seq_writes_in(const Module* m,
                                     const ArenaVector<std::int32_t>& pending,
                                     std::size_t first) const {
@@ -759,15 +748,6 @@ void Simulator::check_seq_writes_in(const Module* m,
   }
 }
 
-void Simulator::check_seq_writes(const Module* m) const {
-  // Best-effort (see Options::check_seq_contract): only signals newly
-  // enqueued during m's on_clock() — the entries any partition's
-  // pending list grew beyond pend_mark_ — are attributable to m.
-  if (m->opaque_state()) return;  // undeclared modules may write anything
-  for (std::size_t pi = 0; pi < parts_.size(); ++pi)
-    check_seq_writes_in(m, parts_[pi].pending, pend_mark_[pi]);
-}
-
 void Simulator::fire_edges(bool check_contract) {
   // Validate phase: every firing checker (strict device), across ALL
   // firing domains, before any on_clock() anywhere.  The checks read
@@ -779,7 +759,14 @@ void Simulator::fire_edges(bool check_contract) {
     const DomainSched& ds = scheds_[di];
     for (const Module* m : ds.checkers) m->on_clock_check();
   }
-  // Mutate phase.
+  // Mutate phase.  The contract check scans only what a declared
+  // module's on_clock() appended to a pending list.  Multi-partition
+  // marks are taken once per event and re-taken where a call grew a
+  // list — after an opaque module too, so its writes are never blamed
+  // on the next module.
+  if (check_contract && !single_part_)
+    for (std::size_t pi = 0; pi < parts_.size(); ++pi)
+      pend_mark_[pi] = parts_[pi].pending.size();
   for (const std::size_t di : firing_) {
     maybe_inject(FaultPoint::Edge);
     DomainSched& ds = scheds_[di];
@@ -792,20 +779,19 @@ void Simulator::fire_edges(bool check_contract) {
       for (Module* m : ds.active) {
         const std::size_t before = pending.size();
         run_on_clock(m);
-        if (!m->opaque_state())
+        if (pending.size() != before && !m->opaque_state())
           check_seq_writes_in(m, pending, before);
       }
     } else {
       for (Module* m : ds.active) {
-        // Opaque modules may write anything: skip the per-partition
-        // pending snapshot their check would ignore anyway.
-        if (m->opaque_state()) {
-          run_on_clock(m);
-          continue;
-        }
-        record_pend_marks();
         run_on_clock(m);
-        check_seq_writes(m);
+        for (std::size_t pi = 0; pi < parts_.size(); ++pi) {
+          const std::size_t size = parts_[pi].pending.size();
+          if (size == pend_mark_[pi]) continue;
+          if (!m->opaque_state())
+            check_seq_writes_in(m, parts_[pi].pending, pend_mark_[pi]);
+          pend_mark_[pi] = size;
+        }
       }
     }
   }

@@ -138,12 +138,14 @@ class Simulator {
     /// Verify the declared sequential-state contract on every clock
     /// edge (event kernel only): a declared module whose on_clock()
     /// writes a signal outside its register_seq() set raises
-    /// ProtocolError.  Cheap (scans only newly pending signals), so on
-    /// by default.  Best-effort: a write to a signal that is already
-    /// pending from an earlier writer on the same edge (or one that
-    /// leaves the value unchanged) is attributed to the first writer
-    /// only — those cases, and the invisible-internal-state half of
-    /// the contract, are covered by the differential tests instead.
+    /// ProtocolError.  On by default; the cost is one pending-list size
+    /// compare per partition after each on_clock() call, and a scan of
+    /// the appended entries against the module's declaration only when
+    /// its call grew a list.  Best-effort: a write to a signal that is
+    /// already pending from an earlier writer on the same edge (or one
+    /// that leaves the value unchanged) is attributed to the first
+    /// writer only — those cases, and the invisible-internal-state half
+    /// of the contract, are covered by the differential tests instead.
     bool check_seq_contract = true;
     /// Physical duration of one scheduler tick in picoseconds; feeds
     /// the VCD `$timescale` so multi-clock traces are time-correct.
@@ -296,6 +298,7 @@ class Simulator {
   /// Description of domain `i` (order: built-in default first if any
   /// module uses it, then explicit domains by first appearance in
   /// elaboration order — the same order Stats::domain_edges uses).
+  /// Throws Error when `i` is out of range.
   [[nodiscard]] DomainInfo domain_info(std::size_t i) const;
 
   [[nodiscard]] const Options& options() const { return opt_; }
@@ -315,7 +318,8 @@ class Simulator {
   /// simulator's design.
   [[nodiscard]] std::size_t fanout_size(const SignalBase& s) const;
 
-  /// Maximum delta iterations per settle before CombLoopError.
+  /// Maximum delta iterations per settle before CombLoopError.  Throws
+  /// Error (naming Options::delta_limit) when `limit` is not positive.
   void set_delta_limit(int limit);
 
   /// Starts dumping a VCD waveform of all hardware signals to `path`
@@ -581,19 +585,13 @@ class Simulator {
   /// settle, which leaves them empty.
   void abort_edge_event();
   /// Verifies that a declared module's on_clock() only wrote registered
-  /// signals — the entries its call appended beyond pend_mark_ on any
-  /// partition's pending list; throws ProtocolError if not.  The
-  /// registered set is the module's seq CSR span (built at bind from
-  /// the register_seq() declarations).
-  void check_seq_writes(const Module* m) const;
-  /// One-list body of check_seq_writes: entries pending[first..] must
-  /// all be in m's register declaration span.
+  /// signals: the entries pending[first..] its call appended to one
+  /// partition's pending list must all be in m's register declaration
+  /// span (the seq CSR, built at bind from register_seq()); throws
+  /// ProtocolError naming the module and the signal if not.
   void check_seq_writes_in(const Module* m,
                            const ArenaVector<std::int32_t>& pending,
                            std::size_t first) const;
-  /// Snapshots every partition's pending-list size into pend_mark_
-  /// (the per-module baseline for check_seq_writes).
-  void record_pend_marks();
   void mark_vcd_change(std::int32_t sid) {
     // sig_vcdmark_: 0 = clean, 1 = on vcd_changed_, 2 = never sampled
     // (width <= 0 testbench signals) — one branch covers both skips.
@@ -679,7 +677,7 @@ class Simulator {
   std::uint32_t* sig_slot_ = nullptr;     ///< index into the value arrays
   std::uint64_t* sig_stamp_ = nullptr;    ///< ReadTracer dedup stamps
   std::uint64_t* sig_mark_ = nullptr;     ///< merge_reads() seen-stamps
-  std::int32_t* last_reader_ = nullptr;   ///< fanout-merge fast path (-1)
+  std::int32_t* last_reader_ = nullptr;   ///< last merged reader (-1)
   // Dense two-phase value arrays; Word/bool signals' curp_/nxtp_ point
   // into these after bind (slot order = id order, so commits stream).
   Word* word_cur_ = nullptr;
@@ -700,7 +698,7 @@ class Simulator {
   std::int16_t* mod_part_ = nullptr;    ///< domain-affinity partition
   std::uint64_t* mod_mark_ = nullptr;   ///< restore-time dup detection
   // Per-module register-signal declarations as a CSR over signal ids
-  // (the check_seq_writes membership scan).
+  // (the check_seq_writes_in() membership scan).
   std::uint32_t* seq_begin_ = nullptr;
   std::uint32_t* seq_count_ = nullptr;
   ArenaVector<std::int32_t> fan_pool_;   ///< CSR fanout storage

@@ -265,6 +265,77 @@ TEST(EdgeTransaction, ContractViolationWritesNeverLeakIntoNextSettle) {
   EXPECT_EQ(sim.now(), 0u);
 }
 
+/// The same contract check on a two-partition design, where the check
+/// works through per-partition pending-list marks.  Domain b's
+/// activation list runs an opaque module that writes a domain-a signal
+/// and then a declared module, so a mark left stale after the opaque
+/// call would blame the declared module for the opaque write.
+TEST(EdgeTransaction, MultiPartitionContractBlamesOnlyTheDeclaredWriter) {
+  struct OpaqueWriter : Module {  // no declaration: may write anything
+    Bus& out;
+    OpaqueWriter(Module* parent, Bus& o) : Module(parent, "opaque"), out(o) {}
+    void on_clock() override { out.write(out.read() + 1); }
+  };
+  struct ArmedWriter : Module {
+    Bus& reg;
+    Bus& stray;
+    const bool& armed;
+    ArmedWriter(Module* parent, Bus& r, Bus& s, const bool& arm)
+        : Module(parent, "decl"), reg(r), stray(s), armed(arm) {}
+    void on_clock() override {
+      reg.write(reg.read() + 1);
+      if (armed) stray.write(stray.read() + 1);  // not registered
+    }
+    void declare_state() override { register_seq(reg); }
+  };
+  struct Top : Module {
+    ClockDomain da{"da", 1};
+    ClockDomain db{"db", 1};
+    bool armed = false;
+    // Owned by the domain-a top: unregistered ones commit in partition a.
+    Bus ca{*this, "ca", 16};
+    Bus shared{*this, "shared", 16};
+    Bus stray{*this, "stray", 16};
+    Bus reg{*this, "reg", 16};
+    EdgeCounter wa{this, "wa", ca};
+    OpaqueWriter ow{this, shared};
+    ArmedWriter dw{this, reg, stray, armed};
+    Top() : Module(nullptr, "ctop") {
+      set_clock_domain(&da);
+      ow.set_clock_domain(&db);
+      dw.set_clock_domain(&db);
+    }
+    void declare_state() override { declare_comb_only(); }
+  } d;
+  Simulator sim(d);  // check_seq_contract defaults on
+  ASSERT_EQ(sim.domain_count(), 2u);
+  ASSERT_EQ(d.shared.partition(), 0);
+  ASSERT_EQ(d.stray.partition(), 0);
+  ASSERT_EQ(d.reg.partition(), 1);
+  sim.reset();
+  EXPECT_NO_THROW(sim.step(20));
+  ASSERT_EQ(d.shared.read(), 20u);
+  ASSERT_EQ(d.reg.read(), 20u);
+
+  const std::uint64_t edges = sim.stats().edges;
+  d.armed = true;
+  try {
+    sim.step();
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'ctop.decl'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'ctop.stray'"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("opaque"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("shared"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(sim.stats().edges, edges);
+  sim.settle();
+  EXPECT_EQ(d.stray.read(), 0u);
+  EXPECT_EQ(d.shared.read(), 20u);
+  EXPECT_EQ(d.reg.read(), 20u);
+}
+
 /// A throw from eval_comb() mid-settle leaves partially evaluated state
 /// behind; after the documented reset() recovery, stepping on has to
 /// match a run that never threw exactly — no stale worklist entry or

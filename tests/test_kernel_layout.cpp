@@ -233,6 +233,84 @@ TEST(CsrFanout, EverReadSignalKeepsReevaluatingItsReader) {
 }
 
 // ------------------------------------------------------------------
+// Known-edge read filter: a late first read still joins the fanout
+// ------------------------------------------------------------------
+
+/// Reader `a` reads `data` on every evaluation; reader `b` reads it
+/// only once `gate` rises, at cycle kGateCycle — when `data`'s last
+/// merged reader has been `a` for a thousand cycles.  The tracer skips
+/// reads of known (signal, reader) edges, so this pins that the skip is
+/// keyed on the evaluating module and never hides b's first read.
+struct LateReadTop : Module {
+  static constexpr Word kGateCycle = 1000;
+
+  struct DataReader : Module {
+    Bus out{*this, "out", 32};
+    const Bit* gate = nullptr;  // nullptr: read `data` unconditionally
+    const Bus* data = nullptr;
+    DataReader(Module* parent, std::string name)
+        : Module(parent, std::move(name)) {}
+    void eval_comb() override {
+      out.write(gate == nullptr || gate->read() ? data->read() * 2 + 1 : 0);
+    }
+    void declare_state() override { declare_comb_only(); }
+  };
+
+  Bit gate{*this, "gate"};
+  Bus data{*this, "data", 16};
+  Bus cnt{*this, "cnt", 16};
+  DataReader a{this, "a"};
+  DataReader b{this, "b"};
+
+  LateReadTop() : Module(nullptr, "top") {
+    a.data = &data;
+    b.gate = &gate;
+    b.data = &data;
+  }
+  void on_clock() override {
+    const Word c = cnt.read() + 1;
+    cnt.write(c);
+    data.write(data.read() + 3);
+    gate.write(c >= kGateCycle);
+  }
+  void declare_state() override {
+    register_seq(gate);
+    register_seq(data);
+    register_seq(cnt);
+  }
+};
+
+TEST(CsrFanout, LateFirstReadJoinsTheFanout) {
+  constexpr int kAfter = 50;
+  LateReadTop top;
+  Simulator sim(top);
+  sim.reset();
+  sim.step(static_cast<int>(LateReadTop::kGateCycle) - 1);
+  ASSERT_FALSE(top.gate.read());
+  EXPECT_EQ(sim.fanout_size(top.data), 1u);
+  EXPECT_EQ(top.b.out.read(), 0u);
+
+  sim.step();  // gate rises: b takes its data-reading branch
+  ASSERT_TRUE(top.gate.read());
+  EXPECT_EQ(sim.fanout_size(top.data), 2u);
+  EXPECT_EQ(top.b.out.read(), top.data.read() * 2 + 1);
+  for (int i = 0; i < kAfter; ++i) {
+    sim.step();
+    EXPECT_EQ(top.b.out.read(), top.data.read() * 2 + 1) << "step " << i;
+    EXPECT_EQ(sim.fanout_size(top.data), 2u) << "step " << i;
+  }
+
+  LateReadTop ref;
+  Simulator rsim(ref, {.full_sweep = true});
+  rsim.reset();
+  rsim.step(static_cast<int>(LateReadTop::kGateCycle) + kAfter);
+  EXPECT_EQ(top.data.read(), ref.data.read());
+  EXPECT_EQ(top.a.out.read(), ref.a.out.read());
+  EXPECT_EQ(top.b.out.read(), ref.b.out.read());
+  EXPECT_EQ(sim.stats().steps, rsim.stats().steps);
+}
+
+// ------------------------------------------------------------------
 // Arena accounting
 // ------------------------------------------------------------------
 

@@ -147,6 +147,21 @@ TEST(RunResult, DomainFilteredRunValidatesTheIndex) {
   }
 }
 
+TEST(RunResult, DomainInfoValidatesTheIndex) {
+  TickCounter top;
+  Simulator sim(top);
+  try {
+    (void)sim.domain_info(3);
+    FAIL() << "expected Error";
+  } catch (const InternalError& e) {
+    FAIL() << "a caller error reported as InternalError: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_THAT(e.what(), HasSubstr("domain_info"));
+    EXPECT_THAT(e.what(), HasSubstr("domain index 3"));
+    EXPECT_THAT(e.what(), HasSubstr("has 1 domains"));
+  }
+}
+
 // ---------------------------------------------------------------------
 // Options validation at elaboration
 // ---------------------------------------------------------------------
@@ -170,6 +185,23 @@ TEST(OptionsValidation, MessagesNameTheField) {
   bad = {};
   bad.fault_plan = "bogus@@";
   expect_names(bad, "fault_plan");
+}
+
+TEST(OptionsValidation, SetDeltaLimitNamesTheField) {
+  TickCounter top;
+  Simulator sim(top);
+  for (const int limit : {0, -3}) {
+    try {
+      sim.set_delta_limit(limit);
+      FAIL() << "expected Error for limit " << limit;
+    } catch (const InternalError& e) {
+      FAIL() << "a caller error reported as InternalError: " << e.what();
+    } catch (const Error& e) {
+      EXPECT_THAT(e.what(), HasSubstr("delta_limit must be positive, got " +
+                                      std::to_string(limit)));
+    }
+  }
+  EXPECT_EQ(sim.options().delta_limit, Simulator::Options{}.delta_limit);
 }
 
 // ---------------------------------------------------------------------
