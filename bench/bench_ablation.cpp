@@ -9,6 +9,10 @@
 //    with full vs pruned method/op sets.
 // 3. Arbitration policy — completion time of two containers sharing
 //    one SRAM under round-robin vs fixed priority.
+//
+// Shape check (exit 1 on failure): registered iterators cost more FFs
+// than dissolved ones, both pruned rows are smaller than the full
+// ones, and each policy grants both queues once per element.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -30,7 +34,7 @@ using namespace hwpat;
 // 1. wrapper dissolution
 // ------------------------------------------------------------------
 
-void ablate_dissolution() {
+bool ablate_dissolution() {
   std::printf("ablation 1: wrapper dissolution (Table 3 deltas if "
               "iterators were registered)\n\n");
   const designs::Saa2VgaConfig f{.width = 640, .height = 480,
@@ -63,13 +67,14 @@ void ablate_dissolution() {
               "design's FFs)\n\n",
               reg.ff - base.ff, reg.lut - base.lut,
               100.0 * (reg.ff - base.ff) / base.ff);
+  return reg.ff > base.ff;
 }
 
 // ------------------------------------------------------------------
 // 2. dead-operation elimination
 // ------------------------------------------------------------------
 
-void ablate_deadops() {
+bool ablate_deadops() {
   std::printf("ablation 2: dead-operation elimination\n\n");
 
   // (a) generated container interfaces: port counts full vs pruned.
@@ -124,6 +129,7 @@ void ablate_deadops() {
           std::to_string(rr.lut),
           std::to_string(rb.lut - rr.lut) + " LUTs"});
   std::printf("%s\n", tt.str().c_str());
+  return up.entity.ports.size() < uf.entity.ports.size() && rr.lut < rb.lut;
 }
 
 // ------------------------------------------------------------------
@@ -180,11 +186,12 @@ struct SharedTb : rtl::Module {
   }
 };
 
-void ablate_arbitration() {
+bool ablate_arbitration() {
   std::printf("ablation 3: arbitration policy under contention (two "
               "queues, one shared SRAM)\n\n");
   TextTable tt;
   tt.header({"policy", "cycles to drain both", "grants A", "grants B"});
+  bool fair = true;
   for (auto pol : {devices::ArbPolicy::RoundRobin,
                    devices::ArbPolicy::FixedPriority}) {
     constexpr std::size_t kN = 256;
@@ -199,22 +206,30 @@ void ablate_arbitration() {
             std::to_string(sim.cycle()),
             std::to_string(tb.arb.grant_counts()[0]),
             std::to_string(tb.arb.grant_counts()[1])});
+    fair = fair && tb.arb.grant_counts()[0] == kN &&
+           tb.arb.grant_counts()[1] == kN;
   }
   std::printf("%s", tt.str().c_str());
   std::printf("note: the containers are oblivious to the arbiter — the "
               "generated arbitration is protocol-transparent (§3.4).\n\n");
+  return fair;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string trace = benchutil::take_trace_flag_or_exit(argc, argv);
-  ablate_dissolution();
-  ablate_deadops();
-  ablate_arbitration();
+  const bool dissolution = ablate_dissolution();
+  const bool deadops = ablate_deadops();
+  const bool arbitration = ablate_arbitration();
+  const bool ok = dissolution && deadops && arbitration;
+  std::printf("shape check: %s — registered iterators cost FFs, pruned "
+              "interfaces are smaller, both policies serve both queues\n",
+              ok ? "PASS" : "FAIL");
   if (!trace.empty()) {
     SharedTb tb(devices::ArbPolicy::RoundRobin, 256);
-    return benchutil::run_traced(tb, {}, 5'000, trace);
+    const int rc = benchutil::run_traced(tb, {}, 5'000, trace);
+    if (rc != 0) return rc;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

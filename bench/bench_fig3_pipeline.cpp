@@ -1,13 +1,17 @@
 // Regenerates the behaviour behind Figures 1 and 3 of the paper: the
 // video pipeline, modelled with the Iterator pattern, run cycle-
 // accurately over both device bindings and compared against the ad hoc
-// implementations.
+// implementations.  The blur design (row 3 of Table 3) runs the same
+// comparison over its 3-line buffer.
 //
-// Printed per design: pixel-exactness of the output versus the camera
-// input (copy must be an identity), cycles per frame, and the pattern-
-// vs-custom cycle overhead — the dynamic counterpart of Table 3's
-// claim that pattern machinery costs nothing.
+// Printed per design: pixel-exactness of the output (copy must be an
+// identity, blur must equal video::blur_reference), cycles per frame,
+// and the pattern-vs-custom cycle overhead — the dynamic counterpart
+// of Table 3's claim that pattern machinery costs nothing.
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "common/text.hpp"
@@ -44,6 +48,26 @@ RunResult run(VideoDesign& d, const std::vector<video::Frame>& expect) {
   return r;
 }
 
+/// Runs the pattern and custom builds of one design on the same input,
+/// adds both rows to `t`, and returns the pattern/custom cycle ratio
+/// (1.0 = no overhead).  `all_exact` drops to false on any mismatch.
+double compare(TextTable& t, const char* design, const char* binding,
+               VideoDesign& pattern, VideoDesign& custom,
+               const std::vector<video::Frame>& expect, bool& all_exact) {
+  const RunResult rp = run(pattern, expect);
+  const RunResult rc = run(custom, expect);
+  const std::pair<const char*, RunResult> rows[] = {{"pattern", rp},
+                                                    {"custom", rc}};
+  for (const auto& [kind, r] : rows) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.2f", r.cycles_per_pixel);
+    t.row({std::string(design) + " " + kind, binding,
+           r.exact ? "yes" : "NO", std::to_string(r.cycles), buf});
+  }
+  all_exact = all_exact && rp.exact && rc.exact;
+  return rp.cycles_per_pixel / rc.cycles_per_pixel;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -54,40 +78,28 @@ int main(int argc, char** argv) {
               kW, kH, kFrames);
 
   const auto input = designs::camera_frames(kW, kH, kFrames, 1);
+  std::vector<video::Frame> blurred;
+  for (const auto& f : input) blurred.push_back(video::blur_reference(f));
 
   TextTable t;
   t.header({"Design", "binding", "pixel-exact", "cycles", "cyc/pixel"});
 
   bool all_exact = true;
-  double pat_fifo = 0, cus_fifo = 0, pat_sram = 0, cus_sram = 0;
-
-  for (const auto device :
-       {devices::DeviceKind::FifoCore, devices::DeviceKind::Sram}) {
+  const auto saa2vga = [&](devices::DeviceKind device, const char* binding) {
     const Saa2VgaConfig cfg{.width = kW, .height = kH,
                             .buffer_depth = 128, .device = device,
                             .frames = kFrames};
-    auto p = designs::make_saa2vga_pattern(cfg);
-    auto c = designs::make_saa2vga_custom(cfg);
-    const auto rp = run(*p, input);
-    const auto rc = run(*c, input);
-    const char* dev = device == devices::DeviceKind::FifoCore
-                          ? "fifo" : "sram";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", rp.cycles_per_pixel);
-    t.row({"saa2vga pattern", dev, rp.exact ? "yes" : "NO",
-           std::to_string(rp.cycles), buf});
-    std::snprintf(buf, sizeof buf, "%.2f", rc.cycles_per_pixel);
-    t.row({"saa2vga custom", dev, rc.exact ? "yes" : "NO",
-           std::to_string(rc.cycles), buf});
-    all_exact = all_exact && rp.exact && rc.exact;
-    if (device == devices::DeviceKind::FifoCore) {
-      pat_fifo = rp.cycles_per_pixel;
-      cus_fifo = rc.cycles_per_pixel;
-    } else {
-      pat_sram = rp.cycles_per_pixel;
-      cus_sram = rc.cycles_per_pixel;
-    }
-  }
+    return compare(t, "saa2vga", binding,
+                   *designs::make_saa2vga_pattern(cfg),
+                   *designs::make_saa2vga_custom(cfg), input, all_exact);
+  };
+  const double ratio_fifo = saa2vga(devices::DeviceKind::FifoCore, "fifo");
+  const double ratio_sram = saa2vga(devices::DeviceKind::Sram, "sram");
+  const designs::BlurConfig bcfg{.width = kW, .height = kH,
+                                 .frames = kFrames};
+  const double ratio_blur =
+      compare(t, "blur", "linebuf", *designs::make_blur_pattern(bcfg),
+              *designs::make_blur_custom(bcfg), blurred, all_exact);
   std::printf("%s\n", t.str().c_str());
 
   std::printf("observations:\n");
@@ -95,13 +107,13 @@ int main(int argc, char** argv) {
               "binding is bound by the 2-cycle memory handshake —\n"
               "    \"performance will depend on memory access times\" "
               "(§4).\n");
-  std::printf("  * pattern vs custom cycle ratio: fifo %.3f, sram %.3f "
-              "(1.0 = no overhead).\n",
-              pat_fifo / cus_fifo, pat_sram / cus_sram);
+  std::printf("  * pattern vs custom cycle ratio: fifo %.3f, sram %.3f, "
+              "blur %.3f (1.0 = no overhead).\n",
+              ratio_fifo, ratio_sram, ratio_blur);
   std::printf("  * §3.3: retargeting FIFO->SRAM changed no model code — "
               "only the binding in the spec.\n");
 
-  const bool ok = all_exact && pat_fifo / cus_fifo < 1.1;
+  const bool ok = all_exact && ratio_fifo < 1.1 && ratio_blur < 1.1;
   std::printf("\nshape check: %s\n", ok ? "PASS" : "FAIL");
   if (!trace.empty()) {
     auto d = designs::make_saa2vga_pattern({.width = kW, .height = kH,

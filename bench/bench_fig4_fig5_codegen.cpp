@@ -3,24 +3,11 @@
 // FIFO device (Fig. 4) and over an external SRAM (Fig. 5), plus the
 // concrete iterators for both bindings.  The generated files are also
 // written under gen_vhdl/ for inspection.
-//
-// With --append-bench FILE the program additionally times the code
-// generator — the structured statement/expression IR path
-// (generate + validate + emit) against the RawLines escape hatch (the
-// surviving pre-IR string path: prerendered text pasted verbatim) —
-// and appends `emit/...` rows with units_per_sec into FILE, an
-// existing google-benchmark JSON report (BENCH_sim.json), so the perf
-// trajectory tracks codegen throughput alongside the kernel numbers.
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
-#include "bench_util.hpp"
-#include "hdl/emit.hpp"
 #include "meta/codegen.hpp"
 
 namespace {
@@ -35,133 +22,9 @@ void emit(const hdl::DesignUnit& u, const std::string& header) {
   out << meta::to_vhdl(u);
 }
 
-/// The pre-IR emitter represented architecture bodies as opaque
-/// strings.  Model that path with the surviving escape hatch: the same
-/// entity and declarations, the whole body prerendered once and pasted
-/// back through RawLines.
-hdl::DesignUnit raw_lines_variant(const hdl::DesignUnit& u) {
-  hdl::DesignUnit raw;
-  raw.entity = u.entity;
-  raw.arch.of = u.arch.of;
-  raw.arch.types = u.arch.types;
-  raw.arch.signals = u.arch.signals;
-  std::vector<std::string> lines;
-  std::istringstream is(hdl::emit_architecture(u.arch));
-  std::string line;
-  bool in_body = false;
-  while (std::getline(is, line)) {
-    if (line == "begin") {
-      in_body = true;
-      continue;
-    }
-    if (line == "end " + u.arch.name + ";") break;
-    if (in_body) lines.push_back(line.substr(line.empty() ? 0 : 2));
-  }
-  hdl::Process p;
-  p.label = "legacy_text";
-  p.body = {hdl::RawLines{std::move(lines)}};
-  raw.arch.body.push_back(std::move(p));
-  return raw;
-}
-
-/// Times fn() for `iters` runs of `units_per_iter` units each and
-/// returns units per second.
-template <typename Fn>
-double units_per_sec(Fn&& fn, int iters, int units_per_iter,
-                     std::size_t& bytes_sink) {
-  using clock = std::chrono::steady_clock;
-  const auto t0 = clock::now();
-  for (int i = 0; i < iters; ++i) bytes_sink += fn();
-  const std::chrono::duration<double> dt = clock::now() - t0;
-  return dt.count() > 0.0
-             ? static_cast<double>(iters) * units_per_iter / dt.count()
-             : 0.0;
-}
-
-std::string bench_row(const std::string& name, int iterations,
-                      double ups) {
-  const double ns_per_unit = ups > 0.0 ? 1e9 / ups : 0.0;
-  std::ostringstream os;
-  os << "    {\n"
-     << "      \"name\": \"" << name << "\",\n"
-     << "      \"run_name\": \"" << name << "\",\n"
-     << "      \"run_type\": \"iteration\",\n"
-     << "      \"iterations\": " << iterations << ",\n"
-     << "      \"real_time\": " << ns_per_unit << ",\n"
-     << "      \"cpu_time\": " << ns_per_unit << ",\n"
-     << "      \"time_unit\": \"ns\",\n"
-     << "      \"units_per_sec\": " << ups << "\n"
-     << "    }";
-  return os.str();
-}
-
-/// Appends the emit/ rows into an existing google-benchmark JSON
-/// report, in front of the `]` closing its "benchmarks" array.
-int append_bench(const std::string& path,
-                 const std::vector<meta::ContainerSpec>& specs) {
-  const int kIters = 400;
-  const int kUnits = static_cast<int>(specs.size());
-  std::size_t sink = 0;
-
-  // Structured path: metamodel -> IR -> validate -> text, every time.
-  const double structured = units_per_sec(
-      [&] {
-        std::size_t n = 0;
-        for (const auto& s : specs)
-          n += meta::to_vhdl(meta::generate_container(s)).size();
-        return n;
-      },
-      kIters, kUnits, sink);
-
-  // String path: the same units prerendered once, re-emitted through
-  // the RawLines escape hatch (no statement trees to walk/validate).
-  std::vector<hdl::DesignUnit> raws;
-  for (const auto& s : specs)
-    raws.push_back(raw_lines_variant(meta::generate_container(s)));
-  const double raw = units_per_sec(
-      [&] {
-        std::size_t n = 0;
-        for (const auto& u : raws) n += meta::to_vhdl(u).size();
-        return n;
-      },
-      kIters, kUnits, sink);
-
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "error: cannot read %s (run the JSON benches "
-                         "first)\n", path.c_str());
-    return 1;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string doc = buf.str();
-  const std::size_t close = doc.rfind("\n  ]");
-  if (close == std::string::npos) {
-    std::fprintf(stderr,
-                 "error: %s does not look like a google-benchmark JSON "
-                 "report\n", path.c_str());
-    return 1;
-  }
-  const std::string rows = ",\n" +
-      bench_row("emit/structured_ir", kIters, structured) + ",\n" +
-      bench_row("emit/raw_lines", kIters, raw);
-  doc.insert(close, rows);
-  std::ofstream(path, std::ios::binary) << doc;
-  std::printf("appended emit rows to %s (%zu bytes emitted during "
-              "timing):\n", path.c_str(), sink);
-  std::printf("  emit/structured_ir  %10.0f units/sec\n", structured);
-  std::printf("  emit/raw_lines      %10.0f units/sec\n", raw);
-  return 0;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const std::string trace = hwpat::benchutil::take_trace_flag_or_exit(argc, argv);
-  // Pure code generation — nothing simulates; --trace still yields a
-  // loadable file.
-  if (!trace.empty() && hwpat::benchutil::write_empty_trace(trace) != 0)
-    return 1;
+int main() {
   meta::ContainerSpec fifo;
   fifo.name = "rbuffer";
   fifo.kind = core::ContainerKind::ReadBuffer;
@@ -172,24 +35,6 @@ int main(int argc, char** argv) {
   meta::ContainerSpec sram = fifo;
   sram.device = devices::DeviceKind::Sram;
   sram.addr_bits = 16;
-
-  // `--append-bench FILE`: time the generator instead of dumping the
-  // figures, and record the rows into an existing benchmark report.
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--append-bench") {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s: --append-bench requires a file path\n",
-                     argv[0]);
-        return 2;
-      }
-      meta::ContainerSpec async = fifo;
-      async.kind = core::ContainerKind::Queue;
-      async.name = "queue";
-      async.device = devices::DeviceKind::AsyncFifoCore;
-      async.depth = 256;
-      return append_bench(argv[i + 1], {fifo, sram, async});
-    }
-  }
 
   emit(meta::generate_container(fifo),
        "Figure 4: read buffer over a FIFO device");

@@ -3,16 +3,12 @@
 // operation sets, both printed from — and mechanically verified
 // against — the library's own rule encoding.
 #include <cstdio>
+#include <string>
 
-#include "bench_util.hpp"
 #include "common/text.hpp"
 #include "core/ops.hpp"
 
-int main(int argc, char** argv) {
-  const std::string trace = hwpat::benchutil::take_trace_flag_or_exit(argc, argv);
-  // Nothing is simulated here; --trace still yields a loadable file.
-  if (!trace.empty() && hwpat::benchutil::write_empty_trace(trace) != 0)
-    return 1;
+int main() {
   using namespace hwpat;
   using namespace hwpat::core;
 

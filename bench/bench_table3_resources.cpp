@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <string>
 
-#include "bench_util.hpp"
 #include "common/text.hpp"
 #include "designs/design.hpp"
 #include "estimate/tech.hpp"
@@ -46,12 +45,8 @@ struct Row {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   using namespace hwpat;
-  const std::string trace = benchutil::take_trace_flag_or_exit(argc, argv);
-  // Synthesis estimation only — nothing simulates; --trace still
-  // yields a loadable file.
-  if (!trace.empty() && benchutil::write_empty_trace(trace) != 0) return 1;
 
   // The evaluation configuration: a VGA-class line length (the paper's
   // board drives a real monitor; we keep 512-deep line buffers and

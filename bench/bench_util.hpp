@@ -1,9 +1,8 @@
-// Shared helpers for the bench binaries: the `--trace <file>` flag
-// every binary accepts (ISSUE 8 observability surface) and the traced
-// reference run behind it.  A traced run is SEPARATE from the measured
-// benchmark iterations — tracing costs wall time, so it never runs
-// inside a timed loop; the flag instead drives one representative run
-// with a profiling Tracer attached and flushes Chrome-trace-event JSON
+// Shared helpers for the bench binaries that simulate: the
+// `--trace <file>` flag and the traced reference run behind it.  A
+// traced run is SEPARATE from the bench's own measured runs — tracing
+// costs wall time — so the flag drives one representative run with a
+// profiling Tracer attached and flushes Chrome-trace-event JSON
 // (Perfetto / chrome://tracing) plus a hot-modules table on stderr.
 #pragma once
 
@@ -18,8 +17,8 @@
 namespace hwpat::benchutil {
 
 /// Strips `--trace FILE` / `--trace=FILE` out of argv (so the
-/// remaining flags can go to google-benchmark or the bench's own
-/// parser) and returns the file path, "" when the flag is absent.
+/// remaining flags can go to the bench's own parser) and returns the
+/// file path, "" when the flag is absent.
 /// Malformed forms fail loudly (hwpat::Error): a trailing `--trace`
 /// with no value used to fall through to the downstream parser's
 /// unknown-flag handling, and `--trace=` silently disabled tracing —
@@ -54,8 +53,8 @@ inline std::string take_trace_flag(int& argc, char** argv) {
 
 /// main() adapter around take_trace_flag(): a malformed --trace prints
 /// the parse error and exits with code 2 (flag misuse, distinct from
-/// the benches' code-1 runtime failures) instead of unwinding through
-/// google-benchmark's initialization.
+/// the benches' code-1 runtime failures) instead of unwinding out of
+/// main().
 inline std::string take_trace_flag_or_exit(int& argc, char** argv) {
   try {
     return take_trace_flag(argc, argv);
@@ -90,22 +89,6 @@ inline int run_traced(rtl::Module& top, const rtl::Simulator::Options& opt,
                  path.c_str(), t.span_count(),
                  static_cast<unsigned long long>(t.dropped()));
     std::fputs(t.hot_modules_report(10).c_str(), stderr);
-    return 0;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "--trace failed: %s\n", e.what());
-    return 1;
-  }
-}
-
-/// For benches that simulate nothing (pure codegen / table printers):
-/// an honest empty-but-loadable trace file, so `--trace` behaves
-/// uniformly across all bench binaries.
-inline int write_empty_trace(const std::string& path) {
-  try {
-    const rtl::Tracer t(rtl::Tracer::Options{}, {});
-    t.write_chrome_json(path);
-    std::fprintf(stderr, "trace: wrote %s (no simulated design)\n",
-                 path.c_str());
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "--trace failed: %s\n", e.what());

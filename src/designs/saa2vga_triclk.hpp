@@ -27,8 +27,8 @@
 // Saa2VgaTriClkConfig::lanes > 1 replicates the whole pipeline into a
 // capture *farm*: independent decoder→copy→vga lanes sharing the SAME
 // three clock domains (so still exactly three settle partitions, each
-// carrying `lanes`× the work), which bench_multiclock's
-// saa2vga_triclk_farm row measures.  lanes == 1 is the original design,
+// carrying `lanes`× the work), which perfbench's video_3clk_farm
+// workload measures.  lanes == 1 is the original design,
 // bit-identically (lane 0 keeps all legacy names).
 #pragma once
 

@@ -10,8 +10,6 @@
 // process bodies and assignments are structured trees too — validated
 // at generation time and re-readable by the structural parser
 // (parse.hpp), so emitted RTL can never silently drift from the model.
-// The RawLines statement remains as the escape hatch for string-level
-// templates that have not been migrated yet.
 #pragma once
 
 #include <string>

@@ -200,16 +200,6 @@ struct StmtEmitter {
     }
     os << ind() << "end case;\n";
   }
-
-  void operator()(const RawLines& r) const {
-    for (const auto& line : r.lines) {
-      if (line.empty()) {
-        os << "\n";
-      } else {
-        os << ind() << line << "\n";
-      }
-    }
-  }
 };
 
 void emit_stmts(std::ostringstream& os, const std::vector<Stmt>& stmts,

@@ -541,24 +541,20 @@ struct Validator {
       check_stmts(f->else_body);
       return;
     }
-    if (const auto* c = std::get_if<CaseStmt>(&s.v)) {
-      const VInfo sel = infer(c->selector);
-      if (sel.cls != VInfo::Cls::Vector)
-        fail("case selector must be a std_logic_vector");
-      if (c->arms.empty()) fail("case statement with no arms");
-      for (const CaseArm& arm : c->arms) {
-        if (!arm.is_others) {
-          const VInfo ch = infer(arm.choice);
-          if (ch.cls != VInfo::Cls::Vector ||
-              !widths_agree(sel.width, ch.width))
-            fail("case choice width does not match the selector");
-        }
-        check_stmts(arm.body);
+    const auto& c = std::get<CaseStmt>(s.v);
+    const VInfo sel = infer(c.selector);
+    if (sel.cls != VInfo::Cls::Vector)
+      fail("case selector must be a std_logic_vector");
+    if (c.arms.empty()) fail("case statement with no arms");
+    for (const CaseArm& arm : c.arms) {
+      if (!arm.is_others) {
+        const VInfo ch = infer(arm.choice);
+        if (ch.cls != VInfo::Cls::Vector ||
+            !widths_agree(sel.width, ch.width))
+          fail("case choice width does not match the selector");
       }
-      return;
+      check_stmts(arm.body);
     }
-    // RawLines: the documented escape hatch — emitted verbatim,
-    // never validated.
   }
 
   void check_process(const Process& p) const {

@@ -10,10 +10,7 @@
 //          numeric_std function casts (unsigned() / std_logic_vector() /
 //          resize() / to_integer() / shift_right() ...), attributes
 //          ('length) and the conditional a-when-c-else-b form;
-//   Stmt — signal assignment, if/elsif/else, case, and a RawLines
-//          escape hatch so legacy string templates can migrate
-//          incrementally (RawLines contents are emitted verbatim and
-//          skipped by validation — the only unchecked island).
+//   Stmt — signal assignment, if/elsif/else and case.
 //
 // validate_unit() walks a whole DesignUnit with a symbol table built
 // from its ports, generics, signals and array type declarations, and
@@ -143,21 +140,12 @@ struct CaseStmt {
   friend bool operator==(const CaseStmt&, const CaseStmt&) = default;
 };
 
-/// Escape hatch for unmigrated templates: pre-rendered lines, emitted
-/// verbatim at the current indent, never validated, never re-readable.
-struct RawLines {
-  std::vector<std::string> lines;
-
-  friend bool operator==(const RawLines&, const RawLines&) = default;
-};
-
 struct Stmt {
-  std::variant<SignalAssign, IfStmt, CaseStmt, RawLines> v;
+  std::variant<SignalAssign, IfStmt, CaseStmt> v;
 
   Stmt(SignalAssign s) : v(std::move(s)) {}
   Stmt(IfStmt s) : v(std::move(s)) {}
   Stmt(CaseStmt s) : v(std::move(s)) {}
-  Stmt(RawLines s) : v(std::move(s)) {}
 
   friend bool operator==(const Stmt&, const Stmt&) = default;
 };
@@ -174,8 +162,8 @@ struct Stmt {
 /// unit's ports/generics/signals/types, widths agree across operators
 /// and assignments, slice bounds are inside the declared range, and
 /// if/when conditions are boolean.  Throws hwpat::Error with a message
-/// naming the offending entity/field.  RawLines are skipped.
-/// Called by emit_unit(), so nothing malformed can reach text.
+/// naming the offending entity/field.  Called by emit_unit(), so
+/// nothing malformed can reach text.
 void validate_unit(const DesignUnit& u);
 
 }  // namespace hwpat::hdl

@@ -11,10 +11,9 @@
 //
 // This is not a general VHDL front end: it accepts exactly the shapes
 // the emitter produces (the generator's output language), and throws
-// hwpat::Error on anything else — including RawLines content that
-// doesn't happen to look like structured statements.  That is the
-// point: a generated unit that cannot be re-read has drifted out of
-// the structured subset and fails CI.
+// hwpat::Error on anything else.  That is the point: a generated unit
+// that cannot be re-read has drifted out of the structured subset and
+// fails CI.
 #pragma once
 
 #include <string>

@@ -429,6 +429,11 @@ bool Simulator::step_checked() {
   }
 }
 
+RunStatus Simulator::end_run(RunStatus st) {
+  if (vcd_) vcd_->flush();
+  return st;
+}
+
 void Simulator::require_domain_index(std::size_t domain_idx,
                                      const char* who) const {
   if (domain_idx >= scheds_.size())

@@ -164,7 +164,8 @@ class Simulator {
 
   /// Work counters, cumulative since construction or reset_stats().
   /// evals/commits are the quantities the event-driven kernel exists to
-  /// shrink; bench/bench_sim_kernel.cpp reports them per step.
+  /// shrink; perfbench reports them per step (`rtl.evals_per_step`,
+  /// `rtl.commits_per_step`) and bench_stats_gate gates them.
   struct Stats {
     std::uint64_t steps = 0;    ///< clock-edge events (ticks with edges)
     std::uint64_t settles = 0;  ///< settle() fixpoint searches
@@ -245,13 +246,14 @@ class Simulator {
   /// process throwing — still propagate: those are bugs in the
   /// simulated hardware, not run outcomes.  The predicate is
   /// re-checked after the final step, so a condition that becomes true
-  /// exactly at `max_cycles` is PredSatisfied, not Timeout.
+  /// exactly at `max_cycles` is PredSatisfied, not Timeout.  On return
+  /// the open VCD (if any) is complete on disk.
   template <typename Pred>
   [[nodiscard]] RunStatus run(Pred&& pred, std::uint64_t max_cycles) {
     for (std::uint64_t n = 0;; ++n) {
-      if (pred()) return {RunResult::PredSatisfied, n};
-      if (n >= max_cycles) return {RunResult::Timeout, n};
-      if (!step_checked()) return {RunResult::FaultLatched, n};
+      if (pred()) return end_run({RunResult::PredSatisfied, n});
+      if (n >= max_cycles) return end_run({RunResult::Timeout, n});
+      if (!step_checked()) return end_run({RunResult::FaultLatched, n});
     }
   }
 
@@ -266,13 +268,13 @@ class Simulator {
   [[nodiscard]] RunStatus run(Pred&& pred, std::uint64_t max_cycles,
                               std::size_t domain_idx) {
     require_domain_index(domain_idx, "run");
-    if (pred()) return {RunResult::PredSatisfied, 0};
+    if (pred()) return end_run({RunResult::PredSatisfied, 0});
     for (std::uint64_t n = 0;;) {
-      if (n >= max_cycles) return {RunResult::Timeout, n};
-      if (!step_checked()) return {RunResult::FaultLatched, n};
+      if (n >= max_cycles) return end_run({RunResult::Timeout, n});
+      if (!step_checked()) return end_run({RunResult::FaultLatched, n});
       ++n;
       if (last_event_fired(domain_idx) && pred())
-        return {RunResult::PredSatisfied, n};
+        return end_run({RunResult::PredSatisfied, n});
     }
   }
 
@@ -323,7 +325,9 @@ class Simulator {
   void set_delta_limit(int limit);
 
   /// Starts dumping a VCD waveform of all hardware signals to `path`
-  /// (timestamps in ticks, $timescale from Options::tick_ps).
+  /// (timestamps in ticks, $timescale from Options::tick_ps).  Output
+  /// is buffered: after step() the file's tail may still be in memory.
+  /// Every run() return flushes it, and the destructor closes the file.
   void open_vcd(const std::string& path);
 
   /// Serializes complete simulator state — every signal's committed
@@ -396,6 +400,10 @@ class Simulator {
   /// needs_recovery() latched and returns false.  Every other
   /// exception propagates.  The body of run().
   bool step_checked();
+
+  /// Every run() return goes through here: flushes the open VCD, so
+  /// the waveform is complete on disk when run() returns.
+  RunStatus end_run(RunStatus st);
 
   /// Throws Error when `domain_idx` is not a valid domain_info() index
   /// (`who` names the calling API in the message).

@@ -67,16 +67,10 @@ void require_unique_names(const std::vector<std::string>& names,
 
 /// The measured phase, shared by plain jobs and fork branches: the
 /// simulator is already positioned (warmed or restored), the VCD (if
-/// any) is already open.  `index` is the job/branch submission index,
-/// recorded as the SweepJob span's arg.
+/// any) is already open.
 void run_measured(Simulator& sim, const Module& top,
                   const std::function<bool(const Module&)>& done,
-                  std::uint64_t max_cycles, const SweepOptions& opt,
-                  std::size_t index, SweepResult& out) {
-  const bool tracing = opt.trace || !opt.trace_dir.empty();
-  if (tracing) sim.trace_start(Tracer::Options{0, true});
-  const std::uint64_t tns0 =
-      tracing ? sim.telemetry()->now_ns() : 0;
+                  std::uint64_t max_cycles, SweepResult& out) {
   const Clock::time_point t0 = Clock::now();
   if (done) {
     const RunStatus st = sim.run([&] { return done(top); }, max_cycles);
@@ -97,16 +91,6 @@ void run_measured(Simulator& sim, const Module& top,
   out.steps_per_sec = out.wall_seconds > 0.0
                           ? static_cast<double>(out.steps) / out.wall_seconds
                           : 0.0;
-  if (Tracer* t = sim.telemetry(); t != nullptr) {
-    t->add(TracePhase::SweepJob, tns0, t->now_ns(), index);
-    out.telem.spans = t->span_count();
-    out.telem.dropped = t->dropped();
-    out.telem.settle_ns = t->phase_total(TracePhase::Settle).ns;
-    out.telem.edge_ns = t->phase_total(TracePhase::EdgeEvent).ns;
-    out.telem.commit_ns = t->phase_total(TracePhase::CommitDrain).ns;
-    if (!opt.trace_dir.empty())
-      t->write_chrome_json(opt.trace_dir + "/" + out.name + ".trace.json");
-  }
   out.ok = true;
 }
 
@@ -159,8 +143,7 @@ std::vector<SweepResult> SweepDriver::run(
       if (!opt_.vcd_dir.empty())
         sim.open_vcd(opt_.vcd_dir + "/" + job.name + ".vcd");
       if (job.at_warmup) job.at_warmup(*top, sim);
-      run_measured(sim, *top, job.done, opt_.max_cycles, opt_, i,
-                   results[i]);
+      run_measured(sim, *top, job.done, opt_.max_cycles, results[i]);
     });
   });
   return results;
@@ -209,7 +192,7 @@ std::vector<SweepResult> SweepDriver::run_forked(
       const auto& done = br.done ? br.done : base.done;
       const std::uint64_t budget =
           br.max_cycles != 0 ? br.max_cycles : opt_.max_cycles;
-      run_measured(sim, *top, done, budget, opt_, i, results[i]);
+      run_measured(sim, *top, done, budget, results[i]);
       results[i].snapshot_bytes = blob.size_bytes();
     });
   });

@@ -51,14 +51,6 @@ struct SweepOptions {
   /// the fork restore — so a branch VCD is byte-comparable with the
   /// equivalent fresh warmed run's.  The directory must exist.
   std::string vcd_dir;
-  /// Attach a Tracer (rtl/trace.hpp) to every measured run and
-  /// aggregate its phase totals into SweepResult::telem.  Wall-time
-  /// telemetry only: stats and VCD bytes are unchanged by tracing.
-  bool trace = false;
-  /// When non-empty, every traced run also flushes its span log to
-  /// "<trace_dir>/<result name>.trace.json" (Chrome trace event
-  /// format).  Implies `trace`.  The directory must exist.
-  std::string trace_dir{};
 };
 
 /// One design variant of a sweep.
@@ -115,16 +107,6 @@ struct SweepResult {
   double wall_seconds = 0.0;     ///< measured phase only
   double steps_per_sec = 0.0;    ///< steps / wall_seconds
   std::size_t snapshot_bytes = 0;  ///< fork mode: base blob size
-  /// Measured-phase telemetry, aggregated from the run's Tracer when
-  /// SweepOptions::trace is on (all zero otherwise).
-  struct Telemetry {
-    std::uint64_t spans = 0;      ///< spans retained in the rings
-    std::uint64_t dropped = 0;    ///< spans evicted by ring wrap
-    std::uint64_t settle_ns = 0;  ///< cumulative settle() wall time
-    std::uint64_t edge_ns = 0;    ///< cumulative clock-edge-event time
-    std::uint64_t commit_ns = 0;  ///< cumulative pending-commit drains
-  };
-  Telemetry telem;
 };
 
 class SweepDriver {

@@ -56,7 +56,6 @@ const char* to_string(TracePhase p) {
     case TracePhase::SnapshotSave: return "snapshot_save";
     case TracePhase::SnapshotRestore: return "snapshot_restore";
     case TracePhase::Reset: return "reset";
-    case TracePhase::SweepJob: return "sweep_job";
   }
   return "?";
 }

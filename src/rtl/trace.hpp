@@ -12,7 +12,7 @@
 //
 //  * Phase spans — one timed interval per kernel phase occurrence
 //    (clock-edge event, settle, per-partition drain, pending-commit
-//    drain, snapshot save/restore, reset, sweep job), recorded into one
+//    drain, snapshot save/restore, reset), recorded into one
 //    *bounded ring buffer*.  A tracer belongs to one simulator and is
 //    written only by the thread running it, so the recorder needs no
 //    locking.  When the ring wraps, the oldest spans are dropped and
@@ -29,8 +29,8 @@
 // event's step) stack on one timeline.
 //
 // When tracing is off, the Simulator holds a null Tracer* and every
-// hot-path hook is a single null-pointer branch (bench_sim_kernel
-// guards the flagship steps/sec within the noise floor).
+// hot-path hook is a single null-pointer branch; perfbench's untraced
+// `rtl.run_ns_per_step` is what a step costs with those branches in.
 #pragma once
 
 #include <array>
@@ -43,8 +43,7 @@ namespace hwpat::rtl {
 
 /// Kernel phases a span can cover.  `arg` in TraceSpan is
 /// phase-specific: the event tick for EdgeEvent, the partition index
-/// for PartitionSettle/CommitDrain, the blob size for snapshots, the
-/// job index for SweepJob.
+/// for PartitionSettle/CommitDrain, the blob size for snapshots.
 enum class TracePhase : unsigned char {
   EdgeEvent,        ///< validate + mutate + post-edge marking of one event
   Settle,           ///< one settle() fixpoint search
@@ -53,9 +52,8 @@ enum class TracePhase : unsigned char {
   SnapshotSave,
   SnapshotRestore,
   Reset,
-  SweepJob,  ///< one SweepDriver measured phase
 };
-inline constexpr std::size_t kTracePhaseCount = 8;
+inline constexpr std::size_t kTracePhaseCount = 7;
 
 [[nodiscard]] const char* to_string(TracePhase p);
 

@@ -51,6 +51,9 @@ class VcdWriter {
   void sample_changed(std::uint64_t tick, const std::int32_t* changed,
                       std::size_t n);
 
+  /// Pushes everything written so far to the file.
+  void flush() { out_.flush(); }
+
  private:
   struct Entry {
     SignalBase* sig;

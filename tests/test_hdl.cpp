@@ -261,19 +261,6 @@ TEST(Emit, CaseStatement) {
   EXPECT_NE(v.find("end case;"), std::string::npos);
 }
 
-TEST(Emit, RawLinesEscapeHatchIsVerbatim) {
-  Architecture a;
-  a.of = "x";
-  Process p;
-  p.label = "legacy";
-  p.clocked = true;
-  p.body = {RawLines{{"-- handwritten island", "foo <= bar;"}}};
-  a.body.push_back(p);
-  const std::string v = emit_architecture(a);
-  EXPECT_NE(v.find("      -- handwritten island\n"), std::string::npos);
-  EXPECT_NE(v.find("      foo <= bar;\n"), std::string::npos);
-}
-
 TEST(Emit, InstancePortMap) {
   Architecture a;
   a.of = "top";
@@ -399,16 +386,6 @@ TEST(Validate, EmitUnitRunsTheValidator) {
   DesignUnit u = small_unit();
   u.arch.body.push_back(Assign{sig("done"), sig("ghost")});
   EXPECT_THROW((void)emit_unit(u), Error);
-}
-
-TEST(Validate, RawLinesAreSkipped) {
-  DesignUnit u = small_unit();
-  Process p;
-  p.label = "legacy";
-  p.clocked = true;
-  p.body = {RawLines{{"anything <= goes;"}}};
-  u.arch.body.push_back(p);
-  EXPECT_NO_THROW(validate_unit(u));
 }
 
 // ------------------------------------------------------- legalize

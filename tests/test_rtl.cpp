@@ -5,7 +5,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
+#include "designs/design.hpp"
 #include "rtl/simulator.hpp"
 #include "rtl/vcd.hpp"
 
@@ -201,6 +204,42 @@ TEST(Vcd, ProducesHeaderAndChanges) {
   EXPECT_NE(all.find("$var wire 8"), std::string::npos);
   EXPECT_NE(all.find("#3"), std::string::npos);
   std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+// run() returns with the whole waveform on disk: the file read while
+// the simulator is still alive equals the file after destruction, for
+// both run() overloads.  The waveform (about 16 KiB) is more than one
+// stream buffer holds.
+TEST(Vcd, RunReturnsWithTheWholeFileOnDisk) {
+  const std::string path = "test_rtl_run_flush.vcd";
+  for (const bool filtered : {false, true}) {
+    std::string during;
+    {
+      auto d = designs::make_saa2vga_pattern(
+          {.width = 16, .height = 12,
+           .device = devices::DeviceKind::FifoCore});
+      Simulator sim(*d);
+      sim.open_vcd(path);
+      sim.reset();
+      const auto done = [&] { return d->finished(); };
+      const RunStatus st =
+          filtered ? sim.run(done, 100'000, 0) : sim.run(done, 100'000);
+      ASSERT_TRUE(st.ok());
+      during = read_file(path);
+    }
+    const std::string after = read_file(path);
+    std::remove(path.c_str());
+    const char* overload = filtered ? "domain-filtered run()" : "run()";
+    EXPECT_GT(after.size(), 16'384u);
+    ASSERT_EQ(during.size(), after.size()) << overload;
+    EXPECT_TRUE(during == after) << overload;
+  }
 }
 
 TEST(PrimitiveTally, AccumulatesAndMaxFoldsDepth) {

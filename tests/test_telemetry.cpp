@@ -13,9 +13,6 @@
 //     counter, and the hot-modules report names real module paths.
 //   * Chrome-trace JSON: loadable shape (metadata + "X" events, the
 //     "hwpat" summary block).
-//   * Sweep integration: SweepOptions::trace aggregates per-job span
-//     counts and phase totals into SweepResult::telem; trace_dir
-//     writes one trace file per job.
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
@@ -297,65 +294,6 @@ TEST(Telemetry, ChromeJsonHasLoadableShape) {
   const std::string path = "telemetry_shape.trace.json";
   sim.trace_write(path);
   EXPECT_EQ(slurp_and_remove(path), json);
-}
-
-// ---------------------------------------------------------------------
-// Sweep integration
-// ---------------------------------------------------------------------
-
-TEST(Telemetry, SweepAggregatesPerJobTelemetry) {
-  rtl::SweepOptions sopt;
-  sopt.workers = 2;
-  sopt.max_cycles = 500;
-  sopt.trace = true;
-  const rtl::SweepDriver driver(sopt);
-  std::vector<rtl::SweepJob> jobs(2);
-  jobs[0].name = "a";
-  jobs[1].name = "b";
-  for (auto& j : jobs)
-    j.build = [] {
-      return std::unique_ptr<Module>(new designs::Saa2VgaTriClk(
-          {.width = 8, .height = 6, .cdc_depth = 8, .frames = 1}));
-    };
-  const auto rs = driver.run(jobs);
-  ASSERT_EQ(rs.size(), 2u);
-  for (const rtl::SweepResult& r : rs) {
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_GT(r.telem.spans, 0u) << r.name;
-    EXPECT_GT(r.telem.settle_ns, 0u) << r.name;
-    EXPECT_GT(r.telem.edge_ns, 0u) << r.name;
-  }
-  // Trace off (the default): no telemetry is gathered.
-  rtl::SweepOptions plain;
-  plain.workers = 2;
-  plain.max_cycles = 500;
-  const auto rs2 = rtl::SweepDriver(plain).run(jobs);
-  ASSERT_EQ(rs2.size(), 2u);
-  for (const rtl::SweepResult& r : rs2) EXPECT_EQ(r.telem.spans, 0u);
-}
-
-TEST(Telemetry, SweepTraceDirWritesOneFilePerJob) {
-  rtl::SweepOptions sopt;
-  sopt.workers = 2;
-  sopt.max_cycles = 200;
-  sopt.trace_dir = ".";  // implies trace
-  const rtl::SweepDriver driver(sopt);
-  std::vector<rtl::SweepJob> jobs(2);
-  jobs[0].name = "tracedir_a";
-  jobs[1].name = "tracedir_b";
-  for (auto& j : jobs)
-    j.build = [] {
-      return std::unique_ptr<Module>(new designs::Saa2VgaTriClk(
-          {.width = 8, .height = 6, .cdc_depth = 8, .frames = 1}));
-    };
-  const auto rs = driver.run(jobs);
-  for (const rtl::SweepResult& r : rs) {
-    ASSERT_TRUE(r.ok) << r.error;
-    const std::string json = slurp_and_remove("./" + r.name +
-                                              ".trace.json");
-    EXPECT_THAT(json, HasSubstr("\"traceEvents\""));
-    EXPECT_THAT(json, HasSubstr("\"sweep_job\""));
-  }
 }
 
 }  // namespace
