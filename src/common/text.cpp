@@ -1,7 +1,6 @@
 #include "common/text.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <sstream>
 
 namespace hwpat {
@@ -50,12 +49,6 @@ std::string join(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
-}
-
-std::string to_lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  return s;
 }
 
 bool starts_with(const std::string& s, const std::string& prefix) {

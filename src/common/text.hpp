@@ -27,10 +27,6 @@ class TextTable {
 [[nodiscard]] std::string join(const std::vector<std::string>& parts,
                                const std::string& sep);
 
-/// to_lower("AbC") == "abc" (ASCII only; identifiers in this library are
-/// ASCII by construction).
-[[nodiscard]] std::string to_lower(std::string s);
-
 /// True when `s` starts with `prefix`.
 [[nodiscard]] bool starts_with(const std::string& s, const std::string& prefix);
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <string_view>
 
 #include "common/error.hpp"
-#include "common/text.hpp"
 
 namespace hwpat::hdl {
 
@@ -39,8 +39,9 @@ std::vector<std::string> Entity::port_names() const {
 
 namespace {
 
-// The VHDL'93 reserved words (LRM Annex B), lowercase.
-constexpr std::array kReserved = {
+// The VHDL'93 reserved words (LRM Annex B), lowercase and sorted, so a
+// lookup is a binary search.
+constexpr std::array<std::string_view, 97> kReserved = {
     "abs",        "access",    "after",      "alias",     "all",
     "and",        "architecture", "array",   "assert",    "attribute",
     "begin",      "block",     "body",       "buffer",    "bus",
@@ -62,13 +63,27 @@ constexpr std::array kReserved = {
     "variable",   "wait",      "when",       "while",     "with",
     "xnor",       "xor",
 };
+static_assert(std::is_sorted(kReserved.begin(), kReserved.end()));
+
+constexpr std::size_t kLongestReserved = std::max_element(
+    kReserved.begin(), kReserved.end(),
+    [](std::string_view a, std::string_view b) {
+      return a.size() < b.size();
+    })->size();
 
 }  // namespace
 
 bool is_reserved_word(const std::string& name) {
-  const std::string lower = to_lower(name);
-  return std::find(kReserved.begin(), kReserved.end(), lower) !=
-         kReserved.end();
+  // The validator asks this for every identifier it sees, so the
+  // lowercase copy lives on the stack, not the heap.
+  if (name.size() > kLongestReserved) return false;
+  std::array<char, kLongestReserved> lower{};
+  std::transform(name.begin(), name.end(), lower.begin(),
+                 [](unsigned char c) {
+                   return static_cast<char>(std::tolower(c));
+                 });
+  return std::binary_search(kReserved.begin(), kReserved.end(),
+                            std::string_view(lower.data(), name.size()));
 }
 
 bool is_legal_identifier(const std::string& name) {

@@ -1,7 +1,8 @@
 #include "hdl/emit.hpp"
 
 #include <cctype>
-#include <sstream>
+#include <charconv>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/text.hpp"
@@ -53,286 +54,313 @@ bool is_chain_op(const std::string& op) {
          op == "&";
 }
 
-void emit_expr_rec(std::ostringstream& os, const Expr& e);
+/// Appends each of `parts` (strings) to `out`.  The emitter builds
+/// a whole unit in one string: no stream, no temporary per line.
+template <class... Parts>
+void put(std::string& out, const Parts&... parts) {
+  (out.append(parts), ...);
+}
+
+/// Appends `v` in decimal, as `operator<<` would print it.
+void put_int(std::string& out, long long v) {
+  char buf[24];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+void emit_expr_rec(std::string& out, const Expr& e);
+
+/// Emits `e` in parentheses when `parens`.
+void emit_grouped(std::string& out, const Expr& e, bool parens) {
+  if (parens) out += '(';
+  emit_expr_rec(out, e);
+  if (parens) out += ')';
+}
 
 /// Emits a child of a binary operator, adding parentheses when the
 /// child binds looser than the parent, or equally loose but with a
 /// different (or non-chainable) operator.
-void emit_child(std::ostringstream& os, const Expr& child,
-                const Expr& parent) {
+void emit_child(std::string& out, const Expr& child, const Expr& parent) {
   const int cp = prec_of(child);
   const int pp = prec_of(parent);
   bool parens = cp < pp;
   if (cp == pp && child.kind == ExprKind::Binary)
     parens = child.text != parent.text || !is_chain_op(parent.text);
-  if (parens) {
-    os << "(";
-    emit_expr_rec(os, child);
-    os << ")";
-  } else {
-    emit_expr_rec(os, child);
-  }
+  emit_grouped(out, child, parens);
 }
 
-void emit_expr_rec(std::ostringstream& os, const Expr& e) {
+void emit_expr_rec(std::string& out, const Expr& e) {
   switch (e.kind) {
     case ExprKind::Name:
-      os << e.text;
+      out += e.text;
       return;
     case ExprKind::BitLit:
-      os << "'" << e.text << "'";
+      put(out, "'", e.text, "'");
       return;
     case ExprKind::VecLit:
-      os << "\"" << e.text << "\"";
+      put(out, "\"", e.text, "\"");
       return;
     case ExprKind::IntLit:
-      os << e.value;
+      put_int(out, e.value);
       return;
     case ExprKind::Others:
-      os << "(others => '0')";
+      out += "(others => '0')";
       return;
     case ExprKind::Unary: {
-      os << e.text << " ";
+      put(out, e.text, " ");
       const Expr& a = e.args.at(0);
-      if (prec_of(a) < kPrecUnary) {
-        os << "(";
-        emit_expr_rec(os, a);
-        os << ")";
-      } else {
-        emit_expr_rec(os, a);
-      }
+      emit_grouped(out, a, prec_of(a) < kPrecUnary);
       return;
     }
     case ExprKind::Binary:
-      emit_child(os, e.args.at(0), e);
-      os << " " << e.text << " ";
-      emit_child(os, e.args.at(1), e);
+      emit_child(out, e.args.at(0), e);
+      put(out, " ", e.text, " ");
+      emit_child(out, e.args.at(1), e);
       return;
     case ExprKind::Slice:
-      emit_expr_rec(os, e.args.at(0));
-      os << "(" << e.high << " downto " << e.low << ")";
+      emit_expr_rec(out, e.args.at(0));
+      out += '(';
+      put_int(out, e.high);
+      out += " downto ";
+      put_int(out, e.low);
+      out += ')';
       return;
     case ExprKind::Index:
-      emit_expr_rec(os, e.args.at(0));
-      os << "(";
-      emit_expr_rec(os, e.args.at(1));
-      os << ")";
+      emit_expr_rec(out, e.args.at(0));
+      emit_grouped(out, e.args.at(1), true);
       return;
     case ExprKind::Call: {
-      os << e.text << "(";
+      put(out, e.text, "(");
       for (std::size_t i = 0; i < e.args.size(); ++i) {
-        if (i) os << ", ";
-        emit_expr_rec(os, e.args[i]);
+        if (i) out += ", ";
+        emit_expr_rec(out, e.args[i]);
       }
-      os << ")";
+      out += ')';
       return;
     }
     case ExprKind::Attr:
-      emit_expr_rec(os, e.args.at(0));
-      os << "'" << e.text;
+      emit_expr_rec(out, e.args.at(0));
+      put(out, "'", e.text);
       return;
     case ExprKind::Cond:
       // then-value when cond else else-value
-      emit_child(os, e.args.at(1), e);
-      os << " when ";
-      emit_child(os, e.args.at(0), e);
-      os << " else ";
-      emit_child(os, e.args.at(2), e);
+      emit_child(out, e.args.at(1), e);
+      out += " when ";
+      emit_child(out, e.args.at(0), e);
+      out += " else ";
+      emit_child(out, e.args.at(2), e);
       return;
   }
   throw InternalError("unknown ExprKind");
+}
+
+/// `lhs <= rhs;` and its optional `  -- comment`, on one line.
+void emit_assign(std::string& out, std::size_t indent, const Expr& lhs,
+                 const Expr& rhs, const std::string& comment) {
+  out.append(indent, ' ');
+  emit_expr_rec(out, lhs);
+  out += " <= ";
+  emit_expr_rec(out, rhs);
+  out += ';';
+  if (!comment.empty()) put(out, "  -- ", comment);
+  out += '\n';
 }
 
 // -------------------------------------------------------------------
 // Statements
 // -------------------------------------------------------------------
 
-void emit_stmts(std::ostringstream& os, const std::vector<Stmt>& stmts,
-                int indent);
+void emit_stmts(std::string& out, const std::vector<Stmt>& stmts,
+                std::size_t indent);
 
 struct StmtEmitter {
-  std::ostringstream& os;
-  int indent;
+  std::string& out;
+  std::size_t indent;
 
-  [[nodiscard]] std::string ind(int extra = 0) const {
-    return std::string(static_cast<std::size_t>(indent + extra), ' ');
+  /// Starts a line at this statement's indent plus `extra`.
+  std::string& line(std::size_t extra = 0) const {
+    return out.append(indent + extra, ' ');
   }
 
   void operator()(const SignalAssign& a) const {
-    os << ind();
-    emit_expr_rec(os, a.lhs);
-    os << " <= ";
-    emit_expr_rec(os, a.rhs);
-    os << ";";
-    if (!a.comment.empty()) os << "  -- " << a.comment;
-    os << "\n";
+    emit_assign(out, indent, a.lhs, a.rhs, a.comment);
   }
 
   void operator()(const IfStmt& f) const {
     for (std::size_t i = 0; i < f.arms.size(); ++i) {
-      os << ind() << (i == 0 ? "if " : "elsif ");
-      emit_expr_rec(os, f.arms[i].cond);
-      os << " then\n";
-      emit_stmts(os, f.arms[i].body, indent + 2);
+      line() += i == 0 ? "if " : "elsif ";
+      emit_expr_rec(out, f.arms[i].cond);
+      out += " then\n";
+      emit_stmts(out, f.arms[i].body, indent + 2);
     }
     if (!f.else_body.empty()) {
-      os << ind() << "else\n";
-      emit_stmts(os, f.else_body, indent + 2);
+      line() += "else\n";
+      emit_stmts(out, f.else_body, indent + 2);
     }
-    os << ind() << "end if;\n";
+    line() += "end if;\n";
   }
 
   void operator()(const CaseStmt& c) const {
-    os << ind() << "case ";
-    emit_expr_rec(os, c.selector);
-    os << " is\n";
+    line() += "case ";
+    emit_expr_rec(out, c.selector);
+    out += " is\n";
     for (const CaseArm& arm : c.arms) {
-      os << ind(2) << "when ";
+      line(2) += "when ";
       if (arm.is_others) {
-        os << "others";
+        out += "others";
       } else {
-        emit_expr_rec(os, arm.choice);
+        emit_expr_rec(out, arm.choice);
       }
-      os << " =>";
-      if (!arm.comment.empty()) os << "  -- " << arm.comment;
-      os << "\n";
-      emit_stmts(os, arm.body, indent + 4);
+      out += " =>";
+      if (!arm.comment.empty()) put(out, "  -- ", arm.comment);
+      out += '\n';
+      emit_stmts(out, arm.body, indent + 4);
     }
-    os << ind() << "end case;\n";
+    line() += "end case;\n";
   }
 };
 
-void emit_stmts(std::ostringstream& os, const std::vector<Stmt>& stmts,
-                int indent) {
-  for (const Stmt& s : stmts) std::visit(StmtEmitter{os, indent}, s.v);
+void emit_stmts(std::string& out, const std::vector<Stmt>& stmts,
+                std::size_t indent) {
+  for (const Stmt& s : stmts) std::visit(StmtEmitter{out, indent}, s.v);
 }
 
 // -------------------------------------------------------------------
 // Concurrent items
 // -------------------------------------------------------------------
 
-void emit_ports(std::ostringstream& os, const Entity& e) {
-  os << "  port (\n";
-  std::string group;
+void emit_ports(std::string& out, const Entity& e) {
+  out += "  port (\n";
+  std::string_view group;
   for (std::size_t i = 0; i < e.ports.size(); ++i) {
     const Port& p = e.ports[i];
     if (p.group != group) {
       group = p.group;
-      if (!group.empty()) os << "    -- " << group << "\n";
+      if (!group.empty()) put(out, "    -- ", group, "\n");
     }
-    os << "    " << p.name << " : " << to_string(p.dir) << " "
-       << p.type.str();
-    if (i + 1 < e.ports.size()) os << ";";
-    os << "\n";
+    put(out, "    ", p.name, " : ", to_string(p.dir), " ", p.type.str());
+    if (i + 1 < e.ports.size()) out += ';';
+    out += '\n';
   }
-  os << "  );\n";
+  out += "  );\n";
 }
 
 struct ConcurrentEmitter {
-  std::ostringstream& os;
+  std::string& out;
 
   void operator()(const Assign& a) const {
-    os << "  ";
-    emit_expr_rec(os, a.lhs);
-    os << " <= ";
-    emit_expr_rec(os, a.rhs);
-    os << ";";
-    if (!a.comment.empty()) os << "  -- " << a.comment;
-    os << "\n";
+    emit_assign(out, 2, a.lhs, a.rhs, a.comment);
   }
 
   void operator()(const Instance& inst) const {
-    os << "  " << inst.label << " : " << inst.component << "\n"
-       << "    port map (\n";
+    put(out, "  ", inst.label, " : ", inst.component, "\n",
+        "    port map (\n");
     for (std::size_t i = 0; i < inst.port_map.size(); ++i) {
-      os << "      " << inst.port_map[i].first << " => "
-         << inst.port_map[i].second;
-      if (i + 1 < inst.port_map.size()) os << ",";
-      os << "\n";
+      put(out, "      ", inst.port_map[i].first, " => ",
+          inst.port_map[i].second);
+      if (i + 1 < inst.port_map.size()) out += ',';
+      out += '\n';
     }
-    os << "    );\n";
+    out += "    );\n";
   }
 
   void operator()(const Process& p) const {
-    os << "  " << p.label << " : process";
+    put(out, "  ", p.label, " : process");
     if (p.clocked) {
-      os << " (" << p.clock << ", " << p.reset << ")";
+      put(out, " (", p.clock, ", ", p.reset, ")");
     } else if (!p.sensitivity.empty()) {
-      os << " (" << join(p.sensitivity, ", ") << ")";
+      put(out, " (", join(p.sensitivity, ", "), ")");
     }
-    os << "\n  begin\n";
+    out += "\n  begin\n";
     if (p.clocked) {
-      os << "    if " << p.reset << " = '1' then\n";
-      emit_stmts(os, p.reset_body, 6);
-      os << "    elsif rising_edge(" << p.clock << ") then\n";
-      emit_stmts(os, p.body, 6);
-      os << "    end if;\n";
+      put(out, "    if ", p.reset, " = '1' then\n");
+      emit_stmts(out, p.reset_body, 6);
+      put(out, "    elsif rising_edge(", p.clock, ") then\n");
+      emit_stmts(out, p.body, 6);
+      out += "    end if;\n";
     } else {
-      emit_stmts(os, p.body, 4);
+      emit_stmts(out, p.body, 4);
     }
-    os << "  end process;\n";
+    out += "  end process;\n";
   }
 };
+
+void emit_entity_into(std::string& out, const Entity& e) {
+  put(out, "entity ", e.name, " is\n");
+  if (!e.generics.empty()) {
+    out += "  generic (\n";
+    for (std::size_t i = 0; i < e.generics.size(); ++i) {
+      const Generic& g = e.generics[i];
+      put(out, "    ", g.name, " : ", g.type_name);
+      if (!g.default_value.empty()) put(out, " := ", g.default_value);
+      if (i + 1 < e.generics.size()) out += ';';
+      out += '\n';
+    }
+    out += "  );\n";
+  }
+  if (!e.ports.empty()) emit_ports(out, e);
+  put(out, "end ", e.name, ";\n");
+}
+
+void emit_architecture_into(std::string& out, const Architecture& a) {
+  put(out, "architecture ", a.name, " of ", a.of, " is\n");
+  // Each line of a component declaration, indented two spaces; a final
+  // newline ends the last line rather than starting an empty one.
+  for (const std::string& c : a.component_decls) {
+    for (std::string_view rest = c; !rest.empty();) {
+      const std::size_t nl = rest.find('\n');
+      put(out, "  ", rest.substr(0, nl), "\n");
+      rest = nl == std::string_view::npos ? std::string_view()
+                                          : rest.substr(nl + 1);
+    }
+  }
+  for (const auto& t : a.types) {
+    put(out, "  type ", t.name, " is array (0 to ");
+    put_int(out, t.depth - 1LL);
+    out += ") of std_logic_vector(";
+    put_int(out, t.elem_width - 1LL);
+    out += " downto 0);\n";
+  }
+  for (const auto& s : a.signals) {
+    put(out, "  signal ", s.name, " : ",
+        s.type_name.empty() ? s.type.str() : s.type_name);
+    if (!s.init.empty()) put(out, " := ", s.init);
+    out += ";\n";
+  }
+  out += "begin\n";
+  for (const auto& c : a.body) std::visit(ConcurrentEmitter{out}, c);
+  put(out, "end ", a.name, ";\n");
+}
 
 }  // namespace
 
 std::string emit_expr(const Expr& e) {
-  std::ostringstream os;
-  emit_expr_rec(os, e);
-  return os.str();
+  std::string out;
+  emit_expr_rec(out, e);
+  return out;
 }
 
 std::string emit_entity(const Entity& e) {
-  std::ostringstream os;
-  os << "entity " << e.name << " is\n";
-  if (!e.generics.empty()) {
-    os << "  generic (\n";
-    for (std::size_t i = 0; i < e.generics.size(); ++i) {
-      const Generic& g = e.generics[i];
-      os << "    " << g.name << " : " << g.type_name;
-      if (!g.default_value.empty()) os << " := " << g.default_value;
-      if (i + 1 < e.generics.size()) os << ";";
-      os << "\n";
-    }
-    os << "  );\n";
-  }
-  if (!e.ports.empty()) emit_ports(os, e);
-  os << "end " << e.name << ";\n";
-  return os.str();
+  std::string out;
+  emit_entity_into(out, e);
+  return out;
 }
 
 std::string emit_architecture(const Architecture& a) {
-  std::ostringstream os;
-  os << "architecture " << a.name << " of " << a.of << " is\n";
-  for (const auto& c : a.component_decls) {
-    std::istringstream lines(c);
-    std::string line;
-    while (std::getline(lines, line)) os << "  " << line << "\n";
-  }
-  for (const auto& t : a.types) {
-    os << "  type " << t.name << " is array (0 to " << (t.depth - 1)
-       << ") of std_logic_vector(" << (t.elem_width - 1)
-       << " downto 0);\n";
-  }
-  for (const auto& s : a.signals) {
-    os << "  signal " << s.name << " : "
-       << (s.type_name.empty() ? s.type.str() : s.type_name);
-    if (!s.init.empty()) os << " := " << s.init;
-    os << ";\n";
-  }
-  os << "begin\n";
-  for (const auto& c : a.body) std::visit(ConcurrentEmitter{os}, c);
-  os << "end " << a.name << ";\n";
-  return os.str();
+  std::string out;
+  emit_architecture_into(out, a);
+  return out;
 }
 
 std::string emit_unit(const DesignUnit& u) {
   validate_unit(u);
-  std::ostringstream os;
-  for (const auto& lib : u.libraries) os << lib << "\n";
-  os << "\n" << emit_entity(u.entity) << "\n"
-     << emit_architecture(u.arch);
-  return os.str();
+  std::string out;
+  for (const auto& lib : u.libraries) put(out, lib, "\n");
+  out += '\n';
+  emit_entity_into(out, u.entity);
+  out += '\n';
+  emit_architecture_into(out, u.arch);
+  return out;
 }
 
 std::string legalize_identifier(const std::string& name) {

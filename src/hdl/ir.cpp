@@ -1,6 +1,7 @@
 #include "hdl/ir.hpp"
 
-#include <map>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "hdl/ast.hpp"
@@ -177,17 +178,30 @@ const char* cls_name(VInfo::Cls c) {
   return "?";
 }
 
+/// Validation runs on every emit, so its success path allocates
+/// nothing per identifier: symbols are views into the unit being
+/// validated, and error text is built only on a failure path.
 struct Validator {
   const DesignUnit& u;
-  std::map<std::string, VInfo> syms;
+  std::unordered_map<std::string_view, VInfo> syms;
 
   [[noreturn]] void fail(const std::string& msg) const {
     throw Error("hdl validate ('" + u.entity.name + "'): " + msg);
   }
 
-  void declare(const std::string& name, VInfo info,
-               const std::string& field) {
-    validate_identifier(name, field);
+  /// validate_identifier() with the field text built only when `name`
+  /// is bad; `in_entity` appends " (entity 'NAME')" to the field.
+  void check_name(const std::string& name, const char* field,
+                  bool in_entity = false) const {
+    if (is_legal_identifier(name)) return;
+    std::string f = field;
+    if (in_entity) f += " (entity '" + u.entity.name + "')";
+    validate_identifier(name, f);
+  }
+
+  void declare(const std::string& name, VInfo info, const char* field,
+               bool in_entity = false) {
+    check_name(name, field, in_entity);
     if (!syms.emplace(name, info).second)
       fail("duplicate declaration of '" + name + "'");
   }
@@ -205,20 +219,21 @@ struct Validator {
   }
 
   void build_symbols() {
-    validate_identifier(u.entity.name, "entity name");
+    check_name(u.entity.name, "entity name");
+    syms.reserve(u.entity.generics.size() + u.entity.ports.size() +
+                 u.arch.signals.size());
     for (const auto& g : u.entity.generics)
-      declare(g.name, VInfo{.cls = VInfo::Cls::Integer},
-              "generic name (entity '" + u.entity.name + "')");
+      declare(g.name, VInfo{.cls = VInfo::Cls::Integer}, "generic name",
+              true);
     for (const auto& p : u.entity.ports) {
       if (p.type.is_vector && p.type.width() == 0)
         fail("port '" + p.name + "' has a null (degenerate) range " +
              p.type.str());
-      declare(p.name, of_type(p.type),
-              "port name (entity '" + u.entity.name + "')");
+      declare(p.name, of_type(p.type), "port name", true);
     }
-    std::map<std::string, const TypeDecl*> types;
+    std::unordered_map<std::string_view, const TypeDecl*> types;
     for (const auto& t : u.arch.types) {
-      validate_identifier(t.name, "type name");
+      check_name(t.name, "type name");
       if (t.elem_width < 1 || t.depth < 1)
         fail("array type '" + t.name + "' has a degenerate shape");
       if (!types.emplace(t.name, &t).second)
@@ -487,9 +502,9 @@ struct Validator {
     fail("width argument must be an integer literal or name'length");
   }
 
-  void require_boolean(const Expr& e, const std::string& what) const {
+  void require_boolean(const Expr& e, const char* what) const {
     if (infer(e).cls != VInfo::Cls::Boolean)
-      fail(what + " must be boolean (compare with = or /=)");
+      fail(std::string(what) + " must be boolean (compare with = or /=)");
   }
 
   void check_assign(const Expr& lhs, const Expr& rhs) const {
@@ -558,7 +573,7 @@ struct Validator {
   }
 
   void check_process(const Process& p) const {
-    validate_identifier(p.label, "process label");
+    check_name(p.label, "process label");
     if (p.clocked) {
       const VInfo clk = lookup(p.clock);
       const VInfo rst = lookup(p.reset);
@@ -578,8 +593,8 @@ struct Validator {
       if (const auto* a = std::get_if<Assign>(&c)) {
         check_assign(a->lhs, a->rhs);
       } else if (const auto* inst = std::get_if<Instance>(&c)) {
-        validate_identifier(inst->label, "instance label");
-        validate_identifier(inst->component, "instance component name");
+        check_name(inst->label, "instance label");
+        check_name(inst->component, "instance component name");
       } else if (const auto* p = std::get_if<Process>(&c)) {
         check_process(*p);
       }

@@ -57,56 +57,59 @@ constexpr const char* kMethods = "methods";
 constexpr const char* kParams = "params";
 constexpr const char* kImpl = "implementation interface";
 
-bool has_method(const ContainerSpec& s, Method m) {
-  const auto v = s.effective_methods();
-  return std::find(v.begin(), v.end(), m) != v.end();
+/// A spec's effective method set.  generate_container() resolves it
+/// once per unit; the predicates below consult it dozens of times.
+using Methods = std::vector<Method>;
+
+bool has_method(const Methods& ms, Method m) {
+  return std::find(ms.begin(), ms.end(), m) != ms.end();
 }
 
 /// True when the generated component must be able to read elements out
 /// of the device (pop/read/lookup paths).
-bool reads_device(const ContainerSpec& s) {
-  return has_method(s, Method::Pop) || has_method(s, Method::Read) ||
-         has_method(s, Method::Lookup);
+bool reads_device(const Methods& ms) {
+  return has_method(ms, Method::Pop) || has_method(ms, Method::Read) ||
+         has_method(ms, Method::Lookup);
 }
 
 /// True when it must write elements into the device.
-bool writes_device(const ContainerSpec& s) {
-  return has_method(s, Method::Push) || has_method(s, Method::Write) ||
-         has_method(s, Method::Insert) || has_method(s, Method::Remove);
+bool writes_device(const Methods& ms) {
+  return has_method(ms, Method::Push) || has_method(ms, Method::Write) ||
+         has_method(ms, Method::Insert) || has_method(ms, Method::Remove);
 }
 
 /// The m_* strobe that triggers a device write for this container kind
 /// — the old string templates hardcoded m_push, which left dangling
 /// references in vector/assoc architectures; validate_unit rejects
 /// those now.
-std::optional<std::string> write_strobe(const ContainerSpec& s) {
-  if (has_method(s, Method::Push)) return "m_push";
-  if (has_method(s, Method::Write)) return "m_write";
-  if (has_method(s, Method::Insert)) return "m_insert";
-  if (has_method(s, Method::Remove)) return "m_remove";
+std::optional<std::string> write_strobe(const Methods& ms) {
+  if (has_method(ms, Method::Push)) return "m_push";
+  if (has_method(ms, Method::Write)) return "m_write";
+  if (has_method(ms, Method::Insert)) return "m_insert";
+  if (has_method(ms, Method::Remove)) return "m_remove";
   return std::nullopt;
 }
 
 /// The m_* strobe that triggers a device read.
-std::optional<std::string> read_strobe(const ContainerSpec& s) {
-  if (has_method(s, Method::Pop)) return "m_pop";
-  if (has_method(s, Method::Read)) return "m_read";
-  if (has_method(s, Method::Lookup)) return "m_lookup";
+std::optional<std::string> read_strobe(const Methods& ms) {
+  if (has_method(ms, Method::Pop)) return "m_pop";
+  if (has_method(ms, Method::Read)) return "m_read";
+  if (has_method(ms, Method::Lookup)) return "m_lookup";
   return std::nullopt;
 }
 
-bool has_addr_port(const ContainerSpec& s) {
-  return has_method(s, Method::Read) || has_method(s, Method::Write);
+bool has_addr_port(const Methods& ms) {
+  return has_method(ms, Method::Read) || has_method(ms, Method::Write);
 }
 
-bool has_key_port(const ContainerSpec& s) {
-  return has_method(s, Method::Insert) || has_method(s, Method::Lookup) ||
-         has_method(s, Method::Remove);
+bool has_key_port(const Methods& ms) {
+  return has_method(ms, Method::Insert) || has_method(ms, Method::Lookup) ||
+         has_method(ms, Method::Remove);
 }
 
-bool has_data_in_port(const ContainerSpec& s) {
-  return has_method(s, Method::Push) || has_method(s, Method::Insert) ||
-         has_method(s, Method::Write);
+bool has_data_in_port(const Methods& ms) {
+  return has_method(ms, Method::Push) || has_method(ms, Method::Insert) ||
+         has_method(ms, Method::Write);
 }
 
 /// Element width of the container's `data` result port.  The line
@@ -147,37 +150,39 @@ void add_clock_ports(Entity& e, const ContainerSpec* s = nullptr) {
 }
 
 /// The m_* method strobes and the data/done param ports (Fig. 4 layout).
-void add_method_ports(Entity& e, const ContainerSpec& s) {
-  for (Method m : s.effective_methods())
+void add_method_ports(Entity& e, const ContainerSpec& s,
+                      const Methods& ms) {
+  for (Method m : ms)
     e.ports.push_back(
         {"m_" + to_string(m), PortDir::In, Type::bit(), kMethods});
   // params: operand inputs first, then results.
-  if (has_data_in_port(s))
+  if (has_data_in_port(ms))
     e.ports.push_back(
         {"data_in", PortDir::In, Type::vec(s.elem_bits), kParams});
-  if (has_addr_port(s))
+  if (has_addr_port(ms))
     e.ports.push_back(
         {"addr", PortDir::In, Type::vec(s.addr_bits), kParams});
-  if (has_key_port(s))
+  if (has_key_port(ms))
     e.ports.push_back({"key", PortDir::In, Type::vec(8), kParams});
-  if (reads_device(s) || has_method(s, Method::Size))
+  if (reads_device(ms) || has_method(ms, Method::Size))
     e.ports.push_back(
         {"data", PortDir::Out, Type::vec(data_port_bits(s)), kParams});
   e.ports.push_back({"done", PortDir::Out, Type::bit(), kParams});
 }
 
 /// The p_* implementation interface per device (§3.4, Figs. 4/5).
-void add_impl_ports(Entity& e, const ContainerSpec& s) {
+void add_impl_ports(Entity& e, const ContainerSpec& s,
+                    const Methods& ms) {
   const int bus = s.effective_bus_bits();
   switch (s.device) {
     case DeviceKind::FifoCore:
     case DeviceKind::LifoCore:
-      if (reads_device(s)) {
+      if (reads_device(ms)) {
         e.ports.push_back({"p_empty", PortDir::In, Type::bit(), kImpl});
         e.ports.push_back({"p_read", PortDir::Out, Type::bit(), kImpl});
         e.ports.push_back({"p_data", PortDir::In, Type::vec(bus), kImpl});
       }
-      if (writes_device(s)) {
+      if (writes_device(ms)) {
         e.ports.push_back({"p_full", PortDir::In, Type::bit(), kImpl});
         e.ports.push_back({"p_write", PortDir::Out, Type::bit(), kImpl});
         e.ports.push_back(
@@ -189,9 +194,9 @@ void add_impl_ports(Entity& e, const ContainerSpec& s) {
       // body-less p_* renaming here: the write domain gets the user's
       // push side or a platform feed, the read domain the pop side or
       // a platform drain, and status flags are exported per domain.
-      if (reads_device(s)) {
+      if (reads_device(ms)) {
         e.ports.push_back({"empty", PortDir::Out, Type::bit(), kImpl});
-        if (!writes_device(s)) {
+        if (!writes_device(ms)) {
           // Platform-side feed (write domain) for the read buffer.
           e.ports.push_back({"p_write", PortDir::In, Type::bit(), kImpl});
           e.ports.push_back(
@@ -199,9 +204,9 @@ void add_impl_ports(Entity& e, const ContainerSpec& s) {
           e.ports.push_back({"p_full", PortDir::Out, Type::bit(), kImpl});
         }
       }
-      if (writes_device(s)) {
+      if (writes_device(ms)) {
         e.ports.push_back({"full", PortDir::Out, Type::bit(), kImpl});
-        if (!reads_device(s)) {
+        if (!reads_device(ms)) {
           // Platform-side drain (read domain) for the write buffer.
           e.ports.push_back({"p_read", PortDir::In, Type::bit(), kImpl});
           e.ports.push_back(
@@ -214,9 +219,9 @@ void add_impl_ports(Entity& e, const ContainerSpec& s) {
     case DeviceKind::Sram:
       e.ports.push_back(
           {"p_addr", PortDir::Out, Type::vec(s.addr_bits), kImpl});
-      if (reads_device(s))
+      if (reads_device(ms))
         e.ports.push_back({"p_data", PortDir::In, Type::vec(bus), kImpl});
-      if (writes_device(s)) {
+      if (writes_device(ms)) {
         e.ports.push_back(
             {"p_wdata", PortDir::Out, Type::vec(bus), kImpl});
         e.ports.push_back({"p_we", PortDir::Out, Type::bit(), kImpl});
@@ -228,12 +233,12 @@ void add_impl_ports(Entity& e, const ContainerSpec& s) {
       e.ports.push_back({"p_en", PortDir::Out, Type::bit(), kImpl});
       e.ports.push_back(
           {"p_addr", PortDir::Out, Type::vec(s.addr_bits), kImpl});
-      if (writes_device(s)) {
+      if (writes_device(ms)) {
         e.ports.push_back({"p_we", PortDir::Out, Type::bit(), kImpl});
         e.ports.push_back(
             {"p_wdata", PortDir::Out, Type::vec(bus), kImpl});
       }
-      if (reads_device(s))
+      if (reads_device(ms))
         e.ports.push_back({"p_data", PortDir::In, Type::vec(bus), kImpl});
       break;
     case DeviceKind::LineBuffer3:
@@ -247,19 +252,20 @@ void add_impl_ports(Entity& e, const ContainerSpec& s) {
 
 /// Architecture of the FIFO/LIFO-backed container: "simply a wrapper of
 /// the FIFO core, and hardly includes any logic" (Fig. 4 discussion).
-void fill_core_arch(Architecture& a, const ContainerSpec& s) {
-  if (reads_device(s)) {
+void fill_core_arch(Architecture& a, const ContainerSpec& s,
+                    const Methods& ms) {
+  if (reads_device(ms)) {
     a.body.push_back(Assign{sig("p_read"), sig("m_pop")});
     a.body.push_back(Assign{sig("data"), widen_to_data(s, sig("p_data"))});
     a.body.push_back(Assign{sig("done"), not_(sig("p_empty"))});
   } else {
     a.body.push_back(Assign{sig("done"), not_(sig("p_full"))});
   }
-  if (writes_device(s)) {
+  if (writes_device(ms)) {
     a.body.push_back(Assign{sig("p_write"), sig("m_push")});
     a.body.push_back(Assign{sig("p_wdata"), narrow_to_bus(s)});
   }
-  if (has_method(s, Method::Size)) {
+  if (has_method(ms, Method::Size)) {
     // The core exposes no level port; the wrapper keeps a counter.
     const int cb = bits_for(static_cast<Word>(s.depth));
     a.signals.push_back({"count", Type::vec(cb), "", "(others => '0')"});
@@ -267,8 +273,8 @@ void fill_core_arch(Architecture& a, const ContainerSpec& s) {
     p.label = "size_counter";
     p.clocked = true;
     p.reset_body = {assign(sig("count"), others0())};
-    const bool up = writes_device(s);
-    const bool down = reads_device(s);
+    const bool up = writes_device(ms);
+    const bool down = reads_device(ms);
     const Stmt inc =
         assign(sig("count"), slv(add(uns(sig("count")), num(1))));
     const Stmt dec =
@@ -300,12 +306,13 @@ void fill_core_arch(Architecture& a, const ContainerSpec& s) {
 /// synchronizer chain, full/empty from gray compares (the full compare
 /// inverts the top two bits — the "1100...0" mask), and show-ahead read
 /// data straight out of the storage array.
-void fill_async_fifo_arch(Architecture& a, const ContainerSpec& s) {
+void fill_async_fifo_arch(Architecture& a, const ContainerSpec& s,
+                          const Methods& ms) {
   const int bus = s.effective_bus_bits();
   const int abits = std::max(1, clog2(static_cast<Word>(s.depth)));
   const int pb = abits + 1;  // pointer bits: one wrap bit on top
-  const bool user_writes = writes_device(s);
-  const bool user_reads = reads_device(s);
+  const bool user_writes = writes_device(ms);
+  const bool user_reads = reads_device(ms);
 
   a.types.push_back({"mem_t", bus, s.depth});
   a.signals.push_back({"mem", Type::bit(), "mem_t", ""});
@@ -442,7 +449,8 @@ Expr addr_expr(const ContainerSpec& s, const char* source) {
 /// machine that controls memory access, as well as a few registers to
 /// store the begin and end pointers of the queue (implemented as a
 /// circular buffer)" (Fig. 5 discussion).
-void fill_sram_arch(Architecture& a, const ContainerSpec& s) {
+void fill_sram_arch(Architecture& a, const ContainerSpec& s,
+                    const Methods& ms) {
   const int pb = std::max(1, clog2(static_cast<Word>(s.depth)));
   const int cb = bits_for(static_cast<Word>(s.depth));
   a.signals.push_back({"state", Type::vec(2), "", "\"00\""});
@@ -465,28 +473,28 @@ void fill_sram_arch(Architecture& a, const ContainerSpec& s) {
 
   // idle arm: accept a write request, else prefetch the front element.
   std::vector<IfArm> idle_arms;
-  if (writes_device(s)) {
+  if (writes_device(ms)) {
     // Positional writes address by operand; stream pushes by ptr_end.
-    const char* src = has_method(s, Method::Write)    ? "addr"
-                      : has_method(s, Method::Insert) ? "key"
+    const char* src = has_method(ms, Method::Write)    ? "addr"
+                      : has_method(ms, Method::Insert) ? "key"
                                                       : "ptr_end";
     idle_arms.push_back(
-        IfArm{eq(sig(*write_strobe(s)), bitl('1')),
+        IfArm{eq(sig(*write_strobe(ms)), bitl('1')),
               {assign(sig("p_addr"), addr_expr(s, src)),
                assign(sig("p_wdata"), narrow_to_bus(s)),
                assign(sig("p_we"), bitl('1')),
                assign(sig("req"), bitl('1')),
                assign(sig("state"), bitsl("01"))}});
   }
-  if (reads_device(s)) {
-    const bool queued = has_method(s, Method::Pop);
-    const char* src = has_method(s, Method::Read)     ? "addr"
-                      : has_method(s, Method::Lookup) ? "key"
+  if (reads_device(ms)) {
+    const bool queued = has_method(ms, Method::Pop);
+    const char* src = has_method(ms, Method::Read)     ? "addr"
+                      : has_method(ms, Method::Lookup) ? "key"
                                                       : "ptr_begin";
     const Expr cond =
         queued ? and_(eq(sig("front_valid"), bitl('0')),
                       ne(uns(sig("count")), num(0)))
-               : eq(sig(*read_strobe(s)), bitl('1'));
+               : eq(sig(*read_strobe(ms)), bitl('1'));
     idle_arms.push_back(IfArm{cond,
                               {assign(sig("p_addr"), addr_expr(s, src)),
                                assign(sig("req"), bitl('1')),
@@ -495,7 +503,7 @@ void fill_sram_arch(Architecture& a, const ContainerSpec& s) {
 
   std::vector<CaseArm> arms;
   arms.push_back({false, bitsl("00"), "idle", {IfStmt{idle_arms, {}}}});
-  if (writes_device(s))
+  if (writes_device(ms))
     arms.push_back(
         {false, bitsl("01"), "write back",
          {IfStmt{{IfArm{eq(sig("ack"), bitl('1')),
@@ -506,7 +514,7 @@ void fill_sram_arch(Architecture& a, const ContainerSpec& s) {
                          assign(sig("count"),
                                 slv(add(uns(sig("count")), num(1))))}}},
                  {}}}});
-  if (reads_device(s))
+  if (reads_device(ms))
     arms.push_back(
         {false, bitsl("10"), "fetch front",
          {IfStmt{{IfArm{eq(sig("ack"), bitl('1')),
@@ -518,7 +526,7 @@ void fill_sram_arch(Architecture& a, const ContainerSpec& s) {
   arms.push_back(
       {true, {}, "", {assign(sig("state"), bitsl("00"))}});
   p.body = {CaseStmt{sig("state"), std::move(arms)}};
-  if (has_method(s, Method::Pop))
+  if (has_method(ms, Method::Pop))
     p.body.push_back(IfStmt{
         {IfArm{and_(eq(sig("m_pop"), bitl('1')),
                     eq(sig("front_valid"), bitl('1'))),
@@ -530,7 +538,7 @@ void fill_sram_arch(Architecture& a, const ContainerSpec& s) {
         {}});
   a.body.push_back(std::move(p));
 
-  if (reads_device(s)) {
+  if (reads_device(ms)) {
     a.body.push_back(
         Assign{sig("data"), widen_to_data(s, sig("front_reg"))});
     a.body.push_back(Assign{sig("done"), sig("front_valid")});
@@ -541,17 +549,18 @@ void fill_sram_arch(Architecture& a, const ContainerSpec& s) {
   }
 }
 
-void fill_bram_arch(Architecture& a, const ContainerSpec& s) {
-  const auto rd = read_strobe(s);
-  const auto wr = write_strobe(s);
+void fill_bram_arch(Architecture& a, const ContainerSpec& s,
+                    const Methods& ms) {
+  const auto rd = read_strobe(ms);
+  const auto wr = write_strobe(ms);
   Expr en = rd && wr ? or_(sig(*rd), sig(*wr))
             : rd     ? sig(*rd)
                      : sig(*wr);
   a.body.push_back(Assign{sig("p_en"), std::move(en)});
 
-  if (has_addr_port(s)) {
+  if (has_addr_port(ms)) {
     a.body.push_back(Assign{sig("p_addr"), sig("addr")});
-  } else if (has_key_port(s)) {
+  } else if (has_key_port(ms)) {
     a.body.push_back(Assign{sig("p_addr"), addr_expr(s, "key")});
   } else {
     // Stream kinds keep circular pointers, advanced on the strobes.
@@ -590,14 +599,14 @@ void fill_bram_arch(Architecture& a, const ContainerSpec& s) {
     }
   }
 
-  if (writes_device(s)) {
+  if (writes_device(ms)) {
     a.body.push_back(Assign{sig("p_we"), sig(*wr)});
     a.body.push_back(Assign{
-        sig("p_wdata"), has_data_in_port(s)
+        sig("p_wdata"), has_data_in_port(ms)
                             ? narrow_to_bus(s)
                             : Expr(others0())});  // remove-only binding
   }
-  if (reads_device(s))
+  if (reads_device(ms))
     a.body.push_back(Assign{sig("data"), widen_to_data(s, sig("p_data"))});
 
   // One-cycle read latency tracker.
@@ -626,23 +635,24 @@ DesignUnit generate_container(const ContainerSpec& spec) {
   validate(spec);
   DesignUnit u;
   u.entity.name = hdl::legalize_identifier(spec.entity_name());
+  const Methods ms = spec.effective_methods();
   add_clock_ports(u.entity, &spec);
-  add_method_ports(u.entity, spec);
-  add_impl_ports(u.entity, spec);
+  add_method_ports(u.entity, spec, ms);
+  add_impl_ports(u.entity, spec, ms);
   u.arch.of = u.entity.name;
   switch (spec.device) {
     case DeviceKind::FifoCore:
     case DeviceKind::LifoCore:
-      fill_core_arch(u.arch, spec);
+      fill_core_arch(u.arch, spec, ms);
       break;
     case DeviceKind::AsyncFifoCore:
-      fill_async_fifo_arch(u.arch, spec);
+      fill_async_fifo_arch(u.arch, spec, ms);
       break;
     case DeviceKind::Sram:
-      fill_sram_arch(u.arch, spec);
+      fill_sram_arch(u.arch, spec, ms);
       break;
     case DeviceKind::BlockRam:
-      fill_bram_arch(u.arch, spec);
+      fill_bram_arch(u.arch, spec, ms);
       break;
     case DeviceKind::LineBuffer3:
       if (spec.kind != ContainerKind::ReadBuffer)

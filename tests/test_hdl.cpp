@@ -2,6 +2,10 @@
 // validator and the emitter.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+#include <vector>
+
 #include "common/error.hpp"
 #include "hdl/emit.hpp"
 
@@ -42,10 +46,44 @@ TEST(Type, DegenerateRangeHasWidthZero) {
 }
 
 TEST(Identifiers, ReservedWordsAreCaseInsensitive) {
-  EXPECT_TRUE(is_reserved_word("signal"));
-  EXPECT_TRUE(is_reserved_word("SIGNAL"));
-  EXPECT_TRUE(is_reserved_word("DownTo"));
-  EXPECT_FALSE(is_reserved_word("signal_a"));
+  // The VHDL'93 reserved words (LRM Annex B), as listed in ast.cpp.
+  const std::vector<std::string> words = {
+      "abs",       "access",   "after",      "alias",     "all",
+      "and",       "architecture", "array",  "assert",    "attribute",
+      "begin",     "block",    "body",       "buffer",    "bus",
+      "case",      "component", "configuration", "constant", "disconnect",
+      "downto",    "else",     "elsif",      "end",       "entity",
+      "exit",      "file",     "for",        "function",  "generate",
+      "generic",   "group",    "guarded",    "if",        "impure",
+      "in",        "inertial", "inout",      "is",        "label",
+      "library",   "linkage",  "literal",    "loop",      "map",
+      "mod",       "nand",     "new",        "next",      "nor",
+      "not",       "null",     "of",         "on",        "open",
+      "or",        "others",   "out",        "package",   "port",
+      "postponed", "procedure", "process",   "pure",      "range",
+      "record",    "register", "reject",     "rem",       "report",
+      "return",    "rol",      "ror",        "select",    "severity",
+      "shared",    "signal",   "sla",        "sll",       "sra",
+      "srl",       "subtype",  "then",       "to",        "transport",
+      "type",      "unaffected", "units",    "until",     "use",
+      "variable",  "wait",     "when",       "while",     "with",
+      "xnor",      "xor",
+  };
+  ASSERT_EQ(words.size(), 97u);
+  for (const std::string& w : words) {
+    std::string upper = w, mixed = w;
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      upper[i] = static_cast<char>(std::toupper(w[i]));
+      if (i % 2 == 0) mixed[i] = upper[i];
+    }
+    EXPECT_TRUE(is_reserved_word(w)) << w;
+    EXPECT_TRUE(is_reserved_word(upper)) << upper;
+    EXPECT_TRUE(is_reserved_word(mixed)) << mixed;
+  }
+  // Non-words at the length edges: shorter than the shortest word,
+  // one letter off a word, one letter past the longest, and a prefix.
+  for (const char* w : {"", "a", "ins", "configurations", "signal_a"})
+    EXPECT_FALSE(is_reserved_word(w)) << w;
 }
 
 TEST(Identifiers, Legality) {
@@ -302,10 +340,23 @@ TEST(Validate, AcceptsAWellFormedUnit) {
   EXPECT_NO_THROW(validate_unit(u));
 }
 
+/// The hwpat::Error message validate_unit() throws for `u`, or ""
+/// (and a test failure) when it accepts the unit.
+std::string validation_error(const DesignUnit& u) {
+  try {
+    validate_unit(u);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "validate_unit accepted the unit";
+  return "";
+}
+
 TEST(Validate, RejectsUndeclaredName) {
   DesignUnit u = small_unit();
   u.arch.body.push_back(Assign{sig("done"), sig("nope")});
-  EXPECT_THROW(validate_unit(u), Error);
+  EXPECT_NE(validation_error(u).find("undeclared name 'nope'"),
+            std::string::npos);
 }
 
 TEST(Validate, RejectsWidthMismatch) {
@@ -345,14 +396,17 @@ TEST(Validate, RejectsOutOfRangeSlice) {
 TEST(Validate, RejectsReservedPortName) {
   DesignUnit u = small_unit();
   u.entity.ports.push_back({"signal", PortDir::In, Type::bit(), ""});
-  EXPECT_THROW(validate_unit(u), Error);
+  const std::string msg = validation_error(u);
+  EXPECT_NE(msg.find("port name (entity 't')"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("reserved word"), std::string::npos) << msg;
 }
 
 TEST(Validate, RejectsDuplicateSignal) {
   DesignUnit u = small_unit();
   u.arch.signals.push_back({"tmp", Type::vec(8), "", ""});
   u.arch.signals.push_back({"tmp", Type::bit(), "", ""});
-  EXPECT_THROW(validate_unit(u), Error);
+  EXPECT_NE(validation_error(u).find("duplicate declaration of 'tmp'"),
+            std::string::npos);
 }
 
 TEST(Validate, RejectsDegenerateRangeDeclaration) {

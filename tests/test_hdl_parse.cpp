@@ -4,12 +4,39 @@
 // structured subset).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <cstdio>
+#include <exception>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
+#include <typeinfo>
+#include <vector>
+
 #include "common/error.hpp"
 #include "hdl/emit.hpp"
 #include "hdl/parse.hpp"
 
+#ifndef HWPAT_GOLDEN_DIR
+#define HWPAT_GOLDEN_DIR "tests/golden"
+#endif
+
 namespace hwpat::hdl {
 namespace {
+
+/// The hwpat::Error message `f` throws, or "" (and a test failure)
+/// when it returns normally.
+std::string error_of(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no hwpat::Error thrown";
+  return "";
+}
 
 TEST(ParseExpr, RoundTripsEmitterOutput) {
   // Every string here is exactly what the emitter produces for some
@@ -73,11 +100,129 @@ TEST(ParseExpr, RejectsMalformedInput) {
   EXPECT_THROW((void)parse_expr("(others => '1')"), Error);
   EXPECT_THROW((void)parse_expr("\"01"), Error);
   EXPECT_THROW((void)parse_expr(""), Error);
+  // Integers fail as parse errors naming the text: no std::stoll
+  // exception, and no slice bound silently narrowed to int.
+  EXPECT_THROW((void)parse_expr("a(99999999999999999999)"), Error);
+  EXPECT_NE(error_of([] { (void)parse_expr("a(99999999999 downto 0)"); })
+                .find("in 'a(99999999999 downto 0)'"),
+            std::string::npos);
 }
 
 TEST(ParseUnit, RejectsNonEmitterText) {
   EXPECT_THROW((void)parse_unit("this is not vhdl"), Error);
   EXPECT_THROW((void)parse_unit("entity x is\nend y;\n"), Error);
+
+  // Integers in declarations fail as parse errors, not as std::stoi
+  // exceptions.
+  const std::string unit =
+      "entity t is\n"
+      "  port (\n"
+      "    d : in std_logic_vector(7 downto 0)\n"
+      "  );\n"
+      "end t;\n"
+      "\n"
+      "architecture rtl of t is\n"
+      "  type mem_t is array (0 to 15) of std_logic_vector(7 downto 0);\n"
+      "begin\n"
+      "end rtl;\n";
+  EXPECT_NO_THROW((void)parse_unit(unit));
+  auto edited = [&](const std::string& from, const std::string& to) {
+    std::string text = unit;
+    text.replace(text.find(from), from.size(), to);
+    return text;
+  };
+  EXPECT_THROW((void)parse_unit(edited("d : in std_logic_vector(7",
+                                       "d : in std_logic_vector(x")),
+               Error);
+  EXPECT_THROW((void)parse_unit(edited("d : in std_logic_vector(7",
+                                       "d : in std_logic_vector(99999999999")),
+               Error);
+  EXPECT_NE(error_of([&] { (void)parse_unit(edited("(0 to 15)", "(0 to x)")); })
+                .find("'x'"),
+            std::string::npos);
+}
+
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream os;
+  os << in.rdbuf();
+  return os.str();
+}
+
+/// `line` with every run of digits replaced by `with`.
+std::string replace_digit_runs(const std::string& line,
+                               const std::string& with) {
+  std::string out;
+  for (std::size_t i = 0; i < line.size();) {
+    if (std::isdigit(static_cast<unsigned char>(line[i]))) {
+      out += with;
+      while (i < line.size() &&
+             std::isdigit(static_cast<unsigned char>(line[i])))
+        ++i;
+    } else {
+      out += line[i++];
+    }
+  }
+  return out;
+}
+
+/// Edits of the emitter's real output: every truncation at a line
+/// boundary, and each line with its digit runs replaced by "x" and,
+/// separately, by a 20-digit number.
+std::vector<std::pair<std::string, std::string>> edited_goldens() {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(HWPAT_GOLDEN_DIR))
+    if (entry.path().extension() == ".vhd") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  std::vector<std::pair<std::string, std::string>> inputs;
+  for (const auto& path : files) {
+    const std::string text = read_file(path);
+    const std::string name = path.filename().string();
+    std::vector<std::size_t> starts = {0};
+    for (std::size_t i = 0; i < text.size(); ++i)
+      if (text[i] == '\n') starts.push_back(i + 1);
+    for (std::size_t k = 0; k < starts.size(); ++k) {
+      const std::size_t b = starts[k];
+      if (b == text.size()) break;  // the whole file is no truncation
+      inputs.emplace_back(name + " cut at line " + std::to_string(k + 1),
+                          text.substr(0, b));
+      const std::size_t e =
+          k + 1 < starts.size() ? starts[k + 1] : text.size();
+      const std::string line = text.substr(b, e - b);
+      for (const char* with : {"x", "99999999999999999999"}) {
+        const std::string edited = replace_digit_runs(line, with);
+        if (edited == line) continue;
+        inputs.emplace_back(
+            name + " line " + std::to_string(k + 1) + " digits -> " + with,
+            text.substr(0, b) + edited + text.substr(e));
+      }
+    }
+  }
+  return inputs;
+}
+
+TEST(ParseUnit, EditedGoldenFilesFailAsErrorsOrRoundTrip) {
+  // Every input either fails with hwpat::Error (from parse_unit, or
+  // from emit_unit's validation) or yields a unit whose emitted text
+  // parses back to the same text.  Nothing else may escape.
+  const auto inputs = edited_goldens();
+  ASSERT_GT(inputs.size(), 1000u) << "golden files not found";
+  int rejected = 0;
+  for (const auto& [what, text] : inputs) {
+    try {
+      const std::string out = emit_unit(parse_unit(text));
+      EXPECT_EQ(emit_unit(parse_unit(out)), out) << what;
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << what << ": " << typeid(e).name()
+                    << " escaped: " << e.what();
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  std::printf("  %zu edited golden inputs, %d rejected with hwpat::Error\n",
+              inputs.size(), rejected);
 }
 
 /// A unit exercising every construct the emitter can produce:
