@@ -25,11 +25,14 @@
 // the SAME baselines — CI proves checkpointing a run perturbs zero
 // counters this way.
 //
-// --check fails (exit 1) when any scenario's cycle count differs from
-// the baseline, or when evals/commits exceed the baseline by more than
-// the slack (2%, absorbing innocuous scheduling-order churn).  Doing
-// strictly *better* passes with a note — refresh the baselines in the
-// same PR to lock the win in.
+// --check fails (exit 1) when any scenario's cycle or edge counts
+// differ from the baseline, when evals/commits/partition_settles exceed
+// the baseline by more than the slack (2%, absorbing innocuous
+// scheduling-order churn), or when seq_skips/act_skips/partition_skips
+// drop by more than it.  Doing strictly *better* passes with a note —
+// refresh the baselines in the same PR to lock the win in.  Every
+// baseline entry must carry all eight named counters: one read as 0
+// would turn its check into a no-op, so a missing key is an error.
 #include <cctype>
 #include <cstdint>
 #include <fstream>
@@ -37,6 +40,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -73,9 +77,23 @@ struct Counters {
   std::uint64_t seq_skips = 0;
   std::uint64_t edges = 0;      ///< domain edges (== cycles single-clock)
   std::uint64_t act_skips = 0;  ///< activation-list on_clock() skips
-  std::uint64_t partition_settles = 0;  ///< settled per-domain partitions
-  std::uint64_t partition_skips = 0;    ///< quiet partitions left untouched
+  std::uint64_t partition_settles = 0;  ///< settles that evaluated modules
+  std::uint64_t partition_skips = 0;    ///< quiet settles (nothing dirty)
   std::vector<std::uint64_t> domain_edges;  ///< per domain, "domN" keys
+};
+
+/// The named counters of a baseline entry, in file order.  Each entry
+/// must carry every one of them.
+constexpr std::pair<const char*, std::uint64_t Counters::*>
+    kNamedCounters[] = {
+        {"cycles", &Counters::cycles},
+        {"evals", &Counters::evals},
+        {"commits", &Counters::commits},
+        {"seq_skips", &Counters::seq_skips},
+        {"edges", &Counters::edges},
+        {"act_skips", &Counters::act_skips},
+        {"partition_settles", &Counters::partition_settles},
+        {"partition_skips", &Counters::partition_skips},
 };
 
 struct Scenario {
@@ -137,9 +155,8 @@ const Scenario kScenarios[] = {
            {.width = 24, .height = 18, .cdc_depth = 16, .frames = 2,
             .pix_period = 3, .mem_period = 7});
      }},
-    // Tri-clock CDC scenarios: three settle partitions chained through
-    // two async FIFOs — the partition_settles/partition_skips counters
-    // are the functional quantities here (quiet-subtree skipping).
+    // Tri-clock CDC scenarios: three clock domains chained through two
+    // async FIFOs.
     {"saa2vga_triclk_5to2to3",
      [] {
        return designs::make_saa2vga_triclk(
@@ -152,8 +169,8 @@ const Scenario kScenarios[] = {
             .cam_period = 1, .mem_period = 1, .pix_period = 1});
      }},
     // Tri-clock capture FARM: three independent lanes sharing the same
-    // three domains, so every settle partition carries three lanes'
-    // worth of modules.
+    // three domains, so every domain clocks three lanes' worth of
+    // modules.
     {"saa2vga_triclk_farm3",
      [] {
        return designs::make_saa2vga_triclk(
@@ -204,12 +221,12 @@ void write_baselines(const std::map<std::string, Counters>& all,
   for (const auto& [name, c] : all) {
     if (!first) out << ",\n";
     first = false;
-    out << "  \"" << name << "\": {\"cycles\": " << c.cycles
-        << ", \"evals\": " << c.evals << ", \"commits\": " << c.commits
-        << ", \"seq_skips\": " << c.seq_skips << ", \"edges\": " << c.edges
-        << ", \"act_skips\": " << c.act_skips
-        << ", \"partition_settles\": " << c.partition_settles
-        << ", \"partition_skips\": " << c.partition_skips;
+    out << "  \"" << name << "\": {";
+    const char* sep = "";
+    for (const auto& [key, field] : kNamedCounters) {
+      out << sep << '"' << key << "\": " << c.*field;
+      sep = ", ";
+    }
     for (std::size_t i = 0; i < c.domain_edges.size(); ++i)
       out << ", \"dom" << i << "\": " << c.domain_edges[i];
     out << "}";
@@ -261,20 +278,19 @@ std::map<std::string, Counters> read_baselines(const std::string& path) {
       throw Error("bench_stats_gate: malformed baseline entry '" + name +
                   "'");
     Counters c;
+    unsigned seen = 0;  // bit k: kNamedCounters[k] was read
     std::size_t p = open;
     std::string key;
     while ((p = next_string(p, &key)) != std::string::npos && p < close) {
       std::uint64_t v = 0;
       p = next_uint(p, &v);
-      if (key == "cycles") c.cycles = v;
-      else if (key == "evals") c.evals = v;
-      else if (key == "commits") c.commits = v;
-      else if (key == "seq_skips") c.seq_skips = v;
-      else if (key == "edges") c.edges = v;
-      else if (key == "act_skips") c.act_skips = v;
-      else if (key == "partition_settles") c.partition_settles = v;
-      else if (key == "partition_skips") c.partition_skips = v;
-      else if (key.size() >= 4 && key.size() <= 5 &&
+      std::size_t k = 0;
+      while (k < std::size(kNamedCounters) && key != kNamedCounters[k].first)
+        ++k;
+      if (k < std::size(kNamedCounters)) {
+        c.*kNamedCounters[k].second = v;
+        seen |= 1u << k;
+      } else if (key.size() >= 4 && key.size() <= 5 &&
                key.rfind("dom", 0) == 0 &&
                key.find_first_not_of("0123456789", 3) ==
                    std::string::npos) {
@@ -288,6 +304,10 @@ std::map<std::string, Counters> read_baselines(const std::string& path) {
         throw Error("bench_stats_gate: unknown baseline key '" + key +
                     "'");
     }
+    for (std::size_t k = 0; k < std::size(kNamedCounters); ++k)
+      if ((seen & (1u << k)) == 0)
+        throw Error("bench_stats_gate: baseline entry '" + name +
+                    "' lacks counter '" + kNamedCounters[k].first + "'");
     all[name] = c;
     pos = close + 1;
   }
@@ -379,22 +399,21 @@ int check(const std::string& path) {
     }
     ok &= check_counter(name, "evals", c.evals, it->second.evals);
     ok &= check_counter(name, "commits", c.commits, it->second.commits);
-    // partition_settles gates the per-domain settle partitioning: a
-    // partition waking up spuriously (a stray cross-partition arc, a
-    // module landing in the wrong partition) shows up as more settled
-    // partitions per run even when evals stay inside their slack.
+    // partition_settles counts settles that evaluated at least one
+    // module: a settle that used to find nothing dirty and now wakes
+    // modules (a spurious fanout arc, a lost declaration) shows up here
+    // even when evals stay inside their slack.
     ok &= check_counter(name, "partition_settles", c.partition_settles,
                         it->second.partition_settles);
     // ...and partition_skips gates it from the other side: quiet
-    // subtrees must KEEP being skipped.
+    // settles must KEEP costing no evaluation.
     const auto min_pskips = static_cast<std::uint64_t>(
         static_cast<double>(it->second.partition_skips) * (1.0 - kSlack));
     if (c.partition_skips < min_pskips) {
       std::cout << "FAIL " << name << ": partition_skips dropped "
                 << it->second.partition_skips << " -> "
                 << c.partition_skips << " (min " << min_pskips
-                << ") — per-domain settle partitioning partially "
-                   "disengaged\n";
+                << ") — fewer settles found nothing dirty\n";
       ok = false;
     }
     // act_skips gates the activation lists staying engaged: a module

@@ -139,9 +139,11 @@ typedef struct hwpat_sim_stats {
    * prefix above — struct_size negotiation, no ABI bump needed). */
   uint64_t seq_touches;       /* sequential modules marked by an edge */
   uint64_t seq_skips;         /* edge-insensitive modules skipped */
-  uint64_t act_skips;         /* activation-list eval skips */
-  uint64_t partition_settles; /* per-partition settle passes */
-  uint64_t partition_skips;   /* partitions skipped as quiescent */
+  /* on_clock() calls not made: module outside the firing domains'
+   * activation lists (0 on a single-domain design) */
+  uint64_t act_skips;
+  uint64_t partition_settles; /* settles that evaluated >= 1 module */
+  uint64_t partition_skips;   /* quiet settles: nothing was dirty */
 } hwpat_sim_stats;
 
 /* Copies the deterministic work counters (struct_size-truncated). */
@@ -150,10 +152,10 @@ hwpat_status hwpat_sim_stats_get(const hwpat_sim* sim, hwpat_sim_stats* out);
 typedef struct hwpat_sim_memory_stats {
   size_t struct_size; /* set to sizeof(hwpat_sim_memory_stats) */
   /* Footprint of the per-simulator arena that owns the elaborated
-   * graph (SoA signal state, CSR fanout pools, partition worklists,
-   * activation lists).  Deterministic for a given design + run, so
-   * embedders can budget and chart it; teardown pays one free per
-   * chunk regardless of design size. */
+   * graph (SoA signal state, CSR fanout pools, the worklist and
+   * pending list, activation lists).  Deterministic for a given
+   * design + run, so embedders can budget and chart it; teardown pays
+   * one free per chunk regardless of design size. */
   uint64_t arena_bytes_used;     /* bytes handed out to the graph */
   uint64_t arena_bytes_reserved; /* bytes malloc'd in arena chunks */
   uint64_t arena_chunks;         /* chunk count (frees at teardown) */

@@ -71,7 +71,7 @@ struct Saa2VgaDualClkConfig {
 /// scheduler ticks; the defaults are the pairwise-coprime 5:2:3 ratio
 /// (slow camera, fastest memory), so no two domains ever stay edge-
 /// aligned for long — the stress case for the tick-heap scheduler and
-/// the per-domain settle partitions.
+/// the per-domain activation lists.
 struct Saa2VgaTriClkConfig {
   int width = 64;
   int height = 48;
@@ -87,7 +87,7 @@ struct Saa2VgaTriClkConfig {
   /// Independent camera→memory→pixel pipelines sharing the SAME three
   /// clock domains (a capture farm on one board).  Each lane gets its
   /// own decoder/FIFOs/copy-loop/VGA and a distinct pattern seed
-  /// (pattern_seed + lane).  Lanes multiply the per-partition work
+  /// (pattern_seed + lane).  Lanes multiply the per-domain work
   /// without adding domains.  1 (the default) is the original tri-clock
   /// design, bit-identically.
   int lanes = 1;

@@ -100,7 +100,7 @@ Saa2VgaTriClk::Saa2VgaTriClk(const Saa2VgaTriClkConfig& cfg)
   // Everything defaults to the pixel domain (vga, the comb glue); the
   // decoders, the copy loops and the domain-facing FIFO halves override
   // inside each lane.  All lanes share these three domains: the farm
-  // still has exactly three settle partitions, each lanes× as heavy.
+  // still has exactly three, each lanes× as heavy.
   set_clock_domain(&pix_dom_);
   lanes_.reserve(static_cast<std::size_t>(cfg_.lanes));
   for (int i = 0; i < cfg_.lanes; ++i)

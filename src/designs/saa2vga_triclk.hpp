@@ -19,15 +19,15 @@
 // `!empty`) keeps the pipeline lossless at *any* ratio of the three
 // periods; the default 5:2:3 camera:memory:pixel ratio is pairwise
 // coprime, so edges almost never align — the stress case for the
-// tick-heap edge scheduler and the per-domain settle partitions
-// (an edge of one clock leaves the other two domains' quiet subtrees
-// untouched: Stats::partition_skips > 0 is asserted in the tests and
-// gated in bench/baselines.json).
+// tick-heap edge scheduler and the per-domain activation lists (an
+// edge of one clock runs no on_clock() of the other two domains and
+// evaluates only the modules its commits reach: Stats::act_skips and
+// Stats::seq_skips are gated in bench/baselines.json).
 //
 // Saa2VgaTriClkConfig::lanes > 1 replicates the whole pipeline into a
 // capture *farm*: independent decoder→copy→vga lanes sharing the SAME
-// three clock domains (so still exactly three settle partitions, each
-// carrying `lanes`× the work), which perfbench's video_3clk_farm
+// three clock domains (so still exactly three domains, each clocking
+// `lanes`× the work), which perfbench's video_3clk_farm
 // workload measures.  lanes == 1 is the original design,
 // bit-identically (lane 0 keeps all legacy names).
 #pragma once

@@ -193,8 +193,8 @@ AsyncFifo::AsyncFifo(Module* parent, std::string name, AsyncFifoConfig cfg,
                "gray-coded pointers need a power-of-two depth");
   // The gray pointers are the declared clock-domain-crossing points:
   // each is written in one side's domain and sampled by the *other*
-  // side's 2-flop synchronizer — the only register signals the CDC-arc
-  // contract (src/rtl/README.md) allows to cross a settle partition.
+  // side's 2-flop synchronizer — the only register signals the CDC
+  // discipline (src/rtl/README.md) allows to cross a clock domain.
   wptr_gray_.mark_cdc_cross();
   rptr_gray_.mark_cdc_cross();
   wr_ = std::make_unique<WriteSide>(this);

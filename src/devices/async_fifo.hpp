@@ -104,7 +104,7 @@ class AsyncFifo : public rtl::Module {
   // The exchanged pointers live in the parent so both sides can read
   // them; each side registers the one it writes.  Both are marked
   // mark_cdc_cross(): they are the declared crossing arcs between the
-  // write- and read-side settle partitions (see src/rtl/README.md).
+  // write- and read-side clock domains (see src/rtl/README.md).
   Bus wptr_gray_;
   Bus rptr_gray_;
   std::unique_ptr<WriteSide> wr_;

@@ -1,7 +1,7 @@
 // Per-simulator arena: a chunked bump allocator that owns every byte of
 // the elaborated graph's kernel-side storage — the SoA hot-state arrays,
-// the CSR fanout pool, the partition work/pending lists and the
-// per-domain activation lists (see simulator.hpp).  Allocation only
+// the CSR fanout pool, the dirty worklist, the pending-commit list and
+// the per-domain activation lists (see simulator.hpp).  Allocation only
 // moves a cursor; deallocation is a no-op; destruction walks the chunk
 // chain and frees it whole, so tearing a simulator down costs a handful
 // of free() calls no matter how large the design grew — and a fresh
@@ -115,7 +115,7 @@ class Arena {
 };
 
 /// Minimal std allocator over an Arena, for the kernel's long-lived
-/// containers (CSR pool, partition lists, activation lists).
+/// containers (CSR pools, worklist, pending list, activation lists).
 /// deallocate() is a no-op: a container that regrows abandons its old
 /// block in the arena, bounded by the usual geometric doubling, and the
 /// whole footprint dies with the arena.  Two allocators compare equal

@@ -190,13 +190,12 @@ class Module {
   bool clock_check_ = false;  ///< wants the on_clock_check() phase
 
   // --- state owned by the binding Simulator (see simulator.cpp) ---
-  // The dirty-worklist flag and partition routing that used to live
-  // here are now dense SoA arrays on the Simulator, indexed by sim_id_
-  // (src/rtl/README.md, "Kernel memory layout").
+  // The dirty-worklist flag that used to live here is a dense SoA
+  // array on the Simulator, indexed by sim_id_ (src/rtl/README.md,
+  // "Kernel memory layout").
   int sim_id_ = -1;          ///< dense id in elaboration order, -1 = unbound
   std::int16_t part_ = -1;   ///< domain-affinity partition, -1 = unbound
-                             ///< (mirror of the simulator's dense array,
-                             ///< kept for partition() and topology hash)
+                             ///< (partition() and the topology hash)
   bool seq_declared_ = false;  ///< declare_state() made a declaration
   bool no_clock_ = false;      ///< declare_comb_only(): no on_clock()
   bool seq_touched_ = false;   ///< on the simulator's touched list

@@ -20,9 +20,10 @@
 // a replaced API keeps a documented shim for one PR before removal.
 // (The run_until() shims, deprecated last PR in favour of
 // Simulator::run(), are gone as of this one.)
-// Headers NOT included here (module internals, the settle-partition
-// machinery, StateWriter/StateReader codec details beyond what Module
-// hooks need) may change shape between PRs without notice.
+// What is NOT reachable from here (module internals, the settle
+// worklist and pending list, StateWriter/StateReader codec details
+// beyond what Module hooks need) may change shape between PRs without
+// notice.
 //
 // C embedders: use src/c_api/hwpat_c.h instead, which wraps this
 // surface behind opaque handles and integer status codes.

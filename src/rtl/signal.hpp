@@ -13,13 +13,13 @@
 // curp_/nxtp_ pointers are rebound into those arrays, so read()/write()
 // are unchanged while the simulator's commit and VCD loops stream
 // through contiguous memory instead of chasing heap objects.  All other
-// per-signal kernel state (pending flag, partition, fanout CSR spans,
-// trace stamps) lives in simulator-owned arrays indexed by the dense
-// signal id; the signal itself carries only the two pointers the write
-// fast path needs (pend_flag_, queue_) plus the id.
+// per-signal kernel state (pending flag, fanout CSR spans, trace stamps)
+// lives in simulator-owned arrays indexed by the dense signal id; the
+// signal itself carries only the two pointers the write fast path needs
+// (pend_flag_, queue_) plus the id and its domain-affinity partition.
 //
 // Event-driven hooks: once a Simulator binds the design, every write()
-// enqueues the signal's id on its partition's pending-commit list, and
+// enqueues the signal's id on the simulator's pending-commit list, and
 // every read() that happens inside a traced eval_comb() is recorded so
 // the simulator can learn which modules are sensitive to which signals.
 // Unbound signals (no simulator, or the full-sweep reference mode)
@@ -43,10 +43,10 @@ class SignalBase;
 
 /// Storage type tag of a signal, set once at construction.  The two
 /// dominant concrete types (Signal<Word> via Bus, Signal<bool> via Bit)
-/// get devirtualized fast paths in the commit hot loop — and their
-/// values are adopted into the Simulator's dense SoA arrays; everything
-/// else (testbench Signal<Frame>, ...) falls back to the virtual call
-/// and keeps its values inline.
+/// have their values adopted into the Simulator's dense SoA arrays,
+/// which its commit loop reads directly; everything else (testbench
+/// Signal<Frame>, ...) keeps its values inline and commits through the
+/// virtual call.
 enum class SigKind : unsigned char { kWord, kBool, kOther };
 
 /// Records which signals a combinational process reads while it runs.
@@ -117,27 +117,23 @@ class SignalBase {
   /// Declares this signal as a sanctioned clock-domain-crossing point
   /// (an async-FIFO gray pointer feeding another domain's
   /// synchronizer).  Part of the design, not of a simulator binding:
-  /// call it at construction, like wiring.  The CDC-arc contract
+  /// call it at construction, like wiring.  The CDC discipline
   /// (src/rtl/README.md) is that marked signals are the *only* register
-  /// signals read across partitions.
+  /// signals read across domains; the mark is part of topology_hash().
   void mark_cdc_cross() { cdc_cross_ = true; }
   [[nodiscard]] bool cdc_cross() const { return cdc_cross_; }
 
-  /// Storage type tag (devirtualized commit dispatch — see commit_fast).
+  /// Storage type tag (the simulator's commit dispatch — see SigKind).
   [[nodiscard]] SigKind kind() const { return kind_; }
 
   /// Copies next into current.  Returns true when the visible value
-  /// changed (used by the delta-cycle settling loop).
+  /// changed (used by the delta-cycle settling loop).  The simulator
+  /// calls it only for kOther signals; Word and bool signals commit in
+  /// its dense value arrays.
   virtual bool commit() = 0;
   /// Throws away an uncommitted write: next := current.  The simulator
-  /// uses it to roll back the writes of an aborted clock-edge event
-  /// (cold path — no devirtualized dispatch needed).
+  /// uses it to roll back the writes of an aborted clock-edge event.
   virtual void discard_write() = 0;
-  /// Non-virtual commit dispatcher: inlines the Word/bool fast paths
-  /// (the two signal types that dominate every shipped design) and
-  /// falls back to the virtual commit() for everything else.  Defined
-  /// after Signal<T> below.
-  bool commit_fast();
   /// Restores the construction-time value on both phases (global reset).
   virtual void reset_value() = 0;
   /// Current value as a word, for VCD dumping (width <= 64 only).
@@ -164,10 +160,9 @@ class SignalBase {
 
  protected:
   /// Called by Signal<T>::write(): schedules this signal's id for
-  /// commit on its partition's pending-commit list, resolved at
-  /// elaboration (queue_) — at most once until drained; the pending
-  /// flag lives in the simulator's dense array, reached through
-  /// pend_flag_.
+  /// commit on the simulator's pending-commit list (queue_) — at most
+  /// once until drained; the pending flag lives in the simulator's
+  /// dense array, reached through pend_flag_.
   void note_write() {
     if (queue_ != nullptr && pend_flag_ != nullptr && *pend_flag_ == 0) {
       *pend_flag_ = 1;
@@ -197,14 +192,13 @@ class SignalBase {
   // trace stamps, fanout spans, value storage for Word/bool signals —
   // lives in the Simulator's dense arrays, indexed by id_.
   int id_ = -1;             ///< dense id, -1 = unbound
-  std::int16_t part_ = -1;  ///< domain-affinity partition (mirror of the
-                            ///< simulator's dense array, kept for the
-                            ///< partition() accessor and topology hash)
+  std::int16_t part_ = -1;  ///< domain-affinity partition, -1 = unbound
+                            ///< (partition() and the topology hash)
   /// The signal's cell in the simulator's dense pending-flag array —
   /// fused into the write fast path so note_write() touches the SoA
   /// flag directly instead of an object field.  nullptr while unbound.
   unsigned char* pend_flag_ = nullptr;
-  /// Pending-commit list of the signal's partition (ids).
+  /// The binding simulator's pending-commit list (ids).
   ArenaVector<std::int32_t>* queue_ = nullptr;
 
   /// Active trace, if any.  thread_local because SweepDriver runs
@@ -274,18 +268,15 @@ class Signal : public SignalBase {
   /// Throws away an uncommitted write (aborted-event rollback).
   void discard_write() final { *nxtp_ = *curp_; }
 
-  /// Non-virtual body of commit(), callable directly when the concrete
-  /// type is known statically (the commit_fast() dispatch).
-  bool commit_inline() {
+  // final: the simulator never calls commit() for Word or bool
+  // signals (it commits their values in its dense arrays), so a
+  // subclass override would be silently bypassed — the compiler
+  // rejects the attempt instead.
+  bool commit() final {
     if (*nxtp_ == *curp_) return false;
     *curp_ = *nxtp_;
     return true;
   }
-
-  // final: commit_fast() statically dispatches Word/bool signals to
-  // commit_inline(), so a subclass override here would be silently
-  // bypassed — the compiler now rejects the attempt instead.
-  bool commit() final { return commit_inline(); }
 
   /// Non-virtual body of as_word(), callable directly when the concrete
   /// type is known statically (the as_word_fast() dispatch).
@@ -297,7 +288,8 @@ class Signal : public SignalBase {
     }
   }
 
-  // final for the same reason as commit() above.
+  // final: as_word_fast() statically dispatches Word/bool signals to
+  // as_word_inline(), so a subclass override would be silently bypassed.
   [[nodiscard]] Word as_word() const final { return as_word_inline(); }
 
   /// Word and bool signals get a fixed-width little-endian encoding;
@@ -383,23 +375,10 @@ class Bus : public Signal<Word> {
   void write(Word v) { Signal<Word>::write(truncate(v, width())); }
 };
 
-inline bool SignalBase::commit_fast() {
+inline Word SignalBase::as_word_fast() const {
   // The static_casts are sound because kind_ is derived from T at
   // construction: kWord signals *are* Signal<Word> (possibly via Bus),
   // kBool signals are Signal<bool> (possibly via Bit).
-  switch (kind_) {
-    case SigKind::kWord:
-      return static_cast<Signal<Word>*>(this)->commit_inline();
-    case SigKind::kBool:
-      return static_cast<Signal<bool>*>(this)->commit_inline();
-    case SigKind::kOther:
-      break;
-  }
-  return commit();
-}
-
-inline Word SignalBase::as_word_fast() const {
-  // Soundness of the static_casts: same argument as commit_fast().
   switch (kind_) {
     case SigKind::kWord:
       return static_cast<const Signal<Word>*>(this)->as_word_inline();

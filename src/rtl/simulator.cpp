@@ -41,6 +41,8 @@ Simulator::Simulator(Module& top, Options opt)
       fan_pool_(ArenaAlloc<std::int32_t>(&arena_)),
       sens_pool_(ArenaAlloc<std::int32_t>(&arena_)),
       seq_pool_(ArenaAlloc<std::int32_t>(&arena_)),
+      pending_(ArenaAlloc<std::int32_t>(&arena_)),
+      worklist_(ArenaAlloc<std::int32_t>(&arena_)),
       eval_list_(ArenaAlloc<std::int32_t>(&arena_)),
       vcd_changed_(ArenaAlloc<std::int32_t>(&arena_)) {
   validate_options(opt_);
@@ -52,7 +54,7 @@ Simulator::Simulator(Module& top, Options opt)
   try {
     bind();
   } catch (...) {
-    // An elaboration failure (comb-only contract violation, partition
+    // An elaboration failure (comb-only contract violation, domain
     // overflow) must not leave the design half-bound: a corrected
     // rebuild of the tree could otherwise never bind again.
     unbind();
@@ -85,24 +87,18 @@ void Simulator::bind() {
   if (opt_.check_seq_contract) check_comb_only_contract();
   build_domains();
   build_soa();
-  // Signal domain-affinity: the owner module's partition by default,
-  // refined to the *writer's* partition for declared register signals
-  // (the declaring module is the writer of its registers).  Resolved
-  // here, at elaboration, like the module partitions themselves — and
-  // fused into the signal's pending-commit routing: write() enqueues
-  // straight onto the partition's own pending list.
-  for (SignalBase* s : signals_) sig_part_[s->id_] = s->owner().part_;
-  for (Module* m : modules_)
-    for (SignalBase* s : m->seq_signals_) sig_part_[s->id_] = m->part_;
+  // Signal domain-affinity (partition()/topology hash): the owner
+  // module's partition by default, refined to the *writer's* partition
+  // for declared register signals (the declaring module is the writer
+  // of its registers).  write() enqueues onto the one pending list.
   for (SignalBase* s : signals_) {
-    s->part_ = sig_part_[s->id_];  // mirror for partition()/topology hash
-    s->queue_ = opt_.full_sweep
-                    ? nullptr
-                    : &parts_[static_cast<std::size_t>(sig_part_[s->id_])]
-                           .pending;
+    s->part_ = s->owner().part_;
+    s->queue_ = opt_.full_sweep ? nullptr : &pending_;
   }
+  for (Module* m : modules_)
+    for (SignalBase* s : m->seq_signals_) s->part_ = m->part_;
   // Register declarations as a CSR over signal ids — the membership
-  // scan check_seq_writes_in() runs per on_clock() write.
+  // scan check_seq_writes() runs per on_clock() write.
   seq_pool_.clear();
   for (std::size_t mi = 0; mi < modules_.size(); ++mi) {
     seq_begin_[mi] = static_cast<std::uint32_t>(seq_pool_.size());
@@ -111,13 +107,12 @@ void Simulator::bind() {
     seq_count_[mi] =
         static_cast<std::uint32_t>(seq_pool_.size()) - seq_begin_[mi];
   }
-  pend_mark_.assign(parts_.size(), 0);
   if (!opt_.full_sweep) {
-    // Writes made before binding never reached the pending lists, and
+    // Writes made before binding never reached the pending list, and
     // no sensitivity is known yet: make the first settle a full one.
     for (SignalBase* s : signals_) {
       sig_pending_[s->id_] = 1;
-      s->queue_->push_back(s->id_);
+      pending_.push_back(s->id_);
     }
     mark_all_modules_dirty();
   }
@@ -129,7 +124,6 @@ void Simulator::build_soa() {
   sig_kind_ = arena_.alloc_array<unsigned char>(ns);
   sig_pending_ = arena_.alloc_array<unsigned char>(ns);
   sig_vcdmark_ = arena_.alloc_array<unsigned char>(ns);
-  sig_part_ = arena_.alloc_array<std::int16_t>(ns);
   sig_slot_ = arena_.alloc_array<std::uint32_t>(ns);
   sig_stamp_ = arena_.alloc_array<std::uint64_t>(ns);
   sig_mark_ = arena_.alloc_array<std::uint64_t>(ns);
@@ -198,10 +192,10 @@ std::size_t Simulator::sched_index_for(const ClockDomain* d) {
     ds.phase = d->phase();
   }
   ds.next_edge = ds.phase + ds.period;
-  // The settle partition IS the domain, and partition ids are stored in
-  // std::int16_t (Module::part_, SignalBase::part_, the SoA mirrors):
-  // past 32768 domains the id would silently truncate and corrupt
-  // worklist routing, so reject the elaboration loudly instead.
+  // The affinity partition IS the domain index, stored in std::int16_t
+  // (Module::part_, SignalBase::part_): past 32768 domains the id would
+  // silently truncate and corrupt the topology hash, so reject the
+  // elaboration loudly instead.
   if (scheds_.size() > 32768)
     throw Error(
         "design '" + top_.name() + "' resolves to more than 32768 clock "
@@ -213,7 +207,6 @@ std::size_t Simulator::sched_index_for(const ClockDomain* d) {
 
 void Simulator::build_domains() {
   scheds_.clear();
-  mod_part_ = arena_.alloc_array<std::int16_t>(modules_.size());
   // modules_ is in elaboration (pre)order, so a parent's effective
   // domain is resolved before any of its children are visited.
   std::vector<const ClockDomain*> effective(modules_.size(), nullptr);
@@ -237,16 +230,9 @@ void Simulator::build_domains() {
         scheds_[di].opaque.push_back(m);
       if (m->has_clock_check()) scheds_[di].checkers.push_back(m);
     }
-    // One dirty worklist per domain; sched_index_for guarantees di fits
-    // the int16 partition id.
-    mod_part_[i] = static_cast<std::int16_t>(di);
-    m->part_ = mod_part_[i];  // mirror for partition()/topology hash
+    // sched_index_for guarantees di fits the int16 partition id.
+    m->part_ = static_cast<std::int16_t>(di);
   }
-  parts_.clear();
-  parts_.reserve(scheds_.size());
-  for (std::size_t i = 0; i < scheds_.size(); ++i) parts_.emplace_back(&arena_);
-  dirty_parts_.clear();
-  single_part_ = scheds_.size() == 1;
   build_edge_heap();
 }
 
@@ -306,7 +292,6 @@ void Simulator::unbind() {
     s->queue_ = nullptr;
   }
   sig_kind_ = sig_pending_ = sig_vcdmark_ = nullptr;
-  sig_part_ = nullptr;
   sig_slot_ = nullptr;
   sig_stamp_ = sig_mark_ = nullptr;
   last_reader_ = nullptr;
@@ -316,7 +301,6 @@ void Simulator::unbind() {
   sens_begin_ = sens_count_ = sens_cap_ = nullptr;
   seq_begin_ = seq_count_ = nullptr;
   mod_dirty_ = nullptr;
-  mod_part_ = nullptr;
   mod_mark_ = nullptr;
 }
 
@@ -617,11 +601,12 @@ void Simulator::eval_traced(Module* m) {
   merge_reads(m->sim_id_, tracer_.reads());
 }
 
-void Simulator::drain_pending(Partition& part) {
+void Simulator::commit_pending() {
   // Empty drains (every settled delta probes once) record no span.
-  const bool span = telem_ != nullptr && !part.pending.empty();
+  const std::size_t drained = pending_.size();
+  const bool span = telem_ != nullptr && drained != 0;
   const std::uint64_t t0 = span ? telem_->now_ns() : 0;
-  for (const std::int32_t sid : part.pending) {
+  for (const std::int32_t sid : pending_) {
     maybe_inject(FaultPoint::Commit);
     sig_pending_[sid] = 0;
     ++stats_.commits;
@@ -633,95 +618,31 @@ void Simulator::drain_pending(Partition& part) {
     for (std::uint32_t k = 0; k < fc; ++k)
       mark_module_dirty(fan_pool_[fb + k]);
   }
-  part.pending.clear();
-  if (span)
-    telem_->add(TracePhase::CommitDrain, t0, telem_->now_ns(),
-                static_cast<std::uint64_t>(&part - parts_.data()));
-}
-
-void Simulator::commit_pending() {
-  // Ascending partition order, so commit order is deterministic (not
-  // that order matters for values: each signal commits at most once per
-  // drain, and the VCD writer sorts by declaration id).
-  if (single_part_) {
-    drain_pending(parts_[0]);
-    return;
-  }
-  for (Partition& part : parts_) {
-    if (!part.pending.empty()) drain_pending(part);
-  }
+  pending_.clear();
+  if (span) telem_->add(TracePhase::CommitDrain, t0, telem_->now_ns(), drained);
 }
 
 void Simulator::settle_event() {
-  if (single_part_) {
-    // Single-domain fast path: one partition, no bucketing to do (and
-    // mark_module_dirty() maintains no dirty_parts_ either) — the
-    // per-delta loop must stay as lean as before partitioning (a full
-    // step is ~200 ns on the flagship design; every swap counts).
-    // drain_pending() is called with the partition in hand, skipping
-    // commit_pending()'s re-dispatch.
-    Partition& p = parts_[0];
-    drain_pending(p);
-    if (p.worklist.empty()) {
-      ++stats_.partition_skips;
-      return;
-    }
-    ++stats_.partition_settles;
-    for (int iter = 0; !p.worklist.empty(); ++iter) {
-      if (iter >= opt_.delta_limit) throw_comb_loop();
-      maybe_inject(FaultPoint::Settle);
-      ++stats_.deltas;
-      eval_list_.swap(p.worklist);
-      for (const std::int32_t mid : eval_list_) {
-        mod_dirty_[mid] = 0;
-        eval_traced(modules_[static_cast<std::size_t>(mid)]);
-      }
-      eval_list_.clear();
-      drain_pending(p);
-    }
+  commit_pending();
+  if (worklist_.empty()) {
+    ++stats_.partition_skips;
     return;
   }
-  commit_pending();
-  // One settle = a global delta fixpoint, but the worklists are
-  // partitioned by clock domain: each delta visits only the partitions
-  // holding dirty modules, and a partition never reached from the
-  // firing domains' dirty sets (through fanout arcs — cross-partition
-  // ones are the CDC boundary, by the contract in README.md) is never
-  // even looked at.  The per-delta eval set is identical to the former
-  // single-worklist loop, so both kernels' semantics and the
-  // pre-existing counters are unchanged; partition_settles /
-  // partition_skips make the skipped quiet subtrees measurable.
-  ++settle_seq_;
-  std::uint64_t touched = 0;
-  for (int iter = 0; !dirty_parts_.empty(); ++iter) {
+  ++stats_.partition_settles;
+  for (int iter = 0; !worklist_.empty(); ++iter) {
     if (iter >= opt_.delta_limit) throw_comb_loop();
     maybe_inject(FaultPoint::Settle);
     ++stats_.deltas;
-    active_parts_.swap(dirty_parts_);
-    // All marks happen inside commit_pending() below, never during
-    // evaluation, so swapping each worklist out per delta is safe.
-    for (const std::size_t pi : active_parts_) {
-      Partition& p = parts_[pi];
-      p.queued = false;
-      if (p.settle_seen != settle_seq_) {
-        p.settle_seen = settle_seq_;
-        ++touched;
-      }
-      const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
-      eval_list_.swap(p.worklist);
-      for (const std::int32_t mid : eval_list_) {
-        mod_dirty_[mid] = 0;
-        eval_traced(modules_[static_cast<std::size_t>(mid)]);
-      }
-      eval_list_.clear();
-      if (telem_ != nullptr)
-        telem_->add(TracePhase::PartitionSettle, t0, telem_->now_ns(), pi);
+    // Modules are marked only inside commit_pending(), never during an
+    // evaluation, so the worklist can be swapped out for the delta.
+    eval_list_.swap(worklist_);
+    for (const std::int32_t mid : eval_list_) {
+      mod_dirty_[mid] = 0;
+      eval_traced(modules_[static_cast<std::size_t>(mid)]);
     }
-    active_parts_.clear();
+    eval_list_.clear();
     commit_pending();
   }
-  stats_.partition_settles += touched;
-  stats_.partition_skips += parts_.size() - touched;
 }
 
 void Simulator::mark_all_modules_dirty() {
@@ -729,20 +650,11 @@ void Simulator::mark_all_modules_dirty() {
   for (std::int32_t mid = 0; mid < n; ++mid) mark_module_dirty(mid);
 }
 
-std::size_t Simulator::dirty_module_count() const {
-  if (single_part_) return parts_[0].worklist.size();
-  std::size_t n = 0;
-  for (const std::size_t pi : dirty_parts_) n += parts_[pi].worklist.size();
-  return n;
-}
-
-void Simulator::check_seq_writes_in(const Module* m,
-                                    const ArenaVector<std::int32_t>& pending,
-                                    std::size_t first) const {
+void Simulator::check_seq_writes(const Module* m, std::size_t first) const {
   const std::int32_t* sb = seq_pool_.data() + seq_begin_[m->sim_id_];
   const std::int32_t* se = sb + seq_count_[m->sim_id_];
-  for (std::size_t i = first; i < pending.size(); ++i) {
-    const std::int32_t sid = pending[i];
+  for (std::size_t i = first; i < pending_.size(); ++i) {
+    const std::int32_t sid = pending_[i];
     if (std::find(sb, se, sid) == se)
       throw ProtocolError(
           "module '" + m->full_name() + "': on_clock() wrote signal '" +
@@ -765,39 +677,21 @@ void Simulator::fire_edges(bool check_contract) {
     for (const Module* m : ds.checkers) m->on_clock_check();
   }
   // Mutate phase.  The contract check scans only what a declared
-  // module's on_clock() appended to a pending list.  Multi-partition
-  // marks are taken once per event and re-taken where a call grew a
-  // list — after an opaque module too, so its writes are never blamed
-  // on the next module.
-  if (check_contract && !single_part_)
-    for (std::size_t pi = 0; pi < parts_.size(); ++pi)
-      pend_mark_[pi] = parts_[pi].pending.size();
+  // module's on_clock() appended to the pending list.  Each mark is
+  // taken right before its module's call, so an opaque module's writes
+  // are never blamed on the next module.
   for (const std::size_t di : firing_) {
     maybe_inject(FaultPoint::Edge);
     DomainSched& ds = scheds_[di];
     if (!check_contract) {
       for (Module* m : ds.active) run_on_clock(m);
-    } else if (single_part_) {
-      // One partition: the pre-call pending mark is one register-held
-      // size, exactly the pre-partition-split cost.
-      const ArenaVector<std::int32_t>& pending = parts_[0].pending;
-      for (Module* m : ds.active) {
-        const std::size_t before = pending.size();
-        run_on_clock(m);
-        if (pending.size() != before && !m->opaque_state())
-          check_seq_writes_in(m, pending, before);
-      }
-    } else {
-      for (Module* m : ds.active) {
-        run_on_clock(m);
-        for (std::size_t pi = 0; pi < parts_.size(); ++pi) {
-          const std::size_t size = parts_[pi].pending.size();
-          if (size == pend_mark_[pi]) continue;
-          if (!m->opaque_state())
-            check_seq_writes_in(m, parts_[pi].pending, pend_mark_[pi]);
-          pend_mark_[pi] = size;
-        }
-      }
+      continue;
+    }
+    for (Module* m : ds.active) {
+      const std::size_t before = pending_.size();
+      run_on_clock(m);
+      if (pending_.size() != before && !m->opaque_state())
+        check_seq_writes(m, before);
     }
   }
   // Counter phase: only a completed event counts.  A mid-event throw
@@ -814,17 +708,15 @@ void Simulator::fire_edges(bool check_contract) {
 }
 
 void Simulator::abort_edge_event() {
-  // fire_edges() runs straight after a settle, which drains every
-  // pending list — so whatever the lists hold now was enqueued by the
-  // aborted event: un-pend and discard it, leaving the next settle
-  // nothing to leak-commit.  Same for the seq_touch() reports.
-  for (Partition& part : parts_) {
-    for (const std::int32_t sid : part.pending) {
-      sig_pending_[sid] = 0;
-      discard_signal(sid);
-    }
-    part.pending.clear();
+  // fire_edges() runs straight after a settle, which drains the
+  // pending list — so whatever it holds now was enqueued by the aborted
+  // event: un-pend and discard it, leaving the next settle nothing to
+  // leak-commit.  Same for the seq_touch() reports.
+  for (const std::int32_t sid : pending_) {
+    sig_pending_[sid] = 0;
+    discard_signal(sid);
   }
+  pending_.clear();
   for (Module* m : touched_) m->seq_touched_ = false;
   touched_.clear();
 }
@@ -853,7 +745,7 @@ void Simulator::clock_edge_event() {
   // edge of their own domain.
   for (const std::size_t di : firing_)
     for (Module* m : scheds_[di].opaque) mark_module_dirty(m->sim_id_);
-  stats_.seq_skips += modules_.size() - dirty_module_count();
+  stats_.seq_skips += modules_.size() - worklist_.size();
   needs_recovery_ = false;
 }
 
@@ -893,13 +785,8 @@ void Simulator::reset() {
   // after an exception unwound a clock-edge event, stale indices in it
   // must not leak into the next step()'s edge accounting.
   firing_.clear();
-  for (Partition& p : parts_) {
-    p.worklist.clear();
-    p.pending.clear();
-    p.queued = false;
-  }
-  dirty_parts_.clear();
-  active_parts_.clear();
+  pending_.clear();
+  worklist_.clear();
   eval_list_.clear();
   touched_.clear();
   std::fill_n(sig_pending_, signals_.size(),
@@ -958,7 +845,7 @@ void Simulator::fire_edges_full_sweep() {
 
 void Simulator::step(int n) {
   BusyGuard busy(busy_);
-  if (single_part_) {
+  if (scheds_.size() == 1) {
     // Single-domain specialization: the heap is a 1-element formality
     // (its order is trivially maintained by bumping next_edge in
     // place), firing_ is pinned to {0} (pop_due_edges is never called,

@@ -28,21 +28,13 @@
 // tests/test_sim_kernel.cpp and tests/test_multiclock.cpp prove it
 // differentially):
 //
-//  * event-driven (default): write() enqueues signal ids on the
-//    writer's *per-partition* pending-commit list; settle() drains
-//    per-domain dirty-module worklists seeded from the fanout of
-//    committed signals.  Both the worklists and the pending lists are
-//    *partitioned by clock domain* (every module and signal carries a
-//    domain-affinity partition resolved at elaboration): a settle
-//    visits only the partitions reachable from the firing domains'
-//    dirty sets, so an edge in one domain leaves another domain's quiet
-//    subtree entirely untouched (Stats::partition_settles /
-//    partition_skips account for it; semantics are unchanged because
-//    the per-delta eval set is the same, merely bucketed).  Module
-//    sensitivity is discovered dynamically by tracing which signals
-//    each eval_comb() reads (starting with an instrumented elaboration
-//    settle and kept up to date on every evaluation, so data-dependent
-//    reads are safe).
+//  * event-driven (default): write() enqueues signal ids on one
+//    pending-commit list; settle() drains it and evaluates one
+//    dirty-module worklist seeded from the fanout of committed signals,
+//    delta by delta, until nothing is dirty.  Module sensitivity is
+//    discovered dynamically by tracing which signals each eval_comb()
+//    reads (starting with an instrumented elaboration settle and kept
+//    up to date on every evaluation, so data-dependent reads are safe).
 //    After a clock edge, modules that declared their sequential state
 //    (Module::declare_state(): register_seq() signals + seq_touch()
 //    reports) are re-evaluated only when a register signal they read
@@ -61,15 +53,15 @@
 // Kernel memory layout (the data-oriented refactor; see
 // src/rtl/README.md): all hot per-signal and per-module kernel state —
 // committed/next values of Word and bool signals, pending/dirty flags,
-// SigKind tags, partition ids, trace stamps — lives in dense SoA arrays
-// owned by this class and indexed by the dense signal/module ids, so
-// the settle and commit loops stream contiguous memory instead of
-// chasing heap objects.  The learned fanout (signal -> reader modules)
-// and the accumulated per-module read sets are CSR-style spans
+// SigKind tags, trace stamps — lives in dense SoA arrays owned by this
+// class and indexed by the dense signal/module ids, so the settle and
+// commit loops stream contiguous memory instead of chasing heap
+// objects.  The learned fanout (signal -> reader modules) and the
+// accumulated per-module read sets are CSR-style spans
 // ([begin,count,cap) per id) into two shared pools, deduplicated with a
 // seen-stamp instead of a linear find.  Everything the elaboration
-// builds — the SoA arrays, both CSR pools, the partition work/pending
-// lists, the per-domain activation lists — is allocated from a
+// builds — the SoA arrays, both CSR pools, the worklist and pending
+// list, the per-domain activation lists — is allocated from a
 // per-simulator bump arena (rtl/arena.hpp): teardown frees a handful of
 // chunks no matter the design size, and a fresh simulator (a
 // SweepDriver job, a run_forked() branch) pays no per-node heap traffic
@@ -139,9 +131,9 @@ class Simulator {
     /// edge (event kernel only): a declared module whose on_clock()
     /// writes a signal outside its register_seq() set raises
     /// ProtocolError.  On by default; the cost is one pending-list size
-    /// compare per partition after each on_clock() call, and a scan of
-    /// the appended entries against the module's declaration only when
-    /// its call grew a list.  Best-effort: a write to a signal that is
+    /// compare after each on_clock() call, and a scan of the appended
+    /// entries against the module's declaration only when its call
+    /// grew the list.  Best-effort: a write to a signal that is
     /// already pending from an earlier writer on the same edge (or one
     /// that leaves the value unchanged) is attributed to the first
     /// writer only — those cases, and the invisible-internal-state half
@@ -185,15 +177,14 @@ class Simulator {
     /// firing domain's activation list — the per-edge O(all-modules)
     /// loop the activation lists eliminated.  Stays 0 single-domain.
     std::uint64_t act_skips = 0;
-    /// Per-domain dirty partitions actually settled: one count per
-    /// (settle, partition-with-dirty-modules) pair in the event kernel.
-    /// Full-sweep keeps it at 0 (it has no dirty sets to partition).
+    /// Event-kernel settles that evaluated at least one module.  (The
+    /// name predates the single worklist; the C API and perfbench read
+    /// it.)  Full-sweep keeps it at 0: it has no dirty set.
     std::uint64_t partition_settles = 0;
-    /// Partitions left untouched by a settle because nothing reachable
-    /// from the firing domains' dirty sets lives there — the quiet
-    /// subtrees the per-domain partitioning exists to skip.  Stays low
-    /// single-domain (only fully quiet settles count); grows with
-    /// domain count.  Full-sweep keeps it at 0.
+    /// Event-kernel settles that found nothing dirty once the pending
+    /// list was drained: quiet settles, which evaluate no module.  Every
+    /// completed event-kernel settle counts in exactly one of the two,
+    /// so their sum is `settles`.  Full-sweep keeps it at 0.
     std::uint64_t partition_skips = 0;
     /// Edges executed per domain, indexed like domain_info().
     std::vector<std::uint64_t> domain_edges;
@@ -211,7 +202,7 @@ class Simulator {
   };
 
   /// Footprint of the per-simulator arena that owns the elaborated
-  /// graph (SoA arrays, CSR pools, partition lists, activation lists).
+  /// graph (SoA arrays, CSR pools, kernel lists, activation lists).
   /// Deterministic for a given design + run, so benches can chart it.
   struct MemoryStats {
     std::size_t arena_bytes_used = 0;      ///< bytes handed out
@@ -459,7 +450,7 @@ class Simulator {
   /// Resolves every module's effective domain (nearest ancestor with an
   /// explicit assignment, else the built-in default), builds the
   /// per-domain activation lists, and stamps every module's
-  /// domain-affinity partition.  Part of bind().
+  /// domain-affinity partition (Module::partition()).  Part of bind().
   void build_domains();
   std::size_t sched_index_for(const ClockDomain* d);
   /// Rebuilds the tick-ordered edge heap from the scheds_' next_edge
@@ -475,13 +466,9 @@ class Simulator {
   void commit_all(bool* changed);
   void settle_full_sweep();
   void settle_event();
-  /// Commits every signal on every partition's pending list (ascending
-  /// partition order); fanout modules of signals whose value changed
-  /// are pushed onto their partition's dirty worklist.
+  /// Commits every signal on the pending list, in write order; fanout
+  /// modules of signals whose value changed go onto the worklist.
   void commit_pending();
-  /// One partition's share of commit_pending().
-  struct Partition;
-  void drain_pending(Partition& part);
 
   // ---- dense-id kernel primitives (SoA hot paths) -------------------
 
@@ -556,16 +543,8 @@ class Simulator {
   void mark_module_dirty(std::int32_t mid) {
     if (mod_dirty_[mid] != 0) return;
     mod_dirty_[mid] = 1;
-    const std::size_t pi = static_cast<std::size_t>(mod_part_[mid]);
-    Partition& p = parts_[pi];
-    p.worklist.push_back(mid);
-    if (!single_part_ && !p.queued) {
-      p.queued = true;
-      dirty_parts_.push_back(pi);
-    }
+    worklist_.push_back(mid);
   }
-  /// Modules currently on a dirty worklist, summed over partitions.
-  [[nodiscard]] std::size_t dirty_module_count() const;
   /// Runs one clock-edge event's module work *transactionally* — shared
   /// by both kernels so their Stats can never desynchronize:
   ///   1. validate phase: on_clock_check() of every firing checker,
@@ -587,19 +566,17 @@ class Simulator {
   /// rethrowing.
   void clock_edge_event();
   /// Rolls back the bufferable side effects of an aborted clock-edge
-  /// event: drains every partition's pending list (discarding the
-  /// written next-values) and the touched-module list.  The lists held
-  /// only this event's entries — fire_edges() runs straight after a
-  /// settle, which leaves them empty.
+  /// event: drains the pending list (discarding the written
+  /// next-values) and the touched-module list.  The lists held only
+  /// this event's entries — fire_edges() runs straight after a settle,
+  /// which leaves them empty.
   void abort_edge_event();
   /// Verifies that a declared module's on_clock() only wrote registered
-  /// signals: the entries pending[first..] its call appended to one
-  /// partition's pending list must all be in m's register declaration
-  /// span (the seq CSR, built at bind from register_seq()); throws
-  /// ProtocolError naming the module and the signal if not.
-  void check_seq_writes_in(const Module* m,
-                           const ArenaVector<std::int32_t>& pending,
-                           std::size_t first) const;
+  /// signals: the entries pending_[first..] its call appended must all
+  /// be in m's register declaration span (the seq CSR, built at bind
+  /// from register_seq()); throws ProtocolError naming the module and
+  /// the signal if not.
+  void check_seq_writes(const Module* m, std::size_t first) const;
   void mark_vcd_change(std::int32_t sid) {
     // sig_vcdmark_: 0 = clean, 1 = on vcd_changed_, 2 = never sampled
     // (width <= 0 testbench signals) — one branch covers both skips.
@@ -679,9 +656,8 @@ class Simulator {
   // ---- dense SoA kernel state (arena-allocated, indexed by id) ------
   // Per-signal arrays, length signals_.size():
   unsigned char* sig_kind_ = nullptr;     ///< SigKind tag
-  unsigned char* sig_pending_ = nullptr;  ///< on a pending-commit list
+  unsigned char* sig_pending_ = nullptr;  ///< on the pending-commit list
   unsigned char* sig_vcdmark_ = nullptr;  ///< 0 clean / 1 listed / 2 never
-  std::int16_t* sig_part_ = nullptr;      ///< domain-affinity partition
   std::uint32_t* sig_slot_ = nullptr;     ///< index into the value arrays
   std::uint64_t* sig_stamp_ = nullptr;    ///< ReadTracer dedup stamps
   std::uint64_t* sig_mark_ = nullptr;     ///< merge_reads() seen-stamps
@@ -702,11 +678,10 @@ class Simulator {
   std::uint32_t* sens_count_ = nullptr;
   std::uint32_t* sens_cap_ = nullptr;
   // Per-module arrays, length modules_.size():
-  unsigned char* mod_dirty_ = nullptr;  ///< on a dirty worklist
-  std::int16_t* mod_part_ = nullptr;    ///< domain-affinity partition
+  unsigned char* mod_dirty_ = nullptr;  ///< on the worklist
   std::uint64_t* mod_mark_ = nullptr;   ///< restore-time dup detection
   // Per-module register-signal declarations as a CSR over signal ids
-  // (the check_seq_writes_in() membership scan).
+  // (the check_seq_writes() membership scan).
   std::uint32_t* seq_begin_ = nullptr;
   std::uint32_t* seq_count_ = nullptr;
   ArenaVector<std::int32_t> fan_pool_;   ///< CSR fanout storage
@@ -722,41 +697,18 @@ class Simulator {
   std::vector<std::size_t> heap_;
   std::vector<std::size_t> firing_;  ///< domains firing at the current tick
 
-  /// Per-domain dirty partition of the combinational settle: each
-  /// domain's modules form one partition (Module::partition()), with a
-  /// worklist of its own.  A settle drains only partitions reachable
-  /// from the firing domains' dirty sets — cross-partition fanout arcs
-  /// (the async-FIFO CDC boundary, by the contract in README.md) wake a
-  /// foreign partition; everything else leaves it untouched.  Both
-  /// lists hold dense ids and live in the arena.
-  struct Partition {
-    explicit Partition(Arena* a)
-        : worklist(ArenaAlloc<std::int32_t>(a)),
-          pending(ArenaAlloc<std::int32_t>(a)) {}
-
-    ArenaVector<std::int32_t> worklist;  ///< dirty module ids, next delta
-    /// Signal ids awaiting commit whose partition this is, enqueued by
-    /// Signal::write() (routed at elaboration through
-    /// SignalBase::queue_).
-    ArenaVector<std::int32_t> pending;
-    bool queued = false;            ///< on dirty_parts_
-    std::uint64_t settle_seen = 0;  ///< last settle_seq_ that touched it
-  };
-  std::vector<Partition> parts_;           ///< indexed like scheds_
-  std::vector<std::size_t> dirty_parts_;   ///< partitions with dirty modules
-  std::vector<std::size_t> active_parts_;  ///< partitions in this delta
-  std::uint64_t settle_seq_ = 0;           ///< unique id per settle_event()
-  bool single_part_ = true;  ///< one partition: skip bucketing bookkeeping
-
   /// Telemetry (trace_start/trace_stop).  telem_ aliases telem_owned_
   /// so the hot-path hooks test one raw pointer; nullptr = tracing off.
   std::unique_ptr<Tracer> telem_owned_;
   Tracer* telem_ = nullptr;
 
   // Event-driven kernel state.
+  /// Signal ids awaiting commit, enqueued by Signal::write() (through
+  /// SignalBase::queue_, pointed here at elaboration).
+  ArenaVector<std::int32_t> pending_;
+  ArenaVector<std::int32_t> worklist_;    ///< dirty module ids, next delta
   ArenaVector<std::int32_t> eval_list_;   ///< dirty module ids, this delta
   std::vector<Module*> touched_;          ///< seq_touch() reporters, this edge
-  std::vector<std::size_t> pend_mark_;    ///< pending sizes, contract check
   ReadTracer tracer_;
   std::uint64_t eval_stamp_ = 0;          ///< unique id per traced eval
   ArenaVector<std::int32_t> vcd_changed_;  ///< ids changed since last sample

@@ -307,12 +307,11 @@ Snapshot Simulator::save_snapshot() const {
         "save_snapshot: an exception unwound a settle or commit and "
         "left state inconsistent — restore_snapshot() or reset() "
         "first, then retry");
-  for (const Partition& p : parts_)
-    if (!p.pending.empty() || !p.worklist.empty())
-      throw SnapshotError(
-          "save_snapshot: uncommitted writes or dirty modules pending "
-          "— settle() (or finish the step) before snapshotting");
-  // The pending lists cover only the event kernel; the full-sweep
+  if (!pending_.empty() || !worklist_.empty())
+    throw SnapshotError(
+        "save_snapshot: uncommitted writes or dirty modules pending "
+        "— settle() (or finish the step) before snapshotting");
+  // The pending list covers only the event kernel; the full-sweep
   // kernel commits by scanning every signal, so a testbench write made
   // after the last settle leaves no list trace — scan for it directly.
   for (const SignalBase* s : signals_)
@@ -428,17 +427,9 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     stats_.domain_edges.resize(nd);
     for (std::uint64_t& v : stats_.domain_edges) v = r.u64();
     // Kernel queues: a snapshot is always quiet (see save_snapshot), so
-    // every transient list empties.  settle_seq_/settle_seen reset
-    // coherently (their only job is dedup within one settle).
-    for (Partition& p : parts_) {
-      p.worklist.clear();
-      p.pending.clear();
-      p.queued = false;
-      p.settle_seen = 0;
-    }
-    settle_seq_ = 0;
-    dirty_parts_.clear();
-    active_parts_.clear();
+    // every transient list empties.
+    pending_.clear();
+    worklist_.clear();
     eval_list_.clear();
     touched_.clear();
     const std::size_t nsig = signals_.size();
@@ -471,7 +462,7 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
       // settle, exactly like the post-bind seeding.
       for (SignalBase* s : signals_) {
         sig_pending_[s->id_] = 1;
-        s->queue_->push_back(s->id_);
+        pending_.push_back(s->id_);
       }
       mark_all_modules_dirty();
     }

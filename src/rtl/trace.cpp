@@ -51,7 +51,6 @@ const char* to_string(TracePhase p) {
   switch (p) {
     case TracePhase::EdgeEvent: return "edge_event";
     case TracePhase::Settle: return "settle";
-    case TracePhase::PartitionSettle: return "partition_settle";
     case TracePhase::CommitDrain: return "commit_drain";
     case TracePhase::SnapshotSave: return "snapshot_save";
     case TracePhase::SnapshotRestore: return "snapshot_restore";

@@ -11,8 +11,8 @@
 // Two instruments, both off unless Simulator::trace_start() is called:
 //
 //  * Phase spans — one timed interval per kernel phase occurrence
-//    (clock-edge event, settle, per-partition drain, pending-commit
-//    drain, snapshot save/restore, reset), recorded into one
+//    (clock-edge event, settle, pending-commit drain, snapshot
+//    save/restore, reset), recorded into one
 //    *bounded ring buffer*.  A tracer belongs to one simulator and is
 //    written only by the thread running it, so the recorder needs no
 //    locking.  When the ring wraps, the oldest spans are dropped and
@@ -42,18 +42,18 @@
 namespace hwpat::rtl {
 
 /// Kernel phases a span can cover.  `arg` in TraceSpan is
-/// phase-specific: the event tick for EdgeEvent, the partition index
-/// for PartitionSettle/CommitDrain, the blob size for snapshots.
+/// phase-specific: the event tick for EdgeEvent, the current tick for
+/// Settle, the number of signals committed for CommitDrain, the blob
+/// size for snapshots.
 enum class TracePhase : unsigned char {
-  EdgeEvent,        ///< validate + mutate + post-edge marking of one event
-  Settle,           ///< one settle() fixpoint search
-  PartitionSettle,  ///< one partition drained for one delta
-  CommitDrain,      ///< one partition's pending-commit drain
+  EdgeEvent,    ///< validate + mutate + post-edge marking of one event
+  Settle,       ///< one settle() fixpoint search
+  CommitDrain,  ///< one non-empty pending-commit drain
   SnapshotSave,
   SnapshotRestore,
   Reset,
 };
-inline constexpr std::size_t kTracePhaseCount = 7;
+inline constexpr std::size_t kTracePhaseCount = 6;
 
 [[nodiscard]] const char* to_string(TracePhase p);
 

@@ -160,8 +160,8 @@ TEST(EdgeTransaction, ResetAfterAbortedEventClearsSchedulerState) {
   d.rd_en.write(true);
   EXPECT_THROW(sim.step(3), ProtocolError);
   // reset() must clear firing_ (stale indices from the unwound event)
-  // and every partition's pending list; a fresh run must then be
-  // byte-equal in counters to a never-threw fresh run.
+  // and the pending list; a fresh run must then be byte-equal in
+  // counters to a never-threw fresh run.
   sim.reset();
   for (std::size_t i = 0; i < sim.domain_count(); ++i)
     EXPECT_FALSE(sim.last_event_fired(i)) << i;
@@ -265,11 +265,11 @@ TEST(EdgeTransaction, ContractViolationWritesNeverLeakIntoNextSettle) {
   EXPECT_EQ(sim.now(), 0u);
 }
 
-/// The same contract check on a two-partition design, where the check
-/// works through per-partition pending-list marks.  Domain b's
-/// activation list runs an opaque module that writes a domain-a signal
-/// and then a declared module, so a mark left stale after the opaque
-/// call would blame the declared module for the opaque write.
+/// The same contract check on a two-domain design.  Domain b's
+/// activation list runs an opaque module that writes a signal owned by
+/// the domain-a top and then a declared module, all onto the one
+/// pending list, so a mark left stale after the opaque call would blame
+/// the declared module for the opaque write.
 TEST(EdgeTransaction, MultiPartitionContractBlamesOnlyTheDeclaredWriter) {
   struct OpaqueWriter : Module {  // no declaration: may write anything
     Bus& out;
@@ -292,7 +292,7 @@ TEST(EdgeTransaction, MultiPartitionContractBlamesOnlyTheDeclaredWriter) {
     ClockDomain da{"da", 1};
     ClockDomain db{"db", 1};
     bool armed = false;
-    // Owned by the domain-a top: unregistered ones commit in partition a.
+    // Owned by the domain-a top: unregistered ones have affinity a.
     Bus ca{*this, "ca", 16};
     Bus shared{*this, "shared", 16};
     Bus stray{*this, "stray", 16};
@@ -368,8 +368,8 @@ TEST(EdgeTransaction, ResetAfterEvalThrowMatchesRunThatNeverThrew) {
     Inc ia2{this, "ia2", a1, a2, never};
     Inc ia3{this, "ia3", a2, a3, never};
     Inc ib1{this, "ib1", cb, b1, never};
-    // The bomb sits in the SECOND partition, so the throw abandons a
-    // delta after the first partition already evaluated.
+    // The bomb sits in domain b's chain, so the throw abandons a delta
+    // in which domain a's chain has work too.
     Inc ib2{this, "ib2", b1, b2, armed};
     Top() : Module(nullptr, "bombtop") {
       set_clock_domain(&da);
@@ -383,7 +383,7 @@ TEST(EdgeTransaction, ResetAfterEvalThrowMatchesRunThatNeverThrew) {
     Top d;
     Simulator sim(d);
     sim.reset();
-    sim.step(3);  // both domains fire every tick: two dirty partitions
+    sim.step(3);  // both domains fire every tick: both chains dirty
     if (bomb) {
       d.armed = true;
       EXPECT_THROW(sim.step(), Error);

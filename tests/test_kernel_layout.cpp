@@ -31,7 +31,7 @@ struct Leaf : Module {
 };
 
 /// A top module with `n` children, each in its own clock domain, so the
-/// design resolves to exactly `n` settle partitions.
+/// design resolves to exactly `n` clock domains.
 struct ManyDomainTop : Module {
   std::deque<ClockDomain> domains;
   std::vector<std::unique_ptr<Leaf>> leaves;
@@ -60,11 +60,11 @@ TEST(PartitionIdGuard, ManyDomainsWithinRangeElaborate) {
 
 TEST(PartitionIdGuard, TooManyDomainsThrowAtElaboration) {
   // Partition ids live in std::int16_t (Module::part_ /
-  // SignalBase::part_ and the SoA mirrors): domain index 32768 would
-  // wrap negative and corrupt worklist routing.  Before the guard this
-  // truncated silently; now elaboration must refuse, loudly and by
-  // field name.  32768 child domains + the top's inherited default
-  // domain = 32769 partitions, one past the last addressable id.
+  // SignalBase::part_): domain index 32768 would wrap negative and
+  // corrupt the topology hash.  Before the guard this truncated
+  // silently; now elaboration must refuse, loudly and by field name.
+  // 32768 child domains + the top's inherited default domain = 32769
+  // partitions, one past the last addressable id.
   ManyDomainTop top(32768);
   try {
     Simulator sim(top);

@@ -128,7 +128,7 @@ TEST(TickScheduler, ActivationListsVisitOnlyTheFiringDomain) {
 TEST(ClockDomainValidation, RejectsDomainAssignmentWhileBound) {
   // Domains are resolved once, at elaboration: reassigning under a
   // live simulator would desynchronize the activation lists and the
-  // settle partitions.
+  // domain-affinity partitions.
   TwoDomainTop top;
   {
     Simulator sim(top);
@@ -514,7 +514,7 @@ TEST(DualClkDesign, PixelThreeTimesFaster) { expect_dualclk_design(1, 3); }
 TEST(DualClkDesign, CoprimeRatio) { expect_dualclk_design(3, 7); }
 
 // ------------------------------------------------------------------
-// Per-domain settle partitions & domain affinity
+// Domain affinity and quiet domains
 // ------------------------------------------------------------------
 
 TEST(SettlePartitions, ModuleAndSignalAffinityResolvedAtElaboration) {
@@ -535,8 +535,8 @@ TEST(SettlePartitions, ModuleAndSignalAffinityResolvedAtElaboration) {
   EXPECT_EQ(top.cb.value.partition(), -1);
 }
 
-/// Comb logic hanging off an EdgeCounter — gives each partition
-/// something to actually settle.
+/// Comb logic hanging off an EdgeCounter — gives each domain something
+/// to actually settle.
 struct CombFollower : Module {
   Bus out{*this, "out", 16};
   const Bus& in;
@@ -548,7 +548,7 @@ struct CombFollower : Module {
 
 TEST(SettlePartitions, QuietDomainIsNotSettled) {
   // Two independent counter+follower pairs in domains of period 2 and
-  // 3: an edge of one domain must never settle the other's partition.
+  // 3: an edge of one domain must never evaluate the other's modules.
   struct Top : Module {
     ClockDomain a{"a", 2};
     ClockDomain b{"b", 3};
@@ -568,12 +568,14 @@ TEST(SettlePartitions, QuietDomainIsNotSettled) {
   sim.reset_stats();
   while (sim.now() < 12) sim.step();  // 8 events at ticks 2,3,4,6,8,9,10,12
   const auto& st = sim.stats();
-  // Post-edge settles touch exactly the firing partitions: four a-only
-  // events, two b-only events, two simultaneous ones; every pre-edge
-  // settle is fully quiet.  The accounting is deterministic down to
-  // the exact slot counts.
-  EXPECT_EQ(st.partition_settles, 4 * 1 + 2 * 1 + 2 * 2u);
-  EXPECT_EQ(st.partition_skips, 2 * 2 * st.steps - st.partition_settles);
+  ASSERT_EQ(st.steps, 8u);
+  // A post-edge settle evaluates exactly the firing domains' followers:
+  // four a-only events, two b-only events and two simultaneous ones,
+  // one delta each.  Every pre-edge settle is quiet.
+  EXPECT_EQ(st.evals, 4 * 1 + 2 * 1 + 2 * 2u);
+  EXPECT_EQ(st.deltas, 8u);
+  EXPECT_EQ(st.partition_settles, 8u);
+  EXPECT_EQ(st.partition_skips, 8u);
   EXPECT_EQ(top.ca.value.read(), 6u);
   EXPECT_EQ(top.cb.value.read(), 4u);
   EXPECT_EQ(top.fa.out.read(), 7u);
@@ -590,9 +592,9 @@ TEST(SettlePartitions, FullSweepKeepsPartitionCountersAtZero) {
 }
 
 TEST(SettlePartitions, CdcMarksAreExactlyTheGrayPointers) {
-  // The CDC-arc contract: the async FIFO's gray pointers are the only
-  // signals declared as cross-partition arcs — nothing else in a
-  // shipped CDC design is marked, and both pointers of every FIFO are.
+  // The async FIFO's gray pointers are the only signals declared as
+  // clock-domain crossings (mark_cdc_cross) — nothing else in a shipped
+  // CDC design is marked, and both pointers of every FIFO are.
   auto d = designs::make_saa2vga_triclk(
       {.width = 8, .height = 6, .cdc_depth = 8, .frames = 1});
   std::vector<std::string> marked;
@@ -656,7 +658,8 @@ void expect_triclk_design(const designs::Saa2VgaTriClkConfig& cfg,
   EXPECT_LT(evt.stats.evals, ref.stats.evals) << label;
   EXPECT_EQ(evt.stats.domain_edges, ref.stats.domain_edges) << label;
   ASSERT_EQ(evt.stats.domain_edges.size(), 3u) << label;
-  // All three schedulers' skip machinery must be engaged.
+  // Every skip the scheduler makes must be engaged: activation lists,
+  // the sequential-state protocol and quiet settles.
   EXPECT_GT(evt.stats.act_skips, 0u) << label;
   EXPECT_GT(evt.stats.seq_skips, 0u) << label;
   EXPECT_GT(evt.stats.partition_settles, 0u) << label;
@@ -747,8 +750,8 @@ TEST(TriClkFarm, LanesAreLosslessAndShareThreeDomains) {
                                          .lanes = 3};
   designs::Saa2VgaTriClk d(cfg);
   Simulator sim(d);
-  // Replicating lanes adds NO domains: still exactly three settle
-  // partitions, each carrying three lanes' worth of modules.
+  // Replicating lanes adds NO domains: still exactly three, each
+  // clocking three lanes' worth of modules.
   ASSERT_EQ(sim.domain_count(), 3u);
   sim.reset();
   ASSERT_TRUE(sim.run([&] { return d.finished(); }, kMaxCycles, 0).ok())

@@ -108,8 +108,8 @@ TEST(Telemetry, TracerDoesNotPerturbStatsOrVcd) {
 }
 
 TEST(Telemetry, TracerDoesNotPerturbTriClockFarm) {
-  // Tri-clock farm: three settle partitions, so the traced run records
-  // per-partition spans on top of the single-domain phases.
+  // Tri-clock farm: three clock domains, so the traced run goes through
+  // the edge-heap step loop rather than the single-domain one.
   const designs::Saa2VgaTriClkConfig cfg{.width = 8, .height = 6,
                                          .cdc_depth = 8, .frames = 1,
                                          .lanes = 3};
@@ -128,9 +128,8 @@ TEST(Telemetry, TracerDoesNotPerturbTriClockFarm) {
           << sim.progress_report();
       out.stats = sim.stats();
       if (traced) {
-        EXPECT_GT(
-            sim.telemetry()->phase_total(TracePhase::PartitionSettle).count,
-            0u);
+        EXPECT_EQ(sim.telemetry()->phase_total(TracePhase::EdgeEvent).count,
+                  sim.stats().steps);
       }
     }
     out.frames = d.sink().frames();
