@@ -13,9 +13,7 @@ BlockRam::BlockRam(Module* parent, std::string name, BramConfig cfg,
 }
 
 void BlockRam::preload(std::size_t offset, const std::vector<Word>& data) {
-  HWPAT_ASSERT(offset + data.size() <= mem_.size());
-  for (std::size_t i = 0; i < data.size(); ++i)
-    mem_[offset + i] = truncate(data[i], cfg_.data_width);
+  preload_words(*this, mem_, offset, data, cfg_.data_width);
 }
 
 void BlockRam::declare_state() {

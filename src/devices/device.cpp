@@ -1,6 +1,7 @@
 #include "devices/device.hpp"
 
 #include "common/error.hpp"
+#include "rtl/module.hpp"
 
 namespace hwpat::devices {
 
@@ -42,6 +43,18 @@ DeviceTraits traits_of(DeviceKind k) {
               .random_access = false};
   }
   throw InternalError("unknown DeviceKind");
+}
+
+void preload_words(const rtl::Module& dev, std::vector<Word>& mem,
+                   std::size_t offset, const std::vector<Word>& data,
+                   int width) {
+  if (offset > mem.size() || data.size() > mem.size() - offset)
+    throw Error("'" + dev.full_name() + "': preload of " +
+                std::to_string(data.size()) + " word(s) at offset " +
+                std::to_string(offset) + " does not fit its " +
+                std::to_string(mem.size()) + "-word memory");
+  for (std::size_t i = 0; i < data.size(); ++i)
+    mem[offset + i] = truncate(data[i], width);
 }
 
 }  // namespace hwpat::devices

@@ -4,9 +4,15 @@
 // device of the XESS XSB-300E board: access times, area, ...).
 #pragma once
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 #include "common/bits.hpp"
+
+namespace hwpat::rtl {
+class Module;
+}
 
 namespace hwpat::devices {
 
@@ -33,6 +39,15 @@ struct DeviceTraits {
 };
 
 [[nodiscard]] DeviceTraits traits_of(DeviceKind k);
+
+/// A memory device's testbench preload: writes `data` into `mem` from
+/// `offset`, each word truncated to `width` bits.  Throws Error naming
+/// `dev`'s path, the offset, the word count and the memory size when
+/// the words do not fit, and then leaves `mem` unchanged.  The check
+/// never forms offset + count, which wraps for an offset near SIZE_MAX.
+void preload_words(const rtl::Module& dev, std::vector<Word>& mem,
+                   std::size_t offset, const std::vector<Word>& data,
+                   int width);
 
 /// Block RAM macros needed to store `bits` on the modelled FPGA
 /// (Spartan-IIE: 4 Kbit per block RAM).

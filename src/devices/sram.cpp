@@ -15,9 +15,7 @@ ExternalSram::ExternalSram(Module* parent, std::string name, SramConfig cfg,
 
 void ExternalSram::preload(std::size_t offset,
                            const std::vector<Word>& data) {
-  HWPAT_ASSERT(offset + data.size() <= mem_.size());
-  for (std::size_t i = 0; i < data.size(); ++i)
-    mem_[offset + i] = truncate(data[i], cfg_.data_width);
+  preload_words(*this, mem_, offset, data, cfg_.data_width);
 }
 
 void ExternalSram::declare_state() {

@@ -57,6 +57,8 @@ class ExternalSram : public rtl::Module {
   [[nodiscard]] const SramConfig& config() const { return cfg_; }
 
   /// Direct backdoor access for testbenches (load/readback images).
+  /// preload() throws Error, writing nothing, when the words do not fit
+  /// (see preload_words()).
   [[nodiscard]] const std::vector<Word>& mem() const { return mem_; }
   void preload(std::size_t offset, const std::vector<Word>& data);
 

@@ -64,8 +64,11 @@ Simulator::Simulator(Module& top, Options opt)
   {
     // Construction-time module states, so reset() after a restored
     // snapshot returns to construction values (not snapshot values).
-    StateWriter w;
+    // Memories are still all zero here, so the baseline encoding keeps
+    // only their counts.
+    StateWriter w(Encoding::kBaseline);
     save_module_states(w);
+    baseline_flat_size_ = w.flat_size();
     baseline_ = std::move(w).take();
   }
 }
@@ -800,7 +803,7 @@ void Simulator::reset() {
     // a valid recovery from both a restored snapshot and a mid-event
     // crash, even for modules whose on_reset() deliberately preserves
     // some state.
-    StateReader r(baseline_);
+    StateReader r(baseline_, Encoding::kBaseline);
     load_module_states(r);
   }
   std::fill_n(mod_dirty_, modules_.size(), static_cast<unsigned char>(0));

@@ -324,7 +324,7 @@ Snapshot Simulator::save_snapshot() const {
   // Everything but the module payloads is bounded by the design's
   // shape; the payloads start from their construction-time size.
   w.reserve(64 + 16 * scheds_.size() + 12 * signals_.size() +
-            4 * fan_pool_.size() + baseline_.size());
+            4 * fan_pool_.size() + baseline_flat_size_);
   // Byte-at-a-time (identical blob): GCC 12's -Wstringop-overflow
   // misfires on vector::insert of the 4-byte array once this TU's
   // inlining shifts.

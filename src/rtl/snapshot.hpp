@@ -23,8 +23,15 @@
 // construction-time baseline), reset() (its reload) and snapshots all
 // go through this codec, so each costs the state's size at memcpy
 // speed.
+//
+// The construction baseline uses its own encoding (Encoding::kBaseline)
+// in which an all-zero word array stores no words at all: an SRAM-bound
+// design's two 2^16-word memories are zero at elaboration, so its
+// baseline shrinks from 1 MiB to a few hundred bytes.  Blobs always use
+// the flat version-1 encoding.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -76,6 +83,23 @@ void load(T* dst, const std::uint8_t* src, std::size_t n) {
 
 }  // namespace le
 
+/// How StateWriter::words() lays out a word array.
+///
+///   kFlat      u64 count, then the words.  The snapshot encoding (blob
+///              version 1).
+///   kBaseline  u64 count, a tag byte, then the words; an all-zero array
+///              stores the tag alone and the reader zero-fills it.  Only
+///              the Simulator's in-memory construction baseline uses it
+///              (written at elaboration, read back by reset()); it never
+///              reaches a blob.
+///
+/// Every other field encodes the same way in both.
+enum class Encoding : std::uint8_t { kFlat, kBaseline };
+
+/// Tag bytes of a word array in the baseline encoding.
+inline constexpr std::uint8_t kWordsZero = 0;  ///< elided: all zero
+inline constexpr std::uint8_t kWordsData = 1;  ///< the words follow
+
 /// Opaque serialized simulator state.  Produced by
 /// Simulator::save_snapshot(), consumed by Simulator::restore_snapshot().
 /// The raw bytes are exposed so snapshots can be written to disk,
@@ -101,6 +125,8 @@ class Snapshot {
 /// Append-only little-endian encoder for snapshot payloads.
 class StateWriter {
  public:
+  explicit StateWriter(Encoding enc = Encoding::kFlat) : enc_(enc) {}
+
   /// Pre-sizes the buffer, so a writer whose final size is known up
   /// front never reallocates (and never re-copies a large payload).
   void reserve(std::size_t n) { buf_.reserve(n); }
@@ -151,9 +177,20 @@ class StateWriter {
     for (std::size_t i = 0; i < n; ++i) dst[i] = p[i] ? 1 : 0;
   }
 
-  /// Length-prefixed word vector: u64 count, then the words.
+  /// Length-prefixed word vector: u64 count, then the words.  The
+  /// baseline encoding puts a tag byte after the count and stores an
+  /// all-zero vector as the tag alone.
   void words(const std::vector<Word>& v) {
     u64(v.size());
+    if (enc_ == Encoding::kBaseline) {
+      ++tags_;
+      if (all_zero(v.data(), v.size())) {
+        u8(kWordsZero);
+        elided_ += v.size() * sizeof(Word);
+        return;
+      }
+      u8(kWordsData);
+    }
     array(v.data(), v.size());
   }
 
@@ -170,11 +207,32 @@ class StateWriter {
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
+  /// What size() would be had the same fields been written in the flat
+  /// encoding: the elided words back in, the tags out.
+  [[nodiscard]] std::size_t flat_size() const {
+    return buf_.size() + elided_ - tags_;
+  }
+
   [[nodiscard]] std::vector<std::uint8_t> take() && {
     return std::move(buf_);
   }
 
  private:
+  /// Whether all n words are zero.  OR-folds blocks of 32 words (a loop
+  /// compilers vectorize) and stops at the first block with a bit set.
+  static bool all_zero(const Word* p, std::size_t n) {
+    constexpr std::size_t kBlock = 32;
+    std::size_t i = 0;
+    for (; i + kBlock <= n; i += kBlock) {
+      Word acc = 0;
+      for (std::size_t k = 0; k < kBlock; ++k) acc |= p[i + k];
+      if (acc != 0) return false;
+    }
+    Word acc = 0;
+    for (; i < n; ++i) acc |= p[i];
+    return acc == 0;
+  }
+
   /// Appends n bytes (zeroed) and returns where they start.
   std::uint8_t* grow(std::size_t n) {
     const std::size_t at = buf_.size();
@@ -182,7 +240,10 @@ class StateWriter {
     return buf_.data() + at;
   }
 
+  Encoding enc_;
   std::vector<std::uint8_t> buf_;
+  std::size_t tags_ = 0;    ///< baseline tag bytes written
+  std::size_t elided_ = 0;  ///< bytes of all-zero arrays left out
 };
 
 /// Bounds-checked little-endian decoder.  Every read validates the
@@ -190,14 +251,17 @@ class StateWriter {
 /// ...") on underrun, so corrupted blobs fail loudly instead of
 /// reading junk.  Element counts are checked by division, so a
 /// corrupted length near 2^64 reads as truncation, never as a wrapped
-/// byte count.
+/// byte count.  The reader must be built with the encoding the bytes
+/// were written in.
 class StateReader {
  public:
-  StateReader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
+  StateReader(const std::uint8_t* data, std::size_t size,
+              Encoding enc = Encoding::kFlat)
+      : data_(data), size_(size), enc_(enc) {}
 
-  explicit StateReader(const std::vector<std::uint8_t>& bytes)
-      : StateReader(bytes.data(), bytes.size()) {}
+  explicit StateReader(const std::vector<std::uint8_t>& bytes,
+                       Encoding enc = Encoding::kFlat)
+      : StateReader(bytes.data(), bytes.size(), enc) {}
 
   std::uint8_t u8() {
     need(1, 1, "u8");
@@ -273,9 +337,14 @@ class StateReader {
 
   /// Mirror of StateWriter::words() for a vector whose length is part
   /// of the state (a capture buffer that grows): resized to the stored
-  /// count.
+  /// count.  The baseline tag is read before the count is checked
+  /// against the bytes left, since an elided array has no bytes.
   void words(std::vector<Word>& out) {
     const std::uint64_t n = u64();
+    if (read_elided_tag()) {
+      out.assign(static_cast<std::size_t>(n), Word{0});
+      return;
+    }
     need(n, sizeof(Word), "word vector");
     out.resize(static_cast<std::size_t>(n));
     array(out.data(), out.size(), "word vector");
@@ -295,6 +364,10 @@ class StateReader {
                           std::to_string(n) +
                           " — saved from a differently sized memory, or "
                           "corrupted");
+    if (read_elided_tag()) {
+      std::fill(mem.begin(), mem.end(), Word{0});
+      return;
+    }
     array(mem.data(), mem.size(), "memory");
   }
 
@@ -302,6 +375,20 @@ class StateReader {
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
  private:
+  /// Reads the tag that follows a word array's count in the baseline
+  /// encoding and returns whether the array was elided (all zero).  The
+  /// flat encoding has no tag: always false.
+  bool read_elided_tag() {
+    if (enc_ == Encoding::kFlat) return false;
+    const std::uint8_t tag = u8();
+    if (tag == kWordsZero) return true;
+    if (tag == kWordsData) return false;
+    throw SnapshotError("snapshot: word-array tag " + std::to_string(tag) +
+                        " is neither " + std::to_string(kWordsZero) +
+                        " (all zero) nor " + std::to_string(kWordsData) +
+                        " (data) — corrupted baseline");
+  }
+
   /// Throws unless `count` elements of `elem` bytes each remain.
   void need(std::uint64_t count, std::size_t elem, const char* what) const {
     const std::size_t have = size_ - pos_;
@@ -327,6 +414,7 @@ class StateReader {
 
   const std::uint8_t* data_;
   std::size_t size_;
+  Encoding enc_;
   std::size_t pos_ = 0;
 };
 

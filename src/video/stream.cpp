@@ -158,31 +158,42 @@ void save_frame(rtl::StateWriter& w, const Frame& f) {
 }
 
 /// Bytes of save_frame() for an empty frame: three i32 fields (stored
-/// as 8 bytes each) and the pixel count.
+/// as 8 bytes each) and the pixel count.  The baseline encoding's tag
+/// byte only adds to a frame, so this bounds a frame count there too.
 constexpr std::size_t kFrameHeaderBytes = 4 * 8;
 
 /// Mirror of save_frame() into `f`, reusing its pixel buffer when the
 /// shape is unchanged — the common case, since reset() and a restore
-/// reload frames of the sink's configured size.  A new shape is checked
-/// against the bytes left before anything is allocated, so a corrupted
-/// header cannot request a huge frame.
+/// reload frames of the sink's configured size.  A new shape must match
+/// the pixel count stored after it.  The pixels are read through
+/// words(), which bounds a stored count by the bytes left before it
+/// allocates (so a corrupted header cannot request a huge frame) and
+/// zero-fills an elided baseline frame, which has no bytes to bound it
+/// by.  `f` changes only once both checks passed.
 void load_frame(rtl::StateReader& r, Frame& f) {
   const int width = r.i32();
   const int height = r.i32();
   const int channels = r.i32();
-  if (width != f.width() || height != f.height() ||
-      channels != f.channels()) {
-    if (width < 1 || height < 1 || (channels != 1 && channels != 3) ||
-        static_cast<std::uint64_t>(width) *
-                static_cast<std::uint64_t>(height) >
-            r.remaining() / sizeof(Word))
-      throw SnapshotError("snapshot: frame shape " + std::to_string(width) +
-                          "x" + std::to_string(height) + "x" +
-                          std::to_string(channels) +
-                          " is invalid or larger than the rest of the blob");
-    f = Frame(width, height, channels);
+  if (width == f.width() && height == f.height() &&
+      channels == f.channels()) {
+    r.fixed_words(f.pixels());
+    return;
   }
-  r.fixed_words(f.pixels());
+  auto bad_shape = [&](const std::string& why) {
+    return SnapshotError("snapshot: frame shape " + std::to_string(width) +
+                         "x" + std::to_string(height) + "x" +
+                         std::to_string(channels) + " " + why);
+  };
+  if (width < 1 || height < 1 || (channels != 1 && channels != 3))
+    throw bad_shape("is invalid");
+  std::vector<Word> pixels;
+  r.words(pixels);
+  if (pixels.size() != static_cast<std::uint64_t>(width) *
+                           static_cast<std::uint64_t>(height))
+    throw bad_shape("does not match its " + std::to_string(pixels.size()) +
+                    " stored pixel(s)");
+  f = Frame(width, height, channels);
+  f.pixels().swap(pixels);
 }
 
 }  // namespace

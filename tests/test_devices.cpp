@@ -1,7 +1,12 @@
 // Unit tests of the physical device models: FIFO, LIFO, external SRAM,
 // block RAM and the 3-line buffer, including protocol-violation
 // failure injection and parameterised width/depth sweeps.
+#include <gmock/gmock.h>
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "devices/bram.hpp"
 #include "devices/fifo.hpp"
@@ -298,6 +303,59 @@ TEST(Sram, BackToBackAccessesNeedTurnaround) {
   EXPECT_EQ(tb.rdata.read(), 8u);
 }
 
+/// Calls dev.preload(offset, data), which must throw Error naming the
+/// device path, the offset, the word count and the memory size, and
+/// leave the memory as it was.
+template <typename Dev>
+void expect_preload_rejected(Dev& dev, const std::string& path,
+                             std::size_t offset,
+                             const std::vector<Word>& data) {
+  SCOPED_TRACE("offset " + std::to_string(offset));
+  const std::vector<Word> before = dev.mem();
+  try {
+    dev.preload(offset, data);
+    FAIL() << "a preload past the end of the memory was accepted";
+  } catch (const Error& e) {
+    EXPECT_THAT(e.what(), ::testing::HasSubstr("'" + path + "'"));
+    EXPECT_THAT(e.what(), ::testing::HasSubstr(
+                              "preload of " + std::to_string(data.size()) +
+                              " word(s) at offset " + std::to_string(offset)));
+    EXPECT_THAT(e.what(), ::testing::HasSubstr(
+                              std::to_string(before.size()) + "-word memory"));
+  }
+  EXPECT_EQ(dev.mem(), before);
+}
+
+TEST(Sram, PreloadPastTheEndThrowsAndWritesNothing) {
+  SramTb tb({.data_width = 8, .addr_width = 4});  // 16 words
+  tb.sram.preload(0, {5, 6});
+  // SIZE_MAX - 1 + 3 wraps to 1, which an offset + count check lets
+  // through to writes before the buffer.
+  expect_preload_rejected(tb.sram, "tb.sram", SIZE_MAX - 1, {1, 2, 3});
+  expect_preload_rejected(tb.sram, "tb.sram", 15, {1, 2});
+  expect_preload_rejected(tb.sram, "tb.sram", 17, {});
+  tb.sram.preload(14, {1, 2});  // exactly up to the end fits
+  EXPECT_EQ(tb.sram.mem()[15], 2u);
+  tb.sram.preload(16, {});
+}
+
+TEST(Sram, ResetRestoresAPreloadMadeBeforeConstruction) {
+  // The construction baseline keeps a non-zero memory's words, so a
+  // preloaded image survives the run that overwrites it.
+  SramTb tb({.data_width = 8, .addr_width = 6, .latency = 1});
+  tb.sram.preload(3, {0x11, 0x22});
+  const std::vector<Word> image = tb.sram.mem();
+  Simulator sim(tb);
+  sim.reset();
+  tb.access(sim, true, 4, 0x99);
+  tb.access(sim, true, 40, 0x77);
+  ASSERT_EQ(tb.sram.mem()[4], 0x99u);
+  sim.reset();
+  EXPECT_EQ(tb.sram.mem(), image);
+  tb.access(sim, false, 4);
+  EXPECT_EQ(tb.rdata.read(), 0x22u);
+}
+
 TEST(Sram, ReportsNoFpgaResources) {
   SramTb tb({.data_width = 8, .addr_width = 8});
   rtl::PrimitiveTally t;
@@ -364,6 +422,17 @@ TEST(Bram, ReadFirstOnWrite) {
   sim.step();
   EXPECT_EQ(tb.a_rdata.read(), 0x11u);  // old value
   EXPECT_EQ(tb.ram.mem()[3], 0x99u);    // new value stored
+}
+
+TEST(Bram, PreloadPastTheEndThrowsAndWritesNothing) {
+  BramTb tb({.data_width = 8, .depth = 16});
+  tb.ram.preload(0, {5, 6});
+  expect_preload_rejected(tb.ram, "tb.ram", SIZE_MAX - 1, {1, 2, 3});
+  expect_preload_rejected(tb.ram, "tb.ram", 15, {1, 2});
+  expect_preload_rejected(tb.ram, "tb.ram", 17, {});
+  tb.ram.preload(14, {1, 2});  // exactly up to the end fits
+  EXPECT_EQ(tb.ram.mem()[15], 2u);
+  tb.ram.preload(16, {});
 }
 
 TEST(Bram, ReportsMacroCount) {

@@ -13,6 +13,10 @@
 //   * corrupted blobs (truncated, bad magic, wrong version, topology
 //     mismatch, a device scalar out of range) fail loudly with
 //     actionable messages and never leave the simulator half-restored;
+//   * the construction baseline elides all-zero memories, while blobs
+//     keep every byte (an SRAM-bound blob is pinned), and reset() still
+//     zeroes a used memory and survives a failed restore that reshaped
+//     the sink's frame;
 //   * save/restore from inside a simulator callback is refused;
 //   * the elaboration-time declare_comb_only() contract check rejects
 //     comb-only modules with a sequential process;
@@ -34,6 +38,7 @@
 
 #include "designs/design.hpp"
 #include "devices/fifo.hpp"
+#include "devices/sram.hpp"
 #include "rtl/clock.hpp"
 #include "rtl/simulator.hpp"
 #include "tb_util.hpp"
@@ -892,6 +897,112 @@ TEST(StateCodec, CorruptedLengthsReadAsTruncationNotAsHugeAllocations) {
   }
 }
 
+TEST(StateCodec, BaselineEncodingElidesAllZeroArraysOnly) {
+  const std::vector<Word> zero(4096, 0);
+  std::vector<Word> sparse(100, 0);
+  sparse[77] = 0xdead;  // a single set word, past the first 32-word block
+  const std::vector<Word> empty;
+  const std::vector<Word> grown = {1, 2, 3};
+
+  auto write_all = [&](rtl::StateWriter& w) {
+    w.u32(0xa1b2c3d4u);
+    w.words(zero);
+    w.words(sparse);
+    w.words(empty);
+    w.words(grown);
+    w.u64(42);
+  };
+  rtl::StateWriter w(rtl::Encoding::kBaseline);
+  write_all(w);
+  rtl::StateWriter flat;
+  write_all(flat);
+  EXPECT_EQ(w.flat_size(), flat.size());
+  const std::vector<std::uint8_t> got = std::move(w).take();
+
+  // Count, tag (0 = all zero, 1 = data), then the words of a data array.
+  std::vector<std::uint8_t> want;
+  append_le(want, 0xa1b2c3d4u, 4);
+  append_le(want, zero.size(), 8);
+  want.push_back(rtl::kWordsZero);
+  append_le(want, sparse.size(), 8);
+  want.push_back(rtl::kWordsData);
+  for (const Word v : sparse) append_le(want, v, 8);
+  append_le(want, 0, 8);
+  want.push_back(rtl::kWordsZero);
+  append_le(want, grown.size(), 8);
+  want.push_back(rtl::kWordsData);
+  for (const Word v : grown) append_le(want, v, 8);
+  append_le(want, 42, 8);
+  ASSERT_EQ(got, want);
+
+  {
+    // Fixed-size memories are overwritten in place: an elided one is
+    // zero-filled in its own buffer.
+    rtl::StateReader r(got, rtl::Encoding::kBaseline);
+    EXPECT_EQ(r.u32(), 0xa1b2c3d4u);
+    std::vector<Word> mem(zero.size(), 0x55);
+    const Word* buf = mem.data();
+    r.fixed_words(mem);
+    EXPECT_EQ(mem, zero);
+    EXPECT_EQ(mem.data(), buf);
+    std::vector<Word> mem2(sparse.size(), 0x55);
+    r.fixed_words(mem2);
+    EXPECT_EQ(mem2, sparse);
+    std::vector<Word> none;
+    r.fixed_words(none);
+    std::vector<Word> mem3(grown.size(), 0);
+    r.fixed_words(mem3);
+    EXPECT_EQ(mem3, grown);
+    EXPECT_EQ(r.u64(), 42u);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+  {
+    // Growable vectors take the stored count, elided or not.
+    rtl::StateReader r(got, rtl::Encoding::kBaseline);
+    EXPECT_EQ(r.u32(), 0xa1b2c3d4u);
+    std::vector<Word> v(3, 0x55);
+    r.words(v);
+    EXPECT_EQ(v, zero);
+    r.words(v);
+    EXPECT_EQ(v, sparse);
+    r.words(v);
+    EXPECT_TRUE(v.empty());
+    r.words(v);
+    EXPECT_EQ(v, grown);
+    EXPECT_EQ(r.u64(), 42u);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+
+  // Every cut reads as truncation, including one that keeps an elided
+  // array's count but drops its tag.
+  for (std::size_t cut = 0; cut < got.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    rtl::StateReader r(got.data(), cut, rtl::Encoding::kBaseline);
+    std::vector<Word> v;
+    try {
+      (void)r.u32();
+      for (int i = 0; i < 4; ++i) r.words(v);
+      (void)r.u64();
+      FAIL() << "a truncated baseline read through";
+    } catch (const SnapshotError& e) {
+      EXPECT_THAT(e.what(), HasSubstr("truncated"));
+    }
+  }
+
+  // A tag other than 0 or 1 is corruption, not a third encoding.
+  std::vector<std::uint8_t> bad = got;
+  bad[4 + 8] = 2;
+  rtl::StateReader r(bad, rtl::Encoding::kBaseline);
+  (void)r.u32();
+  std::vector<Word> v;
+  try {
+    r.words(v);
+    FAIL() << "tag 2 was accepted";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("word-array tag 2"));
+  }
+}
+
 /// Two levels of hierarchy under the top, two clock domains, fields
 /// with zero and non-zero high bytes: every input the topology hash
 /// folds in.
@@ -922,11 +1033,16 @@ TEST(Snapshot, TopologyHashOfAFixedDesignNeverMoves) {
   EXPECT_EQ(sim.topology_hash(), 0xcefcc6a9ad41b664ull);
 }
 
-/// Builds a saa2vga pattern design and finds its VGA sink by name (the
-/// design exposes the sink only as const).
+/// The 16x12 saa2vga pattern design of the tests below.
+designs::Saa2VgaConfig small_saa2vga(devices::DeviceKind device) {
+  return {.width = 16, .height = 12, .buffer_depth = 64, .device = device};
+}
+
+/// Builds the FIFO-bound small saa2vga and finds its VGA sink by name
+/// (the design exposes the sink only as const).
 std::unique_ptr<designs::VideoDesign> make_small_saa2vga(Module*& vga) {
   auto top = designs::make_saa2vga_pattern(
-      {.width = 16, .height = 12, .buffer_depth = 64});
+      small_saa2vga(devices::DeviceKind::FifoCore));
   vga = nullptr;
   top->visit([&](Module& m) {
     if (m.name() == "vga") vga = &m;
@@ -967,6 +1083,127 @@ TEST(Snapshot, CorruptedFrameShapeIsRejectedBeforeAllocating) {
   rtl::StateWriter again;
   vga->save_state(again);
   EXPECT_EQ(std::move(again).take(), good);
+}
+
+// ---------------------------------------------------------------------
+// Construction baseline (zero-elided) and blob bytes of an SRAM design
+// ---------------------------------------------------------------------
+
+/// FNV-1a over a blob's bytes.
+std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+constexpr std::uint64_t kMaxCycles = 1'000'000;
+
+/// Runs `d` to finished() and checks its sink got the camera frames.
+void expect_runs_to_camera_frames(Simulator& sim,
+                                  const designs::VideoDesign& d,
+                                  const designs::Saa2VgaConfig& cfg) {
+  ASSERT_TRUE(sim.run([&] { return d.finished(); }, kMaxCycles).ok());
+  EXPECT_EQ(d.sink().frames(),
+            designs::camera_frames(cfg.width, cfg.height, cfg.frames,
+                                   cfg.pattern_seed));
+}
+
+std::vector<const devices::ExternalSram*> srams_of(Module& top) {
+  std::vector<const devices::ExternalSram*> out;
+  top.visit([&](Module& m) {
+    if (const auto* s = dynamic_cast<const devices::ExternalSram*>(&m))
+      out.push_back(s);
+  });
+  return out;
+}
+
+bool all_zero(const std::vector<Word>& mem) {
+  return std::all_of(mem.begin(), mem.end(), [](Word w) { return w == 0; });
+}
+
+TEST(Snapshot, SramBoundBlobBytesNeverMove) {
+  // Both 2^16-word SRAMs travel in full, in the flat version-1
+  // encoding: the construction baseline elides them, a blob never does.
+  const designs::Saa2VgaConfig cfg = small_saa2vga(devices::DeviceKind::Sram);
+  rtl::Snapshot blob;
+  {
+    const auto top = designs::make_saa2vga_pattern(cfg);
+    Simulator sim(*top, {});
+    sim.reset();
+    sim.step(300);
+    blob = sim.save_snapshot();
+  }
+  EXPECT_EQ(blob.size_bytes(), 1'050'984u);
+  EXPECT_EQ(fnv1a(blob.bytes()), 0xff97e1c146d5528bull);
+
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  Simulator sim(*top, {});
+  sim.restore_snapshot(blob);
+  EXPECT_EQ(sim.save_snapshot(), blob);
+  expect_runs_to_camera_frames(sim, *top, cfg);
+}
+
+TEST(Snapshot, SramDesignMemoryIsZeroAgainAfterRunRestoreAndReset) {
+  const designs::Saa2VgaConfig cfg = small_saa2vga(devices::DeviceKind::Sram);
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  const std::vector<const devices::ExternalSram*> srams = srams_of(*top);
+  ASSERT_FALSE(srams.empty());
+  Simulator sim(*top, {});
+  sim.reset();
+  sim.step(300);
+  const rtl::Snapshot mid = sim.save_snapshot();
+  expect_runs_to_camera_frames(sim, *top, cfg);
+  sim.restore_snapshot(mid);
+  ASSERT_TRUE(std::any_of(srams.begin(), srams.end(), [](const auto* s) {
+    return !all_zero(s->mem());
+  })) << "no pixel reached an SRAM by the snapshot; the reset below "
+         "would have nothing to clear";
+  sim.reset();
+  for (const devices::ExternalSram* s : srams)
+    EXPECT_TRUE(all_zero(s->mem())) << s->full_name();
+  expect_runs_to_camera_frames(sim, *top, cfg);
+}
+
+TEST(Snapshot, FailedRestoreOfAReshapedSinkFrameStillResets) {
+  // A blob whose sink frame claims another shape fails after mutation
+  // began, so the simulator falls back to its construction baseline —
+  // in which the frame's pixels are elided.  The frame being assembled
+  // outlives reset(), so that fallback, and every later reset(), must
+  // reshape it back to the configured 16x12 from the baseline.
+  const designs::Saa2VgaConfig cfg =
+      small_saa2vga(devices::DeviceKind::FifoCore);
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  Simulator sim(*top, {});
+  sim.reset();
+  sim.step(100);  // mid-frame: pixels arrived, no frame collected yet
+  std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+
+  // The sink's payload: collected-frame count u32 (0 here), then the
+  // frame being assembled, width first.
+  rtl::StateWriter w;
+  top->sink().save_state(w);
+  const std::vector<std::uint8_t> payload = std::move(w).take();
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), payload.begin(), payload.end());
+  ASSERT_NE(it, bytes.end()) << "the sink's payload is not in the blob";
+  const std::size_t at = static_cast<std::size_t>(it - bytes.begin());
+  ASSERT_EQ(bytes[at], 0u) << "a frame was collected before the snapshot";
+  ASSERT_EQ(bytes[at + 4], 16u) << "the frame width is not where expected";
+  const std::size_t width_at = at + 4;
+  bytes[width_at] = 8;
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bytes)));
+    FAIL() << "a 16x12 frame restored as 8x12";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("module 'saa2vga_pattern.vga'"));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  sim.reset();
+  sim.reset();
+  expect_runs_to_camera_frames(sim, *top, cfg);
 }
 
 /// SnapTop with a deeper FIFO: the depth changes no signal, so the
