@@ -105,12 +105,15 @@ void hwpat_sim_destroy(hwpat_sim* sim);
 /* Back to post-reset state (also clears a needs-recovery latch). */
 hwpat_status hwpat_sim_reset(hwpat_sim* sim);
 
-/* Advances n clock-edge events. */
+/* Advances n clock-edge events.  HWPAT_ERR_ERROR while a
+ * needs-recovery latch is set (reset or restore first). */
 hwpat_status hwpat_sim_step(hwpat_sim* sim, uint64_t n);
 
 /* Runs until the design's finished() predicate holds, at most
  * max_cycles events.  Timeout and a latched injected fault are
- * *results*, not errors; `result`/`steps` may be NULL if unwanted. */
+ * *results*, not errors; `result`/`steps` may be NULL if unwanted.
+ * On an already latched sim it steps nothing and reports
+ * HWPAT_RUN_FAULT_LATCHED at 0 steps. */
 hwpat_status hwpat_sim_run_to_finish(hwpat_sim* sim, uint64_t max_cycles,
                                      hwpat_run_result* result,
                                      uint64_t* steps);

@@ -368,11 +368,15 @@ class Bit : public Signal<bool> {
 class Bus : public Signal<Word> {
  public:
   Bus(Module& owner, std::string name, int width, Word init = 0)
-      : Signal<Word>(owner, std::move(name), width, truncate(init, width)) {
+      : Signal<Word>(owner, std::move(name), width, truncate(init, width)),
+        mask_(mask_of(width)) {
     HWPAT_ASSERT(width >= 1 && width <= kMaxBusBits);
   }
 
-  void write(Word v) { Signal<Word>::write(truncate(v, width())); }
+  void write(Word v) { Signal<Word>::write(v & mask_); }
+
+ private:
+  Word mask_;  ///< mask_of(width()), kept so write() need not rebuild it
 };
 
 inline Word SignalBase::as_word_fast() const {

@@ -100,13 +100,19 @@ void Simulator::bind() {
   }
   for (Module* m : modules_)
     for (SignalBase* s : m->seq_signals_) s->part_ = m->part_;
-  // Register declarations as a CSR over signal ids — the membership
-  // scan check_seq_writes() runs per on_clock() write.
+  // Register declarations: the declaring module per signal — the O(1)
+  // lookup check_seq_writes() runs per on_clock() write — and, for the
+  // signals several modules declare, a CSR over signal ids to scan.
   seq_pool_.clear();
+  std::fill_n(seq_owner_, signals_.size(), kSeqUndeclared);
   for (std::size_t mi = 0; mi < modules_.size(); ++mi) {
+    const std::int32_t mid = static_cast<std::int32_t>(mi);
     seq_begin_[mi] = static_cast<std::uint32_t>(seq_pool_.size());
-    for (const SignalBase* s : modules_[mi]->seq_signals_)
+    for (const SignalBase* s : modules_[mi]->seq_signals_) {
       seq_pool_.push_back(s->id_);
+      std::int32_t& owner = seq_owner_[s->id_];
+      owner = owner == kSeqUndeclared || owner == mid ? mid : kSeqShared;
+    }
     seq_count_[mi] =
         static_cast<std::uint32_t>(seq_pool_.size()) - seq_begin_[mi];
   }
@@ -131,6 +137,7 @@ void Simulator::build_soa() {
   sig_stamp_ = arena_.alloc_array<std::uint64_t>(ns);
   sig_mark_ = arena_.alloc_array<std::uint64_t>(ns);
   last_reader_ = arena_.alloc_array<std::int32_t>(ns);
+  seq_owner_ = arena_.alloc_array<std::int32_t>(ns);
   fan_begin_ = arena_.alloc_array<std::uint32_t>(ns);
   fan_count_ = arena_.alloc_array<std::uint32_t>(ns);
   fan_cap_ = arena_.alloc_array<std::uint32_t>(ns);
@@ -297,7 +304,7 @@ void Simulator::unbind() {
   sig_kind_ = sig_pending_ = sig_vcdmark_ = nullptr;
   sig_slot_ = nullptr;
   sig_stamp_ = sig_mark_ = nullptr;
-  last_reader_ = nullptr;
+  last_reader_ = seq_owner_ = nullptr;
   word_cur_ = word_nxt_ = nullptr;
   bool_cur_ = bool_nxt_ = nullptr;
   fan_begin_ = fan_count_ = fan_cap_ = nullptr;
@@ -573,7 +580,6 @@ void Simulator::merge_reads(std::int32_t mid,
   // rest via seen-stamp: mark everything the module has ever read (its
   // accumulated read-set span — the exact mirror of "mid is in
   // fanout(sid)") under a fresh epoch, then one O(1) probe per read.
-  if (reads.empty()) return;
   const std::uint64_t e = ++mark_epoch_;
   const std::uint32_t sb = sens_begin_[mid];
   const std::uint32_t sc = sens_count_[mid];
@@ -586,12 +592,13 @@ void Simulator::merge_reads(std::int32_t mid,
   }
 }
 
+template <bool kObserved>
 void Simulator::eval_traced(Module* m) {
   ++stats_.evals;
   tracer_.begin(++eval_stamp_, m->sim_id_);
   {
     TraceGuard guard(&tracer_);
-    if (telem_ == nullptr)
+    if (!kObserved || telem_ == nullptr)
       m->eval_comb();
     else
       eval_profiled(m);
@@ -600,22 +607,24 @@ void Simulator::eval_traced(Module* m) {
   // accumulated read set is monotone, so a module is re-evaluated
   // whenever any signal it has *ever* read changes — a superset of the
   // signals its current execution path depends on, hence sound even for
-  // data-dependent reads.
-  merge_reads(m->sim_id_, tracer_.reads());
+  // data-dependent reads.  Once sensitivity has stabilized the tracer
+  // records nothing, and the call is skipped.
+  if (!tracer_.reads().empty()) merge_reads(m->sim_id_, tracer_.reads());
 }
 
+template <bool kObserved>
 void Simulator::commit_pending() {
   // Empty drains (every settled delta probes once) record no span.
   const std::size_t drained = pending_.size();
-  const bool span = telem_ != nullptr && drained != 0;
+  const bool span = kObserved && telem_ != nullptr && drained != 0;
   const std::uint64_t t0 = span ? telem_->now_ns() : 0;
   for (const std::int32_t sid : pending_) {
-    maybe_inject(FaultPoint::Commit);
+    if constexpr (kObserved) maybe_inject(FaultPoint::Commit);
     sig_pending_[sid] = 0;
     ++stats_.commits;
     if (!commit_signal(sid)) continue;
     ++stats_.commit_changes;
-    if (vcd_) mark_vcd_change(sid);
+    if (kObserved && vcd_) mark_vcd_change(sid);
     const std::uint32_t fb = fan_begin_[sid];
     const std::uint32_t fc = fan_count_[sid];
     for (std::uint32_t k = 0; k < fc; ++k)
@@ -625,8 +634,9 @@ void Simulator::commit_pending() {
   if (span) telem_->add(TracePhase::CommitDrain, t0, telem_->now_ns(), drained);
 }
 
+template <bool kObserved>
 void Simulator::settle_event() {
-  commit_pending();
+  commit_pending<kObserved>();
   if (worklist_.empty()) {
     ++stats_.partition_skips;
     return;
@@ -634,17 +644,17 @@ void Simulator::settle_event() {
   ++stats_.partition_settles;
   for (int iter = 0; !worklist_.empty(); ++iter) {
     if (iter >= opt_.delta_limit) throw_comb_loop();
-    maybe_inject(FaultPoint::Settle);
+    if constexpr (kObserved) maybe_inject(FaultPoint::Settle);
     ++stats_.deltas;
     // Modules are marked only inside commit_pending(), never during an
     // evaluation, so the worklist can be swapped out for the delta.
     eval_list_.swap(worklist_);
     for (const std::int32_t mid : eval_list_) {
       mod_dirty_[mid] = 0;
-      eval_traced(modules_[static_cast<std::size_t>(mid)]);
+      eval_traced<kObserved>(modules_[static_cast<std::size_t>(mid)]);
     }
     eval_list_.clear();
-    commit_pending();
+    commit_pending<kObserved>();
   }
 }
 
@@ -653,21 +663,17 @@ void Simulator::mark_all_modules_dirty() {
   for (std::int32_t mid = 0; mid < n; ++mid) mark_module_dirty(mid);
 }
 
-void Simulator::check_seq_writes(const Module* m, std::size_t first) const {
-  const std::int32_t* sb = seq_pool_.data() + seq_begin_[m->sim_id_];
-  const std::int32_t* se = sb + seq_count_[m->sim_id_];
-  for (std::size_t i = first; i < pending_.size(); ++i) {
-    const std::int32_t sid = pending_[i];
-    if (std::find(sb, se, sid) == se)
-      throw ProtocolError(
-          "module '" + m->full_name() + "': on_clock() wrote signal '" +
-          signals_[static_cast<std::size_t>(sid)]->full_name() +
-          "' which is not in its register_seq() declaration — the "
-          "sequential-state contract is incomplete (or the write "
-          "belongs in eval_comb())");
-  }
+void Simulator::throw_seq_violation(const Module* m,
+                                    std::int32_t sid) const {
+  throw ProtocolError(
+      "module '" + m->full_name() + "': on_clock() wrote signal '" +
+      signals_[static_cast<std::size_t>(sid)]->full_name() +
+      "' which is not in its register_seq() declaration — the "
+      "sequential-state contract is incomplete (or the write "
+      "belongs in eval_comb())");
 }
 
+template <bool kObserved>
 void Simulator::fire_edges(bool check_contract) {
   // Validate phase: every firing checker (strict device), across ALL
   // firing domains, before any on_clock() anywhere.  The checks read
@@ -675,7 +681,7 @@ void Simulator::fire_edges(bool check_contract) {
   // zero state touched — the transactional guarantee the retried-step
   // contract rests on.
   for (const std::size_t di : firing_) {
-    maybe_inject(FaultPoint::Check);
+    if constexpr (kObserved) maybe_inject(FaultPoint::Check);
     const DomainSched& ds = scheds_[di];
     for (const Module* m : ds.checkers) m->on_clock_check();
   }
@@ -684,15 +690,15 @@ void Simulator::fire_edges(bool check_contract) {
   // taken right before its module's call, so an opaque module's writes
   // are never blamed on the next module.
   for (const std::size_t di : firing_) {
-    maybe_inject(FaultPoint::Edge);
+    if constexpr (kObserved) maybe_inject(FaultPoint::Edge);
     DomainSched& ds = scheds_[di];
     if (!check_contract) {
-      for (Module* m : ds.active) run_on_clock(m);
+      for (Module* m : ds.active) run_on_clock<kObserved>(m);
       continue;
     }
     for (Module* m : ds.active) {
       const std::size_t before = pending_.size();
-      run_on_clock(m);
+      run_on_clock<kObserved>(m);
       if (pending_.size() != before && !m->opaque_state())
         check_seq_writes(m, before);
     }
@@ -724,9 +730,10 @@ void Simulator::abort_edge_event() {
   touched_.clear();
 }
 
+template <bool kObserved>
 void Simulator::clock_edge_event() {
   try {
-    fire_edges(opt_.check_seq_contract);
+    fire_edges<kObserved>(opt_.check_seq_contract);
   } catch (...) {
     abort_edge_event();
     throw;
@@ -736,7 +743,7 @@ void Simulator::clock_edge_event() {
   // state inconsistent — flag it for save_snapshot()'s guard.
   needs_recovery_ = true;
   // Commits of changed register signals dirty their fanout modules.
-  commit_pending();
+  commit_pending<kObserved>();
   // Modules that reported internal-state changes re-evaluate once...
   stats_.seq_touches += touched_.size();
   for (Module* m : touched_) {
@@ -756,21 +763,55 @@ void Simulator::clock_edge_event() {
 // Common driver
 // ---------------------------------------------------------------------
 
+void Simulator::require_recovered(const char* who) const {
+  if (needs_recovery_)
+    throw Error(std::string(who) + ": needs_recovery() is set — an "
+                "exception unwound a settle or commit and left design '" +
+                top_.name() +
+                "' half-applied; call reset() or restore_snapshot() "
+                "before stepping on");
+}
+
 void Simulator::settle() {
+  require_recovered("settle");
   BusyGuard busy(busy_);
+  settle_selected();
+}
+
+void Simulator::settle_selected() {
+  if (observed())
+    settle_once<true>();
+  else
+    settle_once<false>();
+}
+
+template <bool kObserved>
+void Simulator::settle_once() {
   ++stats_.settles;
-  const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
+  if constexpr (!kObserved) {
+    // A quiet settle — the pre-edge settle of every step that follows
+    // a step without testbench writes in between, since the post-edge
+    // settle drained everything — is counted exactly as
+    // settle_event() would count it, without entering it.
+    if (pending_.empty() && worklist_.empty()) {
+      ++stats_.partition_skips;
+      return;
+    }
+  }
+  const std::uint64_t t0 =
+      kObserved && telem_ != nullptr ? telem_->now_ns() : 0;
   // A throw out of a settle (CombLoopError, an eval_comb() throw, an
   // injected fault) leaves partially evaluated/committed state behind:
-  // mark it so save_snapshot() refuses until restore/reset recovers.
+  // mark it so step(), settle() and save_snapshot() refuse until
+  // restore/reset recovers.
   needs_recovery_ = true;
-  if (opt_.full_sweep) {
+  if (kObserved && opt_.full_sweep) {
     settle_full_sweep();
   } else {
-    settle_event();
+    settle_event<kObserved>();
   }
   needs_recovery_ = false;
-  if (telem_ != nullptr)
+  if (kObserved && telem_ != nullptr)
     telem_->add(TracePhase::Settle, t0, telem_->now_ns(), tick_);
 }
 
@@ -814,10 +855,10 @@ void Simulator::reset() {
   if (opt_.full_sweep) {
     commit_all(nullptr);
   } else {
-    commit_pending();  // applies signal writes made inside on_reset()
+    commit_pending<true>();  // applies signal writes made inside on_reset()
     mark_all_modules_dirty();
   }
-  settle();
+  settle_selected();
   needs_recovery_ = false;
   if (telem_ != nullptr)
     telem_->add(TracePhase::Reset, treset, telem_->now_ns());
@@ -829,7 +870,7 @@ void Simulator::reset() {
 
 void Simulator::fire_edges_full_sweep() {
   try {
-    fire_edges(false);  // the contract check is event-kernel-only
+    fire_edges<true>(false);  // the contract check is event-kernel-only
   } catch (...) {
     // Full-sweep has no pending lists: the aborted event's writes
     // landed straight in the signals' next values.  Right after a
@@ -847,7 +888,10 @@ void Simulator::fire_edges_full_sweep() {
 }
 
 void Simulator::step(int n) {
+  require_recovered("step");
   BusyGuard busy(busy_);
+  // The build is picked per event: trace_start(), open_vcd() and a
+  // fault plan firing all take effect at the next event.
   if (scheds_.size() == 1) {
     // Single-domain specialization: the heap is a 1-element formality
     // (its order is trivially maintained by bumping next_edge in
@@ -858,59 +902,77 @@ void Simulator::step(int n) {
     DomainSched& ds = scheds_[0];
     if (firing_.empty()) firing_.push_back(0);
     for (int i = 0; i < n; ++i) {
-      settle();
-      const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
-      if (opt_.full_sweep) {
-        fire_edges_full_sweep();
-      } else {
-        clock_edge_event();
-      }
-      if (telem_ != nullptr)
-        telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), ds.next_edge);
-      // Time advances only once the event succeeded: an aborted event
-      // leaves now() (and everything else) untouched.
-      tick_ = ds.next_edge;
-      ds.next_edge += ds.period;
-      settle();
-      ++cycle_;
-      ++stats_.steps;
-      if (vcd_) sample_vcd();
+      if (observed())
+        step_single<true>(ds);
+      else
+        step_single<false>(ds);
     }
     return;
   }
   for (int i = 0; i < n; ++i) {
-    settle();
-    const std::uint64_t t = pop_due_edges();
-    const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
-    try {
-      if (opt_.full_sweep) {
-        fire_edges_full_sweep();
-      } else {
-        clock_edge_event();
-      }
-      if (telem_ != nullptr)
-        telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), t);
-    } catch (...) {
-      // Push the popped edges back un-advanced, so a caught throw (a
-      // strict device raising ProtocolError) leaves the heap
-      // consistent and a retried step() re-fires the same tick; clear
-      // firing_ so the aborted event's stale indices can never leak
-      // into later edge accounting (reset() clears it too).  tick_ was
-      // never advanced: an aborted event leaves now() untouched.
-      for (const std::size_t di : firing_) {
-        heap_.push_back(di);
-        std::push_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-      }
-      firing_.clear();
-      throw;
-    }
-    tick_ = t;
-    rearm_fired_edges();
-    settle();
-    ++cycle_;
-    ++stats_.steps;
-    if (vcd_) sample_vcd();
+    if (observed())
+      step_heap<true>();
+    else
+      step_heap<false>();
   }
+}
+
+template <bool kObserved>
+void Simulator::step_single(DomainSched& ds) {
+  settle_once<kObserved>();
+  const std::uint64_t t0 =
+      kObserved && telem_ != nullptr ? telem_->now_ns() : 0;
+  if (kObserved && opt_.full_sweep) {
+    fire_edges_full_sweep();
+  } else {
+    clock_edge_event<kObserved>();
+  }
+  if (kObserved && telem_ != nullptr)
+    telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), ds.next_edge);
+  // Time advances only once the event succeeded: an aborted event
+  // leaves now() (and everything else) untouched.
+  tick_ = ds.next_edge;
+  ds.next_edge += ds.period;
+  settle_once<kObserved>();
+  ++cycle_;
+  ++stats_.steps;
+  if (kObserved && vcd_) sample_vcd();
+}
+
+template <bool kObserved>
+void Simulator::step_heap() {
+  settle_once<kObserved>();
+  const std::uint64_t t = pop_due_edges();
+  const std::uint64_t t0 =
+      kObserved && telem_ != nullptr ? telem_->now_ns() : 0;
+  try {
+    if (kObserved && opt_.full_sweep) {
+      fire_edges_full_sweep();
+    } else {
+      clock_edge_event<kObserved>();
+    }
+    if (kObserved && telem_ != nullptr)
+      telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), t);
+  } catch (...) {
+    // Push the popped edges back un-advanced, so a caught throw (a
+    // strict device raising ProtocolError) leaves the heap
+    // consistent and a retried step() re-fires the same tick; clear
+    // firing_ so the aborted event's stale indices can never leak
+    // into later edge accounting (reset() clears it too).  tick_ was
+    // never advanced: an aborted event leaves now() untouched.
+    for (const std::size_t di : firing_) {
+      heap_.push_back(di);
+      std::push_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
+    }
+    firing_.clear();
+    throw;
+  }
+  tick_ = t;
+  rearm_fired_edges();
+  settle_once<kObserved>();
+  ++cycle_;
+  ++stats_.steps;
+  if (kObserved && vcd_) sample_vcd();
 }
 
 // ---------------------------------------------------------------------

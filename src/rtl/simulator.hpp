@@ -67,6 +67,19 @@
 // SweepDriver job, a run_forked() branch) pays no per-node heap traffic
 // to elaborate.
 //
+// Observed and plain steps: the event kernel's hot path — settle, the
+// commit drain, the traced evaluation and the edge fire with its
+// contract check — is written once as a template and built twice.
+// step() picks one build per event.  The *observed* build runs while a
+// Tracer is attached, a VCD is open or an armed fault plan has not
+// fired yet: it records phase spans, marks VCD changes and probes the
+// fault points.  Every other event runs the *plain* build, which has
+// none of those hooks, so diagnostics that are off cost one test per
+// event and nothing per commit, evaluation or edge.  Both builds move
+// every Stats counter identically (tests/test_fuzz_kernel.cpp and
+// tests/test_telemetry.cpp compare them, switching builds mid-run).
+// The full-sweep reference kernel has the observed build only.
+//
 // Threading: a Simulator runs on the thread that calls it, one call at
 // a time.  Parallelism lives one level up — SweepDriver (rtl/sweep.hpp)
 // runs many independent simulators at once, one per worker thread.
@@ -131,9 +144,11 @@ class Simulator {
     /// edge (event kernel only): a declared module whose on_clock()
     /// writes a signal outside its register_seq() set raises
     /// ProtocolError.  On by default; the cost is one pending-list size
-    /// compare after each on_clock() call, and a scan of the appended
-    /// entries against the module's declaration only when its call
-    /// grew the list.  Best-effort: a write to a signal that is
+    /// compare after each on_clock() call and, when the call grew the
+    /// list, an O(1) lookup per appended entry in a per-signal table of
+    /// the declaring module built at elaboration (a signal that
+    /// several modules declare falls back to a scan of the writer's
+    /// declaration).  Best-effort: a write to a signal that is
     /// already pending from an earlier writer on the same edge (or one
     /// that leaves the value unchanged) is attributed to the first
     /// writer only — those cases, and the invisible-internal-state half
@@ -223,7 +238,9 @@ class Simulator {
 
   /// Advances n clock-edge events — each one is the next tick at which
   /// at least one domain has an edge (single-domain: exactly one rising
-  /// clock edge, as ever).
+  /// clock edge, as ever).  Throws Error while needs_recovery() is
+  /// latched: the state is half-applied, so reset() or
+  /// restore_snapshot() first.
   void step(int n = 1);
 
   /// Steps until `pred()` is true, at most `max_cycles` edge events,
@@ -239,8 +256,12 @@ class Simulator {
   /// re-checked after the final step, so a condition that becomes true
   /// exactly at `max_cycles` is PredSatisfied, not Timeout.  On return
   /// the open VCD (if any) is complete on disk.
+  ///
+  /// While needs_recovery() is latched, run() steps nothing and returns
+  /// FaultLatched at 0 steps.
   template <typename Pred>
   [[nodiscard]] RunStatus run(Pred&& pred, std::uint64_t max_cycles) {
+    if (needs_recovery_) return end_run({RunResult::FaultLatched, 0});
     for (std::uint64_t n = 0;; ++n) {
       if (pred()) return end_run({RunResult::PredSatisfied, n});
       if (n >= max_cycles) return end_run({RunResult::Timeout, n});
@@ -259,6 +280,7 @@ class Simulator {
   [[nodiscard]] RunStatus run(Pred&& pred, std::uint64_t max_cycles,
                               std::size_t domain_idx) {
     require_domain_index(domain_idx, "run");
+    if (needs_recovery_) return end_run({RunResult::FaultLatched, 0});
     if (pred()) return end_run({RunResult::PredSatisfied, 0});
     for (std::uint64_t n = 0;;) {
       if (n >= max_cycles) return end_run({RunResult::Timeout, n});
@@ -277,7 +299,8 @@ class Simulator {
   }
 
   /// Settles combinational logic without a clock edge (for comb-only
-  /// tests and for observing post-reset state).
+  /// tests and for observing post-reset state).  Throws Error while
+  /// needs_recovery() is latched, like step().
   void settle();
 
   /// Clock-edge events executed since construction/reset.
@@ -349,8 +372,8 @@ class Simulator {
 
   /// True while an exception that unwound a settle or a commit has
   /// left partially applied state behind — the condition run() reports
-  /// as FaultLatched.  save_snapshot() refuses in this state;
-  /// restore_snapshot() or reset() clears it.
+  /// as FaultLatched.  step(), settle() and save_snapshot() refuse in
+  /// this state; restore_snapshot() or reset() clears it.
   [[nodiscard]] bool needs_recovery() const { return needs_recovery_; }
 
   /// One-line progress diagnostic: cycle, tick and per-domain edge
@@ -362,8 +385,9 @@ class Simulator {
   // Wall-time observability, strictly separated from the deterministic
   // Stats counters: attaching a tracer perturbs no counter, no VCD
   // byte and no scheduling decision (gated by tests/test_telemetry.cpp
-  // and by bench_stats_gate --trace in CI).  With tracing off the hot
-  // path pays exactly one null-pointer branch per hook.
+  // and by bench_stats_gate --trace in CI).  An event with a tracer
+  // attached runs the observed build; with tracing off (and no VCD or
+  // armed fault plan) it runs the plain build, which has no hook.
 
   /// Attaches a fresh Tracer (replacing any previous one).  With
   /// Options::profile_modules the module paths are captured for the
@@ -465,10 +489,40 @@ class Simulator {
   void rearm_fired_edges();
   void commit_all(bool* changed);
   void settle_full_sweep();
+
+  // ---- the hot path, built twice (see "Observed and plain steps") ---
+  // kObserved = true is the observed build: phase spans, VCD marks,
+  // fault probes and the full-sweep dispatch.  kObserved = false is the
+  // plain build, taken only when observed() is false.
+
+  /// True when the next event must run the observed build: a Tracer is
+  /// attached, a VCD is open, or an armed fault plan has not fired yet.
+  /// The full-sweep reference kernel has the observed build only.
+  [[nodiscard]] bool observed() const {
+    return telem_ != nullptr || vcd_ != nullptr ||
+           (fault_.armed() && !fault_fired_) || opt_.full_sweep;
+  }
+  /// Throws Error naming `who` while needs_recovery() is latched.
+  void require_recovered(const char* who) const;
+  /// settle() minus the entry checks, in the build observed() picks.
+  void settle_selected();
+  /// One settle() fixpoint search, counted in Stats::settles.  The
+  /// plain build counts a quiet settle (nothing pending, nothing dirty)
+  /// without entering the settle body or touching the latch.
+  template <bool kObserved>
+  void settle_once();
+  template <bool kObserved>
   void settle_event();
   /// Commits every signal on the pending list, in write order; fanout
   /// modules of signals whose value changed go onto the worklist.
+  template <bool kObserved>
   void commit_pending();
+  /// One clock-edge event of the single-domain step loop.
+  template <bool kObserved>
+  void step_single(DomainSched& ds);
+  /// One clock-edge event of the edge-heap step loop.
+  template <bool kObserved>
+  void step_heap();
 
   // ---- dense-id kernel primitives (SoA hot paths) -------------------
 
@@ -519,20 +573,23 @@ class Simulator {
   /// read signal whose last_reader_ is not `mid`, membership of the
   /// (signal, module) edge is decided by stamping the module's
   /// accumulated read set into sig_mark_ under a fresh mark_epoch_ —
-  /// O(reads) instead of the former per-signal linear find.
+  /// O(reads) instead of the former per-signal linear find.  Called
+  /// only when the tracer recorded a read (`reads` is not empty).
   void merge_reads(std::int32_t mid,
                    const std::vector<std::int32_t>& reads);
 
   /// Runs one eval_comb() under the read tracer and folds newly observed
   /// reads into the fanout/read-set CSRs.
+  template <bool kObserved>
   void eval_traced(Module* m);
   /// The eval_comb() call itself, with the telemetry profiling hook
   /// folded in (reached only when a tracer is attached).
   void eval_profiled(Module* m);
-  /// One activation-list on_clock() call.  Tracing off — the only
-  /// state benchmarked — is a single null-pointer branch.
+  /// One activation-list on_clock() call; the observed build routes it
+  /// through the profiling hook when a tracer is attached.
+  template <bool kObserved>
   void run_on_clock(Module* m) {
-    if (telem_ == nullptr) {
+    if (!kObserved || telem_ == nullptr) {
       m->on_clock();
       return;
     }
@@ -554,6 +611,7 @@ class Simulator {
   ///      (with the sequential-write contract check when asked);
   ///   3. counter phase: edges/domain_edges/act_skips, bumped only once
   ///      the whole event succeeded.
+  template <bool kObserved>
   void fire_edges(bool check_contract);
   /// fire_edges() + commit for the full-sweep kernel, with the aborted
   /// event's direct next-value writes discarded on a throw.
@@ -564,6 +622,7 @@ class Simulator {
   /// mid-event throw the pending writes and seq_touch() reports of the
   /// aborted event are rolled back (abort_edge_event) before
   /// rethrowing.
+  template <bool kObserved>
   void clock_edge_event();
   /// Rolls back the bufferable side effects of an aborted clock-edge
   /// event: drains the pending list (discarding the written
@@ -572,11 +631,27 @@ class Simulator {
   /// which leaves them empty.
   void abort_edge_event();
   /// Verifies that a declared module's on_clock() only wrote registered
-  /// signals: the entries pending_[first..] its call appended must all
-  /// be in m's register declaration span (the seq CSR, built at bind
-  /// from register_seq()); throws ProtocolError naming the module and
-  /// the signal if not.
-  void check_seq_writes(const Module* m, std::size_t first) const;
+  /// signals: every entry pending_[first..] its call appended must be
+  /// declared by m — one lookup in seq_owner_ per entry, plus a scan of
+  /// m's register declaration span (the seq CSR) for a signal several
+  /// modules declare.  Throws ProtocolError naming the module and the
+  /// signal if not.
+  void check_seq_writes(const Module* m, std::size_t first) const {
+    const std::int32_t mid = m->sim_id_;
+    for (std::size_t i = first; i < pending_.size(); ++i) {
+      const std::int32_t sid = pending_[i];
+      const std::int32_t owner = seq_owner_[sid];
+      if (owner == mid) continue;
+      if (owner == kSeqShared) {
+        const std::int32_t* sb = seq_pool_.data() + seq_begin_[mid];
+        const std::int32_t* se = sb + seq_count_[mid];
+        if (std::find(sb, se, sid) != se) continue;
+      }
+      throw_seq_violation(m, sid);
+    }
+  }
+  [[noreturn]] void throw_seq_violation(const Module* m,
+                                        std::int32_t sid) const;
   void mark_vcd_change(std::int32_t sid) {
     // sig_vcdmark_: 0 = clean, 1 = on vcd_changed_, 2 = never sampled
     // (width <= 0 testbench signals) — one branch covers both skips.
@@ -681,9 +756,15 @@ class Simulator {
   unsigned char* mod_dirty_ = nullptr;  ///< on the worklist
   std::uint64_t* mod_mark_ = nullptr;   ///< restore-time dup detection
   // Per-module register-signal declarations as a CSR over signal ids
-  // (the check_seq_writes() membership scan).
+  // (the check_seq_writes() fallback scan).
   std::uint32_t* seq_begin_ = nullptr;
   std::uint32_t* seq_count_ = nullptr;
+  /// Per signal: the id of the one module that declared it with
+  /// register_seq(), kSeqUndeclared, or kSeqShared when several did
+  /// (check_seq_writes() then scans the writer's CSR span).
+  std::int32_t* seq_owner_ = nullptr;
+  static constexpr std::int32_t kSeqUndeclared = -1;
+  static constexpr std::int32_t kSeqShared = -2;
   ArenaVector<std::int32_t> fan_pool_;   ///< CSR fanout storage
   ArenaVector<std::int32_t> sens_pool_;  ///< CSR read-set storage
   ArenaVector<std::int32_t> seq_pool_;   ///< CSR register-decl storage

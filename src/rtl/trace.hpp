@@ -28,9 +28,11 @@
 // chrome://tracing, where nested phases (a settle inside an edge
 // event's step) stack on one timeline.
 //
-// When tracing is off, the Simulator holds a null Tracer* and every
-// hot-path hook is a single null-pointer branch; perfbench's untraced
-// `rtl.run_ns_per_step` is what a step costs with those branches in.
+// When tracing is off, the Simulator holds a null Tracer* and, unless a
+// VCD is open or a fault plan is armed, runs each event in its plain
+// build, which has no hook at all (src/rtl/README.md, "Observed and
+// plain steps"); perfbench's untraced `rtl.run_ns_per_step` is what
+// such a step costs.
 #pragma once
 
 #include <array>

@@ -296,6 +296,19 @@ static void test_run_outcomes(void) {
   CHECK(result == HWPAT_RUN_FAULT_LATCHED);
   int latched = 0;
   CHECK(hwpat_sim_needs_recovery(sim, &latched) == HWPAT_OK && latched == 1);
+  /* While latched, stepping is refused and a run steps nothing. */
+  uint64_t cycle = 0, cycle_after = 0;
+  CHECK(hwpat_sim_cycle(sim, &cycle) == HWPAT_OK);
+  CHECK(hwpat_sim_step(sim, 3) == HWPAT_ERR_ERROR);
+  CHECK(strstr(hwpat_last_error(), "needs_recovery()") != NULL);
+  CHECK(strstr(hwpat_last_error(), "reset() or restore_snapshot()") != NULL);
+  steps = 99;
+  CHECK(hwpat_sim_run_to_finish(sim, 1000000, &result, &steps) == HWPAT_OK);
+  CHECK(result == HWPAT_RUN_FAULT_LATCHED);
+  CHECK(steps == 0);
+  CHECK(hwpat_sim_cycle(sim, &cycle_after) == HWPAT_OK);
+  CHECK(cycle_after == cycle);
+  CHECK(hwpat_sim_needs_recovery(sim, &latched) == HWPAT_OK && latched == 1);
   CHECK(hwpat_sim_reset(sim) == HWPAT_OK);
   CHECK(hwpat_sim_needs_recovery(sim, &latched) == HWPAT_OK && latched == 0);
   CHECK(hwpat_sim_run_to_finish(sim, 1000000, &result, &steps) == HWPAT_OK);

@@ -336,6 +336,106 @@ TEST(EdgeTransaction, MultiPartitionContractBlamesOnlyTheDeclaredWriter) {
   EXPECT_EQ(d.reg.read(), 20u);
 }
 
+/// A register two modules declare: the contract check cannot name one
+/// owner for it, so it scans the writer's declaration instead.  Both
+/// declarers write it (taking turns, so each is the first writer on its
+/// edges) without a ProtocolError; a third declared module that writes
+/// it without declaring it is blamed by its path.
+TEST(EdgeTransaction, RegisterDeclaredByTwoModulesChecksEachWriter) {
+  struct TurnWriter : Module {  // out <= out + 1 when out % 2 == turn
+    Bus& out;
+    const Word turn;
+    TurnWriter(Module* parent, std::string name, Bus& o, Word t)
+        : Module(parent, std::move(name)), out(o), turn(t) {}
+    void on_clock() override {
+      if (out.read() % 2 == turn) out.write(out.read() + 1);
+    }
+    void declare_state() override { register_seq(out); }
+  };
+  struct Intruder : Module {
+    Bus& own;
+    Bus& shared;
+    const bool& armed;
+    Intruder(Module* parent, Bus& o, Bus& s, const bool& arm)
+        : Module(parent, "intruder"), own(o), shared(s), armed(arm) {}
+    void on_clock() override {
+      own.write(own.read() + 1);
+      if (armed) shared.write(shared.read() + 7);  // not registered
+    }
+    void declare_state() override { register_seq(own); }
+  };
+  struct Top : Module {
+    bool armed = false;
+    Bus shared{*this, "shared", 16};
+    Bus own{*this, "own", 16};
+    // Elaborated first, so its write is the one the pending list sees.
+    Intruder intruder{this, own, shared, armed};
+    TurnWriter even{this, "even", shared, 0};
+    TurnWriter odd{this, "odd", shared, 1};
+    Top() : Module(nullptr, "twotop") {}
+    void declare_state() override { declare_comb_only(); }
+  } d;
+  Simulator sim(d);  // check_seq_contract defaults on
+  sim.reset();
+  EXPECT_NO_THROW(sim.step(12));
+  ASSERT_EQ(d.shared.read(), 12u);
+  ASSERT_EQ(d.own.read(), 12u);
+
+  const std::uint64_t edges = sim.stats().edges;
+  d.armed = true;
+  try {
+    sim.step();
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'twotop.intruder'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'twotop.shared'"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("even"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("odd"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(sim.stats().edges, edges);
+  sim.settle();
+  EXPECT_EQ(d.shared.read(), 12u);
+  EXPECT_EQ(d.own.read(), 12u);
+}
+
+/// A register one module declares, written by another declared module:
+/// the per-signal owner lookup must blame the writer, not accept the
+/// write because *some* module declared the signal.
+TEST(EdgeTransaction, RegisterOfAnotherModuleIsBlamedOnTheWriter) {
+  struct Owner : Module {
+    Bus& reg;
+    Owner(Module* parent, Bus& r) : Module(parent, "owner"), reg(r) {}
+    void on_clock() override { reg.write(reg.read() + 1); }
+    void declare_state() override { register_seq(reg); }
+  };
+  struct Borrower : Module {
+    Bus& reg;
+    Borrower(Module* parent, Bus& r) : Module(parent, "borrower"), reg(r) {}
+    void on_clock() override { reg.write(reg.read() + 2); }
+    void declare_state() override { declare_seq_state(); }
+  };
+  struct Top : Module {
+    Bus reg{*this, "reg", 16};
+    // Elaborated first, so its write is the one the pending list sees.
+    Borrower borrower{this, reg};
+    Owner owner{this, reg};
+    Top() : Module(nullptr, "borrowtop") {}
+    void declare_state() override { declare_comb_only(); }
+  } d;
+  Simulator sim(d);
+  sim.reset();
+  try {
+    sim.step();
+    FAIL() << "expected ProtocolError";
+  } catch (const ProtocolError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'borrowtop.borrower'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'borrowtop.reg'"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(sim.stats().edges, 0u);
+}
+
 /// A throw from eval_comb() mid-settle leaves partially evaluated state
 /// behind; after the documented reset() recovery, stepping on has to
 /// match a run that never threw exactly — no stale worklist entry or

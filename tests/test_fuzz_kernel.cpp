@@ -12,11 +12,15 @@
 // the harness catches each throw, suppresses the enables for the
 // retried tick, and re-enables afterwards — exercising the
 // transactional clock-edge contract on designs nobody hand-wrote.
-// Each design is simulated twice — once under the event-driven kernel,
-// once under the full-sweep reference.  Cycle counts, tick counts,
-// every signal's final value, the per-domain edge statistics, the
-// caught-throw count and the *bytes* of the VCD waveform must agree
-// exactly.
+// Each design is simulated twice with a VCD open — once under the
+// event-driven kernel, once under the full-sweep reference.  Cycle
+// counts, tick counts, every signal's final value, the per-domain edge
+// statistics, the caught-throw count and the *bytes* of the VCD
+// waveform must agree exactly.  The event kernel then runs twice more
+// without a VCD: once untraced throughout (every event takes the plain
+// build) and once with a tracer attached and detached part-way
+// (switching builds between events).  Both must match the VCD run in
+// cycles, ticks, values, caught throws and every Stats field.
 //
 // Every future scheduler change is thereby checked against the
 // reference on designs nobody hand-wrote.  On failure the seed is in
@@ -376,16 +380,26 @@ struct RunResult {
   Simulator::Stats stats;
 };
 
-RunResult run_kernel(unsigned seed, bool full_sweep) {
+/// What a run_kernel() run observes: a VCD (the observed build on
+/// every event), nothing (the plain build), or nothing but a tracer
+/// attached on some stretches of steps (both builds, alternating).
+enum class Observe { kVcd, kNothing, kTracerSwitching };
+
+RunResult run_kernel(unsigned seed, bool full_sweep,
+                     Observe observe = Observe::kVcd) {
   FuzzDesign d(seed);
   const std::string path =
       "fuzz_" + std::to_string(seed) + (full_sweep ? "_ref" : "_evt") + ".vcd";
   RunResult out;
   {
     Simulator sim(d, {.full_sweep = full_sweep});
-    sim.open_vcd(path);
+    if (observe == Observe::kVcd) sim.open_vcd(path);
     sim.reset();
     for (int i = 0; i < d.steps; ++i) {
+      if (observe == Observe::kTracerSwitching) {
+        if (i % 8 == 3) sim.trace_start();
+        if (i % 8 == 6) sim.trace_stop();
+      }
       // Caught-and-retried strict throws: suppress the enables, re-fire
       // the same tick (which must now succeed — the transactional edge
       // contract guarantees the aborted attempt left no trace), then
@@ -407,8 +421,31 @@ RunResult run_kernel(unsigned seed, bool full_sweep) {
     out.stats = sim.stats();
     for (const auto& w : d.wires) out.values.push_back(w->read());
   }  // destroying the simulator flushes the VCD stream
-  out.vcd = tb::slurp_and_remove(path);
+  if (observe == Observe::kVcd) out.vcd = tb::slurp_and_remove(path);
   return out;
+}
+
+/// Everything but the VCD bytes must agree between `a` and `b`.
+void expect_same_run(const RunResult& a, const RunResult& b,
+                     const char* label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.ticks, b.ticks);
+  EXPECT_EQ(a.values, b.values);
+  EXPECT_EQ(a.throws, b.throws);
+  EXPECT_EQ(a.stats.steps, b.stats.steps);
+  EXPECT_EQ(a.stats.settles, b.stats.settles);
+  EXPECT_EQ(a.stats.deltas, b.stats.deltas);
+  EXPECT_EQ(a.stats.evals, b.stats.evals);
+  EXPECT_EQ(a.stats.commits, b.stats.commits);
+  EXPECT_EQ(a.stats.commit_changes, b.stats.commit_changes);
+  EXPECT_EQ(a.stats.seq_touches, b.stats.seq_touches);
+  EXPECT_EQ(a.stats.seq_skips, b.stats.seq_skips);
+  EXPECT_EQ(a.stats.edges, b.stats.edges);
+  EXPECT_EQ(a.stats.act_skips, b.stats.act_skips);
+  EXPECT_EQ(a.stats.partition_settles, b.stats.partition_settles);
+  EXPECT_EQ(a.stats.partition_skips, b.stats.partition_skips);
+  EXPECT_EQ(a.stats.domain_edges, b.stats.domain_edges);
 }
 
 unsigned env_or(const char* name, unsigned dflt) {
@@ -440,6 +477,13 @@ TEST(FuzzKernel, EventKernelMatchesFullSweepOnRandomDesigns) {
     ASSERT_EQ(evt.vcd, ref.vcd) << "VCD bytes differ";
     // The event kernel must never do more comb work than the sweep.
     ASSERT_LE(evt.stats.evals, ref.stats.evals);
+    // The plain build, alone and alternating with the observed one,
+    // computes exactly what the observed build does.
+    expect_same_run(evt, run_kernel(seed, false, Observe::kNothing),
+                    "plain build");
+    expect_same_run(evt, run_kernel(seed, false, Observe::kTracerSwitching),
+                    "switching builds");
+    ASSERT_FALSE(::testing::Test::HasFailure());
     strict_throws += evt.throws;
     if (evt.stats.domain_edges.size() > 1) ++multi_domain;
   }

@@ -134,6 +134,54 @@ TEST(RunResult, LatchedFaultSurfacesAsFaultLatched) {
               RunResult::Timeout);
 }
 
+TEST(RunResult, LatchedFaultRefusesToStepOn) {
+  TickCounter top;
+  Simulator::Options opt;
+  opt.fault_plan = "commit@5";
+  Simulator sim(top, opt);
+  sim.reset();
+  ASSERT_EQ(sim.run([] { return false; }, 40).result,
+            RunResult::FaultLatched);
+  ASSERT_TRUE(sim.needs_recovery());
+  const std::uint64_t cycle = sim.cycle();
+  ASSERT_EQ(cycle, 5u);
+  // The edge is half-applied: stepping or settling on from here would
+  // clear the latch and build on that state, so both refuse.
+  const auto expect_refused = [](const auto& call, const char* who) {
+    try {
+      call();
+      FAIL() << who << " stepped a latched simulator";
+    } catch (const Error& e) {
+      EXPECT_THAT(e.what(), HasSubstr(who));
+      EXPECT_THAT(e.what(), HasSubstr("needs_recovery()"));
+      EXPECT_THAT(e.what(), HasSubstr("reset() or restore_snapshot()"));
+    }
+  };
+  expect_refused([&] { sim.step(3); }, "step");
+  expect_refused([&] { sim.settle(); }, "settle");
+  EXPECT_TRUE(sim.needs_recovery());
+  EXPECT_EQ(sim.cycle(), cycle);
+  EXPECT_THROW((void)sim.save_snapshot(), SnapshotError);
+  // Both run() overloads step nothing and report the latch.
+  bool asked = false;
+  const auto pred = [&] {
+    asked = true;
+    return true;
+  };
+  RunStatus st = sim.run(pred, 40);
+  EXPECT_EQ(st.result, RunResult::FaultLatched);
+  EXPECT_EQ(st.steps, 0u);
+  st = sim.run(pred, 40, 0);
+  EXPECT_EQ(st.result, RunResult::FaultLatched);
+  EXPECT_EQ(st.steps, 0u);
+  EXPECT_FALSE(asked);
+  EXPECT_EQ(sim.cycle(), cycle);
+  // reset() recovers, and the counter is back on its clean course.
+  sim.reset();
+  sim.step(8);
+  EXPECT_EQ(top.out.read(), sim.cycle());
+}
+
 TEST(RunResult, DomainFilteredRunValidatesTheIndex) {
   TickCounter top;
   Simulator sim(top);

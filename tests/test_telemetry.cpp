@@ -4,7 +4,10 @@
 //   * Zero-interference: with a profiling tracer attached, the
 //     deterministic outputs — every Simulator::Stats counter and the
 //     VCD byte stream — are identical to the untraced run, across both
-//     kernels and on a multi-domain design.
+//     kernels and on a multi-domain design.  So are the counters and
+//     frames of a run with neither VCD nor tracer (the plain build) and
+//     of one that attaches a tracer part-way and detaches it again
+//     (switching builds between events).
 //   * Coverage: one span per kernel phase occurrence (edge events,
 //     settles, reset, snapshot save/restore), time-ordered.
 //   * Bounded memory: a tiny ring drops the oldest spans and counts
@@ -62,6 +65,29 @@ struct Out {
   std::string vcd;
 };
 
+/// How a zero-interference run observes its simulator.
+enum class Observe {
+  kVcd,              ///< a VCD, no tracer (the observed build)
+  kVcdTraced,        ///< a VCD and a tracer (the observed build)
+  kNothing,          ///< neither (the plain build)
+  kTracerSwitching,  ///< no VCD; a tracer on events 30..59 only
+};
+
+/// Attaches the tracer for the kTracerSwitching stretch; call between
+/// events with the number of events so far.
+void switch_tracer(Simulator& sim, Observe observe, std::uint64_t events) {
+  if (observe != Observe::kTracerSwitching) return;
+  if (events == 30) sim.trace_start();
+  if (events == 60) sim.trace_stop();
+}
+
+/// The counters and frames of `got` must equal the reference run's.
+void expect_same_run(const Out& want, const Out& got,
+                     const std::string& label) {
+  expect_stats_eq(want.stats, got.stats, label);
+  EXPECT_EQ(want.frames, got.frames) << label;
+}
+
 // ---------------------------------------------------------------------
 // Zero-interference: tracer on vs off, both kernels
 // ---------------------------------------------------------------------
@@ -74,8 +100,10 @@ TEST(Telemetry, TracerDoesNotPerturbStatsOrVcd) {
   for (const bool full_sweep : {false, true}) {
     const std::string label =
         full_sweep ? std::string("full_sweep") : std::string("event");
-    auto run = [&](bool traced) {
+    auto run = [&](Observe observe) {
       auto d = designs::make_saa2vga_pattern(cfg);
+      const bool traced = observe == Observe::kVcdTraced;
+      const bool vcd = traced || observe == Observe::kVcd;
       const std::string path =
           "telemetry_" + label + (traced ? "_on.vcd" : "_off.vcd");
       Out out;
@@ -86,24 +114,33 @@ TEST(Telemetry, TracerDoesNotPerturbStatsOrVcd) {
           topt.profile_modules = true;
           sim.trace_start(topt);
         }
-        sim.open_vcd(path);
+        if (vcd) sim.open_vcd(path);
         sim.reset();
-        EXPECT_TRUE(
-            sim.run([&] { return d->finished(); }, 2'000'000).ok())
+        std::uint64_t events = 0;
+        EXPECT_TRUE(sim.run(
+                           [&] {
+                             switch_tracer(sim, observe, events++);
+                             return d->finished();
+                           },
+                           2'000'000)
+                        .ok())
             << sim.progress_report();
+        EXPECT_GT(events, 60u);
         out.stats = sim.stats();
         if (traced) { EXPECT_GT(sim.telemetry()->span_count(), 0u); }
       }  // destroying the simulator flushes the VCD stream
       out.frames = d->sink().frames();
-      out.vcd = slurp_and_remove(path);
+      if (vcd) out.vcd = slurp_and_remove(path);
       return out;
     };
-    const Out off = run(false);
-    const Out on = run(true);
+    const Out off = run(Observe::kVcd);
+    const Out on = run(Observe::kVcdTraced);
     SCOPED_TRACE(label);
     expect_stats_eq(off.stats, on.stats, label);
     EXPECT_EQ(off.frames, on.frames) << label;
     EXPECT_EQ(off.vcd, on.vcd) << label;
+    expect_same_run(off, run(Observe::kNothing), label + " plain");
+    expect_same_run(off, run(Observe::kTracerSwitching), label + " switching");
   }
 }
 
@@ -113,19 +150,30 @@ TEST(Telemetry, TracerDoesNotPerturbTriClockFarm) {
   const designs::Saa2VgaTriClkConfig cfg{.width = 8, .height = 6,
                                          .cdc_depth = 8, .frames = 1,
                                          .lanes = 3};
-  auto run = [&](bool traced) {
+  auto run = [&](Observe observe) {
     designs::Saa2VgaTriClk d(cfg);
+    const bool traced = observe == Observe::kVcdTraced;
+    const bool vcd = traced || observe == Observe::kVcd;
     const std::string path =
         std::string("telemetry_farm") + (traced ? "_on.vcd" : "_off.vcd");
     Out out;
     {
       Simulator sim(d);
       if (traced) sim.trace_start();
-      sim.open_vcd(path);
+      if (vcd) sim.open_vcd(path);
       sim.reset();
-      EXPECT_TRUE(
-          sim.run([&] { return d.finished(); }, 2'000'000, 0).ok())
+      // The domain-filtered run() asks only after domain-0 events, so
+      // the tracer switches at the 30th and 60th of those.
+      std::uint64_t events = 0;
+      EXPECT_TRUE(sim.run(
+                         [&] {
+                           switch_tracer(sim, observe, events++);
+                           return d.finished();
+                         },
+                         2'000'000, 0)
+                      .ok())
           << sim.progress_report();
+      EXPECT_GT(events, 60u);
       out.stats = sim.stats();
       if (traced) {
         EXPECT_EQ(sim.telemetry()->phase_total(TracePhase::EdgeEvent).count,
@@ -133,14 +181,16 @@ TEST(Telemetry, TracerDoesNotPerturbTriClockFarm) {
       }
     }
     out.frames = d.sink().frames();
-    out.vcd = slurp_and_remove(path);
+    if (vcd) out.vcd = slurp_and_remove(path);
     return out;
   };
-  const Out off = run(false);
-  const Out on = run(true);
+  const Out off = run(Observe::kVcd);
+  const Out on = run(Observe::kVcdTraced);
   expect_stats_eq(off.stats, on.stats, "farm");
   EXPECT_EQ(off.frames, on.frames);
   EXPECT_EQ(off.vcd, on.vcd);
+  expect_same_run(off, run(Observe::kNothing), "farm plain");
+  expect_same_run(off, run(Observe::kTracerSwitching), "farm switching");
 }
 
 // ---------------------------------------------------------------------
