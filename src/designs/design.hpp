@@ -70,8 +70,8 @@ struct Saa2VgaDualClkConfig {
 /// FIFOs (camera→memory and memory→pixel).  Periods/phases are in
 /// scheduler ticks; the defaults are the pairwise-coprime 5:2:3 ratio
 /// (slow camera, fastest memory), so no two domains ever stay edge-
-/// aligned for long — the stress case for the tick-heap scheduler and
-/// the per-domain activation lists.
+/// aligned for long — the stress case for the tick scheduler and the
+/// per-domain activation lists.
 struct Saa2VgaTriClkConfig {
   int width = 64;
   int height = 48;

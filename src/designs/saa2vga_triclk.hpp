@@ -19,7 +19,7 @@
 // `!empty`) keeps the pipeline lossless at *any* ratio of the three
 // periods; the default 5:2:3 camera:memory:pixel ratio is pairwise
 // coprime, so edges almost never align — the stress case for the
-// tick-heap edge scheduler and the per-domain activation lists (an
+// tick edge scheduler and the per-domain activation lists (an
 // edge of one clock runs no on_clock() of the other two domains and
 // evaluates only the modules its commits reach: Stats::act_skips and
 // Stats::seq_skips are gated in bench/baselines.json).

@@ -243,33 +243,6 @@ void Simulator::build_domains() {
     // sched_index_for guarantees di fits the int16 partition id.
     m->part_ = static_cast<std::int16_t>(di);
   }
-  build_edge_heap();
-}
-
-void Simulator::build_edge_heap() {
-  heap_.resize(scheds_.size());
-  for (std::size_t i = 0; i < heap_.size(); ++i) heap_[i] = i;
-  std::make_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-}
-
-std::uint64_t Simulator::pop_due_edges() {
-  HWPAT_ASSERT(!heap_.empty());
-  firing_.clear();
-  const std::uint64_t t = scheds_[heap_.front()].next_edge;
-  while (!heap_.empty() && scheds_[heap_.front()].next_edge == t) {
-    std::pop_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-    firing_.push_back(heap_.back());
-    heap_.pop_back();
-  }
-  return t;
-}
-
-void Simulator::rearm_fired_edges() {
-  for (const std::size_t di : firing_) {
-    scheds_[di].next_edge += scheds_[di].period;
-    heap_.push_back(di);
-    std::push_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-  }
 }
 
 void Simulator::unbind() {
@@ -822,12 +795,10 @@ void Simulator::reset() {
   cycle_ = 0;
   tick_ = 0;
   for (DomainSched& ds : scheds_) ds.next_edge = ds.phase + ds.period;
-  build_edge_heap();
   // Clear any scheduler state left by writes since the last settle (or
   // by a CombLoopError unwind): reset_value() bypasses write(), so stale
-  // pending entries would otherwise commit garbage later.  firing_ too:
-  // after an exception unwound a clock-edge event, stale indices in it
-  // must not leak into the next step()'s edge accounting.
+  // pending entries would otherwise commit garbage later.  firing_ too,
+  // so last_event_fired() reads false until the next event.
   firing_.clear();
   pending_.clear();
   worklist_.clear();
@@ -892,57 +863,24 @@ void Simulator::step(int n) {
   BusyGuard busy(busy_);
   // The build is picked per event: trace_start(), open_vcd() and a
   // fault plan firing all take effect at the next event.
-  if (scheds_.size() == 1) {
-    // Single-domain specialization: the heap is a 1-element formality
-    // (its order is trivially maintained by bumping next_edge in
-    // place), firing_ is pinned to {0} (pop_due_edges is never called,
-    // and on a throw nothing was popped — retrying re-fires the same
-    // tick with no unwinding bookkeeping at all), and the per-step loop
-    // carries none of the multi-domain pop/re-arm machinery.
-    DomainSched& ds = scheds_[0];
-    if (firing_.empty()) firing_.push_back(0);
-    for (int i = 0; i < n; ++i) {
-      if (observed())
-        step_single<true>(ds);
-      else
-        step_single<false>(ds);
-    }
-    return;
-  }
   for (int i = 0; i < n; ++i) {
     if (observed())
-      step_heap<true>();
+      step_event<true>();
     else
-      step_heap<false>();
+      step_event<false>();
   }
 }
 
 template <bool kObserved>
-void Simulator::step_single(DomainSched& ds) {
+void Simulator::step_event() {
   settle_once<kObserved>();
-  const std::uint64_t t0 =
-      kObserved && telem_ != nullptr ? telem_->now_ns() : 0;
-  if (kObserved && opt_.full_sweep) {
-    fire_edges_full_sweep();
-  } else {
-    clock_edge_event<kObserved>();
-  }
-  if (kObserved && telem_ != nullptr)
-    telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), ds.next_edge);
-  // Time advances only once the event succeeded: an aborted event
-  // leaves now() (and everything else) untouched.
-  tick_ = ds.next_edge;
-  ds.next_edge += ds.period;
-  settle_once<kObserved>();
-  ++cycle_;
-  ++stats_.steps;
-  if (kObserved && vcd_) sample_vcd();
-}
-
-template <bool kObserved>
-void Simulator::step_heap() {
-  settle_once<kObserved>();
-  const std::uint64_t t = pop_due_edges();
+  // The soonest next edge, and every domain due there in index order:
+  // O(D) per event, and D is small (at most 3 in every shipped design).
+  std::uint64_t t = UINT64_MAX;
+  for (const DomainSched& ds : scheds_) t = std::min(t, ds.next_edge);
+  firing_.clear();
+  for (std::size_t di = 0; di < scheds_.size(); ++di)
+    if (scheds_[di].next_edge == t) firing_.push_back(di);
   const std::uint64_t t0 =
       kObserved && telem_ != nullptr ? telem_->now_ns() : 0;
   try {
@@ -951,24 +889,17 @@ void Simulator::step_heap() {
     } else {
       clock_edge_event<kObserved>();
     }
-    if (kObserved && telem_ != nullptr)
-      telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), t);
   } catch (...) {
-    // Push the popped edges back un-advanced, so a caught throw (a
-    // strict device raising ProtocolError) leaves the heap
-    // consistent and a retried step() re-fires the same tick; clear
-    // firing_ so the aborted event's stale indices can never leak
-    // into later edge accounting (reset() clears it too).  tick_ was
-    // never advanced: an aborted event leaves now() untouched.
-    for (const std::size_t di : firing_) {
-      heap_.push_back(di);
-      std::push_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-    }
+    // Nothing has advanced yet, so an aborted event fires no domain,
+    // leaves now() untouched, and a retried step() re-fires the tick.
     firing_.clear();
     throw;
   }
+  if (kObserved && telem_ != nullptr)
+    telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), t);
   tick_ = t;
-  rearm_fired_edges();
+  for (const std::size_t di : firing_)
+    scheds_[di].next_edge += scheds_[di].period;
   settle_once<kObserved>();
   ++cycle_;
   ++stats_.steps;

@@ -2,9 +2,9 @@
 //
 // Time is an integer *tick* counter.  Each clock domain (rtl/clock.hpp)
 // produces rising edges at ticks phase + k*period; one step() advances
-// to the next tick with at least one edge — found through a
-// tick-ordered binary heap of next-edge events, O(log D) in the domain
-// count D — and executes every edge scheduled there:
+// to the next tick with at least one edge — found by a scan of the
+// domains' next-edge ticks, O(D) in the domain count D (at most 3 in
+// every shipped design) — and executes every edge scheduled there:
 //   1. settle combinational logic to a fixpoint (delta cycles),
 //   2. run the on_clock() of every module on the firing domains'
 //      *activation lists* on the settled values,
@@ -292,7 +292,8 @@ class Simulator {
   }
 
   /// True when domain `domain_idx` fired at the most recent clock-edge
-  /// event (false before the first step after construction or reset).
+  /// event (false before the first step after construction or reset,
+  /// and for every domain after an event that aborted).
   [[nodiscard]] bool last_event_fired(std::size_t domain_idx) const {
     return std::find(firing_.begin(), firing_.end(), domain_idx) !=
            firing_.end();
@@ -452,19 +453,6 @@ class Simulator {
     ArenaVector<Module*> checkers;
   };
 
-  /// Heap order for the tick-ordered edge scheduler: a min-heap on
-  /// (next_edge, domain index) via std::*_heap's max-heap convention.
-  /// The index tiebreak makes simultaneous edges pop in domain order,
-  /// exactly like the linear scan the heap replaced.
-  struct EdgeLater {
-    const std::vector<DomainSched>* scheds;
-    bool operator()(std::size_t a, std::size_t b) const {
-      const std::uint64_t ta = (*scheds)[a].next_edge;
-      const std::uint64_t tb = (*scheds)[b].next_edge;
-      return ta != tb ? ta > tb : a > b;
-    }
-  };
-
   void bind();
   void unbind();
   /// Allocates the dense SoA arrays and CSR index arrays from the
@@ -477,16 +465,6 @@ class Simulator {
   /// domain-affinity partition (Module::partition()).  Part of bind().
   void build_domains();
   std::size_t sched_index_for(const ClockDomain* d);
-  /// Rebuilds the tick-ordered edge heap from the scheds_' next_edge
-  /// fields (bind and reset).
-  void build_edge_heap();
-  /// Pops every domain due at the soonest tick off the edge heap into
-  /// firing_ (ascending domain index) and returns that tick — O(log D)
-  /// per popped edge instead of the former linear scan over domains.
-  std::uint64_t pop_due_edges();
-  /// Re-arms the popped domains one period later and pushes them back
-  /// onto the edge heap.
-  void rearm_fired_edges();
   void commit_all(bool* changed);
   void settle_full_sweep();
 
@@ -517,12 +495,13 @@ class Simulator {
   /// modules of signals whose value changed go onto the worklist.
   template <bool kObserved>
   void commit_pending();
-  /// One clock-edge event of the single-domain step loop.
+  /// One clock-edge event, for any domain count: settle, collect the
+  /// domains due at the soonest next edge into firing_ (a scan of
+  /// scheds_ in index order), fire them, then advance time and their
+  /// next edges and settle again.  An aborted event clears firing_ and
+  /// advances nothing.
   template <bool kObserved>
-  void step_single(DomainSched& ds);
-  /// One clock-edge event of the edge-heap step loop.
-  template <bool kObserved>
-  void step_heap();
+  void step_event();
 
   // ---- dense-id kernel primitives (SoA hot paths) -------------------
 
@@ -770,13 +749,10 @@ class Simulator {
   ArenaVector<std::int32_t> seq_pool_;   ///< CSR register-decl storage
   std::uint64_t mark_epoch_ = 0;         ///< merge_reads() stamp epoch
 
-  // Tick-ordered edge scheduler state.  heap_ is a binary min-heap of
-  // domain indices ordered by (next_edge, index) — index as tiebreak so
-  // simultaneous edges pop in domain order, exactly like the linear
-  // scan it replaced.
+  // Edge scheduler state: per-domain activation lists and next edges,
+  // and the domains firing at the current tick, in ascending index.
   std::vector<DomainSched> scheds_;
-  std::vector<std::size_t> heap_;
-  std::vector<std::size_t> firing_;  ///< domains firing at the current tick
+  std::vector<std::size_t> firing_;
 
   /// Telemetry (trace_start/trace_stop).  telem_ aliases telem_owned_
   /// so the hot-path hooks test one raw pointer; nullptr = tracing off.

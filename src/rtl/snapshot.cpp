@@ -95,6 +95,15 @@ void for_each_kind_run(const unsigned char* kinds, std::size_t n, F&& f) {
   }
 }
 
+/// The first edge after tick t of a domain whose edges fall at
+/// phase + k*period, k >= 1: the next edge a quiet simulator at tick t
+/// holds for that domain.
+std::uint64_t first_edge_after(std::uint64_t t, std::uint64_t period,
+                               std::uint64_t phase) {
+  if (t < phase + period) return phase + period;
+  return phase + period * ((t - phase) / period + 1);
+}
+
 std::string hex64(std::uint64_t v) {
   char buf[17];
   std::snprintf(buf, sizeof buf, "%016llx",
@@ -403,9 +412,21 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     // Scheduler.
     tick_ = r.u64();
     cycle_ = r.u64();
-    for (DomainSched& ds : scheds_) ds.next_edge = r.u64();
-    build_edge_heap();
     firing_.clear();
+    for (DomainSched& ds : scheds_) {
+      // Any other next edge would send now() back in time or skip
+      // edges on the next step().  (A tick so late that the first edge
+      // after it wraps past 2^64 has no valid next edge at all.)
+      ds.next_edge = r.u64();
+      const std::uint64_t want = first_edge_after(tick_, ds.period, ds.phase);
+      if (ds.next_edge != want || want <= tick_)
+        throw SnapshotError("snapshot: domain '" + ds.name +
+                            "' has its next edge at tick " +
+                            std::to_string(ds.next_edge) + ", expected tick " +
+                            std::to_string(want) +
+                            " (its first edge after the restored tick " +
+                            std::to_string(tick_) + ") — corrupted blob");
+    }
     // Stats.
     stats_.steps = r.u64();
     stats_.settles = r.u64();

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <string>
 
 #include "devices/async_fifo.hpp"
 #include "devices/fifo.hpp"
@@ -173,6 +175,77 @@ TEST(EdgeTransaction, ResetAfterAbortedEventClearsSchedulerState) {
   ref.reset();
   ref.step(12);
   EXPECT_EQ(Observed::of(sim, d), Observed::of(ref, clean));
+}
+
+/// One-domain counterpart of TxTop: a counter and a strict sync FIFO on
+/// the built-in default domain, with rd_en driven from the testbench.
+struct SyncTxTop : Module {
+  Bit wr_en{*this, "wr_en"};
+  Bus wr_data{*this, "wr_data", 8};
+  Bit rd_en{*this, "rd_en"};
+  Bus rd_data{*this, "rd_data", 8};
+  Bit empty{*this, "empty"};
+  Bit full{*this, "full"};
+  Bus level{*this, "level", 8};
+  Bus cnt{*this, "cnt", 16};
+  EdgeCounter c{this, "c", cnt};
+  devices::FifoCore fifo{this,
+                         "fifo",
+                         {.width = 8, .depth = 2, .strict = true},
+                         {wr_en, wr_data, rd_en, rd_data, empty, full,
+                          level}};
+  SyncTxTop() : Module(nullptr, "stx") {}
+  void declare_state() override { declare_seq_state(); }
+};
+
+/// Steps `warm` events, then asserts rd_en on the empty FIFO so the
+/// next event that fires the read domain underflows in its validate
+/// phase.  The aborted event fires no domain and leaves now() and
+/// cycle() alone; with rd_en withdrawn, the retried step() fires tick
+/// `retry_tick` on exactly the domains named in `retry_fires`.
+void expect_aborted_event_fires_no_domain(
+    Simulator& sim, Bit& rd_en, int warm, std::uint64_t retry_tick,
+    const std::set<std::string>& retry_fires) {
+  SCOPED_TRACE(std::to_string(sim.domain_count()) + " domain(s)");
+  sim.reset();
+  sim.step(warm);
+  const std::uint64_t now = sim.now();
+  const std::uint64_t cycle = sim.cycle();
+  ASSERT_TRUE(sim.last_event_fired(0));
+  rd_en.write(true);
+  EXPECT_THROW(sim.step(), ProtocolError);
+  for (std::size_t i = 0; i < sim.domain_count(); ++i)
+    EXPECT_FALSE(sim.last_event_fired(i)) << "domain " << i;
+  EXPECT_EQ(sim.now(), now);
+  EXPECT_EQ(sim.cycle(), cycle);
+  rd_en.write(false);
+  sim.step();
+  EXPECT_EQ(sim.now(), retry_tick);
+  EXPECT_EQ(sim.cycle(), cycle + 1);
+  for (std::size_t i = 0; i < sim.domain_count(); ++i) {
+    const std::string name = sim.domain_info(i).name;
+    EXPECT_EQ(sim.last_event_fired(i), retry_fires.count(name) == 1) << name;
+  }
+}
+
+TEST(EdgeTransaction, AbortedEventFiresNoDomainWhateverTheDomainCount) {
+  {
+    SyncTxTop d;
+    Simulator sim(d);
+    ASSERT_EQ(sim.domain_count(), 1u);
+    expect_aborted_event_fires_no_domain(sim, d.rd_en, 4, 5, {"clk"});
+    EXPECT_EQ(d.cnt.read(), 5u);
+  }
+  {
+    // Tick 6 fires wrclk and rdclk; auxclk's next edge is tick 10.
+    TxTop d;
+    Simulator sim(d);
+    ASSERT_EQ(sim.domain_count(), 3u);
+    expect_aborted_event_fires_no_domain(sim, d.rd_en, 5, 6,
+                                         {"wrclk", "rdclk"});
+    EXPECT_EQ(d.wcnt.read(), 6u);
+    EXPECT_EQ(d.acnt.read(), 1u);
+  }
 }
 
 /// Single-domain, sync FifoCore: the strict pre-check aborts the event

@@ -145,8 +145,8 @@ TEST(ClockDomainValidation, RejectsDomainAssignmentWhileBound) {
 }
 
 TEST(TickScheduler, HeapOrdersManyCoprimeDomains) {
-  // Five domains with pairwise-coprime-ish periods: the tick heap must
-  // produce exactly the merged edge trains, in order, with ties
+  // Five domains with pairwise-coprime-ish periods: the tick scheduler
+  // must produce exactly the merged edge trains, in order, with ties
   // resolved as one event.  The reference sequence is computed the
   // slow way here, in the test.
   struct Top : Module {

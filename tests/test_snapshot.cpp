@@ -11,8 +11,9 @@
 //     values — even internal module state that on_reset() deliberately
 //     leaves alone — so reset-after-restore equals a fresh construct;
 //   * corrupted blobs (truncated, bad magic, wrong version, topology
-//     mismatch, a device scalar out of range) fail loudly with
-//     actionable messages and never leave the simulator half-restored;
+//     mismatch, a device scalar out of range, a next edge other than
+//     the domain's first after the tick) fail loudly with actionable
+//     messages and never leave the simulator half-restored;
 //   * the construction baseline elides all-zero memories, while blobs
 //     keep every byte (an SRAM-bound blob is pinned), and reset() still
 //     zeroes a used memory and survives a failed restore that reshaped
@@ -818,6 +819,116 @@ TEST(Snapshot, DuplicateFanoutEntryInBlobRejectsLoudly) {
   run_steps(sim, 5);
   EXPECT_EQ(top.x.read(), 5u);
   EXPECT_EQ(top.y.read(), 12u);
+}
+
+/// Three counters on three clock domains, one with a phase, so their
+/// next edges after a given tick all differ.
+struct TriEdgeTop : Module {
+  ClockDomain a{"a", 1};
+  ClockDomain b{"b", 3};
+  ClockDomain c{"c", 5, 2};  // edges at 7, 12, 17, ...
+  Bus ca{*this, "ca", 16};
+  Bus cb{*this, "cb", 16};
+  Bus cc{*this, "cc", 16};
+  SnapCounter na{this, "na", ca};
+  SnapCounter nb{this, "nb", cb};
+  SnapCounter nc{this, "nc", cc};
+  TriEdgeTop() : Module(nullptr, "tritop") {
+    set_clock_domain(&a);
+    nb.set_clock_domain(&b);
+    nc.set_clock_domain(&c);
+  }
+  void declare_state() override { declare_comb_only(); }
+};
+
+/// v1 layout up to the scheduler: magic(4) version(1) flags(1)
+/// topology-hash(8) tick(8) cycle(8), then one next-edge u64 per domain
+/// (the layout DuplicateFanoutEntryInBlobRejectsLoudly computes).
+constexpr std::size_t kTickAt = 4 + 1 + 1 + 8;
+constexpr std::size_t kNextEdgeAt = kTickAt + 8 + 8;
+
+std::uint64_t rd_u64(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = v << 8 | b[at + static_cast<std::size_t>(i)];
+  return v;
+}
+
+void wr_u64(std::vector<std::uint8_t>& b, std::size_t at, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i)
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Restoring `bytes` with domain `di`'s next edge patched to `next` is
+/// refused with a message naming the domain, the stored tick and the
+/// expected one, and leaves the simulator at construction state.
+void expect_next_edge_rejected(Simulator& sim,
+                               std::vector<std::uint8_t> bytes,
+                               std::size_t di, std::uint64_t next) {
+  const std::uint64_t want = rd_u64(bytes, kNextEdgeAt + 8 * di);
+  SCOPED_TRACE("domain " + std::to_string(di) + ", next edge " +
+               std::to_string(next));
+  wr_u64(bytes, kNextEdgeAt + 8 * di, next);
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bytes)));
+    FAIL() << "expected SnapshotError for a patched next edge";
+  } catch (const SnapshotError& e) {
+    const std::string name = sim.domain_info(di).name;
+    EXPECT_THAT(e.what(), HasSubstr("domain '" + name + "'"));
+    EXPECT_THAT(e.what(), HasSubstr("next edge at tick " +
+                                    std::to_string(next)));
+    EXPECT_THAT(e.what(), HasSubstr("expected tick " + std::to_string(want)));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  EXPECT_EQ(sim.now(), 0u);
+  EXPECT_EQ(sim.cycle(), 0u);
+}
+
+TEST(Snapshot, NextEdgeOtherThanTheFirstAfterTheTickIsRejected) {
+  {
+    // One domain saved at tick 500: its next edge is 501.  An earlier
+    // one would send now() back in time, a later one skip edges.
+    FanBlobTop top;
+    Simulator sim(top, {});
+    sim.reset();
+    run_steps(sim, 500);
+    const std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+    ASSERT_EQ(rd_u64(bytes, kTickAt), 500u) << "tick offset drifted";
+    ASSERT_EQ(rd_u64(bytes, kNextEdgeAt), 501u) << "next-edge offset drifted";
+    const std::uint64_t bad_nexts[] = {0, 7, 500, 502, 1'000'000};
+    for (const std::uint64_t next : bad_nexts)
+      expect_next_edge_rejected(sim, bytes, 0, next);
+    // The unpatched blob still restores and steps on from tick 501.
+    sim.restore_snapshot(rtl::Snapshot(std::vector<std::uint8_t>(bytes)));
+    sim.step();
+    EXPECT_EQ(sim.now(), 501u);
+    EXPECT_EQ(top.x.read(), 501u);
+  }
+  {
+    // Three domains saved at tick 20: next edges 21 (a), 21 (b), 22 (c).
+    TriEdgeTop top;
+    Simulator sim(top, {});
+    ASSERT_EQ(sim.domain_count(), 3u);
+    sim.reset();
+    while (sim.now() < 20) sim.step();
+    ASSERT_EQ(sim.now(), 20u);
+    const std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+    ASSERT_EQ(rd_u64(bytes, kTickAt), 20u) << "tick offset drifted";
+    ASSERT_EQ(rd_u64(bytes, kNextEdgeAt), 21u);
+    ASSERT_EQ(rd_u64(bytes, kNextEdgeAt + 8), 21u);
+    ASSERT_EQ(rd_u64(bytes, kNextEdgeAt + 16), 22u);
+    for (std::size_t di = 0; di < 3; ++di) {
+      const std::uint64_t next = rd_u64(bytes, kNextEdgeAt + 8 * di);
+      const std::uint64_t period = sim.domain_info(di).period;
+      const std::uint64_t bad_nexts[] = {0, next - 1, next + 1,
+                                         next + period};
+      for (const std::uint64_t bad : bad_nexts)
+        expect_next_edge_rejected(sim, bytes, di, bad);
+    }
+    sim.restore_snapshot(rtl::Snapshot(std::vector<std::uint8_t>(bytes)));
+    sim.step(2);
+    EXPECT_EQ(sim.now(), 22u);
+    EXPECT_EQ(top.cc.read(), 4u);  // ticks 7, 12, 17, 22
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -145,8 +145,9 @@ TEST(Telemetry, TracerDoesNotPerturbStatsOrVcd) {
 }
 
 TEST(Telemetry, TracerDoesNotPerturbTriClockFarm) {
-  // Tri-clock farm: three clock domains, so the traced run goes through
-  // the edge-heap step loop rather than the single-domain one.
+  // Tri-clock farm: three clock domains, so the traced run has events
+  // that fire several domains at once, which the one-clock runs above
+  // never do.
   const designs::Saa2VgaTriClkConfig cfg{.width = 8, .height = 6,
                                          .cdc_depth = 8, .frames = 1,
                                          .lanes = 3};
