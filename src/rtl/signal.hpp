@@ -13,17 +13,21 @@
 // curp_/nxtp_ pointers are rebound into those arrays, so read()/write()
 // are unchanged while the simulator's commit and VCD loops stream
 // through contiguous memory instead of chasing heap objects.  All other
-// per-signal kernel state (pending flag, fanout CSR spans, trace stamps)
+// per-signal kernel state (pending flag, fanout CSR spans, merge stamp)
 // lives in simulator-owned arrays indexed by the dense signal id; the
-// signal itself carries only the two pointers the write fast path needs
-// (pend_flag_, queue_) plus the id and its domain-affinity partition.
+// signal itself carries the two pointers the write fast path needs
+// (pend_flag_, queue_), the id, its domain-affinity partition and its
+// reader mark.
 //
 // Event-driven hooks: once a Simulator binds the design, every write()
 // enqueues the signal's id on the simulator's pending-commit list, and
-// every read() that happens inside a traced eval_comb() is recorded so
-// the simulator can learn which modules are sensitive to which signals.
-// Unbound signals (no simulator, or the full-sweep reference mode)
-// behave exactly as before.
+// every read() inside a traced eval_comb() is checked against the
+// signal's reader mark — the module the simulator last merged a read of
+// it for — and, when that is not the evaluating module (the thread-local
+// SignalBase::reader_), recorded, so the simulator learns which modules
+// are sensitive to which signals.  Repeats are folded when the
+// evaluation's reads are merged.  Unbound signals (no simulator, or the
+// full-sweep reference mode) behave exactly as before.
 #pragma once
 
 #include <cstdint>
@@ -48,40 +52,6 @@ class SignalBase;
 /// Signal<Frame>, ...) keeps its values inline and commits through the
 /// virtual call.
 enum class SigKind : unsigned char { kWord, kBool, kOther };
-
-/// Records which signals a combinational process reads while it runs.
-/// The simulator points SignalBase::tracer_ at one of these around each
-/// traced eval_comb() call; read() funnels every signal through record().
-/// A read whose signal was last merged by the traced module (a known
-/// fanout edge) costs one compare; the rest are deduplicated O(1) by a
-/// per-signal stamp.  Both arrays are the simulator's (attach()).
-class ReadTracer {
- public:
-  /// Must be called before the first begin().
-  void attach(std::uint64_t* stamps, const std::int32_t* last_reader) {
-    stamps_ = stamps;
-    last_reader_ = last_reader;
-  }
-  /// Starts a new trace of module `mid`.  `stamp` must be unique per
-  /// trace (the simulator uses a monotonically increasing eval counter).
-  void begin(std::uint64_t stamp, std::int32_t mid) {
-    stamp_ = stamp;
-    mid_ = mid;
-    reads_.clear();
-  }
-  inline void record(const SignalBase* s);
-  /// Dense ids of the traced evaluation's non-known-edge reads.
-  [[nodiscard]] const std::vector<std::int32_t>& reads() const {
-    return reads_;
-  }
-
- private:
-  std::uint64_t stamp_ = 0;
-  std::int32_t mid_ = -1;
-  std::uint64_t* stamps_ = nullptr;
-  const std::int32_t* last_reader_ = nullptr;
-  std::vector<std::int32_t> reads_;
-};
 
 /// Untyped base for all signals.  Signals register themselves with their
 /// owning module on construction; the simulator discovers them by walking
@@ -169,16 +139,19 @@ class SignalBase {
       queue_->push_back(id_);
     }
   }
-  /// Called by Signal<T>::read(): reports the read to the active tracer,
-  /// if any (i.e. inside a traced eval_comb()).
+  /// Called by Signal<T>::read().  Outside a traced eval_comb() the
+  /// thread's reader_ is -1 and the read costs a sign test; inside one,
+  /// a read of a known edge (this signal's last merged reader is the
+  /// evaluating module) costs one compare, and any other read joins the
+  /// evaluation's read list for the simulator to merge.
   void note_read() const {
-    if (tracer_ != nullptr) tracer_->record(this);
+    const std::int32_t r = reader_;
+    if (r >= 0 && last_reader_ != r) reads_->push_back(this);
   }
 
  private:
   friend class Simulator;
   friend class VcdWriter;
-  friend class ReadTracer;
   friend class TraceGuard;
 
   Module& owner_;
@@ -189,11 +162,16 @@ class SignalBase {
 
   // --- state owned by the binding Simulator (see simulator.cpp) ---
   // Everything else the kernel tracks per signal — pending/vcd flags,
-  // trace stamps, fanout spans, value storage for Word/bool signals —
-  // lives in the Simulator's dense arrays, indexed by id_.
+  // fanout spans, value storage for Word/bool signals — lives in the
+  // Simulator's dense arrays, indexed by id_.
   int id_ = -1;             ///< dense id, -1 = unbound
   std::int16_t part_ = -1;  ///< domain-affinity partition, -1 = unbound
                             ///< (partition() and the topology hash)
+  /// The reader mark: the module id the binding simulator last merged a
+  /// read of this signal for (merge_reads()), -1 for none.  Set only
+  /// once that module is in the signal's fanout, so a read it makes
+  /// again is a known edge.
+  std::int32_t last_reader_ = -1;
   /// The signal's cell in the simulator's dense pending-flag array —
   /// fused into the write fast path so note_write() touches the SoA
   /// flag directly instead of an object field.  nullptr while unbound.
@@ -201,28 +179,24 @@ class SignalBase {
   /// The binding simulator's pending-commit list (ids).
   ArenaVector<std::int32_t>* queue_ = nullptr;
 
-  /// Active trace, if any.  thread_local because SweepDriver runs
-  /// simulators over disjoint designs on different worker threads.
-  static inline thread_local ReadTracer* tracer_ = nullptr;
+  /// The id of the module whose eval_comb() this thread is tracing (-1
+  /// outside a traced evaluation), and that evaluation's read list; set
+  /// by TraceGuard.  thread_local because SweepDriver runs simulators
+  /// over disjoint designs on different worker threads.
+  static inline thread_local std::int32_t reader_ = -1;
+  static inline thread_local std::vector<const SignalBase*>* reads_ = nullptr;
 };
 
-inline void ReadTracer::record(const SignalBase* s) {
-  const int id = s->id_;
-  if (id < 0) return;  // unbound signal read under a foreign trace
-  if (last_reader_[id] == mid_) return;  // known edge: in the fanout
-  std::uint64_t& cell = stamps_[static_cast<std::size_t>(id)];
-  if (cell == stamp_) return;
-  cell = stamp_;
-  reads_.push_back(id);
-}
-
-/// Kernel internal: installs a read tracer for the current scope and
-/// uninstalls it on exit, even when eval_comb() throws (ProtocolError in
-/// strict device modes is an expected test path).
+/// Kernel internal: traces the reads of module `mid` into `reads` for
+/// the current scope and stops on exit, even when eval_comb() throws
+/// (ProtocolError in strict device modes is an expected test path).
 class TraceGuard {
  public:
-  explicit TraceGuard(ReadTracer* t) { SignalBase::tracer_ = t; }
-  ~TraceGuard() { SignalBase::tracer_ = nullptr; }
+  TraceGuard(std::int32_t mid, std::vector<const SignalBase*>* reads) {
+    SignalBase::reads_ = reads;
+    SignalBase::reader_ = mid;
+  }
+  ~TraceGuard() { SignalBase::reader_ = -1; }
   TraceGuard(const TraceGuard&) = delete;
   TraceGuard& operator=(const TraceGuard&) = delete;
 };

@@ -134,9 +134,7 @@ void Simulator::build_soa() {
   sig_pending_ = arena_.alloc_array<unsigned char>(ns);
   sig_vcdmark_ = arena_.alloc_array<unsigned char>(ns);
   sig_slot_ = arena_.alloc_array<std::uint32_t>(ns);
-  sig_stamp_ = arena_.alloc_array<std::uint64_t>(ns);
   sig_mark_ = arena_.alloc_array<std::uint64_t>(ns);
-  last_reader_ = arena_.alloc_array<std::int32_t>(ns);
   seq_owner_ = arena_.alloc_array<std::int32_t>(ns);
   fan_begin_ = arena_.alloc_array<std::uint32_t>(ns);
   fan_count_ = arena_.alloc_array<std::uint32_t>(ns);
@@ -164,7 +162,7 @@ void Simulator::build_soa() {
     SignalBase* s = signals_[i];
     s->id_ = static_cast<int>(i);
     sig_kind_[i] = static_cast<unsigned char>(s->kind());
-    last_reader_[i] = -1;
+    s->last_reader_ = -1;
     // 2 = never sampled (testbench signals): mark_vcd_change() skips
     // them with the same one-byte test that skips already-listed ones.
     sig_vcdmark_[i] = s->width() <= 0 ? 2 : 0;
@@ -187,7 +185,6 @@ void Simulator::build_soa() {
         break;
     }
   }
-  tracer_.attach(sig_stamp_, last_reader_);
 }
 
 std::size_t Simulator::sched_index_for(const ClockDomain* d) {
@@ -271,13 +268,14 @@ void Simulator::unbind() {
     }
     s->id_ = -1;
     s->part_ = -1;
+    s->last_reader_ = -1;
     s->pend_flag_ = nullptr;
     s->queue_ = nullptr;
   }
   sig_kind_ = sig_pending_ = sig_vcdmark_ = nullptr;
   sig_slot_ = nullptr;
-  sig_stamp_ = sig_mark_ = nullptr;
-  last_reader_ = seq_owner_ = nullptr;
+  sig_mark_ = nullptr;
+  seq_owner_ = nullptr;
   word_cur_ = word_nxt_ = nullptr;
   bool_cur_ = bool_nxt_ = nullptr;
   fan_begin_ = fan_count_ = fan_cap_ = nullptr;
@@ -546,31 +544,44 @@ void Simulator::sens_push(std::int32_t mid, std::int32_t sid) {
   sens_count_[mid] = cnt + 1;
 }
 
-void Simulator::merge_reads(std::int32_t mid,
-                            const std::vector<std::int32_t>& reads) {
-  // The tracer dropped every read whose last_reader_ is `mid` — by far
-  // the common case once sensitivity stabilized.  Membership of the
-  // rest via seen-stamp: mark everything the module has ever read (its
-  // accumulated read-set span — the exact mirror of "mid is in
-  // fanout(sid)") under a fresh epoch, then one O(1) probe per read.
+void Simulator::merge_reads(std::int32_t mid) {
+  // Reads of known edges never got here (SignalBase::note_read()): the
+  // list holds first reads, reads of signals another module merged
+  // last, and their repeats.  Membership via seen-stamp: mark
+  // everything the module has ever read (its accumulated read-set span
+  // — the exact mirror of "mid is in fanout(sid)") under a fresh epoch,
+  // then one O(1) probe per read; a newly merged signal is marked too,
+  // so its repeats fold into the one edge.
   const std::uint64_t e = ++mark_epoch_;
   const std::uint32_t sb = sens_begin_[mid];
   const std::uint32_t sc = sens_count_[mid];
   for (std::uint32_t k = 0; k < sc; ++k) sig_mark_[sens_pool_[sb + k]] = e;
-  for (const std::int32_t sid : reads) {
-    last_reader_[sid] = mid;
-    if (sig_mark_[sid] == e) continue;  // already a known (sid, mid) edge
-    sens_push(mid, sid);
-    fan_push(sid, mid);
+  for (const SignalBase* r : eval_reads_) {
+    const std::int32_t sid = r->id_;
+    if (sid < 0) continue;  // an unbound signal has no fanout to join
+    // Another simulator's signal carries that simulator's id, which
+    // indexes nothing of this one's, and its mark is not ours to set.
+    if (static_cast<std::size_t>(sid) >= signals_.size() ||
+        signals_[static_cast<std::size_t>(sid)] != r)
+      throw Error("module '" +
+                  modules_[static_cast<std::size_t>(mid)]->full_name() +
+                  "' read signal '" + r->full_name() +
+                  "', which is bound to another simulator's design");
+    if (sig_mark_[sid] != e) {  // not yet a known (sid, mid) edge
+      sig_mark_[sid] = e;
+      sens_push(mid, sid);
+      fan_push(sid, mid);
+    }
+    signals_[static_cast<std::size_t>(sid)]->last_reader_ = mid;
   }
 }
 
 template <bool kObserved>
 void Simulator::eval_traced(Module* m) {
   ++stats_.evals;
-  tracer_.begin(++eval_stamp_, m->sim_id_);
+  eval_reads_.clear();
   {
-    TraceGuard guard(&tracer_);
+    TraceGuard guard(m->sim_id_, &eval_reads_);
     if (!kObserved || telem_ == nullptr)
       m->eval_comb();
     else
@@ -580,9 +591,11 @@ void Simulator::eval_traced(Module* m) {
   // accumulated read set is monotone, so a module is re-evaluated
   // whenever any signal it has *ever* read changes — a superset of the
   // signals its current execution path depends on, hence sound even for
-  // data-dependent reads.  Once sensitivity has stabilized the tracer
-  // records nothing, and the call is skipped.
-  if (!tracer_.reads().empty()) merge_reads(m->sim_id_, tracer_.reads());
+  // data-dependent reads.  Once sensitivity has stabilized every read is
+  // a known edge, nothing is listed, and the call is skipped.  A throw
+  // out of eval_comb() skips the merge and sets no mark, so the next
+  // evaluation reads those signals afresh.
+  if (!eval_reads_.empty()) merge_reads(m->sim_id_);
 }
 
 template <bool kObserved>

@@ -35,6 +35,12 @@
 //    discovered dynamically by tracing which signals each eval_comb()
 //    reads (starting with an instrumented elaboration settle and kept
 //    up to date on every evaluation, so data-dependent reads are safe).
+//    A TraceGuard puts the evaluating module's id in a thread-local
+//    (SignalBase::reader_, -1 outside a traced evaluation); each read
+//    compares it with the signal's reader mark (SignalBase::last_reader_,
+//    the module this simulator last merged a read of it for) and lists
+//    only a mismatch.  merge_reads() folds the list, repeats included,
+//    into the fanout and sets the marks.
 //    After a clock edge, modules that declared their sequential state
 //    (Module::declare_state(): register_seq() signals + seq_touch()
 //    reports) are re-evaluated only when a register signal they read
@@ -51,15 +57,17 @@
 //    behind the kernel's back between settles.
 //
 // Kernel memory layout (the data-oriented refactor; see
-// src/rtl/README.md): all hot per-signal and per-module kernel state —
+// src/rtl/README.md): the hot per-signal and per-module kernel state —
 // committed/next values of Word and bool signals, pending/dirty flags,
-// SigKind tags, trace stamps — lives in dense SoA arrays owned by this
+// SigKind tags, merge stamps — lives in dense SoA arrays owned by this
 // class and indexed by the dense signal/module ids, so the settle and
 // commit loops stream contiguous memory instead of chasing heap
-// objects.  The learned fanout (signal -> reader modules) and the
-// accumulated per-module read sets are CSR-style spans
-// ([begin,count,cap) per id) into two shared pools, deduplicated with a
-// seen-stamp instead of a linear find.  Everything the elaboration
+// objects.  The one exception is the reader mark, which a read
+// compares with no index to compute, so it sits on the signal.  The
+// learned fanout (signal -> reader modules) and the accumulated
+// per-module read sets are CSR-style spans ([begin,count,cap) per id)
+// into two shared pools, deduplicated with a seen-stamp instead of a
+// linear find.  Everything the elaboration
 // builds — the SoA arrays, both CSR pools, the worklist and pending
 // list, the per-domain activation lists — is allocated from a
 // per-simulator bump arena (rtl/arena.hpp): teardown frees a handful of
@@ -255,7 +263,8 @@ class Simulator {
   /// simulated hardware, not run outcomes.  The predicate is
   /// re-checked after the final step, so a condition that becomes true
   /// exactly at `max_cycles` is PredSatisfied, not Timeout.  On return
-  /// the open VCD (if any) is complete on disk.
+  /// the open VCD (if any) is complete on disk; when a write to it
+  /// failed, run() throws Error naming the file instead.
   ///
   /// While needs_recovery() is latched, run() steps nothing and returns
   /// FaultLatched at 0 steps.
@@ -341,8 +350,9 @@ class Simulator {
 
   /// Starts dumping a VCD waveform of all hardware signals to `path`
   /// (timestamps in ticks, $timescale from Options::tick_ps).  Output
-  /// is buffered: after step() the file's tail may still be in memory.
-  /// Every run() return flushes it, and the destructor closes the file.
+  /// is buffered, up to 64 KiB: after step() the file's tail may still
+  /// be in memory.  Every run() return flushes it (and reports a failed
+  /// write), and the destructor writes out the rest.
   void open_vcd(const std::string& path);
 
   /// Serializes complete simulator state — every signal's committed
@@ -548,16 +558,16 @@ class Simulator {
   /// span.  fan_push/sens_push always run as a pair, preserving the
   /// invariant  s ∈ reads(m)  ⟺  m ∈ fanout(s).
   void sens_push(std::int32_t mid, std::int32_t sid);
-  /// Folds one traced evaluation's reads into the fanout CSR: for every
-  /// read signal whose last_reader_ is not `mid`, membership of the
-  /// (signal, module) edge is decided by stamping the module's
-  /// accumulated read set into sig_mark_ under a fresh mark_epoch_ —
-  /// O(reads) instead of the former per-signal linear find.  Called
-  /// only when the tracer recorded a read (`reads` is not empty).
-  void merge_reads(std::int32_t mid,
-                   const std::vector<std::int32_t>& reads);
+  /// Folds module `mid`'s traced evaluation's reads (eval_reads_, not
+  /// empty) into the fanout CSR and sets each signal's reader mark:
+  /// membership of the (signal, module) edge is decided by stamping the
+  /// module's accumulated read set into sig_mark_ under a fresh
+  /// mark_epoch_, so a merge is O(|reads| + |sens(mid)|) and a signal
+  /// read twice folds into one edge.  Throws Error, before writing
+  /// anything for it, on a read of a signal bound to another simulator.
+  void merge_reads(std::int32_t mid);
 
-  /// Runs one eval_comb() under the read tracer and folds newly observed
+  /// Runs one eval_comb() under a TraceGuard and folds newly observed
   /// reads into the fanout/read-set CSRs.
   template <bool kObserved>
   void eval_traced(Module* m);
@@ -713,9 +723,7 @@ class Simulator {
   unsigned char* sig_pending_ = nullptr;  ///< on the pending-commit list
   unsigned char* sig_vcdmark_ = nullptr;  ///< 0 clean / 1 listed / 2 never
   std::uint32_t* sig_slot_ = nullptr;     ///< index into the value arrays
-  std::uint64_t* sig_stamp_ = nullptr;    ///< ReadTracer dedup stamps
   std::uint64_t* sig_mark_ = nullptr;     ///< merge_reads() seen-stamps
-  std::int32_t* last_reader_ = nullptr;   ///< last merged reader (-1)
   // Dense two-phase value arrays; Word/bool signals' curp_/nxtp_ point
   // into these after bind (slot order = id order, so commits stream).
   Word* word_cur_ = nullptr;
@@ -766,8 +774,8 @@ class Simulator {
   ArenaVector<std::int32_t> worklist_;    ///< dirty module ids, next delta
   ArenaVector<std::int32_t> eval_list_;   ///< dirty module ids, this delta
   std::vector<Module*> touched_;          ///< seq_touch() reporters, this edge
-  ReadTracer tracer_;
-  std::uint64_t eval_stamp_ = 0;          ///< unique id per traced eval
+  /// The traced evaluation's reads that were not known edges (TraceGuard).
+  std::vector<const SignalBase*> eval_reads_;
   ArenaVector<std::int32_t> vcd_changed_;  ///< ids changed since last sample
   bool vcd_full_pending_ = false;          ///< next sample must scan all
 

@@ -456,11 +456,8 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     const std::size_t nsig = signals_.size();
     const std::size_t nmod = modules_.size();
     std::fill_n(sig_pending_, nsig, static_cast<unsigned char>(0));
-    std::fill_n(sig_stamp_, nsig, std::uint64_t{0});
-    std::fill_n(sig_mark_, nsig, std::uint64_t{0});
-    std::fill_n(last_reader_, nsig, std::int32_t{-1});
-    mark_epoch_ = 0;
-    eval_stamp_ = 0;
+    // The fanout is replaced below: no mark may claim an edge of the old.
+    for (SignalBase* s : signals_) s->last_reader_ = -1;
     // Only listed signals carry the vcd mark (sentinel 2 — never
     // sampled — must survive), so clearing the list clears the marks.
     for (const std::int32_t sid : vcd_changed_) sig_vcdmark_[sid] = 0;

@@ -8,7 +8,7 @@ namespace hwpat::rtl {
 
 VcdWriter::VcdWriter(const std::string& path, Module& top,
                      std::uint64_t tick_ps)
-    : out_(path) {
+    : path_(path), out_(path) {
   if (!out_) throw Error("cannot open VCD file: " + path);
   HWPAT_ASSERT(tick_ps > 0);
   // IEEE 1364 only allows 1, 10 or 100 of a unit in $timescale, so the
@@ -32,7 +32,7 @@ VcdWriter::VcdWriter(const std::string& path, Module& top,
       // No overflow: mant * u.ps <= 100e12, well inside uint64.
       const std::uint64_t quantum = mant * u.ps;
       if (tick_ps % quantum == 0) {
-        out_ << "$timescale " << mant << u.name << " $end\n";
+        buf_ += "$timescale " + std::to_string(mant) + u.name + " $end\n";
         time_mult_ = tick_ps / quantum;
         found = true;
         break;
@@ -41,18 +41,33 @@ VcdWriter::VcdWriter(const std::string& path, Module& top,
     if (found) break;  // 1ps divides everything: always terminates
   }
   declare_scope(top);
-  out_ << "$enddefinitions $end\n";
+  buf_ += "$enddefinitions $end\n";
+}
+
+VcdWriter::~VcdWriter() { spill(); }
+
+void VcdWriter::spill() {
+  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
+}
+
+void VcdWriter::flush() {
+  spill();
+  out_.flush();
+  if (!out_)
+    throw Error("cannot write VCD file: " + path_ +
+                " (the waveform on disk is incomplete)");
 }
 
 void VcdWriter::declare_scope(Module& m) {
-  out_ << "$scope module " << m.name() << " $end\n";
+  buf_ += "$scope module " + m.name() + " $end\n";
   for (SignalBase* s : m.signals()) {
     if (s->width() <= 0) continue;
     Entry e;
     e.sig = s;
     e.id = make_id(entries_.size());
-    out_ << "$var wire " << s->width() << " " << e.id << " " << s->name()
-         << " $end\n";
+    buf_ += "$var wire " + std::to_string(s->width()) + " " + e.id + " " +
+            s->name() + " $end\n";
     if (s->id_ >= 0) {
       if (entry_by_signal_id_.size() <= static_cast<std::size_t>(s->id_))
         entry_by_signal_id_.resize(static_cast<std::size_t>(s->id_) + 1, -1);
@@ -62,7 +77,7 @@ void VcdWriter::declare_scope(Module& m) {
     entries_.push_back(std::move(e));
   }
   for (Module* c : m.children()) declare_scope(*c);
-  out_ << "$upscope $end\n";
+  buf_ += "$upscope $end\n";
 }
 
 std::string VcdWriter::make_id(std::size_t n) {
@@ -79,17 +94,21 @@ void VcdWriter::emit(Entry& e, std::uint64_t tick, bool* stamped) {
   const Word v = e.sig->as_word_fast();
   if (e.ever && v == e.last) return;
   if (!*stamped) {
-    out_ << "#" << tick * time_mult_ << "\n";
+    buf_ += '#';
+    buf_ += std::to_string(tick * time_mult_);
+    buf_ += '\n';
     *stamped = true;
   }
   if (e.sig->width() == 1) {
-    out_ << (v ? '1' : '0') << e.id << "\n";
+    buf_ += v ? '1' : '0';
   } else {
-    out_ << "b";
+    buf_ += 'b';
     for (int i = e.sig->width() - 1; i >= 0; --i)
-      out_ << (bit_of(v, i) ? '1' : '0');
-    out_ << " " << e.id << "\n";
+      buf_ += bit_of(v, i) ? '1' : '0';
+    buf_ += ' ';
   }
+  buf_ += e.id;
+  buf_ += '\n';
   e.last = v;
   e.ever = true;
 }
@@ -97,6 +116,7 @@ void VcdWriter::emit(Entry& e, std::uint64_t tick, bool* stamped) {
 void VcdWriter::sample(std::uint64_t tick) {
   bool stamped = false;
   for (Entry& e : entries_) emit(e, tick, &stamped);
+  if (buf_.size() >= kSpillBytes) spill();
 }
 
 void VcdWriter::sample_changed(std::uint64_t tick,
@@ -117,6 +137,7 @@ void VcdWriter::sample_changed(std::uint64_t tick,
   bool stamped = false;
   for (const int idx : scratch_)
     emit(entries_[static_cast<std::size_t>(idx)], tick, &stamped);
+  if (buf_.size() >= kSpillBytes) spill();
 }
 
 }  // namespace hwpat::rtl

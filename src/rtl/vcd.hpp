@@ -18,6 +18,10 @@
 // Values are read through SignalBase::as_word_fast(), which statically
 // dispatches the dominant Word/bool signal types instead of paying a
 // virtual as_word() call per sampled signal.
+//
+// Output is formatted into a string buffer that goes to the file in one
+// write per 64 KiB; flush() and the destructor write out the rest.  A
+// failed write (a full disk) is reported by the next flush().
 #pragma once
 
 #include <cstdint>
@@ -40,6 +44,9 @@ class VcdWriter {
   /// `$timescale 1ns` with unscaled timestamps.
   VcdWriter(const std::string& path, Module& top,
             std::uint64_t tick_ps = 1000);
+  /// Writes out the buffered tail.  A failure here goes unreported (a
+  /// destructor cannot throw): flush() first to learn of it.
+  ~VcdWriter();
 
   /// Records the state at time `tick` (one VCD time unit per tick),
   /// scanning every declared signal.
@@ -51,10 +58,13 @@ class VcdWriter {
   void sample_changed(std::uint64_t tick, const std::int32_t* changed,
                       std::size_t n);
 
-  /// Pushes everything written so far to the file.
-  void flush() { out_.flush(); }
+  /// Pushes everything written so far to the file.  Throws Error
+  /// naming the file when any write to it failed: the waveform on disk
+  /// is then incomplete.
+  void flush();
 
  private:
+  static constexpr std::size_t kSpillBytes = 64 * 1024;
   struct Entry {
     SignalBase* sig;
     std::string id;
@@ -64,9 +74,13 @@ class VcdWriter {
 
   void declare_scope(Module& m);
   void emit(Entry& e, std::uint64_t tick, bool* stamped);
+  /// Hands the buffer to the file in one write.
+  void spill();
   static std::string make_id(std::size_t n);
 
+  std::string path_;
   std::ofstream out_;
+  std::string buf_;  ///< formatted output not yet written
   std::uint64_t time_mult_ = 1;  ///< timestamp units per tick (header)
   std::vector<Entry> entries_;
   std::vector<int> entry_by_signal_id_;  ///< dense signal id -> entry, -1 none

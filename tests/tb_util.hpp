@@ -29,6 +29,26 @@ inline std::string slurp_and_remove(const std::string& path) {
   return ss.str();
 }
 
+/// Expects every Stats counter of two runs to match; `label` names the
+/// pair in a failure.
+inline void expect_stats_eq(const rtl::Simulator::Stats& a,
+                            const rtl::Simulator::Stats& b,
+                            const std::string& label) {
+  EXPECT_EQ(a.steps, b.steps) << label;
+  EXPECT_EQ(a.settles, b.settles) << label;
+  EXPECT_EQ(a.deltas, b.deltas) << label;
+  EXPECT_EQ(a.evals, b.evals) << label;
+  EXPECT_EQ(a.commits, b.commits) << label;
+  EXPECT_EQ(a.commit_changes, b.commit_changes) << label;
+  EXPECT_EQ(a.seq_touches, b.seq_touches) << label;
+  EXPECT_EQ(a.seq_skips, b.seq_skips) << label;
+  EXPECT_EQ(a.edges, b.edges) << label;
+  EXPECT_EQ(a.act_skips, b.act_skips) << label;
+  EXPECT_EQ(a.partition_settles, b.partition_settles) << label;
+  EXPECT_EQ(a.partition_skips, b.partition_skips) << label;
+  EXPECT_EQ(a.domain_edges, b.domain_edges) << label;
+}
+
 using core::StreamConsumer;
 using core::StreamProducer;
 using rtl::Bit;

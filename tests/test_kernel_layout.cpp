@@ -1,17 +1,21 @@
 // Regression tests for the data-oriented kernel memory layout (ISSUE
 // 9): the int16 partition-id truncation guard, the CSR fanout's
 // dedup-under-alternation behaviour, the monotone ever-read re-eval
-// contract, and the arena footprint accounting.
+// contract, the per-signal reader marks, and the arena footprint
+// accounting.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "designs/design.hpp"
 #include "rtl/clock.hpp"
 #include "rtl/simulator.hpp"
 #include "rtl/snapshot.hpp"
+#include "tb_util.hpp"
 
 namespace hwpat {
 namespace {
@@ -308,6 +312,154 @@ TEST(CsrFanout, LateFirstReadJoinsTheFanout) {
   EXPECT_EQ(top.a.out.read(), ref.a.out.read());
   EXPECT_EQ(top.b.out.read(), ref.b.out.read());
   EXPECT_EQ(sim.stats().steps, rsim.stats().steps);
+}
+
+// ------------------------------------------------------------------
+// Reader marks: foreign reads, throwing evaluations, interleaving
+// ------------------------------------------------------------------
+
+/// A design of 200 buses that none of its own modules reads.
+struct BigTop : Module {
+  std::vector<std::unique_ptr<Bus>> buses;
+  BigTop() : Module(nullptr, "big") {
+    for (int i = 0; i < 200; ++i) {
+      std::string n("b");
+      n.append(std::to_string(i));
+      buses.push_back(std::make_unique<Bus>(*this, std::move(n), 8));
+    }
+  }
+};
+
+/// A two-signal design whose eval_comb() copies a signal of another.
+struct ForeignReader : Module {
+  Bus out{*this, "out", 8};
+  Bit spare{*this, "spare"};
+  const Bus* src = nullptr;
+  explicit ForeignReader(const Bus* s) : Module(nullptr, "reader"), src(s) {}
+  void eval_comb() override { out.write(src->read()); }
+};
+
+TEST(ReaderMark, ReadOfAnotherSimulatorsSignalThrowsNamingBoth) {
+  BigTop big;
+  Simulator big_sim(big);
+  // b199's id indexes past the reader's arrays; b1's id lands on the
+  // reader's own `spare` signal.  Neither may be taken for a signal of
+  // the reader's design.
+  for (const int which : {199, 1}) {
+    const Bus& src = *big.buses[static_cast<std::size_t>(which)];
+    ForeignReader reader(&src);
+    Simulator sim(reader);
+    try {
+      sim.reset();
+      FAIL() << "reading " << src.full_name() << " did not throw";
+    } catch (const Error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "module 'reader' read signal '" + src.full_name() +
+                    "', which is bound to another simulator's design");
+    }
+    EXPECT_EQ(sim.fanout_size(reader.spare), 0u);
+    EXPECT_EQ(big_sim.fanout_size(src), 0u);
+  }
+}
+
+/// Reads `gate`, and `data` only while `gate` is high.  While `arm` is
+/// set, the first read of `data` is followed by a throw.
+struct ThrowingReader : Module {
+  Bus out{*this, "out", 16};
+  const Bit* gate = nullptr;
+  const Bus* data = nullptr;
+  bool arm = false;
+  explicit ThrowingReader(Module* parent) : Module(parent, "r") {}
+  void eval_comb() override {
+    Word v = 0;
+    if (gate->read()) {
+      v = data->read();
+      if (arm) {
+        arm = false;
+        throw std::runtime_error("eval_comb() failed after reading data");
+      }
+    }
+    out.write(v * 2 + 1);
+  }
+  void declare_state() override { declare_comb_only(); }
+};
+
+struct ThrowTop : Module {
+  Bit gate{*this, "gate"};
+  Bus data{*this, "data", 16};
+  ThrowingReader r{this};
+  ThrowTop() : Module(nullptr, "top") {
+    r.gate = &gate;
+    r.data = &data;
+  }
+  void on_clock() override {
+    gate.write(true);
+    data.write(data.read() + 3);
+  }
+  void declare_state() override {
+    register_seq(gate);
+    register_seq(data);
+  }
+};
+
+TEST(ReaderMark, EvalThrowAfterAFirstReadStillLearnsTheEdgeAfterReset) {
+  ThrowTop top;
+  Simulator sim(top);
+  sim.reset();  // gate is low: r reads only gate
+  ASSERT_EQ(sim.fanout_size(top.data), 0u);
+  top.r.arm = true;
+  EXPECT_THROW(sim.step(), std::runtime_error);  // first read, then throw
+  sim.reset();
+  sim.step();  // gate rises again: r reads data and finishes this time
+  EXPECT_EQ(sim.fanout_size(top.data), 1u);
+  EXPECT_EQ(top.r.out.read(), top.data.read() * 2 + 1);
+  for (int i = 0; i < 10; ++i) {
+    sim.step();  // only data changes from here on
+    EXPECT_EQ(top.r.out.read(), top.data.read() * 2 + 1) << "step " << i;
+  }
+}
+
+// The reader marks live on the signals and the evaluating module's id
+// in a thread-local: two simulators stepped turn about on one thread
+// must not see each other's marks or reads.
+TEST(ReaderMark, AlternatingSimulatorsOnOneThreadMatchTheirSoloRuns) {
+  const designs::Saa2VgaTriClkConfig cfg{.width = 16, .height = 12,
+                                         .lanes = 2};
+  Simulator::Stats solo_stats;
+  std::string solo_vcd;
+  {
+    auto d = designs::make_saa2vga_triclk(cfg);
+    {
+      Simulator sim(*d);
+      sim.open_vcd("kernel_layout_solo.vcd");
+      sim.reset();
+      while (!d->finished()) sim.step();
+      solo_stats = sim.stats();
+    }
+    solo_vcd = tb::slurp_and_remove("kernel_layout_solo.vcd");
+  }
+  ASSERT_GT(solo_stats.steps, 100u);
+  auto a = designs::make_saa2vga_triclk(cfg);
+  auto b = designs::make_saa2vga_triclk(cfg);
+  {
+    Simulator sa(*a);
+    Simulator sb(*b);
+    sa.open_vcd("kernel_layout_a.vcd");
+    sb.open_vcd("kernel_layout_b.vcd");
+    sa.reset();
+    sb.reset();
+    // b lags a by one step, so every step of one runs between two of
+    // the other.
+    sa.step();
+    while (!a->finished() || !b->finished()) {
+      if (!b->finished()) sb.step();
+      if (!a->finished()) sa.step();
+    }
+    tb::expect_stats_eq(sa.stats(), solo_stats, "a");
+    tb::expect_stats_eq(sb.stats(), solo_stats, "b");
+  }
+  EXPECT_TRUE(tb::slurp_and_remove("kernel_layout_a.vcd") == solo_vcd);
+  EXPECT_TRUE(tb::slurp_and_remove("kernel_layout_b.vcd") == solo_vcd);
 }
 
 // ------------------------------------------------------------------

@@ -3,9 +3,12 @@
 // failure modes.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <string>
 
 #include "designs/design.hpp"
@@ -239,6 +242,83 @@ TEST(Vcd, RunReturnsWithTheWholeFileOnDisk) {
     EXPECT_GT(after.size(), 16'384u);
     ASSERT_EQ(during.size(), after.size()) << overload;
     EXPECT_TRUE(during == after) << overload;
+  }
+}
+
+/// The waveform of one run of `d` to finished(), read back once the
+/// simulator is gone.
+std::string waveform_of(designs::VideoDesign& d, const std::string& path) {
+  {
+    Simulator sim(d);
+    sim.open_vcd(path);
+    sim.reset();
+    EXPECT_TRUE(sim.run([&] { return d.finished(); }, 1'000'000).ok());
+  }
+  std::string bytes = read_file(path);
+  std::remove(path.c_str());
+  return bytes;
+}
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The other byte-identity tests compare two runs of one build (two
+// kernels, traced and untraced), so a change that moves both sides
+// passes them.  This one pins the bytes themselves: the size and FNV-1a
+// hash of three waveforms, recorded from the kernel that kept separate
+// current/next value arrays and wrote its VCD through std::ofstream.
+TEST(Vcd, WaveformBytesNeverMove) {
+  struct Pin {
+    const char* name;
+    std::unique_ptr<designs::VideoDesign> design;
+    std::size_t size;
+    std::uint64_t hash;
+  };
+  Pin pins[] = {
+      {"fifo_16x12",
+       designs::make_saa2vga_pattern(
+           {.width = 16, .height = 12,
+            .device = devices::DeviceKind::FifoCore}),
+       16'802, 0x336c275c03328e47},
+      {"sram_16x12",
+       designs::make_saa2vga_pattern(
+           {.width = 16, .height = 12, .device = devices::DeviceKind::Sram}),
+       57'773, 0xe419ac4689bc860d},
+      {"triclk_2lane_16x12_5to2to3",
+       designs::make_saa2vga_triclk({.width = 16, .height = 12, .lanes = 2}),
+       129'445, 0x5df5426690746d9e},
+  };
+  for (Pin& p : pins) {
+    const std::string bytes =
+        waveform_of(*p.design, std::string("test_rtl_pin_") + p.name + ".vcd");
+    EXPECT_EQ(bytes.size(), p.size) << p.name;
+    EXPECT_EQ(fnv1a(bytes), p.hash)
+        << p.name << ": 0x" << std::hex << fnv1a(bytes);
+  }
+}
+
+// A waveform that cannot be written is an error, not a silent loss:
+// run() throws from its closing flush, naming the file.
+TEST(Vcd, FailedWriteThrowsNamingThePath) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "this host has no /dev/full";
+  auto d = designs::make_saa2vga_pattern(
+      {.width = 32, .height = 24, .device = devices::DeviceKind::FifoCore});
+  Simulator sim(*d);
+  sim.open_vcd("/dev/full");
+  sim.reset();
+  try {
+    (void)sim.run([&] { return d->finished(); }, 100'000);
+    FAIL() << "run() returned although no VCD byte could be written";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -20,6 +20,8 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -301,6 +303,22 @@ TEST(SweepValidation, FailingVariantDoesNotAbortTheSweep) {
   EXPECT_TRUE(rs[1].ok);
   EXPECT_EQ(rs[1].outcome, RunResult::PredSatisfied);  // fixed-length run
   EXPECT_EQ(rs[1].steps, 2000u);
+}
+
+TEST(SweepValidation, UnwritableWaveformIsTheJobsError) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "this host has no /dev/full";
+  const SweepDriver driver({1, 50, ""});
+  std::vector<SweepJob> jobs(1);
+  jobs[0].name = "full";
+  jobs[0].build = [] { return std::unique_ptr<Module>(new TickCounter()); };
+  jobs[0].at_warmup = [](Module&, Simulator& sim) {
+    sim.open_vcd("/dev/full");
+  };
+  const std::vector<SweepResult> rs = driver.run(jobs);
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_FALSE(rs[0].ok);
+  EXPECT_THAT(rs[0].error, HasSubstr("/dev/full"));
 }
 
 // ---------------------------------------------------------------------
