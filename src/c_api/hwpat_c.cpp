@@ -574,6 +574,10 @@ hwpat_status hwpat_sweep_add(hwpat_sweep* sweep, const char* name,
 
 hwpat_status hwpat_sweep_run(hwpat_sweep* sweep) {
   if (sweep == nullptr) return bad_arg("hwpat_sweep_run: sweep is NULL");
+  if (sweep->entries.empty())
+    return bad_arg(
+        "hwpat_sweep_run: the sweep has no variants — add one with "
+        "hwpat_sweep_add first");
   return guarded([&] {
     std::vector<hwpat::rtl::SweepJob> jobs;
     jobs.reserve(sweep->entries.size());

@@ -228,13 +228,14 @@ void hwpat_snapshot_destroy(hwpat_snapshot* snap);
 hwpat_status hwpat_sweep_create(int workers, uint64_t max_cycles,
                                 hwpat_sweep** out);
 /* Adds one variant; design/config/opt as in hwpat_sim_create.  Names
- * must be unique and non-empty. */
+ * must be unique and non-empty: an empty or duplicate name fails here,
+ * with HWPAT_ERR_ARGUMENT. */
 hwpat_status hwpat_sweep_add(hwpat_sweep* sweep, const char* name,
                              const char* design, const char* config,
                              const hwpat_sim_options* opt);
 /* Runs every added variant to its finished() predicate.  A failing
  * variant records its error in its result slot; the call itself fails
- * only on misuse (empty sweep, duplicate names). */
+ * only on misuse: a sweep without variants is HWPAT_ERR_ARGUMENT. */
 hwpat_status hwpat_sweep_run(hwpat_sweep* sweep);
 /* Number of added variants (0 on NULL). */
 size_t hwpat_sweep_count(const hwpat_sweep* sweep);

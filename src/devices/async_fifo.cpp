@@ -53,15 +53,11 @@ class AsyncFifo::WriteSide : public rtl::Module {
     // Synchronizer chain: the read pointer crosses into this domain.
     rsync2_.write(rsync1_.read());
     rsync1_.write(f_.rptr_gray_.read());
-    if (!f_.p_.wr_en.read()) return;
-    const bool full_now =
-        f_.wptr_gray_.read() == (rsync2_.read() ^ f_.top2_mask());
-    if (full_now) {
-      if (f_.cfg_.strict)
-        throw ProtocolError("async FIFO '" + f_.full_name() +
-                            "': write while full");
+    // A write while full is ignored here: in strict mode
+    // on_clock_check() has already rejected it.
+    if (!f_.p_.wr_en.read() ||
+        f_.wptr_gray_.read() == (rsync2_.read() ^ f_.top2_mask()))
       return;
-    }
     // The storage cell is unreachable by the read side until this
     // write's pointer update has crossed its synchronizer, so writing
     // the shared array needs no seq_touch(): no eval_comb() anywhere
@@ -139,14 +135,10 @@ class AsyncFifo::ReadSide : public rtl::Module {
     // Synchronizer chain: the write pointer crosses into this domain.
     wsync2_.write(wsync1_.read());
     wsync1_.write(f_.wptr_gray_.read());
-    if (!f_.p_.rd_en.read()) return;
-    const bool empty_now = f_.rptr_gray_.read() == wsync2_.read();
-    if (empty_now) {
-      if (f_.cfg_.strict)
-        throw ProtocolError("async FIFO '" + f_.full_name() +
-                            "': read while empty");
+    // A read while empty is ignored here: in strict mode
+    // on_clock_check() has already rejected it.
+    if (!f_.p_.rd_en.read() || f_.rptr_gray_.read() == wsync2_.read())
       return;
-    }
     ++rbin_;
     f_.rptr_gray_.write(
         gray(rbin_ & ((Word{2} * static_cast<Word>(f_.cfg_.depth)) - 1)));

@@ -44,28 +44,18 @@ void FifoCore::eval_comb() {
 }
 
 void FifoCore::on_clock() {
-  const bool do_rd = p_.rd_en.read();
-  const bool do_wr = p_.wr_en.read();
-  if (do_rd) {
-    if (count_ == 0) {
-      if (cfg_.strict)
-        throw ProtocolError("FIFO '" + full_name() + "': read while empty");
-    } else {
-      head_ = (head_ + 1) % cfg_.depth;
-      --count_;
-      seq_touch();
-    }
+  // An illegal operation is ignored here: in strict mode
+  // on_clock_check() has already rejected it, before any on_clock() ran.
+  if (p_.rd_en.read() && count_ > 0) {
+    head_ = (head_ + 1) % cfg_.depth;
+    --count_;
+    seq_touch();
   }
-  if (do_wr) {
-    if (count_ == cfg_.depth) {
-      if (cfg_.strict)
-        throw ProtocolError("FIFO '" + full_name() + "': write while full");
-    } else {
-      const int tail = (head_ + count_) % cfg_.depth;
-      mem_[static_cast<std::size_t>(tail)] = p_.wr_data.read();
-      ++count_;
-      seq_touch();
-    }
+  if (p_.wr_en.read() && count_ < cfg_.depth) {
+    const int tail = (head_ + count_) % cfg_.depth;
+    mem_[static_cast<std::size_t>(tail)] = p_.wr_data.read();
+    ++count_;
+    seq_touch();
   }
 }
 

@@ -44,14 +44,14 @@ void LifoCore::eval_comb() {
 }
 
 void LifoCore::on_clock() {
+  // An illegal operation is ignored here (a pop+push while empty acts
+  // as a push): in strict mode on_clock_check() has already rejected
+  // it, before any on_clock() ran.
   const bool do_rd = p_.rd_en.read();
   const bool do_wr = p_.wr_en.read();
   if (do_rd && do_wr) {
     // Replace top (pop then push), legal even when full; needs non-empty.
     if (count_ == 0) {
-      if (cfg_.strict)
-        throw ProtocolError("LIFO '" + full_name() +
-                            "': pop+push while empty");
       mem_[0] = p_.wr_data.read();
       count_ = 1;
     } else {
@@ -61,22 +61,14 @@ void LifoCore::on_clock() {
     return;
   }
   if (do_rd) {
-    if (count_ == 0) {
-      if (cfg_.strict)
-        throw ProtocolError("LIFO '" + full_name() + "': pop while empty");
-    } else {
+    if (count_ > 0) {
       --count_;
       seq_touch();
     }
-  } else if (do_wr) {
-    if (count_ == cfg_.depth) {
-      if (cfg_.strict)
-        throw ProtocolError("LIFO '" + full_name() + "': push while full");
-    } else {
-      mem_[static_cast<std::size_t>(count_)] = p_.wr_data.read();
-      ++count_;
-      seq_touch();
-    }
+  } else if (do_wr && count_ < cfg_.depth) {
+    mem_[static_cast<std::size_t>(count_)] = p_.wr_data.read();
+    ++count_;
+    seq_touch();
   }
 }
 

@@ -7,7 +7,7 @@ namespace hwpat::rtl {
 SignalBase::SignalBase(Module& owner, std::string name, int width,
                        SigKind kind)
     : owner_(owner), name_(std::move(name)), width_(width), kind_(kind) {
-  HWPAT_ASSERT(width >= 0);
+  HWPAT_ASSERT(width >= 1 && width <= kMaxBusBits);
   owner.add_signal(this);
 }
 

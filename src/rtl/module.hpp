@@ -21,6 +21,7 @@
 
 #include "rtl/resources.hpp"
 #include "rtl/signal.hpp"
+#include "rtl/snapshot.hpp"
 
 namespace hwpat::rtl {
 

@@ -4,7 +4,7 @@
 // the types an embedder (a testbench binary, the sweep service, a
 // foreign-language binding) programs against:
 //
-//   rtl::Module, rtl::Signal<T>/Bit/Word   design tree + two-phase signals
+//   rtl::Module, rtl::Bit/Bus              design tree + two-phase signals
 //   rtl::ClockDomain                       multi-clock assignment
 //   rtl::Simulator                         reset/step/run, Options, Stats
 //   rtl::RunResult / rtl::RunStatus        value-carrying run outcomes
@@ -18,8 +18,6 @@
 // Everything reachable from this header follows the deprecation policy
 // documented in src/rtl/README.md ("Embedding and batch sweeps"):
 // a replaced API keeps a documented shim for one PR before removal.
-// (The run_until() shims, deprecated last PR in favour of
-// Simulator::run(), are gone as of this one.)
 // What is NOT reachable from here (module internals, the settle
 // worklist and pending list, StateWriter/StateReader codec details
 // beyond what Module hooks need) may change shape between PRs without

@@ -6,18 +6,24 @@
 // never observes a value written in the same round, so evaluation order
 // of modules is irrelevant and simulation is deterministic.
 //
+// A signal is one of the two port types the generator emits: a Bit (a
+// std_logic, Signal<bool>) or a Bus (a std_logic_vector of 1..64 bits,
+// Signal<Word>).  Signal<T> admits no other T and only Bit and Bus
+// construct one, so the SigKind tag names a signal's concrete type: the
+// kernel commits, rolls back, resets, serializes and samples signals by
+// dispatching on it, and a signal object carries no vtable.
+//
 // Data-oriented layout (see src/rtl/README.md, "Kernel memory layout"):
 // an unbound signal keeps its values in the object (curs_/nxts_), but a
-// binding Simulator *adopts* the storage of the dominant Word/bool
-// signals into dense SoA arrays it owns, indexed by slot — the signal's
-// curp_/nxtp_ pointers are rebound into those arrays, so read()/write()
-// are unchanged while the simulator's commit and VCD loops stream
-// through contiguous memory instead of chasing heap objects.  All other
-// per-signal kernel state (pending flag, fanout CSR spans, merge stamp)
-// lives in simulator-owned arrays indexed by the dense signal id; the
-// signal itself carries the two pointers the write fast path needs
-// (pend_flag_, queue_), the id, its domain-affinity partition and its
-// reader mark.
+// binding Simulator *adopts* the storage into dense SoA arrays it owns,
+// indexed by slot — the signal's curp_/nxtp_ pointers are rebound into
+// those arrays, so read()/write() are unchanged while the simulator's
+// commit and VCD loops stream through contiguous memory instead of
+// chasing heap objects.  All other per-signal kernel state (pending
+// flag, fanout CSR spans, merge stamp) lives in simulator-owned arrays
+// indexed by the dense signal id; the signal itself carries the two
+// pointers the write fast path needs (pend_flag_, queue_), the id, its
+// domain-affinity partition and its reader mark.
 //
 // Event-driven hooks: once a Simulator binds the design, every write()
 // enqueues the signal's id on the simulator's pending-commit list, and
@@ -27,7 +33,7 @@
 // SignalBase::reader_), recorded, so the simulator learns which modules
 // are sensitive to which signals.  Repeats are folded when the
 // evaluation's reads are merged.  Unbound signals (no simulator, or the
-// full-sweep reference mode) behave exactly as before.
+// full-sweep reference mode) enqueue nothing.
 #pragma once
 
 #include <cstdint>
@@ -36,32 +42,25 @@
 #include <vector>
 
 #include "common/bits.hpp"
-#include "common/error.hpp"
 #include "rtl/arena.hpp"
-#include "rtl/snapshot.hpp"
 
 namespace hwpat::rtl {
 
 class Module;
 class SignalBase;
 
-/// Storage type tag of a signal, set once at construction.  The two
-/// dominant concrete types (Signal<Word> via Bus, Signal<bool> via Bit)
-/// have their values adopted into the Simulator's dense SoA arrays,
-/// which its commit loop reads directly; everything else (testbench
-/// Signal<Frame>, ...) keeps its values inline and commits through the
-/// virtual call.
-enum class SigKind : unsigned char { kWord, kBool, kOther };
+/// Concrete type of a signal, set once at construction: kWord signals
+/// are Signal<Word> (Bus), kBool signals Signal<bool> (Bit).  The
+/// binding Simulator adopts both kinds' values into dense arrays of
+/// their own and dispatches on the tag.  The values are part of the
+/// snapshot topology hash.
+enum class SigKind : unsigned char { kWord = 0, kBool = 1 };
 
 /// Untyped base for all signals.  Signals register themselves with their
 /// owning module on construction; the simulator discovers them by walking
 /// the module tree.
 class SignalBase {
  public:
-  SignalBase(Module& owner, std::string name, int width,
-             SigKind kind = SigKind::kOther);
-  virtual ~SignalBase();
-
   SignalBase(const SignalBase&) = delete;
   SignalBase& operator=(const SignalBase&) = delete;
 
@@ -69,8 +68,7 @@ class SignalBase {
   [[nodiscard]] const std::string& name() const { return name_; }
   /// Hierarchical dotted name, e.g. "top.fifo0.rd_data".
   [[nodiscard]] std::string full_name() const;
-  /// Bit width of the modelled bus; 0 marks a testbench-only signal that
-  /// is excluded from waveforms and resource accounting.
+  /// Bit width of the modelled wire or bus, 1..64.
   [[nodiscard]] int width() const { return width_; }
   [[nodiscard]] Module& owner() const { return owner_; }
 
@@ -93,42 +91,22 @@ class SignalBase {
   void mark_cdc_cross() { cdc_cross_ = true; }
   [[nodiscard]] bool cdc_cross() const { return cdc_cross_; }
 
-  /// Storage type tag (the simulator's commit dispatch — see SigKind).
+  /// Concrete type (see SigKind).
   [[nodiscard]] SigKind kind() const { return kind_; }
 
-  /// Copies next into current.  Returns true when the visible value
-  /// changed (used by the delta-cycle settling loop).  The simulator
-  /// calls it only for kOther signals; Word and bool signals commit in
-  /// its dense value arrays.
-  virtual bool commit() = 0;
-  /// Throws away an uncommitted write: next := current.  The simulator
-  /// uses it to roll back the writes of an aborted clock-edge event.
-  virtual void discard_write() = 0;
-  /// Restores the construction-time value on both phases (global reset).
-  virtual void reset_value() = 0;
-  /// Current value as a word, for VCD dumping (width <= 64 only).
-  [[nodiscard]] virtual Word as_word() const = 0;
-  /// Non-virtual as_word() dispatcher: inlines the Word/bool reads (the
-  /// two signal types that dominate every sampled waveform) and falls
-  /// back to the virtual as_word() for everything else.  Defined after
-  /// Signal<T> below.
+  /// Current value as a word, without the read tracing read() does: for
+  /// the VCD writer and for validate-phase checks that must not join a
+  /// module's sensitivity.  Defined after Signal<T> below.
   [[nodiscard]] Word as_word_fast() const;
 
-  /// True while a write awaits commit (next != current).  Cold path:
-  /// save_snapshot() scans this to refuse capturing mid-write state —
-  /// needed because the full-sweep kernel commits by scanning all
-  /// signals, so an uncommitted write leaves no pending-list trace.
-  [[nodiscard]] virtual bool has_uncommitted_write() const = 0;
-
-  /// Serializes the committed (current) value.  Snapshots are taken
-  /// between steps, when next == current, so one value suffices.  The
-  /// simulator encodes bound Word/bool signals in bulk from its value
-  /// arrays instead; this is the path for everything else.
-  virtual void save_value(StateWriter& w) const = 0;
-  /// Restores a serialized value onto both phases (current and next).
-  virtual void load_value(StateReader& r) = 0;
-
  protected:
+  /// Only Signal<T>, so only Bit and Bus, constructs a signal; `kind`
+  /// names its concrete type.  Asserts a width of 1..64.
+  SignalBase(Module& owner, std::string name, int width, SigKind kind);
+  /// Protected, as there is no vtable: a signal is destroyed as the Bit
+  /// or Bus it is, never through a base pointer.
+  ~SignalBase();
+
   /// Called by Signal<T>::write(): schedules this signal's id for
   /// commit on the simulator's pending-commit list (queue_) — at most
   /// once until drained; the pending flag lives in the simulator's
@@ -151,7 +129,6 @@ class SignalBase {
 
  private:
   friend class Simulator;
-  friend class VcdWriter;
   friend class TraceGuard;
 
   Module& owner_;
@@ -162,8 +139,8 @@ class SignalBase {
 
   // --- state owned by the binding Simulator (see simulator.cpp) ---
   // Everything else the kernel tracks per signal — pending/vcd flags,
-  // fanout spans, value storage for Word/bool signals — lives in the
-  // Simulator's dense arrays, indexed by id_.
+  // fanout spans, the values themselves — lives in the Simulator's
+  // dense arrays, indexed by id_.
   int id_ = -1;             ///< dense id, -1 = unbound
   std::int16_t part_ = -1;  ///< domain-affinity partition, -1 = unbound
                             ///< (partition() and the topology hash)
@@ -201,28 +178,21 @@ class TraceGuard {
   TraceGuard& operator=(const TraceGuard&) = delete;
 };
 
-/// Generic two-phase signal.  T must be equality-comparable and copyable.
-/// Use Bit/Bus for hardware-visible signals; Signal<T> with width 0 for
-/// testbench plumbing (frames, strings, ...).
+/// Two-phase signal of a Bit (T = bool) or a Bus (T = Word).
 ///
-/// Values are reached through curp_/nxtp_: normally they point at the
-/// inline curs_/nxts_ members, but a binding Simulator rebinds Word and
-/// bool signals into its dense SoA value arrays (adopt_storage), so the
-/// kernel's commit/VCD loops stream contiguous memory while read() and
-/// write() stay oblivious.
+/// Values are reached through curp_/nxtp_: they point at the inline
+/// curs_/nxts_ members until a binding Simulator rebinds them into its
+/// dense SoA value arrays (adopt_storage), so the kernel's commit/VCD
+/// loops stream contiguous memory while read() and write() stay
+/// oblivious.
 template <typename T>
 class Signal : public SignalBase {
- public:
-  static constexpr SigKind kKind = std::is_same_v<T, Word> ? SigKind::kWord
-                                   : std::is_same_v<T, bool>
-                                       ? SigKind::kBool
-                                       : SigKind::kOther;
+  static_assert(std::is_same_v<T, Word> || std::is_same_v<T, bool>,
+                "a signal is a Bit (Signal<bool>) or a Bus (Signal<Word>)");
 
-  Signal(Module& owner, std::string name, int width, T init = T{})
-      : SignalBase(owner, std::move(name), width, kKind),
-        curs_(init),
-        nxts_(init),
-        init_(init) {}
+ public:
+  static constexpr SigKind kKind =
+      std::is_same_v<T, Word> ? SigKind::kWord : SigKind::kBool;
 
   /// Value visible to processes this round.
   [[nodiscard]] const T& read() const {
@@ -237,74 +207,21 @@ class Signal : public SignalBase {
     *nxtp_ = v;
     if (!(*nxtp_ == *curp_)) note_write();
   }
-  /// Restores the construction-time value on both phases (reset).
-  void reset_value() override { *curp_ = *nxtp_ = init_; }
-  /// Throws away an uncommitted write (aborted-event rollback).
-  void discard_write() final { *nxtp_ = *curp_; }
 
-  // final: the simulator never calls commit() for Word or bool
-  // signals (it commits their values in its dense arrays), so a
-  // subclass override would be silently bypassed — the compiler
-  // rejects the attempt instead.
-  bool commit() final {
-    if (*nxtp_ == *curp_) return false;
-    *curp_ = *nxtp_;
-    return true;
-  }
-
-  /// Non-virtual body of as_word(), callable directly when the concrete
-  /// type is known statically (the as_word_fast() dispatch).
-  [[nodiscard]] Word as_word_inline() const {
-    if constexpr (std::is_convertible_v<T, Word>) {
-      return static_cast<Word>(*curp_);
-    } else {
-      return 0;
-    }
-  }
-
-  // final: as_word_fast() statically dispatches Word/bool signals to
-  // as_word_inline(), so a subclass override would be silently bypassed.
-  [[nodiscard]] Word as_word() const final { return as_word_inline(); }
-
-  /// Word and bool signals get a fixed-width little-endian encoding;
-  /// other trivially-copyable payloads fall back to raw process-local
-  /// bytes; anything else (a Signal<std::string> testbench wire, say)
-  /// is rejected with the signal's path.
-  void save_value(StateWriter& w) const final {
-    if constexpr (std::is_same_v<T, Word>) {
-      w.word(*curp_);
-    } else if constexpr (std::is_same_v<T, bool>) {
-      w.boolean(*curp_);
-    } else if constexpr (std::is_trivially_copyable_v<T>) {
-      w.pod(*curp_);
-    } else {
-      throw Error("signal '" + full_name() +
-                  "': value type is not trivially copyable — snapshot "
-                  "cannot serialize it (keep non-POD testbench state in "
-                  "a module with save_state/load_state instead)");
-    }
-  }
-  void load_value(StateReader& r) final {
-    if constexpr (std::is_same_v<T, Word>) {
-      *curp_ = *nxtp_ = r.word();
-    } else if constexpr (std::is_same_v<T, bool>) {
-      *curp_ = *nxtp_ = r.boolean();
-    } else if constexpr (std::is_trivially_copyable_v<T>) {
-      *curp_ = *nxtp_ = r.pod<T>();
-    } else {
-      throw Error("signal '" + full_name() +
-                  "': value type is not trivially copyable — snapshot "
-                  "cannot restore it");
-    }
-  }
-
-  [[nodiscard]] bool has_uncommitted_write() const final {
-    return !(*nxtp_ == *curp_);
-  }
+ protected:
+  Signal(Module& owner, std::string name, int width, T init)
+      : SignalBase(owner, std::move(name), width, kKind),
+        curs_(init),
+        nxts_(init),
+        init_(init) {}
+  ~Signal() = default;
 
  private:
+  friend class SignalBase;  // as_word_fast()
   friend class Simulator;
 
+  /// Restores the construction-time value on both phases (reset).
+  void reset_value() { *curp_ = *nxtp_ = init_; }
   /// Moves the two-phase values into simulator-owned dense cells (the
   /// current inline values are copied over, so adoption is invisible).
   void adopt_storage(T* cur, T* nxt) {
@@ -343,9 +260,7 @@ class Bus : public Signal<Word> {
  public:
   Bus(Module& owner, std::string name, int width, Word init = 0)
       : Signal<Word>(owner, std::move(name), width, truncate(init, width)),
-        mask_(mask_of(width)) {
-    HWPAT_ASSERT(width >= 1 && width <= kMaxBusBits);
-  }
+        mask_(mask_of(width)) {}
 
   void write(Word v) { Signal<Word>::write(v & mask_); }
 
@@ -354,18 +269,11 @@ class Bus : public Signal<Word> {
 };
 
 inline Word SignalBase::as_word_fast() const {
-  // The static_casts are sound because kind_ is derived from T at
-  // construction: kWord signals *are* Signal<Word> (possibly via Bus),
-  // kBool signals are Signal<bool> (possibly via Bit).
-  switch (kind_) {
-    case SigKind::kWord:
-      return static_cast<const Signal<Word>*>(this)->as_word_inline();
-    case SigKind::kBool:
-      return static_cast<const Signal<bool>*>(this)->as_word_inline();
-    case SigKind::kOther:
-      break;
-  }
-  return as_word();
+  // Sound because kind_ is derived from T at construction, and Signal<T>
+  // exists only for T = Word and T = bool.
+  if (kind_ == SigKind::kWord)
+    return *static_cast<const Signal<Word>*>(this)->curp_;
+  return *static_cast<const Signal<bool>*>(this)->curp_;
 }
 
 }  // namespace hwpat::rtl

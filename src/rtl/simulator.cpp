@@ -130,7 +130,7 @@ void Simulator::bind() {
 void Simulator::build_soa() {
   const std::size_t ns = signals_.size();
   const std::size_t nm = modules_.size();
-  sig_kind_ = arena_.alloc_array<unsigned char>(ns);
+  sig_kind_ = arena_.alloc_array<SigKind>(ns);
   sig_pending_ = arena_.alloc_array<unsigned char>(ns);
   sig_vcdmark_ = arena_.alloc_array<unsigned char>(ns);
   sig_slot_ = arena_.alloc_array<std::uint32_t>(ns);
@@ -146,13 +146,12 @@ void Simulator::build_soa() {
   seq_count_ = arena_.alloc_array<std::uint32_t>(nm);
   mod_dirty_ = arena_.alloc_array<unsigned char>(nm);
   mod_mark_ = arena_.alloc_array<std::uint64_t>(nm);
-  // Slot the dominant Word/bool signals into the dense two-phase value
-  // arrays, in id order — the commit drains then stream contiguously.
-  std::size_t nw = 0, nb = 0;
-  for (const SignalBase* s : signals_) {
+  // Slot every signal into the dense two-phase value arrays of its
+  // kind, in id order — the commit drains then stream contiguously.
+  std::size_t nw = 0;
+  for (const SignalBase* s : signals_)
     if (s->kind() == SigKind::kWord) ++nw;
-    if (s->kind() == SigKind::kBool) ++nb;
-  }
+  const std::size_t nb = ns - nw;
   word_cur_ = arena_.alloc_array<Word>(nw);
   word_nxt_ = arena_.alloc_array<Word>(nw);
   bool_cur_ = arena_.alloc_array<bool>(nb);
@@ -161,28 +160,19 @@ void Simulator::build_soa() {
   for (std::size_t i = 0; i < ns; ++i) {
     SignalBase* s = signals_[i];
     s->id_ = static_cast<int>(i);
-    sig_kind_[i] = static_cast<unsigned char>(s->kind());
+    sig_kind_[i] = s->kind();
     s->last_reader_ = -1;
-    // 2 = never sampled (testbench signals): mark_vcd_change() skips
-    // them with the same one-byte test that skips already-listed ones.
-    sig_vcdmark_[i] = s->width() <= 0 ? 2 : 0;
     s->pend_flag_ = &sig_pending_[i];
-    switch (s->kind()) {
-      case SigKind::kWord:
-        sig_slot_[i] = wslot;
-        static_cast<Signal<Word>*>(s)->adopt_storage(&word_cur_[wslot],
-                                                     &word_nxt_[wslot]);
-        ++wslot;
-        break;
-      case SigKind::kBool:
-        sig_slot_[i] = bslot;
-        static_cast<Signal<bool>*>(s)->adopt_storage(&bool_cur_[bslot],
-                                                     &bool_nxt_[bslot]);
-        ++bslot;
-        break;
-      case SigKind::kOther:
-        sig_slot_[i] = 0;  // values stay inline; virtual dispatch
-        break;
+    if (s->kind() == SigKind::kWord) {
+      sig_slot_[i] = wslot;
+      static_cast<Signal<Word>*>(s)->adopt_storage(&word_cur_[wslot],
+                                                   &word_nxt_[wslot]);
+      ++wslot;
+    } else {
+      sig_slot_[i] = bslot;
+      static_cast<Signal<bool>*>(s)->adopt_storage(&bool_cur_[bslot],
+                                                   &bool_nxt_[bslot]);
+      ++bslot;
     }
   }
 }
@@ -256,23 +246,15 @@ void Simulator::unbind() {
     // Return adopted two-phase values to the inline members before the
     // arena dies (release_storage tolerates a never-adopted signal, so
     // a partial bind — elaboration threw mid-way — unwinds cleanly).
-    switch (s->kind()) {
-      case SigKind::kWord:
-        static_cast<Signal<Word>*>(s)->release_storage();
-        break;
-      case SigKind::kBool:
-        static_cast<Signal<bool>*>(s)->release_storage();
-        break;
-      case SigKind::kOther:
-        break;
-    }
+    with_type(s, [](auto& sig) { sig.release_storage(); });
     s->id_ = -1;
     s->part_ = -1;
     s->last_reader_ = -1;
     s->pend_flag_ = nullptr;
     s->queue_ = nullptr;
   }
-  sig_kind_ = sig_pending_ = sig_vcdmark_ = nullptr;
+  sig_kind_ = nullptr;
+  sig_pending_ = sig_vcdmark_ = nullptr;
   sig_slot_ = nullptr;
   sig_mark_ = nullptr;
   seq_owner_ = nullptr;
@@ -819,7 +801,8 @@ void Simulator::reset() {
   touched_.clear();
   std::fill_n(sig_pending_, signals_.size(),
               static_cast<unsigned char>(0));
-  for (SignalBase* s : signals_) s->reset_value();
+  for (SignalBase* s : signals_)
+    with_type(s, [](auto& sig) { sig.reset_value(); });
   {
     // Reset means *construction-time* state, unconditionally: reload
     // every module's elaboration-time payload before on_reset() applies
@@ -924,6 +907,16 @@ void Simulator::step_event() {
 // ---------------------------------------------------------------------
 
 void Simulator::open_vcd(const std::string& path) {
+  if (vcd_) {
+    // The writer's destructor cannot report a failed write, so flush it
+    // here.  A failed one is dropped: its file is incomplete either way.
+    try {
+      vcd_->flush();
+    } catch (...) {
+      vcd_.reset();
+      throw;
+    }
+  }
   vcd_ = std::make_unique<VcdWriter>(
       path, top_, static_cast<std::uint64_t>(opt_.tick_ps));
   // Nothing is on the changed list yet: the first sample must scan all.

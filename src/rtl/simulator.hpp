@@ -58,18 +58,20 @@
 //
 // Kernel memory layout (the data-oriented refactor; see
 // src/rtl/README.md): the hot per-signal and per-module kernel state —
-// committed/next values of Word and bool signals, pending/dirty flags,
-// SigKind tags, merge stamps — lives in dense SoA arrays owned by this
-// class and indexed by the dense signal/module ids, so the settle and
-// commit loops stream contiguous memory instead of chasing heap
-// objects.  The one exception is the reader mark, which a read
-// compares with no index to compute, so it sits on the signal.  The
-// learned fanout (signal -> reader modules) and the accumulated
-// per-module read sets are CSR-style spans ([begin,count,cap) per id)
-// into two shared pools, deduplicated with a seen-stamp instead of a
-// linear find.  Everything the elaboration
-// builds — the SoA arrays, both CSR pools, the worklist and pending
-// list, the per-domain activation lists — is allocated from a
+// committed/next values of every signal (a Bus's in Word arrays, a
+// Bit's in bool arrays), pending/dirty flags, SigKind tags, merge
+// stamps — lives in dense SoA arrays owned by this class and indexed
+// by the dense signal/module ids, so the settle and commit loops stream
+// contiguous memory instead of chasing heap objects.  The one
+// exception is the reader mark, which a read compares with no index to
+// compute, so it sits on the signal.  Commit, rollback, reset, the
+// snapshot value section and its unsettled-write check dispatch on the
+// SigKind tag: a signal has no virtual function.  The learned fanout
+// (signal -> reader modules) and the accumulated per-module read sets
+// are CSR-style spans ([begin,count,cap) per id) into two shared pools,
+// deduplicated with a seen-stamp instead of a linear find.  Everything
+// the elaboration builds — the SoA arrays, both CSR pools, the worklist
+// and pending list, the per-domain activation lists — is allocated from a
 // per-simulator bump arena (rtl/arena.hpp): teardown frees a handful of
 // chunks no matter the design size, and a fresh simulator (a
 // SweepDriver job, a run_forked() branch) pays no per-node heap traffic
@@ -186,7 +188,7 @@ class Simulator {
     std::uint64_t settles = 0;  ///< settle() fixpoint searches
     std::uint64_t deltas = 0;   ///< delta cycles across all settles
     std::uint64_t evals = 0;    ///< eval_comb() calls
-    std::uint64_t commits = 0;  ///< signal commits (fast or virtual)
+    std::uint64_t commits = 0;  ///< signal commits
     std::uint64_t commit_changes = 0;  ///< commits that changed the value
     std::uint64_t seq_touches = 0;  ///< seq_touch() reports across edges
     /// Modules NOT re-evaluated immediately after a clock-edge event
@@ -348,11 +350,14 @@ class Simulator {
   /// Error (naming Options::delta_limit) when `limit` is not positive.
   void set_delta_limit(int limit);
 
-  /// Starts dumping a VCD waveform of all hardware signals to `path`
+  /// Starts dumping a VCD waveform of all signals to `path`
   /// (timestamps in ticks, $timescale from Options::tick_ps).  Output
   /// is buffered, up to 64 KiB: after step() the file's tail may still
   /// be in memory.  Every run() return flushes it (and reports a failed
-  /// write), and the destructor writes out the rest.
+  /// write), and the destructor writes out the rest.  A VCD already
+  /// open is flushed and closed first: when a write to it failed, the
+  /// call throws Error naming that file, drops it and opens nothing
+  /// (call again to open `path`).
   void open_vcd(const std::string& path);
 
   /// Serializes complete simulator state — every signal's committed
@@ -466,9 +471,18 @@ class Simulator {
   void bind();
   void unbind();
   /// Allocates the dense SoA arrays and CSR index arrays from the
-  /// arena, adopts every Word/bool signal's two-phase values into the
-  /// dense value arrays, and seeds the per-id state.  Part of bind().
+  /// arena, adopts every signal's two-phase values into the dense value
+  /// arrays, and seeds the per-id state.  Part of bind().
   void build_soa();
+  /// Calls f(sig) with `s` as the Signal<Word> or Signal<bool> its kind
+  /// tag names.
+  template <typename F>
+  static void with_type(SignalBase* s, F&& f) {
+    if (s->kind() == SigKind::kWord)
+      f(*static_cast<Signal<Word>*>(s));
+    else
+      f(*static_cast<Signal<bool>*>(s));
+  }
   /// Resolves every module's effective domain (nearest ancestor with an
   /// explicit assignment, else the built-in default), builds the
   /// per-domain activation lists, and stamps every module's
@@ -515,40 +529,27 @@ class Simulator {
 
   // ---- dense-id kernel primitives (SoA hot paths) -------------------
 
-  /// Commits signal `sid` through the dense value arrays (Word/bool)
-  /// or the virtual fallback (kOther).  Returns true when the visible
-  /// value changed.
+  /// Commits signal `sid` in the dense value arrays.  Returns true when
+  /// the visible value changed.
   bool commit_signal(std::int32_t sid) {
     const std::uint32_t slot = sig_slot_[sid];
-    switch (static_cast<SigKind>(sig_kind_[sid])) {
-      case SigKind::kWord:
-        if (word_nxt_[slot] == word_cur_[slot]) return false;
-        word_cur_[slot] = word_nxt_[slot];
-        return true;
-      case SigKind::kBool:
-        if (bool_nxt_[slot] == bool_cur_[slot]) return false;
-        bool_cur_[slot] = bool_nxt_[slot];
-        return true;
-      case SigKind::kOther:
-        break;
+    if (sig_kind_[sid] == SigKind::kWord) {
+      if (word_nxt_[slot] == word_cur_[slot]) return false;
+      word_cur_[slot] = word_nxt_[slot];
+      return true;
     }
-    return signals_[static_cast<std::size_t>(sid)]->commit();
+    if (bool_nxt_[slot] == bool_cur_[slot]) return false;
+    bool_cur_[slot] = bool_nxt_[slot];
+    return true;
   }
 
   /// next := current for signal `sid` (aborted-event rollback).
   void discard_signal(std::int32_t sid) {
     const std::uint32_t slot = sig_slot_[sid];
-    switch (static_cast<SigKind>(sig_kind_[sid])) {
-      case SigKind::kWord:
-        word_nxt_[slot] = word_cur_[slot];
-        return;
-      case SigKind::kBool:
-        bool_nxt_[slot] = bool_cur_[slot];
-        return;
-      case SigKind::kOther:
-        signals_[static_cast<std::size_t>(sid)]->discard_write();
-        return;
-    }
+    if (sig_kind_[sid] == SigKind::kWord)
+      word_nxt_[slot] = word_cur_[slot];
+    else
+      bool_nxt_[slot] = bool_cur_[slot];
   }
 
   /// Appends module `mid` to signal `sid`'s CSR fanout span, growing
@@ -642,9 +643,7 @@ class Simulator {
   [[noreturn]] void throw_seq_violation(const Module* m,
                                         std::int32_t sid) const;
   void mark_vcd_change(std::int32_t sid) {
-    // sig_vcdmark_: 0 = clean, 1 = on vcd_changed_, 2 = never sampled
-    // (width <= 0 testbench signals) — one branch covers both skips.
-    if (sig_vcdmark_[sid] != 0) return;
+    if (sig_vcdmark_[sid] != 0) return;  // already on vcd_changed_
     sig_vcdmark_[sid] = 1;
     vcd_changed_.push_back(sid);
   }
@@ -657,7 +656,8 @@ class Simulator {
   void check_comb_only_contract();
 
   /// The snapshot's value section: every signal's committed value in id
-  /// order, a Word/bool run at a time straight out of the value arrays.
+  /// order, one run of same-kind ids at a time straight out of the value
+  /// arrays.
   void save_values(StateWriter& w) const;
   /// Mirror of save_values(), onto both phases.
   void load_values(StateReader& r);
@@ -719,13 +719,13 @@ class Simulator {
 
   // ---- dense SoA kernel state (arena-allocated, indexed by id) ------
   // Per-signal arrays, length signals_.size():
-  unsigned char* sig_kind_ = nullptr;     ///< SigKind tag
+  SigKind* sig_kind_ = nullptr;           ///< which value arrays
   unsigned char* sig_pending_ = nullptr;  ///< on the pending-commit list
-  unsigned char* sig_vcdmark_ = nullptr;  ///< 0 clean / 1 listed / 2 never
+  unsigned char* sig_vcdmark_ = nullptr;  ///< on vcd_changed_
   std::uint32_t* sig_slot_ = nullptr;     ///< index into the value arrays
   std::uint64_t* sig_mark_ = nullptr;     ///< merge_reads() seen-stamps
-  // Dense two-phase value arrays; Word/bool signals' curp_/nxtp_ point
-  // into these after bind (slot order = id order, so commits stream).
+  // Dense two-phase value arrays; every signal's curp_/nxtp_ point into
+  // one pair after bind (slot order = id order, so commits stream).
   Word* word_cur_ = nullptr;
   Word* word_nxt_ = nullptr;
   bool* bool_cur_ = nullptr;

@@ -6,7 +6,8 @@
 //   magic "HWPS" | version u8 | flags u8 | topology hash u64
 //   tick u64 | cycle u64 | per-domain next_edge u64...
 //   stats (12 x u64) | domain count u32 | domain_edges u64...
-//   signal count u32 | per-signal committed value (SigKind encoding)
+//   signal count u32 | per-signal committed value (u64 for a Bus, u8
+//     for a Bit)
 //   per-signal fanout: count u32 + module ids u32... (IN LIST ORDER —
 //     fanout order determines pending-commit order and therefore VCD
 //     emission order during replay, so it is state, not just a cache)
@@ -81,16 +82,15 @@ void mix_path(std::uint64_t& h, const Module& m) {
 }
 
 /// Calls f(kind, first_id, count) for every maximal run of consecutive
-/// signal ids sharing a SigKind.  Word and bool signals own value slots
-/// in id order (Simulator::build_soa), so such a run is a contiguous
-/// stretch of the dense value arrays and moves as one bulk array;
-/// kOther signals keep their values inline and serialize themselves.
+/// signal ids sharing a SigKind.  Each kind's signals own value slots in
+/// id order (Simulator::build_soa), so such a run is a contiguous
+/// stretch of one kind's dense value arrays and moves as one bulk array.
 template <typename F>
-void for_each_kind_run(const unsigned char* kinds, std::size_t n, F&& f) {
+void for_each_kind_run(const SigKind* kinds, std::size_t n, F&& f) {
   for (std::size_t first = 0; first < n;) {
     std::size_t end = first + 1;
     while (end < n && kinds[end] == kinds[first]) ++end;
-    f(static_cast<SigKind>(kinds[first]), first, end - first);
+    f(kinds[first], first, end - first);
     first = end;
   }
 }
@@ -152,18 +152,10 @@ void Simulator::save_values(StateWriter& w) const {
                                                     std::size_t first,
                                                     std::size_t len) {
     const std::uint32_t slot = sig_slot_[first];
-    switch (kind) {
-      case SigKind::kWord:
-        w.array(word_cur_ + slot, len);
-        return;
-      case SigKind::kBool:
-        w.bools(bool_cur_ + slot, len);
-        return;
-      case SigKind::kOther:
-        for (std::size_t sid = first; sid < first + len; ++sid)
-          signals_[sid]->save_value(w);
-        return;
-    }
+    if (kind == SigKind::kWord)
+      w.array(word_cur_ + slot, len);
+    else
+      w.bools(bool_cur_ + slot, len);
   });
 }
 
@@ -177,19 +169,12 @@ void Simulator::load_values(StateReader& r) {
                                                     std::size_t first,
                                                     std::size_t len) {
     const std::uint32_t slot = sig_slot_[first];
-    switch (kind) {
-      case SigKind::kWord:
-        r.array(word_cur_ + slot, len, "signal values");
-        std::copy_n(word_cur_ + slot, len, word_nxt_ + slot);
-        return;
-      case SigKind::kBool:
-        r.bools(bool_cur_ + slot, len);
-        std::copy_n(bool_cur_ + slot, len, bool_nxt_ + slot);
-        return;
-      case SigKind::kOther:
-        for (std::size_t sid = first; sid < first + len; ++sid)
-          signals_[sid]->load_value(r);
-        return;
+    if (kind == SigKind::kWord) {
+      r.array(word_cur_ + slot, len, "signal values");
+      std::copy_n(word_cur_ + slot, len, word_nxt_ + slot);
+    } else {
+      r.bools(bool_cur_ + slot, len);
+      std::copy_n(bool_cur_ + slot, len, bool_nxt_ + slot);
     }
   });
 }
@@ -322,12 +307,18 @@ Snapshot Simulator::save_snapshot() const {
         "— settle() (or finish the step) before snapshotting");
   // The pending list covers only the event kernel; the full-sweep
   // kernel commits by scanning every signal, so a testbench write made
-  // after the last settle leaves no list trace — scan for it directly.
-  for (const SignalBase* s : signals_)
-    if (s->has_uncommitted_write())
-      throw SnapshotError("save_snapshot: signal '" + s->full_name() +
-                  "' has an uncommitted write — settle() (or finish "
-                  "the step) before snapshotting");
+  // after the last settle leaves no list trace — compare every next
+  // value with its current one instead.
+  for (std::size_t sid = 0; sid < signals_.size(); ++sid) {
+    const std::uint32_t slot = sig_slot_[sid];
+    if (sig_kind_[sid] == SigKind::kWord
+            ? word_nxt_[slot] != word_cur_[slot]
+            : bool_nxt_[slot] != bool_cur_[slot])
+      throw SnapshotError("save_snapshot: signal '" +
+                          signals_[sid]->full_name() +
+                          "' has an uncommitted write — settle() (or "
+                          "finish the step) before snapshotting");
+  }
   const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
   StateWriter w;
   // Everything but the module payloads is bounded by the design's
@@ -458,8 +449,8 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     std::fill_n(sig_pending_, nsig, static_cast<unsigned char>(0));
     // The fanout is replaced below: no mark may claim an edge of the old.
     for (SignalBase* s : signals_) s->last_reader_ = -1;
-    // Only listed signals carry the vcd mark (sentinel 2 — never
-    // sampled — must survive), so clearing the list clears the marks.
+    // Only listed signals carry the vcd mark, so clearing the list
+    // clears the marks.
     for (const std::int32_t sid : vcd_changed_) sig_vcdmark_[sid] = 0;
     vcd_changed_.clear();
     load_values(r);

@@ -3,9 +3,10 @@
 //
 // A snapshot captures everything the kernel needs to replay
 // deterministically from the capture point: every signal's committed
-// value, every module's internal C++ state (via the
-// Module::save_state/load_state hooks), and the scheduler (tick,
-// per-domain next edges, stats counters).  The blob is guarded by a
+// value (the simulator encodes them in bulk from its dense value
+// arrays: a Bus as a u64, a Bit as a byte), every module's internal C++
+// state (via the Module::save_state/load_state hooks), and the
+// scheduler (tick, per-domain next edges, stats counters).  The blob is guarded by a
 // topology hash of the elaborated design so restoring into a
 // mismatched or differently-parameterized design throws Error instead
 // of silently corrupting.
@@ -149,15 +150,6 @@ class StateWriter {
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes(s.data(), s.size());
-  }
-
-  /// Raw-bytes escape hatch for trivially-copyable values whose layout
-  /// is process-internal (Signal<T> kOther payloads).  Not stable
-  /// across compilers — signals carrying such types should be rare.
-  template <typename T>
-  void pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    bytes(&v, sizeof v);
   }
 
   /// n integers as consecutive little-endian fields, no length prefix
@@ -310,14 +302,6 @@ class StateReader {
     std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
     pos_ += n;
     return s;
-  }
-
-  template <typename T>
-  T pod() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v;
-    bytes(&v, sizeof v);
-    return v;
   }
 
   /// Mirror of StateWriter::array(): n little-endian fields into p.

@@ -62,18 +62,14 @@ void VcdWriter::flush() {
 void VcdWriter::declare_scope(Module& m) {
   buf_ += "$scope module " + m.name() + " $end\n";
   for (SignalBase* s : m.signals()) {
-    if (s->width() <= 0) continue;
+    // The simulator numbered the signals in this same pre-order walk
+    // (Module::visit()), so the id is the entry's index.
+    HWPAT_ASSERT(s->id() == static_cast<int>(entries_.size()));
     Entry e;
     e.sig = s;
     e.id = make_id(entries_.size());
     buf_ += "$var wire " + std::to_string(s->width()) + " " + e.id + " " +
             s->name() + " $end\n";
-    if (s->id_ >= 0) {
-      if (entry_by_signal_id_.size() <= static_cast<std::size_t>(s->id_))
-        entry_by_signal_id_.resize(static_cast<std::size_t>(s->id_) + 1, -1);
-      entry_by_signal_id_[static_cast<std::size_t>(s->id_)] =
-          static_cast<int>(entries_.size());
-    }
     entries_.push_back(std::move(e));
   }
   for (Module* c : m.children()) declare_scope(*c);
@@ -122,21 +118,13 @@ void VcdWriter::sample(std::uint64_t tick) {
 void VcdWriter::sample_changed(std::uint64_t tick,
                                const std::int32_t* changed,
                                std::size_t n) {
-  // Emit in declaration order so the output is byte-identical to the
-  // full-scan path (the differential kernel test relies on this).
-  scratch_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t sid = changed[i];
-    if (sid < 0 ||
-        static_cast<std::size_t>(sid) >= entry_by_signal_id_.size())
-      continue;
-    const int idx = entry_by_signal_id_[static_cast<std::size_t>(sid)];
-    if (idx >= 0) scratch_.push_back(idx);
-  }
+  // Emit in declaration (= id) order so the output is byte-identical to
+  // the full-scan path (the differential kernel test relies on this).
+  scratch_.assign(changed, changed + n);
   std::sort(scratch_.begin(), scratch_.end());
   bool stamped = false;
-  for (const int idx : scratch_)
-    emit(entries_[static_cast<std::size_t>(idx)], tick, &stamped);
+  for (const std::int32_t sid : scratch_)
+    emit(entries_[static_cast<std::size_t>(sid)], tick, &stamped);
   if (buf_.size() >= kSpillBytes) spill();
 }
 

@@ -1,23 +1,25 @@
 // Minimal VCD (value change dump) writer for waveform inspection.
 //
-// The simulator calls sample() once per clock-edge event; only signals
-// whose value changed since the last sample are written.  Testbench
-// signals (width 0) are skipped.  VCD time is the simulator's tick
-// counter, so multi-clock traces place every domain's edges at their
-// true relative offsets; the `$timescale` header translates one tick
-// into physical time (Simulator::Options::tick_ps, default 1 ns — pick
-// the greatest common divisor of the modelled clock periods).
+// Simulator::open_vcd() builds one over the design it has bound.  The
+// simulator calls sample() once per clock-edge event; only signals
+// whose value changed since the last sample are written.  Every signal
+// is declared: a Bit as a 1-bit wire, a Bus at its width.  VCD time is
+// the simulator's tick counter, so multi-clock traces place every
+// domain's edges at their true relative offsets; the `$timescale`
+// header translates one tick into physical time
+// (Simulator::Options::tick_ps, default 1 ns — pick the greatest common
+// divisor of the modelled clock periods).
 //
 // Two sampling paths produce byte-identical output:
 //  * sample() scans every declared signal (reference path; also used
 //    for the first sample after open/reset, which must dump everything);
 //  * sample_changed() visits only the signals the event-driven kernel
-//    observed changing since the last sample, found in O(1) through
-//    their dense Simulator-assigned ids.
+//    observed changing since the last sample.  The header declares the
+//    signals in the order the simulator numbered them, so a signal's
+//    dense id is the index of its entry.
 //
-// Values are read through SignalBase::as_word_fast(), which statically
-// dispatches the dominant Word/bool signal types instead of paying a
-// virtual as_word() call per sampled signal.
+// Values are read through SignalBase::as_word_fast(), which dispatches
+// on the signal's kind tag.
 //
 // Output is formatted into a string buffer that goes to the file in one
 // write per 64 KiB; flush() and the destructor write out the rest.  A
@@ -35,7 +37,9 @@ namespace hwpat::rtl {
 
 class VcdWriter {
  public:
-  /// Opens `path` and writes the header for the design under `top`.
+  /// Opens `path` and writes the header for the design under `top`,
+  /// which a Simulator must have bound (the entries are indexed by the
+  /// signals' dense ids).
   /// `tick_ps` is the physical duration of one simulator tick in
   /// picoseconds (must be positive).  The `$timescale` gets the largest
   /// spec-legal quantum (1, 10 or 100 of a unit — IEEE 1364) dividing
@@ -53,8 +57,7 @@ class VcdWriter {
   void sample(std::uint64_t tick);
 
   /// Like sample(), but only inspects the `n` dense signal ids in
-  /// `changed` (each entry at most once).  Ids not declared in the
-  /// header (testbench signals) are ignored.
+  /// `changed` (each id at most once).
   void sample_changed(std::uint64_t tick, const std::int32_t* changed,
                       std::size_t n);
 
@@ -82,9 +85,8 @@ class VcdWriter {
   std::ofstream out_;
   std::string buf_;  ///< formatted output not yet written
   std::uint64_t time_mult_ = 1;  ///< timestamp units per tick (header)
-  std::vector<Entry> entries_;
-  std::vector<int> entry_by_signal_id_;  ///< dense signal id -> entry, -1 none
-  std::vector<int> scratch_;             ///< reused by sample_changed()
+  std::vector<Entry> entries_;  ///< indexed by dense signal id
+  std::vector<std::int32_t> scratch_;  ///< reused by sample_changed()
 };
 
 }  // namespace hwpat::rtl

@@ -323,6 +323,10 @@ static void test_sweep(void) {
   CHECK(hwpat_sweep_create(2, 1000000, &sweep) == HWPAT_OK);
   if (sweep == NULL) return;
 
+  /* Running a sweep without variants is misuse, not an empty success. */
+  CHECK(hwpat_sweep_run(sweep) == HWPAT_ERR_ARGUMENT);
+  CHECK(strstr(hwpat_last_error(), "no variants") != NULL);
+
   CHECK(hwpat_sweep_add(sweep, "fifo16", "saa2vga_pattern",
                         "width=16,height=12,depth=256,device=fifo",
                         NULL) == HWPAT_OK);

@@ -1,14 +1,15 @@
 // Regression tests for the data-oriented kernel memory layout (ISSUE
 // 9): the int16 partition-id truncation guard, the CSR fanout's
 // dedup-under-alternation behaviour, the monotone ever-read re-eval
-// contract, the per-signal reader marks, and the arena footprint
-// accounting.
+// contract, the per-signal reader marks, the arena footprint
+// accounting, and signals without a vtable.
 #include <gtest/gtest.h>
 
 #include <deque>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "designs/design.hpp"
@@ -486,6 +487,18 @@ TEST(ArenaFootprint, FanoutSizeRejectsForeignSignals) {
   AlternatingTop other;
   EXPECT_THROW((void)sim.fanout_size(other.data), Error);
 }
+
+// ------------------------------------------------------------------
+// Signals are Bits and Buses
+// ------------------------------------------------------------------
+
+// The kernel dispatches on SigKind, so a signal has no virtual function
+// to carry a vtable for, and only Bit and Bus construct a Signal<T>.
+static_assert(!std::is_polymorphic_v<rtl::SignalBase>);
+static_assert(!std::is_polymorphic_v<Bit>);
+static_assert(!std::is_polymorphic_v<Bus>);
+static_assert(!std::is_constructible_v<rtl::Signal<Word>, Module&,
+                                       std::string, int, Word>);
 
 }  // namespace
 }  // namespace hwpat

@@ -63,32 +63,69 @@ class CombLoop : public Module {
   Bus x;
 };
 
+// The signal tests run each case on both kernels: a signal commits,
+// rolls back and resets only inside a bound Simulator.
 TEST(Signal, TwoPhaseWriteIsInvisibleUntilCommit) {
-  Module top(nullptr, "top");
-  Bus s(top, "s", 8, 5);
-  EXPECT_EQ(s.read(), 5u);
-  s.write(9);
-  EXPECT_EQ(s.read(), 5u);  // not yet committed
-  EXPECT_TRUE(s.commit());
-  EXPECT_EQ(s.read(), 9u);
-  EXPECT_FALSE(s.commit());  // unchanged
+  for (const bool full_sweep : {false, true}) {
+    SCOPED_TRACE(full_sweep ? "full_sweep" : "event");
+    Module top(nullptr, "top");
+    Bus s(top, "s", 8, 5);
+    Simulator sim(top, {.full_sweep = full_sweep});
+    sim.reset();
+    EXPECT_EQ(s.read(), 5u);
+    s.write(9);
+    EXPECT_EQ(s.read(), 5u);  // not yet committed
+    const std::uint64_t changes = sim.stats().commit_changes;
+    sim.settle();
+    EXPECT_EQ(s.read(), 9u);
+    EXPECT_EQ(sim.stats().commit_changes, changes + 1);
+    s.write(9);  // the current value: nothing to commit
+    sim.settle();
+    EXPECT_EQ(s.read(), 9u);
+    EXPECT_EQ(sim.stats().commit_changes, changes + 1);
+  }
 }
 
 TEST(Signal, BusTruncatesToWidth) {
-  Module top(nullptr, "top");
-  Bus s(top, "s", 4);
-  s.write(0xFF);
-  s.commit();
-  EXPECT_EQ(s.read(), 0xFu);
+  for (const bool full_sweep : {false, true}) {
+    SCOPED_TRACE(full_sweep ? "full_sweep" : "event");
+    Module top(nullptr, "top");
+    Bus s(top, "s", 4);
+    Bus t(top, "t", 4, 0x1F);
+    Simulator sim(top, {.full_sweep = full_sweep});
+    sim.reset();
+    EXPECT_EQ(t.read(), 0xFu);  // the initial value, too
+    s.write(0xFF);
+    sim.settle();
+    EXPECT_EQ(s.read(), 0xFu);
+  }
 }
 
 TEST(Signal, ResetValueRestoresInit) {
+  for (const bool full_sweep : {false, true}) {
+    SCOPED_TRACE(full_sweep ? "full_sweep" : "event");
+    Module top(nullptr, "top");
+    Bus s(top, "s", 8, 42);
+    Simulator sim(top, {.full_sweep = full_sweep});
+    sim.reset();
+    s.write(7);
+    sim.settle();
+    EXPECT_EQ(s.read(), 7u);
+    sim.reset();
+    EXPECT_EQ(s.read(), 42u);
+    // An unsettled write does not survive a reset either.
+    s.write(9);
+    sim.reset();
+    sim.settle();
+    EXPECT_EQ(s.read(), 42u);
+  }
+}
+
+TEST(Signal, WidthOutsideOneTo64IsRejected) {
   Module top(nullptr, "top");
-  Bus s(top, "s", 8, 42);
-  s.write(7);
-  s.commit();
-  s.reset_value();
-  EXPECT_EQ(s.read(), 42u);
+  EXPECT_THROW(Bus(top, "none", 0), InternalError);
+  EXPECT_THROW(Bus(top, "wide", kMaxBusBits + 1), InternalError);
+  EXPECT_TRUE(top.signals().empty());  // neither stayed registered
 }
 
 TEST(Signal, FullNameIsHierarchical) {
@@ -320,6 +357,34 @@ TEST(Vcd, FailedWriteThrowsNamingThePath) {
     EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
         << e.what();
   }
+}
+
+// Replacing an open VCD ends its waveform, so a write that failed on it
+// is reported there, by open_vcd(), naming the old file — the replaced
+// writer's destructor could not.  The failed writer is dropped: a
+// second call opens the new file.
+TEST(Vcd, ReplacingAFailedWriterThrowsNamingItsPath) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "this host has no /dev/full";
+  auto d = designs::make_saa2vga_pattern(
+      {.width = 32, .height = 24, .device = devices::DeviceKind::FifoCore});
+  Simulator sim(*d);
+  sim.open_vcd("/dev/full");
+  sim.reset();
+  sim.step(500);
+  const std::string path = "test_rtl_replacement.vcd";
+  try {
+    sim.open_vcd(path);
+    FAIL() << "open_vcd() replaced a writer whose bytes never reached "
+              "/dev/full without a word";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
+  sim.open_vcd(path);
+  EXPECT_TRUE(sim.run([&] { return d->finished(); }, 100'000).ok());
+  EXPECT_NE(read_file(path).find("$enddefinitions"), std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(PrimitiveTally, AccumulatesAndMaxFoldsDepth) {

@@ -445,6 +445,44 @@ TEST(Snapshot, SaveAndRestoreAreRefusedMidEvent) {
   EXPECT_FALSE(sim.save_snapshot().empty());
 }
 
+// A testbench write after the last settle is not state a snapshot can
+// hold.  The event kernel sees it on its pending list; the full-sweep
+// kernel keeps no such list, so save_snapshot() compares every next
+// value with its current one — and a write of the committed value back
+// leaves nothing to refuse.
+TEST(Snapshot, SaveRefusesAnUnsettledWriteInBothKernels) {
+  struct Top : Module {
+    Bus x{*this, "x", 8, 3};
+    Top() : Module(nullptr, "top") {}
+  };
+  {
+    Top top;
+    Simulator sim(top);
+    sim.reset();
+    top.x.write(5);
+    try {
+      (void)sim.save_snapshot();
+      FAIL() << "event kernel: snapshot taken over an unsettled write";
+    } catch (const SnapshotError& e) {
+      EXPECT_THAT(e.what(),
+                  HasSubstr("uncommitted writes or dirty modules pending"));
+    }
+  }
+  Top top;
+  Simulator sim(top, {.full_sweep = true});
+  sim.reset();
+  top.x.write(5);
+  try {
+    (void)sim.save_snapshot();
+    FAIL() << "full_sweep: snapshot taken over an unsettled write";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(),
+                HasSubstr("signal 'top.x' has an uncommitted write"));
+  }
+  top.x.write(3);
+  EXPECT_FALSE(sim.save_snapshot().empty());
+}
+
 // ---------------------------------------------------------------------
 // declare_comb_only() contract hardening
 // ---------------------------------------------------------------------
