@@ -104,13 +104,13 @@ bool ablate_deadops() {
       &top, "bidir",
       {.traversal = core::Traversal::Bidirectional,
        .role = core::IterRole::InputOutput},
-      {.length = 256}, rw.client(), iw_a.impl());
+      {.length = 256}, rw.client(), iw_a);
   core::VectorSeqIterator ro(
       &top, "ro",
       {.traversal = core::Traversal::Forward,
        .role = core::IterRole::Input,
        .used_ops = core::OpSet{core::Op::Read}},
-      {.length = 256}, rw.client(), iw_b.impl());
+      {.length = 256}, rw.client(), iw_b);
   rtl::PrimitiveTally tb2, tr;
   bidir.report(tb2);
   ro.report(tr);

@@ -6,8 +6,11 @@
 //
 // Printed per design: pixel-exactness of the output (copy must be an
 // identity, blur must equal video::blur_reference), cycles per frame,
-// and the pattern-vs-custom cycle overhead — the dynamic counterpart
-// of Table 3's claim that pattern machinery costs nothing.
+// the pattern-vs-custom cycle overhead — the dynamic counterpart of
+// Table 3's claim that pattern machinery costs nothing — and the
+// simulator's work per step (module evaluations and delta cycles), so
+// the same comparison covers simulated work: with the iterators
+// dissolved, a pattern design evaluates about what its custom twin does.
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -29,6 +32,8 @@ struct RunResult {
   bool exact = false;
   std::uint64_t cycles = 0;
   double cycles_per_pixel = 0.0;
+  double evals_per_step = 0.0;
+  double deltas_per_step = 0.0;
 };
 
 RunResult run(VideoDesign& d, const std::vector<video::Frame>& expect) {
@@ -45,6 +50,9 @@ RunResult run(VideoDesign& d, const std::vector<video::Frame>& expect) {
   for (const auto& f : expect) pixels += f.pixel_count();
   r.cycles_per_pixel =
       static_cast<double>(r.cycles) / static_cast<double>(pixels);
+  const auto steps = static_cast<double>(sim.stats().steps);
+  r.evals_per_step = static_cast<double>(sim.stats().evals) / steps;
+  r.deltas_per_step = static_cast<double>(sim.stats().deltas) / steps;
   return r;
 }
 
@@ -58,11 +66,16 @@ double compare(TextTable& t, const char* design, const char* binding,
   const RunResult rc = run(custom, expect);
   const std::pair<const char*, RunResult> rows[] = {{"pattern", rp},
                                                     {"custom", rc}};
-  for (const auto& [kind, r] : rows) {
+  const auto fixed2 = [](double v) {
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.2f", r.cycles_per_pixel);
+    std::snprintf(buf, sizeof buf, "%.2f", v);
+    return std::string(buf);
+  };
+  for (const auto& [kind, r] : rows) {
     t.row({std::string(design) + " " + kind, binding,
-           r.exact ? "yes" : "NO", std::to_string(r.cycles), buf});
+           r.exact ? "yes" : "NO", std::to_string(r.cycles),
+           fixed2(r.cycles_per_pixel), fixed2(r.evals_per_step),
+           fixed2(r.deltas_per_step)});
   }
   all_exact = all_exact && rp.exact && rc.exact;
   return rp.cycles_per_pixel / rc.cycles_per_pixel;
@@ -82,7 +95,8 @@ int main(int argc, char** argv) {
   for (const auto& f : input) blurred.push_back(video::blur_reference(f));
 
   TextTable t;
-  t.header({"Design", "binding", "pixel-exact", "cycles", "cyc/pixel"});
+  t.header({"Design", "binding", "pixel-exact", "cycles", "cyc/pixel",
+            "evals/step", "deltas/step"});
 
   bool all_exact = true;
   const auto saa2vga = [&](devices::DeviceKind device, const char* binding) {

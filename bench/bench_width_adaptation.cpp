@@ -22,21 +22,20 @@ using namespace hwpat;
 /// rbuffer -> copy -> wbuffer with spec-driven iterators, elem over bus.
 struct PipeTb : rtl::Module {
   core::StreamWires rb_w, wb_w;
-  core::IterWires in_iw, out_iw;
   core::AlgoWires ctl;
   std::unique_ptr<core::Container> rbuf, wbuf;
   std::unique_ptr<core::Iterator> it_in, it_out;
   std::unique_ptr<core::CopyFsm> copy;
   std::size_t fed = 0, drained = 0, total;
+  int lanes;  ///< bus transfers per element
 
   PipeTb(int elem_bits, int bus_bits, std::size_t n)
       : Module(nullptr, "tb"),
         rb_w(*this, "rb", bus_bits, 16),
         wb_w(*this, "wb", bus_bits, 16),
-        in_iw(*this, "in", elem_bits, 16),
-        out_iw(*this, "out", elem_bits, 16),
         ctl(*this, "ctl"),
-        total(n) {
+        total(n),
+        lanes(ceil_div(elem_bits, bus_bits)) {
     meta::ContainerSpec rb{.name = "rbuffer",
                            .kind = core::ContainerKind::ReadBuffer,
                            .device = devices::DeviceKind::FifoCore,
@@ -58,22 +57,21 @@ struct PipeTb : rtl::Module {
         this,
         {.name = "rit", .traversal = core::Traversal::Forward,
          .role = core::IterRole::Input, .used_ops = {}, .container = rb},
-        rb_w.consumer(), in_iw.impl());
+        rb_w.consumer());
     it_out = meta::build_output_iterator(
         this,
         {.name = "wit", .traversal = core::Traversal::Forward,
          .role = core::IterRole::Output, .used_ops = {}, .container = wb},
-        wb_w.producer(), out_iw.impl());
+        wb_w.producer());
     copy = std::make_unique<core::CopyFsm>(this, "copy",
                                            core::CopyFsm::Config{},
-                                           in_iw.client(), out_iw.client(),
+                                           it_in->client(), it_out->client(),
                                            ctl.control());
   }
 
   void eval_comb() override {
     ctl.start.write(true);
     // Feed lanes (the decoder side) and drain lanes (the display side).
-    const int lanes = ceil_div(in_iw.rdata.width(), rb_w.push_data.width());
     const std::size_t lane_total = total * static_cast<std::size_t>(lanes);
     rb_w.push.write(fed < lane_total && rb_w.can_push.read());
     rb_w.push_data.write(static_cast<Word>(fed * 37 + 11));
@@ -81,14 +79,12 @@ struct PipeTb : rtl::Module {
   }
 
   void on_clock() override {
-    const int lanes = ceil_div(in_iw.rdata.width(), rb_w.push_data.width());
     const std::size_t lane_total = total * static_cast<std::size_t>(lanes);
     if (fed < lane_total && rb_w.can_push.read()) ++fed;
     if (wb_w.can_pop.read()) ++drained;
   }
 
   [[nodiscard]] bool finished() const {
-    const int lanes = ceil_div(in_iw.rdata.width(), rb_w.push_data.width());
     return drained >= total * static_cast<std::size_t>(lanes);
   }
 };

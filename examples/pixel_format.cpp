@@ -29,7 +29,6 @@ namespace {
 /// wide device bus carrying `elem_bits` wide pixels.
 struct Pipeline : rtl::Module {
   core::StreamWires rb_w, wb_w;
-  core::IterWires in_iw, out_iw;
   core::AlgoWires ctl;
   std::unique_ptr<core::Container> rbuf, wbuf;
   std::unique_ptr<core::Iterator> it_in, it_out;
@@ -44,8 +43,6 @@ struct Pipeline : rtl::Module {
       : Module(nullptr, "pipe"),
         rb_w(*this, "rb", bus_bits, 16),
         wb_w(*this, "wb", bus_bits, 16),
-        in_iw(*this, "in", elem_bits, 16),
-        out_iw(*this, "out", elem_bits, 16),
         ctl(*this, "ctl"),
         pixels(std::move(px)),
         lanes(ceil_div(elem_bits, bus_bits)) {
@@ -70,15 +67,15 @@ struct Pipeline : rtl::Module {
         this,
         {.name = "rit", .traversal = core::Traversal::Forward,
          .role = core::IterRole::Input, .used_ops = {}, .container = rb},
-        rb_w.consumer(), in_iw.impl());
+        rb_w.consumer());
     it_out = meta::build_output_iterator(
         this,
         {.name = "wit", .traversal = core::Traversal::Forward,
          .role = core::IterRole::Output, .used_ops = {}, .container = wb},
-        wb_w.producer(), out_iw.impl());
+        wb_w.producer());
     copy = std::make_unique<core::CopyFsm>(this, "copy",
                                            core::CopyFsm::Config{},
-                                           in_iw.client(), out_iw.client(),
+                                           it_in->client(), it_out->client(),
                                            ctl.control());
   }
 

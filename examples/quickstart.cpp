@@ -10,7 +10,9 @@
 // Everything the algorithm touches is an iterator method port (inc /
 // read / write of Table 2); it has no idea FIFOs are underneath, which
 // is why section 3.3 of the paper can swap them for SRAMs without
-// touching the model (see examples/saa2vga.cpp for that).
+// touching the model (see examples/saa2vga.cpp for that).  The ports
+// an iterator's client() hands out are the buffers' own wires: the
+// wrapper dissolves, as it does at synthesis.
 #include <cstdio>
 
 #include "core/algorithm.hpp"
@@ -26,7 +28,6 @@ namespace {
 /// testbench feeder/drainer driven from this module's own processes.
 struct Quickstart : rtl::Module {
   core::StreamWires rb_w, wb_w;    // container method wires
-  core::IterWires in_iw, out_iw;   // iterator method wires
   core::AlgoWires ctl;
   core::CoreStreamContainer rbuffer, wbuffer;
   core::StreamInputIterator rbuffer_it;
@@ -41,8 +42,6 @@ struct Quickstart : rtl::Module {
       : Module(nullptr, "quickstart"),
         rb_w(*this, "rb", 8, 16),
         wb_w(*this, "wb", 8, 16),
-        in_iw(*this, "in", 8, 16),
-        out_iw(*this, "out", 8, 16),
         ctl(*this, "ctl"),
         rbuffer(this, "rbuffer",
                 {.kind = core::ContainerKind::ReadBuffer, .elem_bits = 8,
@@ -55,14 +54,12 @@ struct Quickstart : rtl::Module {
         rbuffer_it(this, "rbuffer_it",
                    {.traversal = core::Traversal::Forward,
                     .role = core::IterRole::Input},
-                   core::ContainerKind::ReadBuffer, rb_w.consumer(),
-                   in_iw.impl()),
+                   core::ContainerKind::ReadBuffer, rb_w.consumer()),
         wbuffer_it(this, "wbuffer_it",
                    {.traversal = core::Traversal::Forward,
                     .role = core::IterRole::Output},
-                   core::ContainerKind::WriteBuffer, wb_w.producer(),
-                   out_iw.impl()),
-        copy(this, "copy", {}, in_iw.client(), out_iw.client(),
+                   core::ContainerKind::WriteBuffer, wb_w.producer()),
+        copy(this, "copy", {}, rbuffer_it.client(), wbuffer_it.client(),
              ctl.control()) {}
 
   void eval_comb() override {

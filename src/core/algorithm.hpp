@@ -8,6 +8,11 @@
 // Common control bundle: `start` launches a run; `busy` is high while
 // running; `done` pulses for one cycle on completion.  A transfer count
 // of 0 means the paper's "endless loop" streaming mode.
+//
+// Every algorithm raises an operation strobe only while the iterator's
+// `ready` is high.  A stream iterator's client view is its container's
+// own wires, so the strobe *is* the container's pop or push; there is no
+// gate in between, and a strobe without `ready` is a ProtocolError.
 #pragma once
 
 #include "core/opspec.hpp"

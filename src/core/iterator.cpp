@@ -20,27 +20,23 @@ Iterator::Iterator(Module* parent, std::string name, Spec spec,
   }
 }
 
-bool Iterator::guard_strobes(const IterImpl& p) const {
+void Iterator::guard_strobes(const IterClient& c) const {
   struct Probe {
     Op op;
-    bool asserted;
+    const Bit& strobe;
   };
   const Probe probes[] = {
-      {Op::Inc, p.inc.read()},    {Op::Dec, p.dec.read()},
-      {Op::Read, p.read.read()},  {Op::Write, p.write.read()},
-      {Op::Index, p.index_op.read()},
+      {Op::Inc, c.inc},     {Op::Dec, c.dec},
+      {Op::Read, c.read},   {Op::Write, c.write},
+      {Op::Index, c.index_op},
   };
   for (const auto& pr : probes) {
-    if (pr.asserted && !ops().contains(pr.op)) {
-      if (spec().strict)
-        throw ProtocolError("iterator '" + full_name() + "': operation '" +
-                            to_string(pr.op) +
-                            "' strobed but not implemented (ops " +
-                            ops().str() + ")");
-      return false;
-    }
+    if (pr.strobe.as_word_fast() != 0 && !ops().contains(pr.op))
+      throw ProtocolError("iterator '" + full_name() + "': operation '" +
+                          to_string(pr.op) +
+                          "' strobed but not implemented (ops " +
+                          ops().str() + ")");
   }
-  return true;
 }
 
 // ---------------------------------------------------------------------
@@ -49,28 +45,39 @@ bool Iterator::guard_strobes(const IterImpl& p) const {
 
 StreamInputIterator::StreamInputIterator(Module* parent, std::string name,
                                          Spec spec, ContainerKind bound_kind,
-                                         StreamConsumer c, IterImpl p)
-    : Iterator(parent, std::move(name), spec, bound_kind), c_(c), p_(p) {
+                                         StreamConsumer c)
+    : Iterator(parent, std::move(name), spec, bound_kind),
+      other_adv_(*this,
+                 spec.traversal == Traversal::Backward ? "inc" : "dec"),
+      read_(*this, "read"),
+      write_(*this, "write"),
+      index_op_(*this, "index"),
+      index_pos_(*this, "index_pos", 1),
+      wdata_(*this, "wdata", c.front.width()),
+      client_{.inc = spec.traversal == Traversal::Backward ? other_adv_
+                                                            : c.pop,
+              .dec = spec.traversal == Traversal::Backward ? c.pop
+                                                            : other_adv_,
+              .read = read_,
+              .write = write_,
+              .index_op = index_op_,
+              .index_pos = index_pos_,
+              .wdata = wdata_,
+              .rdata = c.front,
+              .ready = c.can_pop,
+              .rvalid = c.can_pop} {
   if (this->spec().role != IterRole::Input)
     throw SpecError("iterator '" + this->name() +
                     "': StreamInputIterator requires the Input role");
+  enable_clock_check();
 }
 
-const Bit& StreamInputIterator::advance_strobe() const {
-  return spec().traversal == Traversal::Backward ? p_.dec : p_.inc;
-}
-
-void StreamInputIterator::eval_comb() {
-  // Pure renaming: this is the logic that "dissolves at synthesis".
-  p_.ready.write(c_.can_pop.read());
-  p_.rvalid.write(c_.can_pop.read());
-  p_.rdata.write(c_.front.read());
-  c_.pop.write(advance_strobe().read() && c_.can_pop.read());
-}
-
-void StreamInputIterator::on_clock() {
-  if (!guard_strobes(p_)) return;
-  if (advance_strobe().read() && !c_.can_pop.read() && spec().strict)
+void StreamInputIterator::on_clock_check() const {
+  guard_strobes(client_);
+  const Bit& advance = spec().traversal == Traversal::Backward
+                           ? client_.dec
+                           : client_.inc;
+  if (advance.as_word_fast() != 0 && client_.ready.as_word_fast() == 0)
     throw ProtocolError("iterator '" + full_name() +
                         "': advance while not ready (container empty or "
                         "busy)");
@@ -83,24 +90,35 @@ void StreamInputIterator::on_clock() {
 StreamOutputIterator::StreamOutputIterator(Module* parent, std::string name,
                                            Spec spec,
                                            ContainerKind bound_kind,
-                                           StreamProducer pr, IterImpl p)
-    : Iterator(parent, std::move(name), spec, bound_kind), pr_(pr), p_(p) {
+                                           StreamProducer pr)
+    : Iterator(parent, std::move(name), spec, bound_kind),
+      inc_(*this, "inc"),
+      dec_(*this, "dec"),
+      read_(*this, "read"),
+      index_op_(*this, "index"),
+      rvalid_(*this, "rvalid"),
+      index_pos_(*this, "index_pos", 1),
+      rdata_(*this, "rdata", pr.push_data.width()),
+      client_{.inc = inc_,
+              .dec = dec_,
+              .read = read_,
+              .write = pr.push,
+              .index_op = index_op_,
+              .index_pos = index_pos_,
+              .wdata = pr.push_data,
+              .rdata = rdata_,
+              .ready = pr.can_push,
+              .rvalid = rvalid_} {
   if (this->spec().role != IterRole::Output)
     throw SpecError("iterator '" + this->name() +
                     "': StreamOutputIterator requires the Output role");
+  enable_clock_check();
 }
 
-void StreamOutputIterator::eval_comb() {
-  p_.ready.write(pr_.can_push.read());
-  p_.rvalid.write(false);
-  p_.rdata.write(0);
-  pr_.push.write(p_.write.read() && pr_.can_push.read());
-  pr_.push_data.write(p_.wdata.read());
-}
-
-void StreamOutputIterator::on_clock() {
-  if (!guard_strobes(p_)) return;
-  if (p_.write.read() && !pr_.can_push.read() && spec().strict)
+void StreamOutputIterator::on_clock_check() const {
+  guard_strobes(client_);
+  if (client_.write.as_word_fast() != 0 &&
+      client_.ready.as_word_fast() == 0)
     throw ProtocolError("iterator '" + full_name() +
                         "': write while not ready (container full or busy)");
 }
@@ -111,10 +129,10 @@ void StreamOutputIterator::on_clock() {
 
 VectorRandomIterator::VectorRandomIterator(Module* parent, std::string name,
                                            Spec spec, RandomClient rc,
-                                           IterImpl p, int length)
+                                           IterWires& w, int length)
     : Iterator(parent, std::move(name), spec, ContainerKind::Vector),
       rc_(rc),
-      p_(p),
+      w_(w),
       length_(length) {
   if (this->spec().traversal != Traversal::Random)
     throw SpecError("iterator '" + this->name() +
@@ -123,29 +141,27 @@ VectorRandomIterator::VectorRandomIterator(Module* parent, std::string name,
 }
 
 void VectorRandomIterator::eval_comb() {
-  p_.ready.write(rc_.ready.read());
-  p_.rvalid.write(rc_.rvalid.read());
-  p_.rdata.write(rc_.rdata.read());
+  w_.ready.write(rc_.ready.read());
+  w_.rvalid.write(rc_.rvalid.read());
+  w_.rdata.write(rc_.rdata.read());
   rc_.addr.write(pos_);
-  rc_.wdata.write(p_.wdata.read());
-  rc_.read.write(p_.read.read() && rc_.ready.read());
-  rc_.write.write(p_.write.read() && rc_.ready.read());
+  rc_.wdata.write(w_.wdata.read());
+  rc_.read.write(w_.read.read() && rc_.ready.read());
+  rc_.write.write(w_.write.read() && rc_.ready.read());
 }
 
 void VectorRandomIterator::on_clock() {
-  if (!guard_strobes(p_)) return;
-  if ((p_.read.read() || p_.write.read()) && !rc_.ready.read() &&
-      spec().strict)
+  guard_strobes(w_.client());
+  if ((w_.read.read() || w_.write.read()) && !rc_.ready.read())
     throw ProtocolError("iterator '" + full_name() +
                         "': access while container busy");
-  if (p_.index_op.read()) {
-    const Word np = p_.index_pos.read();
-    if (np >= static_cast<Word>(length_) && spec().strict)
+  if (w_.index_op.read()) {
+    const Word np = w_.index_pos.read();
+    if (np >= static_cast<Word>(length_))
       throw ProtocolError("iterator '" + full_name() + "': index " +
                           std::to_string(np) + " out of range");
-    const Word next = np % static_cast<Word>(length_);
-    if (next != pos_) {
-      pos_ = next;
+    if (np != pos_) {
+      pos_ = np;
       seq_touch();
     }
   }
@@ -170,11 +186,11 @@ void VectorRandomIterator::report(rtl::PrimitiveTally& t) const {
 
 VectorSeqIterator::VectorSeqIterator(Module* parent, std::string name,
                                      Spec spec, Config cfg, RandomClient rc,
-                                     IterImpl p)
+                                     IterWires& w)
     : Iterator(parent, std::move(name), spec, ContainerKind::Vector),
       cfg_(cfg),
       rc_(rc),
-      p_(p),
+      w_(w),
       pos_(cfg.start_pos) {
   if (this->spec().traversal == Traversal::Random)
     throw SpecError("iterator '" + this->name() +
@@ -184,25 +200,24 @@ VectorSeqIterator::VectorSeqIterator(Module* parent, std::string name,
 }
 
 void VectorSeqIterator::eval_comb() {
-  p_.ready.write(rc_.ready.read());
-  p_.rvalid.write(rc_.rvalid.read());
-  p_.rdata.write(rc_.rdata.read());
+  w_.ready.write(rc_.ready.read());
+  w_.rvalid.write(rc_.rvalid.read());
+  w_.rdata.write(rc_.rdata.read());
   rc_.addr.write(pos_);
-  rc_.wdata.write(p_.wdata.read());
-  rc_.read.write(p_.read.read() && rc_.ready.read());
-  rc_.write.write(p_.write.read() && rc_.ready.read());
+  rc_.wdata.write(w_.wdata.read());
+  rc_.read.write(w_.read.read() && rc_.ready.read());
+  rc_.write.write(w_.write.read() && rc_.ready.read());
 }
 
 void VectorSeqIterator::on_clock() {
-  if (!guard_strobes(p_)) return;
-  if ((p_.read.read() || p_.write.read()) && !rc_.ready.read() &&
-      spec().strict)
+  guard_strobes(w_.client());
+  if ((w_.read.read() || w_.write.read()) && !rc_.ready.read())
     throw ProtocolError("iterator '" + full_name() +
                         "': access while container busy");
   const auto len = static_cast<Word>(cfg_.length);
   const Word pre = pos_;
-  if (p_.inc.read()) pos_ = (pos_ + 1) % len;
-  if (p_.dec.read()) pos_ = (pos_ + len - 1) % len;
+  if (w_.inc.read()) pos_ = (pos_ + 1) % len;
+  if (w_.dec.read()) pos_ = (pos_ + len - 1) % len;
   if (pos_ != pre) seq_touch();
 }
 

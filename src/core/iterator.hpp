@@ -8,7 +8,15 @@
 // *minus* any operations the design does not use (`used_ops`), which is
 // the generator's dead-operation elimination: an operation that is not
 // in `used_ops` gets no ports and no logic, and strobing it is a model
-// bug (ProtocolError in strict mode).
+// bug (ProtocolError).
+//
+// An algorithm reaches an iterator only through client().  For a
+// stream iterator that view *is* the container's own wires — the
+// renaming dissolves at elaboration, as it does at synthesis — so the
+// iterator module evaluates nothing and only checks the protocol in
+// the validate phase of each edge.  The vector and width-adapting
+// iterators hold state, so their client() is a set of wires they
+// drive.
 #pragma once
 
 #include "core/container.hpp"
@@ -25,7 +33,6 @@ class Iterator : public rtl::Module {
     /// Operations the design actually exercises.  Empty (the default)
     /// means "all operations admissible for traversal+role".
     OpSet used_ops{};
-    bool strict = true;
   };
 
   Iterator(Module* parent, std::string name, Spec spec,
@@ -35,11 +42,13 @@ class Iterator : public rtl::Module {
   [[nodiscard]] ContainerKind bound_kind() const { return bound_kind_; }
   /// The operation set this iterator implements.
   [[nodiscard]] OpSet ops() const { return spec_.used_ops; }
+  /// The algorithm-side view of this iterator (see the file comment).
+  [[nodiscard]] virtual IterClient client() = 0;
 
  protected:
-  /// Raises ProtocolError when a strobe outside ops() is asserted
-  /// (strict mode); returns true when all strobes are admissible.
-  bool guard_strobes(const IterImpl& p) const;
+  /// Raises ProtocolError when a strobe outside ops() is asserted.
+  /// Untraced reads, so it may run in the validate phase.
+  void guard_strobes(const IterClient& c) const;
 
  private:
   Spec spec_;
@@ -50,45 +59,49 @@ class Iterator : public rtl::Module {
 /// (read buffer, queue front, stack top, line-buffer columns).
 ///
 /// A pure wrapper — "iterators are only wrappers that will be dissolved
-/// at the time of synthesizing the design" (§4): ready/rvalid rename
-/// can_pop, rdata renames front, and the advance strobe (inc for
-/// forward traversal, dec for the backward traversal of a stack)
-/// renames pop.  report() is empty.
+/// at the time of synthesizing the design" (§4) — and dissolved here
+/// too: client() hands out the container's wires, `ready` and `rvalid`
+/// on can_pop, `rdata` on front, and the advance strobe (inc for
+/// forward traversal, dec for the backward traversal of a stack) on
+/// pop.  The strobes the container has no wire for are tie-off wires
+/// of this module, which the algorithm drives and the validate phase
+/// checks.  The module writes no signal and has no on_clock().
 class StreamInputIterator : public Iterator {
  public:
   StreamInputIterator(Module* parent, std::string name, Spec spec,
-                      ContainerKind bound_kind, StreamConsumer c,
-                      IterImpl p);
+                      ContainerKind bound_kind, StreamConsumer c);
 
-  void eval_comb() override;
-  void on_clock() override;
-  // on_clock() only validates the strobe protocol (it may throw, never
-  // writes): a dissolving wrapper with no sequential state at all.
-  void declare_state() override { declare_seq_state(); }
+  [[nodiscard]] IterClient client() override { return client_; }
+  void on_clock_check() const override;
+  void declare_state() override { declare_comb_only(); }
 
  private:
-  [[nodiscard]] const Bit& advance_strobe() const;
-
-  StreamConsumer c_;
-  IterImpl p_;
+  // Tie-offs: the other advance direction, and the strobes a stream
+  // container has no wire for.
+  Bit other_adv_, read_, write_, index_op_;
+  Bus index_pos_, wdata_;
+  IterClient client_;
 };
 
 /// Output iterator over the producer side of a stream container
-/// (write buffer, queue back, stack push).  Also a pure wrapper.
+/// (write buffer, queue back, stack push).  Dissolved like the input
+/// iterator: `ready` is can_push, `write` is push and `wdata` is
+/// push_data.
 class StreamOutputIterator : public Iterator {
  public:
   StreamOutputIterator(Module* parent, std::string name, Spec spec,
-                       ContainerKind bound_kind, StreamProducer pr,
-                       IterImpl p);
+                       ContainerKind bound_kind, StreamProducer pr);
 
-  void eval_comb() override;
-  void on_clock() override;
-  // Protocol checks only in on_clock(): no sequential state.
-  void declare_state() override { declare_seq_state(); }
+  [[nodiscard]] IterClient client() override { return client_; }
+  void on_clock_check() const override;
+  void declare_state() override { declare_comb_only(); }
 
  private:
-  StreamProducer pr_;
-  IterImpl p_;
+  // Tie-offs: the advance and read strobes, and a read side that
+  // never presents data.
+  Bit inc_, dec_, read_, index_op_, rvalid_;
+  Bus index_pos_, rdata_;
+  IterClient client_;
 };
 
 /// Random iterator over a vector container: read/write/index (Table 2
@@ -97,8 +110,9 @@ class StreamOutputIterator : public Iterator {
 class VectorRandomIterator : public Iterator {
  public:
   VectorRandomIterator(Module* parent, std::string name, Spec spec,
-                       RandomClient rc, IterImpl p, int length);
+                       RandomClient rc, IterWires& w, int length);
 
+  [[nodiscard]] IterClient client() override { return w_.client(); }
   void eval_comb() override;
   void on_clock() override;
   void on_reset() override;
@@ -113,7 +127,7 @@ class VectorRandomIterator : public Iterator {
 
  private:
   RandomClient rc_;
-  IterImpl p_;
+  IterWires& w_;
   int length_;
   Word pos_ = 0;
 };
@@ -130,8 +144,9 @@ class VectorSeqIterator : public Iterator {
   };
 
   VectorSeqIterator(Module* parent, std::string name, Spec spec,
-                    Config cfg, RandomClient rc, IterImpl p);
+                    Config cfg, RandomClient rc, IterWires& w);
 
+  [[nodiscard]] IterClient client() override { return w_.client(); }
   void eval_comb() override;
   void on_clock() override;
   void on_reset() override;
@@ -146,7 +161,7 @@ class VectorSeqIterator : public Iterator {
  private:
   Config cfg_;
   RandomClient rc_;
-  IterImpl p_;
+  IterWires& w_;
   Word pos_;
 };
 

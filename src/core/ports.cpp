@@ -49,18 +49,26 @@ AssocWires::AssocWires(Module& owner, const std::string& prefix,
       wdata(owner, prefix + "_wdata", val_bits),
       rdata(owner, prefix + "_rdata", val_bits) {}
 
+namespace {
+/// `prefix_field`, or the bare field for an empty prefix (the wires of
+/// a module that owns a single iterator interface).
+std::string wire_name(const std::string& prefix, const char* field) {
+  return prefix.empty() ? std::string(field) : prefix + "_" + field;
+}
+}  // namespace
+
 IterWires::IterWires(Module& owner, const std::string& prefix,
                      int elem_bits, int pos_bits)
-    : inc(owner, prefix + "_inc"),
-      dec(owner, prefix + "_dec"),
-      read(owner, prefix + "_read"),
-      write(owner, prefix + "_write"),
-      index_op(owner, prefix + "_index"),
-      ready(owner, prefix + "_ready"),
-      rvalid(owner, prefix + "_rvalid"),
-      index_pos(owner, prefix + "_index_pos", pos_bits),
-      wdata(owner, prefix + "_wdata", elem_bits),
-      rdata(owner, prefix + "_rdata", elem_bits) {}
+    : inc(owner, wire_name(prefix, "inc")),
+      dec(owner, wire_name(prefix, "dec")),
+      read(owner, wire_name(prefix, "read")),
+      write(owner, wire_name(prefix, "write")),
+      index_op(owner, wire_name(prefix, "index")),
+      ready(owner, wire_name(prefix, "ready")),
+      rvalid(owner, wire_name(prefix, "rvalid")),
+      index_pos(owner, wire_name(prefix, "index_pos"), pos_bits),
+      wdata(owner, wire_name(prefix, "wdata"), elem_bits),
+      rdata(owner, wire_name(prefix, "rdata"), elem_bits) {}
 
 SramMasterWires::SramMasterWires(Module& owner, const std::string& prefix,
                                  int data_bits, int addr_bits)

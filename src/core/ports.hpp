@@ -1,10 +1,12 @@
 // Port bundles of the basic component library.
 //
-// Every bundle comes in two *views* over the same parent-owned wires:
-// the client view (what an algorithm or producer drives) and the
-// implementation view (what the container/iterator module drives).  A
-// `...Wires` helper owns the signals inside a parent module and hands
-// out both views, so wiring a pattern instance is a couple of lines.
+// Every container bundle comes in two *views* over the same
+// parent-owned wires: the client view (what an algorithm or producer
+// drives) and the implementation view (what the container module
+// drives).  A `...Wires` helper owns the signals inside a parent module
+// and hands out both views, so wiring a pattern instance is a couple of
+// lines.  An iterator has only a client view (IterClient), which the
+// iterator itself hands out (core::Iterator::client()).
 //
 // == Stream container method protocol (stack/queue/rbuffer/wbuffer) ==
 //  * `can_push` high: the producer may assert `push` with `push_data`
@@ -22,8 +24,15 @@
 //  * For Input-capable iterators, `rvalid` high means `rdata` presents
 //    the current element (sequential iterators are show-ahead: rvalid
 //    tracks ready; random iterators pulse rvalid when a read completes).
-//  * Asserting an operation outside the iterator's admissible set is a
-//    model bug and raises ProtocolError in strict mode.
+//  * A strobe is raised only while `ready` is high; asserting one
+//    without `ready`, or one outside the iterator's admissible set, is
+//    a model bug and raises ProtocolError.
+//  * A stream iterator's client view is its container's own wires:
+//    `ready`/`rvalid` are can_pop and `rdata` is front (input), or
+//    `ready` is can_push, `write` is push and `wdata` is push_data
+//    (output); the advance strobe of an input iterator is pop.  Only
+//    the strobes a stream container has no wire for are separate
+//    tie-off wires, owned by the iterator (see core/iterator.hpp).
 #pragma once
 
 #include <string>
@@ -203,32 +212,16 @@ struct IterClient {
   const Bit& rvalid;
 };
 
-/// Iterator-implementation view.
-struct IterImpl {
-  const Bit& inc;
-  const Bit& dec;
-  const Bit& read;
-  const Bit& write;
-  const Bit& index_op;
-  const Bus& index_pos;
-  const Bus& wdata;
-  Bus& rdata;
-  Bit& ready;
-  Bit& rvalid;
-};
-
 struct IterWires {
   Bit inc, dec, read, write, index_op, ready, rvalid;
   Bus index_pos, wdata, rdata;
 
+  /// An empty `prefix` names the wires by their field alone (for a
+  /// module that owns one iterator interface).
   IterWires(Module& owner, const std::string& prefix, int elem_bits,
             int pos_bits);
 
   [[nodiscard]] IterClient client() {
-    return {inc,  dec,   read,  write, index_op,
-            index_pos, wdata, rdata, ready, rvalid};
-  }
-  [[nodiscard]] IterImpl impl() {
     return {inc,  dec,   read,  write, index_op,
             index_pos, wdata, rdata, ready, rvalid};
   }

@@ -8,8 +8,6 @@ BlurPattern::BlurPattern(const BlurConfig& cfg)
       sof_(*this, "sof"),
       rb_w_(*this, "rb", 8, 24, 16),
       wb_w_(*this, "wb", 8, 16),
-      in_iw_(*this, "it_in", 24, 16),
-      out_iw_(*this, "it_out", 8, 16),
       ctl_(*this, "ctl"),
       rbuf_(this, "rbuffer",
             {.pixel_bits = 8, .line_width = cfg.width,
@@ -22,17 +20,15 @@ BlurPattern::BlurPattern(const BlurConfig& cfg)
       it_in_(this, "rbuffer_it",
              {.traversal = core::Traversal::Forward,
               .role = core::IterRole::Input},
-             core::ContainerKind::ReadBuffer, rb_w_.consumer(),
-             in_iw_.impl()),
+             core::ContainerKind::ReadBuffer, rb_w_.consumer()),
       it_out_(this, "wbuffer_it",
               {.traversal = core::Traversal::Forward,
                .role = core::IterRole::Output},
-              core::ContainerKind::WriteBuffer, wb_w_.producer(),
-              out_iw_.impl()),
+              core::ContainerKind::WriteBuffer, wb_w_.producer()),
       blur_(this, "blur",
             {.width = cfg.width, .height = cfg.height, .pixel_bits = 8,
              .frames = 0},
-            in_iw_.client(), out_iw_.client(), ctl_.control()),
+            it_in_.client(), it_out_.client(), ctl_.control()),
       src_(this, "decoder",
            {.pixel_interval = 1, .frame_blanking = 8,
             .respect_backpressure = true},

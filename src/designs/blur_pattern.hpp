@@ -1,6 +1,10 @@
 // blur, pattern-based: the third design of Table 3.
 //
-//   decoder --> rbuffer(3-line buffer) ==it==> blur ==it==> wbuffer --> vga
+//   decoder --> rbuffer(3-line buffer) ==rbuffer_it==> blur
+//           ==wbuffer_it==> wbuffer --> vga
+//
+// Both iterators dissolve: blur drives and reads the buffers' own
+// method wires (see saa2vga_pattern.hpp).
 //
 // "The rbuffer container, instead of a simple FIFO has been mapped over
 // a special one ... structured to provide 3 pixels in a column for each
@@ -39,7 +43,6 @@ class BlurPattern : public VideoDesign {
   rtl::Bit sof_;
   core::StreamWires rb_w_;  // pixels in, columns out
   core::StreamWires wb_w_;
-  core::IterWires in_iw_, out_iw_;
   core::AlgoWires ctl_;
   core::LineBufferContainer rbuf_;
   core::CoreStreamContainer wbuf_;

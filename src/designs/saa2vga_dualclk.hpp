@@ -4,7 +4,7 @@
 //
 //   pixel domain:   decoder ──► rbuffer            wbuffer ──► vga
 //                                (CDC)               (CDC)
-//   memory domain:        ══it══► copy ══it══►
+//   memory domain:   ══rbuffer_it══► copy ══wbuffer_it══►
 //
 // The model is the *same* CopyFsm + iterator pair as the single-clock
 // Saa2VgaPattern; what changed is only the binding: both buffers are
@@ -57,7 +57,6 @@ class Saa2VgaDualClk : public VideoDesign {
   rtl::ClockDomain mem_dom_;
   rtl::Bit sof_;
   core::StreamWires rb_w_, wb_w_;
-  core::IterWires in_iw_, out_iw_;
   core::AlgoWires ctl_;
   std::unique_ptr<core::Container> rbuf_;
   std::unique_ptr<core::Container> wbuf_;

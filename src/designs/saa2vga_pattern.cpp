@@ -47,8 +47,6 @@ Saa2VgaPattern::Saa2VgaPattern(const Saa2VgaConfig& cfg)
       sof_(*this, "sof"),
       rb_w_(*this, "rb", 8, 16),
       wb_w_(*this, "wb", 8, 16),
-      in_iw_(*this, "it_in", 8, 16),
-      out_iw_(*this, "it_out", 8, 16),
       ctl_(*this, "ctl"),
       src_(this, "decoder",
            {.pixel_interval = 1, .frame_blanking = 8,
@@ -87,23 +85,21 @@ Saa2VgaPattern::Saa2VgaPattern(const Saa2VgaConfig& cfg)
                                          wb_ports);
   }
 
-  meta::IteratorSpec in_spec{.name = "it",
+  meta::IteratorSpec in_spec{.name = "rbuffer_it",
                              .traversal = core::Traversal::Forward,
                              .role = core::IterRole::Input,
                              .used_ops = {},
                              .container = buffer_spec(cfg_, true)};
-  meta::IteratorSpec out_spec{.name = "it",
+  meta::IteratorSpec out_spec{.name = "wbuffer_it",
                               .traversal = core::Traversal::Forward,
                               .role = core::IterRole::Output,
                               .used_ops = {},
                               .container = buffer_spec(cfg_, false)};
-  it_in_ = meta::build_input_iterator(this, in_spec, rb_w_.consumer(),
-                                      in_iw_.impl());
-  it_out_ = meta::build_output_iterator(this, out_spec, wb_w_.producer(),
-                                        out_iw_.impl());
+  it_in_ = meta::build_input_iterator(this, in_spec, rb_w_.consumer());
+  it_out_ = meta::build_output_iterator(this, out_spec, wb_w_.producer());
   copy_ = std::make_unique<core::CopyFsm>(
-      this, "copy", core::CopyFsm::Config{}, in_iw_.client(),
-      out_iw_.client(), ctl_.control());
+      this, "copy", core::CopyFsm::Config{}, it_in_->client(),
+      it_out_->client(), ctl_.control());
 }
 
 void Saa2VgaPattern::eval_comb() {

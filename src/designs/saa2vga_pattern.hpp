@@ -2,11 +2,22 @@
 //
 //   decoder --> rbuffer ==rbuffer_it==> copy ==wbuffer_it==> wbuffer --> vga
 //
+//   buffer wire          copy's iterator port
+//   rb_can_pop   ------> rbuffer_it ready, rvalid
+//   rb_front     ------> rbuffer_it rdata
+//   rb_pop       <------ rbuffer_it inc
+//   wb_can_push  ------> wbuffer_it ready
+//   wb_push      <------ wbuffer_it write
+//   wb_push_data <------ wbuffer_it wdata
+//
 // The copy algorithm is the library CopyFsm; it touches data only
-// through the two iterators.  Retargeting the design from on-chip
-// FIFOs (Table 3 row "saa2vga 1") to external SRAMs (row "saa2vga 2")
-// changes *only* the device binding chosen here — the model is
-// untouched, which is the paper's central reuse claim.
+// through the two iterators.  As at synthesis, the iterators dissolve:
+// their client views are the buffers' own wires (above), and the
+// iterator modules only check the protocol at each edge.  Retargeting
+// the design from on-chip FIFOs (Table 3 row "saa2vga 1") to external
+// SRAMs (row "saa2vga 2") changes *only* the device binding chosen
+// here — the model is untouched, which is the paper's central reuse
+// claim.
 #pragma once
 
 #include "core/algorithm.hpp"
@@ -42,7 +53,6 @@ class Saa2VgaPattern : public VideoDesign {
   Saa2VgaConfig cfg_;
   rtl::Bit sof_;
   core::StreamWires rb_w_, wb_w_;
-  core::IterWires in_iw_, out_iw_;
   core::AlgoWires ctl_;
   // SRAM binding only (empty for the FIFO binding).
   std::unique_ptr<core::SramMasterWires> rm_, wm_;

@@ -32,8 +32,6 @@ Saa2VgaPatternShared::Saa2VgaPatternShared(const Saa2VgaConfig& cfg,
       sof_(*this, "sof"),
       rb_w_(*this, "rb", 8, 16),
       wb_w_(*this, "wb", 8, 16),
-      in_iw_(*this, "it_in", 8, 16),
-      out_iw_(*this, "it_out", 8, 16),
       ctl_(*this, "ctl"),
       rm_(*this, "rm", 8, 16),
       wm_(*this, "wm", 8, 16),
@@ -71,19 +69,19 @@ Saa2VgaPatternShared::Saa2VgaPatternShared(const Saa2VgaConfig& cfg,
   wbuf_ = meta::build_stream_container(this, wb_spec, wb_ports);
   it_in_ = meta::build_input_iterator(
       this,
-      {.name = "it", .traversal = core::Traversal::Forward,
+      {.name = "rbuffer_it", .traversal = core::Traversal::Forward,
        .role = core::IterRole::Input, .used_ops = {},
        .container = rb_spec},
-      rb_w_.consumer(), in_iw_.impl());
+      rb_w_.consumer());
   it_out_ = meta::build_output_iterator(
       this,
-      {.name = "it", .traversal = core::Traversal::Forward,
+      {.name = "wbuffer_it", .traversal = core::Traversal::Forward,
        .role = core::IterRole::Output, .used_ops = {},
        .container = wb_spec},
-      wb_w_.producer(), out_iw_.impl());
+      wb_w_.producer());
   copy_ = std::make_unique<core::CopyFsm>(
-      this, "copy", core::CopyFsm::Config{}, in_iw_.client(),
-      out_iw_.client(), ctl_.control());
+      this, "copy", core::CopyFsm::Config{}, it_in_->client(),
+      it_out_->client(), ctl_.control());
 }
 
 void Saa2VgaPatternShared::eval_comb() { ctl_.start.write(true); }

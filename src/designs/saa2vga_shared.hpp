@@ -46,7 +46,6 @@ class Saa2VgaPatternShared : public VideoDesign {
   Saa2VgaConfig cfg_;
   rtl::Bit sof_;
   core::StreamWires rb_w_, wb_w_;
-  core::IterWires in_iw_, out_iw_;
   core::AlgoWires ctl_;
   core::SramMasterWires rm_, wm_, sm_;  // two masters + slave side
   std::unique_ptr<devices::SramArbiter> arb_;

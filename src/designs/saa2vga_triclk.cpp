@@ -41,8 +41,6 @@ Saa2VgaTriClk::Lane::Lane(Saa2VgaTriClk& top,
     : sof(top, lane_name("sof", index)),
       rb_w(top, lane_name("rb", index), 8, 16),
       wb_w(top, lane_name("wb", index), 8, 16),
-      in_iw(top, lane_name("it_in", index), 8, 16),
-      out_iw(top, lane_name("it_out", index), 8, 16),
       ctl(top, lane_name("ctl", index)),
       src(&top, lane_name("decoder", index),
           {.pixel_interval = 1, .frame_blanking = 8,
@@ -66,24 +64,22 @@ Saa2VgaTriClk::Lane::Lane(Saa2VgaTriClk& top,
   wbuf = meta::build_stream_container(
       &top, cdc_buffer_spec(cfg, false, index), wb_ports);
 
-  meta::IteratorSpec in_spec{.name = lane_name("it", index),
+  meta::IteratorSpec in_spec{.name = lane_name("rbuffer_it", index),
                              .traversal = core::Traversal::Forward,
                              .role = core::IterRole::Input,
                              .used_ops = {},
                              .container = cdc_buffer_spec(cfg, true, index)};
   meta::IteratorSpec out_spec{
-      .name = lane_name("it", index),
+      .name = lane_name("wbuffer_it", index),
       .traversal = core::Traversal::Forward,
       .role = core::IterRole::Output,
       .used_ops = {},
       .container = cdc_buffer_spec(cfg, false, index)};
-  it_in = meta::build_input_iterator(&top, in_spec, rb_w.consumer(),
-                                     in_iw.impl());
-  it_out = meta::build_output_iterator(&top, out_spec, wb_w.producer(),
-                                       out_iw.impl());
+  it_in = meta::build_input_iterator(&top, in_spec, rb_w.consumer());
+  it_out = meta::build_output_iterator(&top, out_spec, wb_w.producer());
   copy = std::make_unique<core::CopyFsm>(
       &top, lane_name("copy", index), core::CopyFsm::Config{},
-      in_iw.client(), out_iw.client(), ctl.control());
+      it_in->client(), it_out->client(), ctl.control());
   // The processing side runs on the memory clock.
   it_in->set_clock_domain(&top.mem_dom_);
   it_out->set_clock_domain(&top.mem_dom_);

@@ -76,16 +76,18 @@ class Saa2VgaTriClk : public VideoDesign {
   }
 
  private:
-  /// One decoder→rbuffer→copy→wbuffer→vga pipeline.  All wires are
-  /// owned by the top design (the usual parent-owns-the-wires
-  /// convention); the lane index only suffixes names past lane 0, so a
-  /// single-lane design elaborates exactly like the pre-farm version.
+  /// One decoder→rbuffer→copy→wbuffer→vga pipeline.  The method and
+  /// control wires are owned by the top design (the usual
+  /// parent-owns-the-wires convention; the dissolved iterators own only
+  /// their tie-off wires); the lane index only suffixes names past lane
+  /// 0 (`rbuffer_it`, `rbuffer_it1`, ...), so every module path is
+  /// unique and a single-lane design elaborates like the pre-farm
+  /// version.
   struct Lane {
     Lane(Saa2VgaTriClk& top, const Saa2VgaTriClkConfig& cfg, int index);
 
     rtl::Bit sof;
     core::StreamWires rb_w, wb_w;
-    core::IterWires in_iw, out_iw;
     core::AlgoWires ctl;
     video::VideoSource src;
     video::VgaSink vga;

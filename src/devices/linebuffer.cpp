@@ -15,6 +15,24 @@ LineBuffer3::LineBuffer3(Module* parent, std::string name,
   HWPAT_ASSERT(cfg_.pixel_width >= 1 && 3 * cfg_.pixel_width <= kMaxBusBits);
   HWPAT_ASSERT(cfg_.line_width >= 3);
   HWPAT_ASSERT(cfg_.col_fifo_depth >= 1);
+  // Strict mode throws from the pre-edge validate phase, so an illegal
+  // operation aborts the whole clock-edge event before ANY state moved.
+  if (cfg_.strict) enable_clock_check();
+}
+
+void LineBuffer3::on_clock_check() const {
+  // Mirrors on_clock(): the read is taken first, and a column is pushed
+  // only from the third row of a frame (sof restarts the row count).
+  const bool do_rd = p_.rd_en.as_word_fast() != 0;
+  if (do_rd && colq_count_ == 0)
+    throw ProtocolError("LineBuffer3 '" + full_name() +
+                        "': column read while empty");
+  if (p_.wr_en.as_word_fast() == 0) return;
+  const int row = p_.sof.as_word_fast() != 0 ? 0 : wr_y_;
+  const int count = colq_count_ - (do_rd ? 1 : 0);
+  if (row >= 2 && count == cfg_.col_fifo_depth)
+    throw ProtocolError("LineBuffer3 '" + full_name() +
+                        "': column FIFO overflow (consumer too slow)");
 }
 
 void LineBuffer3::declare_state() {
@@ -32,12 +50,9 @@ void LineBuffer3::eval_comb() {
 }
 
 void LineBuffer3::push_column(Word col) {
-  if (colq_count_ == cfg_.col_fifo_depth) {
-    if (cfg_.strict)
-      throw ProtocolError("LineBuffer3 '" + full_name() +
-                          "': column FIFO overflow (consumer too slow)");
-    return;
-  }
+  // A full column FIFO drops the column; in strict mode
+  // on_clock_check() has already rejected the edge.
+  if (colq_count_ == cfg_.col_fifo_depth) return;
   const int tail = (colq_head_ + colq_count_) % cfg_.col_fifo_depth;
   colq_[static_cast<std::size_t>(tail)] = col;
   ++colq_count_;
@@ -45,16 +60,11 @@ void LineBuffer3::push_column(Word col) {
 }
 
 void LineBuffer3::on_clock() {
-  if (p_.rd_en.read()) {
-    if (colq_count_ == 0) {
-      if (cfg_.strict)
-        throw ProtocolError("LineBuffer3 '" + full_name() +
-                            "': column read while empty");
-    } else {
-      colq_head_ = (colq_head_ + 1) % cfg_.col_fifo_depth;
-      --colq_count_;
-      seq_touch();
-    }
+  // A read while empty is ignored (strict mode rejected it already).
+  if (p_.rd_en.read() && colq_count_ > 0) {
+    colq_head_ = (colq_head_ + 1) % cfg_.col_fifo_depth;
+    --colq_count_;
+    seq_touch();
   }
   if (p_.wr_en.read()) {
     if (p_.sof.read()) {

@@ -52,6 +52,7 @@ class LineBuffer3 : public rtl::Module {
               LineBuffer3Ports p);
 
   void eval_comb() override;
+  void on_clock_check() const override;
   void on_clock() override;
   void on_reset() override;
   void declare_state() override;

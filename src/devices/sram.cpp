@@ -11,6 +11,13 @@ ExternalSram::ExternalSram(Module* parent, std::string name, SramConfig cfg,
   HWPAT_ASSERT(cfg_.data_width >= 1 && cfg_.data_width <= kMaxBusBits);
   HWPAT_ASSERT(cfg_.addr_width >= 1 && cfg_.addr_width <= 24);
   HWPAT_ASSERT(cfg_.latency >= 1);
+  // A bus no wider than the address space keeps every address in
+  // range, so an access never needs an edge-time range check.
+  if (p_.addr.width() > cfg_.addr_width)
+    throw Error("SRAM '" + full_name() + "': addr bus is " +
+                std::to_string(p_.addr.width()) +
+                " bits wide, wider than its addr_width of " +
+                std::to_string(cfg_.addr_width));
 }
 
 void ExternalSram::preload(std::size_t offset,
@@ -26,12 +33,10 @@ void ExternalSram::declare_state() {
 }
 
 void ExternalSram::do_op() {
+  // In range: the constructor bounded the bus width by addr_width (a
+  // restored blob can still hold a wider value, hence the assertion).
   const auto a = static_cast<std::size_t>(p_.addr.read());
-  if (a >= mem_.size()) {
-    if (cfg_.strict)
-      throw ProtocolError("SRAM '" + full_name() + "': address out of range");
-    return;
-  }
+  HWPAT_ASSERT(a < mem_.size());
   if (p_.we.read()) {
     mem_[a] = truncate(p_.wdata.read(), cfg_.data_width);
   } else {

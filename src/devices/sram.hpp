@@ -29,7 +29,6 @@ struct SramConfig {
   int data_width = 8;
   int addr_width = 16;
   int latency = 1;  ///< edges from accepted req to operation + ack
-  bool strict = true;
 };
 
 struct SramPorts {
@@ -43,6 +42,7 @@ struct SramPorts {
 
 class ExternalSram : public rtl::Module {
  public:
+  /// Throws Error when `p.addr` is wider than `cfg.addr_width`.
   ExternalSram(Module* parent, std::string name, SramConfig cfg,
                SramPorts p);
 

@@ -82,43 +82,39 @@ std::unique_ptr<core::Container> build_stream_container(
 }
 
 std::unique_ptr<core::Iterator> build_input_iterator(
-    rtl::Module* parent, const IteratorSpec& spec, core::StreamConsumer c,
-    core::IterImpl p) {
+    rtl::Module* parent, const IteratorSpec& spec, core::StreamConsumer c) {
   validate(spec);
   const core::Iterator::Spec ispec{.traversal = spec.traversal,
                                    .role = spec.role,
-                                   .used_ops = spec.used_ops,
-                                   .strict = true};
+                                   .used_ops = spec.used_ops};
   if (spec.container.accesses_per_element() > 1) {
     return std::make_unique<WidthAdaptInputIterator>(
         parent, spec.name, ispec, spec.container.kind,
         WidthAdaptInputIterator::Config{
             .elem_bits = spec.container.elem_bits,
             .bus_bits = spec.container.effective_bus_bits()},
-        c, p);
+        c);
   }
   return std::make_unique<core::StreamInputIterator>(
-      parent, spec.name, ispec, spec.container.kind, c, p);
+      parent, spec.name, ispec, spec.container.kind, c);
 }
 
 std::unique_ptr<core::Iterator> build_output_iterator(
-    rtl::Module* parent, const IteratorSpec& spec, core::StreamProducer pr,
-    core::IterImpl p) {
+    rtl::Module* parent, const IteratorSpec& spec, core::StreamProducer pr) {
   validate(spec);
   const core::Iterator::Spec ispec{.traversal = spec.traversal,
                                    .role = spec.role,
-                                   .used_ops = spec.used_ops,
-                                   .strict = true};
+                                   .used_ops = spec.used_ops};
   if (spec.container.accesses_per_element() > 1) {
     return std::make_unique<WidthAdaptOutputIterator>(
         parent, spec.name, ispec, spec.container.kind,
         WidthAdaptOutputIterator::Config{
             .elem_bits = spec.container.elem_bits,
             .bus_bits = spec.container.effective_bus_bits()},
-        pr, p);
+        pr);
   }
   return std::make_unique<core::StreamOutputIterator>(
-      parent, spec.name, ispec, spec.container.kind, pr, p);
+      parent, spec.name, ispec, spec.container.kind, pr);
 }
 
 }  // namespace hwpat::meta

@@ -40,16 +40,16 @@ struct StreamBuildPorts {
     rtl::Module* parent, const ContainerSpec& spec, StreamBuildPorts ports);
 
 /// Builds the concrete input iterator for `spec` over the consumer side
-/// of its container.  `p.rdata` must be elem_bits wide; the factory
-/// inserts the width-adapting variant when the spec requires it.
+/// of its container; an algorithm reaches it through client(), whose
+/// `rdata` is elem_bits wide.  Without width adaptation the iterator
+/// dissolves (client() is the container's wires); with it, the factory
+/// inserts the width-adapting variant, which drives wires of its own.
 [[nodiscard]] std::unique_ptr<core::Iterator> build_input_iterator(
-    rtl::Module* parent, const IteratorSpec& spec, core::StreamConsumer c,
-    core::IterImpl p);
+    rtl::Module* parent, const IteratorSpec& spec, core::StreamConsumer c);
 
 /// Builds the concrete output iterator for `spec` over the producer
-/// side of its container.
+/// side of its container (see build_input_iterator()).
 [[nodiscard]] std::unique_ptr<core::Iterator> build_output_iterator(
-    rtl::Module* parent, const IteratorSpec& spec, core::StreamProducer pr,
-    core::IterImpl p);
+    rtl::Module* parent, const IteratorSpec& spec, core::StreamProducer pr);
 
 }  // namespace hwpat::meta

@@ -5,15 +5,20 @@ namespace hwpat::meta {
 using core::IterRole;
 using core::Traversal;
 
+namespace {
+/// Width of the (unused) index position wire: stream iterators have no
+/// random access.
+constexpr int kPosBits = 1;
+}  // namespace
+
 WidthAdaptInputIterator::WidthAdaptInputIterator(
     Module* parent, std::string name, Spec spec,
-    core::ContainerKind bound_kind, Config cfg, core::StreamConsumer c,
-    core::IterImpl p)
+    core::ContainerKind bound_kind, Config cfg, core::StreamConsumer c)
     : Iterator(parent, std::move(name), spec, bound_kind),
       cfg_(cfg),
       lanes_(ceil_div(cfg.elem_bits, cfg.bus_bits)),
       c_(c),
-      p_(p) {
+      iw_(*this, "", cfg.elem_bits, kPosBits) {
   HWPAT_ASSERT(cfg_.bus_bits >= 1 && cfg_.elem_bits >= cfg_.bus_bits);
   if (this->spec().role != IterRole::Input)
     throw SpecError("iterator '" + this->name() +
@@ -26,25 +31,22 @@ WidthAdaptInputIterator::WidthAdaptInputIterator(
 }
 
 void WidthAdaptInputIterator::eval_comb() {
-  p_.ready.write(asm_valid_);
-  p_.rvalid.write(asm_valid_);
-  p_.rdata.write(asm_reg_);
+  iw_.ready.write(asm_valid_);
+  iw_.rvalid.write(asm_valid_);
+  iw_.rdata.write(asm_reg_);
   // Gather lanes autonomously whenever no assembled element is staged.
   c_.pop.write(!asm_valid_ && c_.can_pop.read());
 }
 
 void WidthAdaptInputIterator::on_clock() {
-  if (!guard_strobes(p_)) return;
+  guard_strobes(iw_.client());
   const bool advance = spec().traversal == Traversal::Backward
-                           ? p_.dec.read()
-                           : p_.inc.read();
+                           ? iw_.dec.read()
+                           : iw_.inc.read();
   if (advance) {
-    if (!asm_valid_) {
-      if (spec().strict)
-        throw ProtocolError("iterator '" + full_name() +
-                            "': advance while element not assembled");
-      return;
-    }
+    if (!asm_valid_)
+      throw ProtocolError("iterator '" + full_name() +
+                          "': advance while element not assembled");
     asm_reg_ = 0;
     asm_valid_ = false;
     lane_ = 0;
@@ -79,13 +81,12 @@ void WidthAdaptInputIterator::report(rtl::PrimitiveTally& t) const {
 
 WidthAdaptOutputIterator::WidthAdaptOutputIterator(
     Module* parent, std::string name, Spec spec,
-    core::ContainerKind bound_kind, Config cfg, core::StreamProducer pr,
-    core::IterImpl p)
+    core::ContainerKind bound_kind, Config cfg, core::StreamProducer pr)
     : Iterator(parent, std::move(name), spec, bound_kind),
       cfg_(cfg),
       lanes_(ceil_div(cfg.elem_bits, cfg.bus_bits)),
       pr_(pr),
-      p_(p) {
+      iw_(*this, "", cfg.elem_bits, kPosBits) {
   HWPAT_ASSERT(cfg_.bus_bits >= 1 && cfg_.elem_bits >= cfg_.bus_bits);
   if (this->spec().role != IterRole::Output)
     throw SpecError("iterator '" + this->name() +
@@ -98,24 +99,21 @@ WidthAdaptOutputIterator::WidthAdaptOutputIterator(
 }
 
 void WidthAdaptOutputIterator::eval_comb() {
-  p_.ready.write(pending_ == 0);
-  p_.rvalid.write(false);
-  p_.rdata.write(0);
+  iw_.ready.write(pending_ == 0);
+  iw_.rvalid.write(false);
+  iw_.rdata.write(0);
   pr_.push.write(pending_ > 0 && pr_.can_push.read());
   pr_.push_data.write(truncate(shift_reg_, cfg_.bus_bits));
 }
 
 void WidthAdaptOutputIterator::on_clock() {
-  if (!guard_strobes(p_)) return;
-  if (p_.write.read()) {
-    if (pending_ != 0) {
-      if (spec().strict)
-        throw ProtocolError("iterator '" + full_name() +
-                            "': write while previous element still "
-                            "draining");
-      return;
-    }
-    shift_reg_ = truncate(p_.wdata.read(), cfg_.elem_bits);
+  guard_strobes(iw_.client());
+  if (iw_.write.read()) {
+    if (pending_ != 0)
+      throw ProtocolError("iterator '" + full_name() +
+                          "': write while previous element still "
+                          "draining");
+    shift_reg_ = truncate(iw_.wdata.read(), cfg_.elem_bits);
     pending_ = lanes_;
     seq_touch();
     return;  // lanes start draining next cycle

@@ -10,7 +10,8 @@
 // sequenced little-endian: the first lane popped/pushed holds the
 // element's low bits.  Unlike the pure-wrapper iterators they carry an
 // assembly register and a lane counter, so they report real resources —
-// width adaptation is the one iterator variant that does NOT dissolve.
+// width adaptation is the one stream iterator variant that does NOT
+// dissolve: each owns the wires of its client() view and drives them.
 #pragma once
 
 #include "core/iterator.hpp"
@@ -27,8 +28,9 @@ class WidthAdaptInputIterator : public core::Iterator {
 
   WidthAdaptInputIterator(Module* parent, std::string name, Spec spec,
                           core::ContainerKind bound_kind, Config cfg,
-                          core::StreamConsumer c, core::IterImpl p);
+                          core::StreamConsumer c);
 
+  [[nodiscard]] core::IterClient client() override { return iw_.client(); }
   void eval_comb() override;
   void on_clock() override;
   void on_reset() override;
@@ -44,7 +46,7 @@ class WidthAdaptInputIterator : public core::Iterator {
   Config cfg_;
   int lanes_;
   core::StreamConsumer c_;
-  core::IterImpl p_;
+  core::IterWires iw_;
   Word asm_reg_ = 0;
   int lane_ = 0;
   bool asm_valid_ = false;
@@ -60,8 +62,9 @@ class WidthAdaptOutputIterator : public core::Iterator {
 
   WidthAdaptOutputIterator(Module* parent, std::string name, Spec spec,
                            core::ContainerKind bound_kind, Config cfg,
-                           core::StreamProducer pr, core::IterImpl p);
+                           core::StreamProducer pr);
 
+  [[nodiscard]] core::IterClient client() override { return iw_.client(); }
   void eval_comb() override;
   void on_clock() override;
   void on_reset() override;
@@ -77,7 +80,7 @@ class WidthAdaptOutputIterator : public core::Iterator {
   Config cfg_;
   int lanes_;
   core::StreamProducer pr_;
-  core::IterImpl p_;
+  core::IterWires iw_;
   Word shift_reg_ = 0;
   int pending_ = 0;
 };

@@ -154,10 +154,13 @@ class Module {
   /// at all — on_clock() is the inherited empty default (on_reset()
   /// still runs).  The simulator then drops the module from its
   /// domain's activation list entirely, so edges cost it nothing — not
-  /// even the empty virtual call.  Declaring this on a module that
-  /// does override on_clock() silently disables that process; the
-  /// differential kernel tests catch such a mistake for everything in
-  /// this repo.  Implies declare_seq_state().
+  /// even the empty virtual call.  A comb-only module may still have a
+  /// validate phase (enable_clock_check() + on_clock_check()): a
+  /// protocol checker that evaluates nothing, like a dissolved
+  /// iterator.  Declaring this on a module that does override
+  /// on_clock() silently disables that process; the elaboration-time
+  /// contract check (Options::check_seq_contract) rejects it.  Implies
+  /// declare_seq_state().
   void declare_comb_only() {
     seq_declared_ = true;
     no_clock_ = true;

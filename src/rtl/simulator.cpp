@@ -23,6 +23,28 @@ void require_positive(const char* field, std::int64_t value) {
     throw Error(std::string("Simulator Options::") + field +
                 " must be positive, got " + std::to_string(value));
 }
+
+/// Rejects two children of one module with the same name: a module path
+/// names messages, VCD scopes, profile rows and the snapshot topology,
+/// so it must name exactly one module.
+void require_unique_children(const Module& m) {
+  const std::vector<Module*>& kids = m.children();
+  if (kids.size() < 2) return;
+  std::vector<const std::string*> names;
+  names.reserve(kids.size());
+  for (const Module* c : kids) names.push_back(&c->name());
+  const auto by_name = [](const std::string* a, const std::string* b) {
+    return *a < *b;
+  };
+  std::sort(names.begin(), names.end(), by_name);
+  const auto dup = std::adjacent_find(
+      names.begin(), names.end(),
+      [](const std::string* a, const std::string* b) { return *a == *b; });
+  if (dup != names.end())
+    throw Error("module '" + m.full_name() + "' has two children named '" +
+                **dup + "' — a module path must name exactly one module; "
+                "rename one of them");
+}
 }  // namespace
 
 void Simulator::validate_options(const Options& opt) {
@@ -48,6 +70,7 @@ Simulator::Simulator(Module& top, Options opt)
   validate_options(opt_);
   fault_ = parse_fault_plan(opt_.fault_plan);
   top_.visit([this](Module& m) {
+    require_unique_children(m);
     modules_.push_back(&m);
     for (SignalBase* s : m.signals()) signals_.push_back(s);
   });
@@ -219,8 +242,12 @@ void Simulator::build_domains() {
     // from the activation list outright — an edge does not even pay
     // the empty virtual call (pruned_ keeps act_skips accounting to
     // the historical "modules clocked elsewhere" meaning).
+    // A comb-only module may still check the protocol in the validate
+    // phase (a dissolved iterator): it joins the checkers, not the
+    // activation list.
     if (m->comb_only()) {
       ++scheds_[di].pruned;
+      if (m->has_clock_check()) scheds_[di].checkers.push_back(m);
     } else {
       scheds_[di].active.push_back(m);
       if (!opt_.full_sweep && m->opaque_state())
@@ -276,11 +303,6 @@ void Simulator::check_comb_only_contract() {
                   std::to_string(m->seq_signals_.size()) +
                   " register signal(s) — a comb-only module has no "
                   "sequential process to write them");
-    if (m->has_clock_check())
-      throw Error("module '" + m->full_name() +
-                  "': declare_comb_only() but enable_clock_check() was "
-                  "requested — the validate phase belongs to clocked "
-                  "modules; drop one of the two declarations");
     // Probe for an overridden on_clock()/on_clock_check(): the default
     // bodies set base_clock_probe_, so after a call that leaves the
     // flag clear (or throws) the virtual must be overridden — and the
@@ -298,6 +320,9 @@ void Simulator::check_comb_only_contract() {
                   "— the declaration would silently disable the "
                   "sequential process; drop the declaration or the "
                   "override");
+    // A comb-only module keeps its validate phase when it asked for
+    // one; an override without enable_clock_check() would never run.
+    if (m->has_clock_check()) continue;
     Module::base_clock_probe_ = false;
     threw = false;
     try {
@@ -308,9 +333,9 @@ void Simulator::check_comb_only_contract() {
     if (threw || !Module::base_clock_probe_)
       throw Error("module '" + m->full_name() +
                   "': declare_comb_only() but on_clock_check() is "
-                  "overridden — the declaration would silently disable "
-                  "the validate phase; drop the declaration or the "
-                  "override");
+                  "overridden without enable_clock_check() — the "
+                  "validate phase would silently never run; drop the "
+                  "declaration or the override, or enable the check");
   }
   Module::base_clock_probe_ = false;
 }

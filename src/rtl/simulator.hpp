@@ -462,9 +462,10 @@ class Simulator {
     /// historical, pre-pruning meaning).
     std::size_t pruned = 0;
     ArenaVector<Module*> opaque;  ///< active subset without declarations
-    /// Active subset that opted into the on_clock_check() validate
-    /// phase (strict devices).  Empty for most designs, so the extra
-    /// per-edge pass costs nothing unless a strict device exists.
+    /// Modules of this domain that opted into the on_clock_check()
+    /// validate phase (strict devices, and the comb-only dissolved
+    /// iterators, which are not in `active`).  Empty for most designs,
+    /// so the extra per-edge pass costs nothing unless one exists.
     ArenaVector<Module*> checkers;
   };
 
@@ -652,7 +653,8 @@ class Simulator {
 
   /// Elaboration-time comb-only hardening (Options::check_seq_contract):
   /// throws Error when a declare_comb_only() module overrides
-  /// on_clock()/on_clock_check() or registered sequential signals.
+  /// on_clock(), registered sequential signals, or overrides
+  /// on_clock_check() without enable_clock_check().
   void check_comb_only_contract();
 
   /// The snapshot's value section: every signal's committed value in id

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +30,150 @@ inline std::string slurp_and_remove(const std::string& path) {
   in.close();
   std::remove(path.c_str());
   return ss.str();
+}
+
+/// One value change of a VCD signal: the timestamp and the new value.
+struct VcdChange {
+  std::uint64_t tick = 0;
+  Word value = 0;
+  friend bool operator==(const VcdChange&, const VcdChange&) = default;
+};
+
+/// A waveform by full signal path (`top.child.signal`): every change of
+/// every signal, in time order.  VCD ids are resolved away, so two
+/// designs with different signal sets or id assignments compare.
+using VcdTrace = std::map<std::string, std::vector<VcdChange>>;
+
+/// Parses the VCD subset rtl::VcdWriter emits: `$scope module`,
+/// `$upscope`, `$var wire W ID NAME`, `#tick`, scalar `0ID`/`1ID` and
+/// vector `bBITS ID` changes.
+inline VcdTrace parse_vcd(const std::string& text) {
+  VcdTrace trace;
+  std::map<std::string, std::string> path_of;  // VCD id -> full path
+  std::vector<std::string> scope;
+  std::uint64_t tick = 0;
+  std::istringstream in(text);
+  std::string line;
+  const auto change = [&](const std::string& id, Word v) {
+    const auto it = path_of.find(id);
+    if (it != path_of.end()) trace[it->second].push_back({tick, v});
+  };
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    std::istringstream words(line);
+    std::string w;
+    words >> w;
+    if (w == "$scope") {
+      std::string kind, name;
+      words >> kind >> name;
+      scope.push_back(name);
+    } else if (w == "$upscope") {
+      if (!scope.empty()) scope.pop_back();
+    } else if (w == "$var") {
+      std::string type, width, id, name;
+      words >> type >> width >> id >> name;
+      std::string path;
+      for (const std::string& sc : scope) path += sc + ".";
+      path_of[id] = path + name;
+      trace[path + name];  // listed even if it never changes
+    } else if (w[0] == '#') {
+      tick = std::stoull(w.substr(1));
+    } else if (w[0] == 'b') {
+      std::string id;
+      words >> id;
+      change(id, std::stoull(w.substr(1), nullptr, 2));
+    } else if (w[0] == '0' || w[0] == '1') {
+      change(w.substr(1), w[0] == '1' ? 1 : 0);
+    }
+  }
+  return trace;
+}
+
+/// The value `changes` holds at `tick` (its last change at or before
+/// it), or nothing before its first change.
+inline std::optional<Word> vcd_value_at(const std::vector<VcdChange>& changes,
+                                        std::uint64_t tick) {
+  std::optional<Word> v;
+  for (const VcdChange& c : changes) {
+    if (c.tick > tick) break;
+    v = c.value;
+  }
+  return v;
+}
+
+/// The earliest point where a path present in both traces differs.
+struct VcdDifference {
+  std::uint64_t tick = 0;
+  std::string path;
+  std::optional<Word> a, b;  ///< the path's values at `tick`
+};
+
+inline std::optional<VcdDifference> first_vcd_difference(const VcdTrace& a,
+                                                         const VcdTrace& b) {
+  std::optional<VcdDifference> first;
+  for (const auto& [path, ca] : a) {
+    const auto it = b.find(path);
+    if (it == b.end()) continue;
+    const std::vector<VcdChange>& cb = it->second;
+    const std::size_t n = std::min(ca.size(), cb.size());
+    std::size_t i = 0;
+    while (i < n && ca[i] == cb[i]) ++i;
+    if (i == ca.size() && i == cb.size()) continue;
+    std::uint64_t tick = 0;
+    if (i < n)
+      tick = std::min(ca[i].tick, cb[i].tick);
+    else
+      tick = i < ca.size() ? ca[i].tick : cb[i].tick;
+    if (!first || tick < first->tick)
+      first = VcdDifference{tick, path, vcd_value_at(ca, tick),
+                            vcd_value_at(cb, tick)};
+  }
+  return first;
+}
+
+/// A failure message for two VCD texts that should be equal: the first
+/// tick at which a signal differs, its full path and both values; or,
+/// when every common path agrees, the paths only one side has and the
+/// first differing line.
+inline std::string vcd_difference_report(const std::string& a_text,
+                                         const std::string& b_text) {
+  const VcdTrace a = parse_vcd(a_text), b = parse_vcd(b_text);
+  std::ostringstream out;
+  const auto word = [](const std::optional<Word>& v) {
+    if (!v) return std::string("(no value yet)");
+    std::ostringstream h;
+    h << "0x" << std::hex << *v;
+    return h.str();
+  };
+  if (const auto d = first_vcd_difference(a, b)) {
+    out << "first difference at tick " << d->tick << ": " << d->path
+        << " = " << word(d->a) << " vs " << word(d->b);
+    return out.str();
+  }
+  const auto only = [](const VcdTrace& x, const VcdTrace& y) {
+    std::vector<std::string> v;
+    for (const auto& [path, c] : x)
+      if (y.count(path) == 0) v.push_back(path);
+    return v;
+  };
+  const std::vector<std::string> only_a = only(a, b), only_b = only(b, a);
+  out << "no value difference on the " << (a.size() - only_a.size())
+      << " common paths";
+  if (!only_a.empty()) out << "; only in the first: " << only_a.front();
+  if (!only_b.empty()) out << "; only in the second: " << only_b.front();
+  std::istringstream la(a_text), lb(b_text);
+  std::string x, y;
+  for (int n = 1;; ++n) {
+    const bool ga = static_cast<bool>(std::getline(la, x));
+    const bool gb = static_cast<bool>(std::getline(lb, y));
+    if (!ga && !gb) break;
+    if (!ga || !gb || x != y) {
+      out << "; first differing line " << n << ": '" << (ga ? x : "<eof>")
+          << "' vs '" << (gb ? y : "<eof>") << "'";
+      break;
+    }
+  }
+  return out.str();
 }
 
 /// Expects every Stats counter of two runs to match; `label` names the

@@ -28,7 +28,6 @@ struct BlurTb : Module {
   Bit sof{*this, "sof"};
   StreamWires rb_w;  // pixel in, column out
   StreamWires wb_w;
-  IterWires in_iw, out_iw;
   AlgoWires ctl;
   LineBufferContainer rbuf;
   CoreStreamContainer wbuf;
@@ -44,8 +43,6 @@ struct BlurTb : Module {
         height(h),
         rb_w(*this, "rb", 8, 24, 16),
         wb_w(*this, "wb", 8, 16),
-        in_iw(*this, "it_in", 24, 16),
-        out_iw(*this, "it_out", 8, 16),
         ctl(*this, "ctl"),
         rbuf(this, "rbuffer",
              {.pixel_bits = 8, .line_width = w, .col_fifo_depth = 4},
@@ -56,13 +53,13 @@ struct BlurTb : Module {
              wb_w.impl()),
         it_in(this, "rbuffer_it",
               {.traversal = Traversal::Forward, .role = IterRole::Input},
-              ContainerKind::ReadBuffer, rb_w.consumer(), in_iw.impl()),
+              ContainerKind::ReadBuffer, rb_w.consumer()),
         it_out(this, "wbuffer_it",
                {.traversal = Traversal::Forward, .role = IterRole::Output},
-               ContainerKind::WriteBuffer, wb_w.producer(), out_iw.impl()),
+               ContainerKind::WriteBuffer, wb_w.producer()),
         blur(this, "blur",
              {.width = w, .height = h, .pixel_bits = 8, .frames = frames},
-             in_iw.client(), out_iw.client(), ctl.control()),
+             it_in.client(), it_out.client(), ctl.control()),
         feeder(this, "feeder", rb_w.producer(), sof, std::move(pixels),
                static_cast<std::size_t>(w) * static_cast<std::size_t>(h)),
         drainer(this, "drainer", wb_w.consumer()) {}

@@ -41,7 +41,6 @@ std::vector<Word> random_words(std::size_t n, int bits, unsigned seed) {
 
 struct FifoCopyTb : Module {
   StreamWires rb_w, wb_w;
-  IterWires in_iw, out_iw;
   AlgoWires ctl;
   CoreStreamContainer rbuf, wbuf;
   StreamInputIterator it_in;
@@ -55,8 +54,6 @@ struct FifoCopyTb : Module {
       : Module(nullptr, "tb"),
         rb_w(*this, "rb", 8, 16),
         wb_w(*this, "wb", 8, 16),
-        in_iw(*this, "it_in", 8, 16),
-        out_iw(*this, "it_out", 8, 16),
         ctl(*this, "ctl"),
         rbuf(this, "rbuffer",
              {.kind = ContainerKind::ReadBuffer, .elem_bits = 8,
@@ -68,13 +65,13 @@ struct FifoCopyTb : Module {
              wb_w.impl()),
         it_in(this, "rbuffer_it",
               {.traversal = Traversal::Forward, .role = IterRole::Input},
-              ContainerKind::ReadBuffer, rb_w.consumer(), in_iw.impl()),
+              ContainerKind::ReadBuffer, rb_w.consumer()),
         it_out(this, "wbuffer_it",
                {.traversal = Traversal::Forward, .role = IterRole::Output},
-               ContainerKind::WriteBuffer, wb_w.producer(), out_iw.impl()),
+               ContainerKind::WriteBuffer, wb_w.producer()),
         alg(this, "copy",
-            {.count = count, .op = std::move(op)}, in_iw.client(),
-            out_iw.client(), ctl.control()),
+            {.count = count, .op = std::move(op)}, it_in.client(),
+            it_out.client(), ctl.control()),
         feeder(this, "feeder", rb_w.producer(), std::move(data)),
         drainer(this, "drainer", wb_w.consumer()) {}
 };
@@ -160,6 +157,25 @@ TEST(Pattern, IteratorsAreDissolvedWrappers) {
   EXPECT_TRUE(t_out.empty());
 }
 
+TEST(Pattern, StreamIteratorClientIsTheContainersWires) {
+  // The renaming dissolves at elaboration: the algorithm's ports ARE
+  // the buffers' method wires, with no gate and no copy in between.
+  FifoCopyTb tb({}, ops_lib::identity(8));
+  const IterClient in = tb.it_in.client();
+  EXPECT_EQ(&in.ready, &tb.rb_w.can_pop);
+  EXPECT_EQ(&in.rvalid, &tb.rb_w.can_pop);
+  EXPECT_EQ(&in.rdata, &tb.rb_w.front);
+  EXPECT_EQ(&in.inc, &tb.rb_w.pop);
+  const IterClient out = tb.it_out.client();
+  EXPECT_EQ(&out.ready, &tb.wb_w.can_push);
+  EXPECT_EQ(&out.write, &tb.wb_w.push);
+  EXPECT_EQ(&out.wdata, &tb.wb_w.push_data);
+  // The strobes a stream container has no wire for are the iterator's
+  // own tie-offs.
+  EXPECT_EQ(&in.read.owner(), &tb.it_in);
+  EXPECT_EQ(&out.inc.owner(), &tb.it_out);
+}
+
 // ------------------------------------------------------------------
 // The §3.3 retarget: same model, SRAM-backed containers
 // ------------------------------------------------------------------
@@ -167,7 +183,6 @@ TEST(Pattern, IteratorsAreDissolvedWrappers) {
 struct SramCopyTb : Module {
   StreamWires rb_w, wb_w;
   SramMasterWires rm, wm;
-  IterWires in_iw, out_iw;
   AlgoWires ctl;
   SramStreamContainer rbuf, wbuf;
   devices::ExternalSram sram_in, sram_out;
@@ -183,8 +198,6 @@ struct SramCopyTb : Module {
         wb_w(*this, "wb", 8, 16),
         rm(*this, "rm", 8, 16),
         wm(*this, "wm", 8, 16),
-        in_iw(*this, "it_in", 8, 16),
-        out_iw(*this, "it_out", 8, 16),
         ctl(*this, "ctl"),
         rbuf(this, "rbuffer",
              {.kind = ContainerKind::ReadBuffer, .elem_bits = 8,
@@ -202,11 +215,11 @@ struct SramCopyTb : Module {
                  wm.device()),
         it_in(this, "rbuffer_it",
               {.traversal = Traversal::Forward, .role = IterRole::Input},
-              ContainerKind::ReadBuffer, rb_w.consumer(), in_iw.impl()),
+              ContainerKind::ReadBuffer, rb_w.consumer()),
         it_out(this, "wbuffer_it",
                {.traversal = Traversal::Forward, .role = IterRole::Output},
-               ContainerKind::WriteBuffer, wb_w.producer(), out_iw.impl()),
-        alg(this, "copy", {}, in_iw.client(), out_iw.client(),
+               ContainerKind::WriteBuffer, wb_w.producer()),
+        alg(this, "copy", {}, it_in.client(), it_out.client(),
             ctl.control()),
         feeder(this, "feeder", rb_w.producer(), std::move(data)),
         drainer(this, "drainer", wb_w.consumer()) {}
@@ -229,7 +242,6 @@ TEST(Pattern, RetargetToSramPreservesBehaviour) {
 
 struct StackCopyTb : Module {
   StreamWires st_w, wb_w;
-  IterWires in_iw, out_iw;
   AlgoWires ctl;
   CoreStreamContainer stack, wbuf;
   StreamInputIterator it_in;
@@ -242,8 +254,6 @@ struct StackCopyTb : Module {
       : Module(nullptr, "tb"),
         st_w(*this, "st", 8, 16),
         wb_w(*this, "wb", 8, 16),
-        in_iw(*this, "it_in", 8, 16),
-        out_iw(*this, "it_out", 8, 16),
         ctl(*this, "ctl"),
         stack(this, "stack",
               {.kind = ContainerKind::Stack, .elem_bits = 8, .depth = 64},
@@ -254,13 +264,13 @@ struct StackCopyTb : Module {
              wb_w.impl()),
         it_in(this, "stack_it",
               {.traversal = Traversal::Backward, .role = IterRole::Input},
-              ContainerKind::Stack, st_w.consumer(), in_iw.impl()),
+              ContainerKind::Stack, st_w.consumer()),
         it_out(this, "wbuffer_it",
                {.traversal = Traversal::Forward, .role = IterRole::Output},
-               ContainerKind::WriteBuffer, wb_w.producer(), out_iw.impl()),
+               ContainerKind::WriteBuffer, wb_w.producer()),
         alg(this, "copy",
-            {.count = count, .in_advance = Op::Dec}, in_iw.client(),
-            out_iw.client(), ctl.control()),
+            {.count = count, .in_advance = Op::Dec}, it_in.client(),
+            it_out.client(), ctl.control()),
         feeder(this, "feeder", st_w.producer(), std::move(data)),
         drainer(this, "drainer", wb_w.consumer()) {}
 };
@@ -279,6 +289,8 @@ TEST(Pattern, StackDrainsBackwards) {
   tb::step_until(
       sim, [&] { return tb.drainer.got().size() == data.size(); }, 2000);
   EXPECT_EQ(tb.drainer.got(), (std::vector<Word>{6, 5, 4, 3, 2, 1}));
+  // A backward traversal advances with dec, which is the stack's pop.
+  EXPECT_EQ(&tb.it_in.client().dec, &tb.st_w.pop);
 }
 
 // ------------------------------------------------------------------
@@ -287,7 +299,6 @@ TEST(Pattern, StackDrainsBackwards) {
 
 struct FillReduceTb : Module {
   StreamWires q_w;
-  IterWires out_iw, in_iw;
   AlgoWires fill_ctl, red_ctl;
   Bus result;
   CoreStreamContainer queue;
@@ -299,8 +310,6 @@ struct FillReduceTb : Module {
   FillReduceTb(Word value, std::uint64_t n, BinaryOpSpec op)
       : Module(nullptr, "tb"),
         q_w(*this, "q", 8, 16),
-        out_iw(*this, "it_out", 8, 16),
-        in_iw(*this, "it_in", 8, 16),
         fill_ctl(*this, "fill"),
         red_ctl(*this, "red"),
         result(*this, "result", 16),
@@ -309,14 +318,14 @@ struct FillReduceTb : Module {
               q_w.impl()),
         it_out(this, "q_out_it",
                {.traversal = Traversal::Forward, .role = IterRole::Output},
-               ContainerKind::Queue, q_w.producer(), out_iw.impl()),
+               ContainerKind::Queue, q_w.producer()),
         it_in(this, "q_in_it",
               {.traversal = Traversal::Forward, .role = IterRole::Input},
-              ContainerKind::Queue, q_w.consumer(), in_iw.impl()),
-        fill(this, "fill", {.count = n, .value = value}, out_iw.client(),
+              ContainerKind::Queue, q_w.consumer()),
+        fill(this, "fill", {.count = n, .value = value}, it_out.client(),
              fill_ctl.control()),
         reduce(this, "reduce", {.count = n, .op = std::move(op)},
-               in_iw.client(), result, red_ctl.control()) {}
+               it_in.client(), result, red_ctl.control()) {}
 };
 
 TEST(Pattern, FillThenSumReduce) {
@@ -337,7 +346,6 @@ TEST(Pattern, FillThenSumReduce) {
 /// Reduce-only bench: a feeder fills the queue, the ReduceFsm folds it.
 struct ReduceTb : Module {
   StreamWires q_w;
-  IterWires in_iw;
   AlgoWires red_ctl;
   Bus result;
   CoreStreamContainer queue;
@@ -348,7 +356,6 @@ struct ReduceTb : Module {
   ReduceTb(std::vector<Word> data, BinaryOpSpec op)
       : Module(nullptr, "tb"),
         q_w(*this, "q", 8, 16),
-        in_iw(*this, "it_in", 8, 16),
         red_ctl(*this, "red"),
         result(*this, "result", 16),
         queue(this, "queue",
@@ -356,9 +363,9 @@ struct ReduceTb : Module {
               q_w.impl()),
         it_in(this, "q_in_it",
               {.traversal = Traversal::Forward, .role = IterRole::Input},
-              ContainerKind::Queue, q_w.consumer(), in_iw.impl()),
+              ContainerKind::Queue, q_w.consumer()),
         reduce(this, "reduce", {.count = data.size(), .op = std::move(op)},
-               in_iw.client(), result, red_ctl.control()),
+               it_in.client(), result, red_ctl.control()),
         feeder(this, "feeder", q_w.producer(), std::move(data)) {}
 };
 
@@ -392,27 +399,26 @@ TEST(Pattern, ReduceMaxAndMinAgreeWithModel) {
 
 struct GuardTb : Module {
   StreamWires rb_w;
-  IterWires iw;
-  CoreStreamContainer rbuf;
+  // Elaborated before the container, so the iterator's validate-phase
+  // check runs (and throws) before the FIFO's own.
   StreamInputIterator it;
+  CoreStreamContainer rbuf;
 
   explicit GuardTb(Iterator::Spec spec)
       : Module(nullptr, "tb"),
         rb_w(*this, "rb", 8, 16),
-        iw(*this, "it", 8, 16),
+        it(this, "it", spec, ContainerKind::ReadBuffer, rb_w.consumer()),
         rbuf(this, "rbuffer",
              {.kind = ContainerKind::ReadBuffer, .elem_bits = 8,
               .depth = 4},
-             rb_w.impl()),
-        it(this, "it", spec, ContainerKind::ReadBuffer, rb_w.consumer(),
-           iw.impl()) {}
+             rb_w.impl()) {}
 };
 
 TEST(Guards, WriteOnInputIteratorThrows) {
   GuardTb tb({.traversal = Traversal::Forward, .role = IterRole::Input});
   Simulator sim(tb);
   sim.reset();
-  tb.iw.write.write(true);
+  tb.it.client().write.write(true);
   EXPECT_THROW(sim.step(), ProtocolError);
 }
 
@@ -420,7 +426,7 @@ TEST(Guards, DecOnForwardIteratorThrows) {
   GuardTb tb({.traversal = Traversal::Forward, .role = IterRole::Input});
   Simulator sim(tb);
   sim.reset();
-  tb.iw.dec.write(true);
+  tb.it.client().dec.write(true);
   EXPECT_THROW(sim.step(), ProtocolError);
 }
 
@@ -428,7 +434,7 @@ TEST(Guards, IncWhileEmptyThrows) {
   GuardTb tb({.traversal = Traversal::Forward, .role = IterRole::Input});
   Simulator sim(tb);
   sim.reset();
-  tb.iw.inc.write(true);
+  tb.it.client().inc.write(true);
   EXPECT_THROW(sim.step(), ProtocolError);
 }
 
@@ -439,34 +445,30 @@ TEST(Guards, DeadOpEliminationRejectsUnusedStrobe) {
               .used_ops = OpSet{Op::Read}});
   Simulator sim(tb);
   sim.reset();
-  tb.iw.inc.write(true);
+  tb.it.client().inc.write(true);
   EXPECT_THROW(sim.step(), ProtocolError);
 }
 
 TEST(Guards, SpecValidationRejectsBadTraversal) {
   Module top(nullptr, "top");
   StreamWires w(top, "rb", 8, 16);
-  IterWires iw(top, "it", 8, 16);
   EXPECT_THROW(
       StreamInputIterator(&top, "it",
                           {.traversal = Traversal::Backward,
                            .role = IterRole::Input},
-                          ContainerKind::ReadBuffer, w.consumer(),
-                          iw.impl()),
+                          ContainerKind::ReadBuffer, w.consumer()),
       SpecError);
 }
 
 TEST(Guards, SpecValidationRejectsExcessOps) {
   Module top(nullptr, "top");
   StreamWires w(top, "rb", 8, 16);
-  IterWires iw(top, "it", 8, 16);
   EXPECT_THROW(
       StreamInputIterator(&top, "it",
                           {.traversal = Traversal::Forward,
                            .role = IterRole::Input,
                            .used_ops = OpSet{Op::Read, Op::Write}},
-                          ContainerKind::ReadBuffer, w.consumer(),
-                          iw.impl()),
+                          ContainerKind::ReadBuffer, w.consumer()),
       SpecError);
 }
 

@@ -35,13 +35,13 @@ struct VecIterTb : Module {
             rw.impl()) {
     if (random) {
       it = std::make_unique<VectorRandomIterator>(this, "rit", spec,
-                                                  rw.client(), iw.impl(),
+                                                  rw.client(), iw,
                                                   kLen);
     } else {
       it = std::make_unique<VectorSeqIterator>(
           this, "sit", spec,
           VectorSeqIterator::Config{.length = kLen, .start_pos = 0},
-          rw.client(), iw.impl());
+          rw.client(), iw);
     }
   }
 

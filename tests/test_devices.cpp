@@ -303,6 +303,25 @@ TEST(Sram, BackToBackAccessesNeedTurnaround) {
   EXPECT_EQ(tb.rdata.read(), 8u);
 }
 
+// The address bus must fit the address space, so no access can fall
+// outside the memory: the constructor refuses a wider bus, naming the
+// device and both widths.
+TEST(Sram, RejectsAnAddressBusWiderThanItsAddressSpace) {
+  Module top(nullptr, "tb");
+  Bit req(top, "req"), we(top, "we"), ack(top, "ack");
+  Bus addr(top, "addr", 12), wdata(top, "wdata", 8), rdata(top, "rdata", 8);
+  try {
+    ExternalSram sram(&top, "sram", {.data_width = 8, .addr_width = 10},
+                      SramPorts{req, we, addr, wdata, ack, rdata});
+    FAIL() << "a 12-bit address bus over a 10-bit SRAM was accepted";
+  } catch (const Error& e) {
+    EXPECT_THAT(e.what(), ::testing::HasSubstr("'tb.sram'"));
+    EXPECT_THAT(e.what(), ::testing::HasSubstr("12 bits"));
+    EXPECT_THAT(e.what(), ::testing::HasSubstr("addr_width of 10"));
+  }
+  EXPECT_TRUE(top.children().empty());
+}
+
 /// Calls dev.preload(offset, data), which must throw Error naming the
 /// device path, the offset, the word count and the memory size, and
 /// leave the memory as it was.
@@ -542,6 +561,49 @@ TEST(LineBuffer, SofRestartsFrame) {
   }
   sim.step();
   EXPECT_TRUE(tb.col_valid.read());
+}
+
+/// Writes two whole lines and the first pixel of the third into a
+/// `w`-wide buffer whose column FIFO holds one column, so it is full.
+void fill_one_column(Simulator& sim, LbTb& tb, int w) {
+  tb.wr_en.write(true);
+  tb.sof.write(true);
+  sim.step();
+  tb.sof.write(false);
+  sim.step(2 * w);
+  tb.wr_en.write(false);
+  sim.step();
+  ASSERT_TRUE(tb.col_valid.read());
+  ASSERT_FALSE(tb.wr_ready.read());
+}
+
+// The strict overflow check runs before the edge, so it must count what
+// the edge does first: a read on the same edge frees the slot the new
+// column takes, and sof restarts the row count (no column is pushed).
+TEST(LineBuffer, SameEdgeReadAndFrameRestartAreNotOverflows) {
+  constexpr int kW = 3;
+  LbTb tb({.pixel_width = 8, .line_width = kW, .col_fifo_depth = 1});
+  Simulator sim(tb);
+  sim.reset();
+  fill_one_column(sim, tb, kW);
+  const Word first = tb.col_data.read();
+  tb.wr_en.write(true);  // pixel (1, 2): pushes a column
+  tb.wr_data.write(0x77);
+  tb.rd_en.write(true);  // ...while the full FIFO is read
+  EXPECT_NO_THROW(sim.step());
+  tb.rd_en.write(false);
+  tb.sof.write(true);  // a new frame's first pixel: row 0, no column
+  EXPECT_NO_THROW(sim.step());
+  tb.sof.write(false);
+  tb.wr_en.write(false);
+  sim.step();
+  EXPECT_TRUE(tb.col_valid.read());
+  EXPECT_NE(tb.col_data.read(), first);
+  EXPECT_EQ(tb.col_data.read() & 0xFF, 0x77u);
+  // Full again, third row, no read: that is the overflow.
+  tb.wr_en.write(true);
+  sim.step(2 * kW - 1);  // rows 0 and 1 of the new frame
+  EXPECT_THROW(sim.step(), ProtocolError);
 }
 
 TEST(LineBuffer, ReportsTwoLineMemories) {

@@ -13,14 +13,19 @@
 // earlier domains' on_clock() writes sitting in the pending list — the
 // next settle committed those leaked writes, so a "retried same tick"
 // actually advanced state and double-counted edges.
+#include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
+#include "core/iterator.hpp"
+#include "core/stream_core.hpp"
 #include "devices/async_fifo.hpp"
 #include "devices/fifo.hpp"
+#include "devices/linebuffer.hpp"
 #include "rtl/clock.hpp"
 #include "rtl/simulator.hpp"
 #include "tb_util.hpp"
@@ -573,6 +578,244 @@ TEST(EdgeTransaction, ResetAfterEvalThrowMatchesRunThatNeverThrew) {
                       d.a3.read(), d.b2.read()};
   };
   EXPECT_EQ(scenario(true), scenario(false));
+}
+
+// ---------------------------------------------------------------------
+// The validate phase of every strict class: an illegal operation of the
+// class aborts an edge on which strict FIFOs in its own domain and in
+// another domain make legal moves, and nobody moves.
+// ---------------------------------------------------------------------
+
+/// The wires of one FifoCore, driven by the test.
+struct FifoPins {
+  Bit wr_en, rd_en, empty, full;
+  Bus wr_data, rd_data, level;
+  FifoPins(Module& owner, const std::string& p)
+      : wr_en(owner, p + "_wr_en"),
+        rd_en(owner, p + "_rd_en"),
+        empty(owner, p + "_empty"),
+        full(owner, p + "_full"),
+        wr_data(owner, p + "_wr_data", 8),
+        rd_data(owner, p + "_rd_data", 8),
+        level(owner, p + "_level", 8) {}
+  devices::FifoPorts ports() {
+    return {wr_en, wr_data, rd_en, rd_data, empty, full, level};
+  }
+};
+
+/// Two domains, both firing every tick.  `other` is the top's and is
+/// elaborated first, so its on_clock() calls run first in an event; in
+/// `own`, the FIFO is elaborated before the class under test, which a
+/// derived design adds.  Each FIFO holds one element after
+/// prime_fifos().
+struct AtomicTop : Module {
+  ClockDomain other{"other", 1};
+  ClockDomain own{"own", 1};
+  FifoPins po{*this, "fo"}, pw{*this, "fw"};
+  devices::FifoCore f_other{this, "f_other",
+                            {.width = 8, .depth = 2, .strict = true},
+                            po.ports()};
+  devices::FifoCore f_own{this, "f_own",
+                          {.width = 8, .depth = 2, .strict = true},
+                          pw.ports()};
+
+  explicit AtomicTop(std::string name) : Module(nullptr, std::move(name)) {
+    set_clock_domain(&other);
+    f_own.set_clock_domain(&own);
+  }
+  void declare_state() override { declare_comb_only(); }
+
+  void prime_fifos(Simulator& sim) {
+    po.wr_en.write(true);
+    pw.wr_en.write(true);
+    sim.step();
+    po.wr_en.write(false);
+    pw.wr_en.write(false);
+  }
+  /// The legal half of the edge: both FIFOs pop their element.
+  void arm_fifo_pops(bool on) {
+    po.rd_en.write(on);
+    pw.rd_en.write(on);
+  }
+};
+
+/// The input iterator over an empty read buffer.  Elaborated before its
+/// container, so its own check is the one that fires.
+struct InIterTop : AtomicTop {
+  core::StreamWires w{*this, "rb", 8, 8};
+  core::StreamInputIterator it{this, "rbuffer_it",
+                               {.traversal = core::Traversal::Forward,
+                                .role = core::IterRole::Input},
+                               core::ContainerKind::ReadBuffer,
+                               w.consumer()};
+  core::CoreStreamContainer rbuf{this, "rbuffer",
+                                 {.kind = core::ContainerKind::ReadBuffer,
+                                  .elem_bits = 8, .depth = 2},
+                                 w.impl()};
+  InIterTop() : AtomicTop("intop") {
+    it.set_clock_domain(&own);
+    rbuf.set_clock_domain(&own);
+  }
+  void prime(Simulator&, int) {}
+  /// 0: a strobe the iterator does not implement; 1: advance while the
+  /// buffer is empty.
+  void arm_violation(int kind, bool on) {
+    (kind == 0 ? it.client().write : it.client().inc).write(on);
+  }
+};
+
+/// The output iterator over a depth-1 write buffer, filled by prime().
+struct OutIterTop : AtomicTop {
+  core::StreamWires w{*this, "wb", 8, 8};
+  core::StreamOutputIterator it{this, "wbuffer_it",
+                                {.traversal = core::Traversal::Forward,
+                                 .role = core::IterRole::Output},
+                                core::ContainerKind::WriteBuffer,
+                                w.producer()};
+  core::CoreStreamContainer wbuf{this, "wbuffer",
+                                 {.kind = core::ContainerKind::WriteBuffer,
+                                  .elem_bits = 8, .depth = 1},
+                                 w.impl()};
+  OutIterTop() : AtomicTop("outtop") {
+    it.set_clock_domain(&own);
+    wbuf.set_clock_domain(&own);
+  }
+  void prime(Simulator& sim, int) {
+    it.client().write.write(true);
+    it.client().wdata.write(0x42);
+    sim.step();
+    it.client().write.write(false);
+  }
+  /// 0: a strobe the iterator does not implement; 1: write while the
+  /// buffer is full.
+  void arm_violation(int kind, bool on) {
+    (kind == 0 ? it.client().read : it.client().write).write(on);
+  }
+};
+
+/// A 3-wide line buffer whose one-column FIFO prime() fills.
+struct LineBufTop : AtomicTop {
+  Bit wr_en{*this, "wr_en"}, sof{*this, "sof"}, wr_ready{*this, "wr_ready"};
+  Bit rd_en{*this, "rd_en"}, col_valid{*this, "col_valid"};
+  Bus wr_data{*this, "wr_data", 8}, col_data{*this, "col_data", 24};
+  devices::LineBuffer3 lb{this, "lb",
+                          {.pixel_width = 8, .line_width = 3,
+                           .col_fifo_depth = 1, .strict = true},
+                          {wr_en, wr_data, sof, wr_ready, rd_en, col_data,
+                           col_valid}};
+  LineBufTop() : AtomicTop("lbtop") { lb.set_clock_domain(&own); }
+  /// Two lines and one pixel: one column, so the FIFO is full.  For a
+  /// read violation the column is then read, so the FIFO is empty.
+  void prime(Simulator& sim, int kind) {
+    wr_en.write(true);
+    sof.write(true);
+    sim.step();
+    sof.write(false);
+    sim.step(6);
+    wr_en.write(false);
+    if (kind == 0) {
+      rd_en.write(true);
+      sim.step();
+      rd_en.write(false);
+    }
+  }
+  /// 0: a column read while the FIFO is empty; 1: a column pushed into
+  /// the full FIFO.
+  void arm_violation(int kind, bool on) {
+    (kind == 0 ? rd_en : wr_en).write(on);
+  }
+};
+
+/// Runs the property on a fresh `Top` and a twin under one kernel: the
+/// violation aborts the edge with `expect` in the message; the state is
+/// the blob saved before the step; now() and cycle() stand still; the
+/// aborted step is indistinguishable, Stats and blob, from a settle()
+/// on the twin (a step always settles first, and the blob carries the
+/// Stats); and the retried step throws the same message.  Then the
+/// withdrawn violation lets the legal pops complete.
+template <typename Top>
+void expect_violation_aborts_atomically(int kind, bool full_sweep,
+                                        const std::string& expect) {
+  Top d, twin;
+  SCOPED_TRACE(d.name() + " kind " + std::to_string(kind) +
+               (full_sweep ? " full_sweep" : ""));
+  Simulator sim(d, {.full_sweep = full_sweep});
+  Simulator ref(twin, {.full_sweep = full_sweep});
+  for (auto [top, s] : {std::pair{&d, &sim}, std::pair{&twin, &ref}}) {
+    s->reset();
+    top->prime(*s, kind);
+    top->prime_fifos(*s);
+    top->arm_fifo_pops(true);
+    top->arm_violation(kind, true);
+    s->settle();
+  }
+  ASSERT_EQ(d.f_other.size(), 1);
+  ASSERT_EQ(d.f_own.size(), 1);
+  const rtl::Snapshot before = sim.save_snapshot();
+  const std::uint64_t now = sim.now(), cycle = sim.cycle();
+
+  std::string msg;
+  try {
+    sim.step();
+    FAIL() << "the violation did not throw";
+  } catch (const ProtocolError& e) {
+    msg = e.what();
+  }
+  EXPECT_THAT(msg, ::testing::HasSubstr(expect));
+  EXPECT_EQ(d.f_other.size(), 1) << "the other domain's FIFO popped";
+  EXPECT_EQ(d.f_own.size(), 1) << "the own domain's FIFO popped";
+  EXPECT_EQ(sim.now(), now);
+  EXPECT_EQ(sim.cycle(), cycle);
+  ref.settle();
+  tb::expect_stats_eq(sim.stats(), ref.stats(), "aborted step vs settle");
+  const rtl::Snapshot after = sim.save_snapshot();
+  EXPECT_TRUE(after == ref.save_snapshot())
+      << "the aborted step left other state than a settle";
+  try {
+    sim.step();
+    FAIL() << "the retried step did not throw";
+  } catch (const ProtocolError& e) {
+    EXPECT_EQ(std::string(e.what()), msg);
+  }
+  // Only the Stats header of the blob may differ from `before`: a
+  // restore of it is the state before the step, and stepping on from
+  // there with the violation withdrawn pops both FIFOs.
+  sim.restore_snapshot(before);
+  d.arm_violation(kind, false);
+  EXPECT_NO_THROW(sim.step());
+  EXPECT_EQ(d.f_other.size(), 0);
+  EXPECT_EQ(d.f_own.size(), 0);
+}
+
+TEST(EdgeTransaction, StreamInputIteratorChecksBeforeAnyEdge) {
+  for (const bool full_sweep : {false, true}) {
+    expect_violation_aborts_atomically<InIterTop>(
+        0, full_sweep,
+        "iterator 'intop.rbuffer_it': operation 'write' strobed but not "
+        "implemented");
+    expect_violation_aborts_atomically<InIterTop>(
+        1, full_sweep, "iterator 'intop.rbuffer_it': advance while not ready");
+  }
+}
+
+TEST(EdgeTransaction, StreamOutputIteratorChecksBeforeAnyEdge) {
+  for (const bool full_sweep : {false, true}) {
+    expect_violation_aborts_atomically<OutIterTop>(
+        0, full_sweep,
+        "iterator 'outtop.wbuffer_it': operation 'read' strobed but not "
+        "implemented");
+    expect_violation_aborts_atomically<OutIterTop>(
+        1, full_sweep, "iterator 'outtop.wbuffer_it': write while not ready");
+  }
+}
+
+TEST(EdgeTransaction, LineBuffer3ChecksBeforeAnyEdge) {
+  for (const bool full_sweep : {false, true}) {
+    expect_violation_aborts_atomically<LineBufTop>(
+        0, full_sweep, "LineBuffer3 'lbtop.lb': column read while empty");
+    expect_violation_aborts_atomically<LineBufTop>(
+        1, full_sweep, "LineBuffer3 'lbtop.lb': column FIFO overflow");
+  }
 }
 
 /// Domain-filtered run(): the predicate is only evaluated after

@@ -474,7 +474,8 @@ TEST(FuzzKernel, EventKernelMatchesFullSweepOnRandomDesigns) {
     // throws at the same steps — the shared validate phase guarantees
     // the conditions are evaluated on identical settled values.
     ASSERT_EQ(evt.throws, ref.throws);
-    ASSERT_EQ(evt.vcd, ref.vcd) << "VCD bytes differ";
+    ASSERT_TRUE(evt.vcd == ref.vcd)
+        << "VCD bytes differ: " << tb::vcd_difference_report(evt.vcd, ref.vcd);
     // The event kernel must never do more comb work than the sweep.
     ASSERT_LE(evt.stats.evals, ref.stats.evals);
     // The plain build, alone and alternating with the observed one,
@@ -640,8 +641,9 @@ bool run_snapshot_scenario(unsigned seed, bool full_sweep,
   EXPECT_EQ(rep.stats.seq_skips, ref.stats.seq_skips);
   EXPECT_EQ(rep.stats.edges, ref.stats.edges);
   EXPECT_EQ(rep.stats.domain_edges, ref.stats.domain_edges);
-  EXPECT_EQ(rep.vcd, ref.vcd)
-      << "replayed VCD bytes differ (plan " << plan << ")";
+  EXPECT_TRUE(rep.vcd == ref.vcd)
+      << "replayed VCD bytes differ (plan " << plan
+      << "): " << tb::vcd_difference_report(rep.vcd, ref.vcd);
   return true;
 }
 

@@ -465,15 +465,11 @@ TEST(Factory, WidthAdaptingIteratorsRoundTrip) {
   // input iterator reassembles — §3.3 end to end.
   struct Tb : rtl::Module {
     core::StreamWires q_w;
-    core::IterWires in_iw, out_iw;
     std::unique_ptr<core::Container> queue;
     std::unique_ptr<core::Iterator> it_out;
     std::unique_ptr<core::Iterator> it_in;
 
-    Tb() : Module(nullptr, "tb"),
-           q_w(*this, "q", 8, 16),
-           in_iw(*this, "in", 24, 16),
-           out_iw(*this, "out", 24, 16) {
+    Tb() : Module(nullptr, "tb"), q_w(*this, "q", 8, 16) {
       ContainerSpec cs;
       cs.name = "q";
       cs.kind = ContainerKind::Queue;
@@ -493,15 +489,15 @@ TEST(Factory, WidthAdaptingIteratorsRoundTrip) {
                       .role = IterRole::Input,
                       .used_ops = {},
                       .container = cs};
-      it_out = build_output_iterator(this, os, q_w.producer(),
-                                     out_iw.impl());
-      it_in = build_input_iterator(this, is, q_w.consumer(),
-                                   in_iw.impl());
+      it_out = build_output_iterator(this, os, q_w.producer());
+      it_in = build_input_iterator(this, is, q_w.consumer());
     }
   };
   Tb tb;
   rtl::Simulator sim(tb);
   sim.reset();
+  const core::IterClient out = tb.it_out->client();
+  const core::IterClient in = tb.it_in->client();
 
   const std::vector<Word> pixels{0xAABBCC, 0x112233, 0xF0E1D2};
   std::vector<Word> got;
@@ -509,23 +505,23 @@ TEST(Factory, WidthAdaptingIteratorsRoundTrip) {
   for (int cycle = 0; cycle < 500 && got.size() < pixels.size();
        ++cycle) {
     // Drive write side.
-    if (wi < pixels.size() && tb.out_iw.ready.read()) {
-      tb.out_iw.write.write(true);
-      tb.out_iw.inc.write(true);
-      tb.out_iw.wdata.write(pixels[wi]);
+    if (wi < pixels.size() && out.ready.read()) {
+      out.write.write(true);
+      out.inc.write(true);
+      out.wdata.write(pixels[wi]);
       ++wi;
     } else {
-      tb.out_iw.write.write(false);
-      tb.out_iw.inc.write(false);
+      out.write.write(false);
+      out.inc.write(false);
     }
     // Drive read side.
-    if (tb.in_iw.rvalid.read()) {
-      got.push_back(tb.in_iw.rdata.read());
-      tb.in_iw.read.write(true);
-      tb.in_iw.inc.write(true);
+    if (in.rvalid.read()) {
+      got.push_back(in.rdata.read());
+      in.read.write(true);
+      in.inc.write(true);
     } else {
-      tb.in_iw.read.write(false);
-      tb.in_iw.inc.write(false);
+      in.read.write(false);
+      in.inc.write(false);
     }
     sim.step();
   }

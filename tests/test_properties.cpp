@@ -217,12 +217,9 @@ TEST(FailureInjection, UnthrottledSourceOverflowsStrictBuffer) {
 TEST(FailureInjection, WidthAdaptWriteWhileDrainingThrows) {
   struct Tb : rtl::Module {
     core::StreamWires w;
-    core::IterWires iw;
     std::unique_ptr<core::Container> q;
     std::unique_ptr<core::Iterator> it;
-    Tb() : Module(nullptr, "tb"),
-           w(*this, "q", 8, 16),
-           iw(*this, "it", 24, 16) {
+    Tb() : Module(nullptr, "tb"), w(*this, "q", 8, 16) {
       meta::ContainerSpec cs;
       cs.name = "q";
       cs.kind = core::ContainerKind::Queue;
@@ -237,14 +234,15 @@ TEST(FailureInjection, WidthAdaptWriteWhileDrainingThrows) {
           {.name = "wit", .traversal = core::Traversal::Forward,
            .role = core::IterRole::Output, .used_ops = {},
            .container = cs},
-          w.producer(), iw.impl());
+          w.producer());
     }
   };
   Tb tb;
   Simulator sim(tb);
   sim.reset();
-  tb.iw.write.write(true);
-  tb.iw.wdata.write(0xABCDEF);
+  const core::IterClient c = tb.it->client();
+  c.write.write(true);
+  c.wdata.write(0xABCDEF);
   sim.step();
   // Still draining lanes: a second write is a protocol violation.
   EXPECT_THROW(sim.step(), ProtocolError);

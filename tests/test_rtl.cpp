@@ -254,7 +254,7 @@ std::string read_file(const std::string& path) {
 
 // run() returns with the whole waveform on disk: the file read while
 // the simulator is still alive equals the file after destruction, for
-// both run() overloads.  The waveform (about 16 KiB) is more than one
+// both run() overloads.  The waveform (about 23 KiB) is more than one
 // stream buffer holds.
 TEST(Vcd, RunReturnsWithTheWholeFileOnDisk) {
   const std::string path = "test_rtl_run_flush.vcd";
@@ -263,7 +263,7 @@ TEST(Vcd, RunReturnsWithTheWholeFileOnDisk) {
     {
       auto d = designs::make_saa2vga_pattern(
           {.width = 16, .height = 12,
-           .device = devices::DeviceKind::FifoCore});
+           .device = devices::DeviceKind::FifoCore, .frames = 2});
       Simulator sim(*d);
       sim.open_vcd(path);
       sim.reset();
@@ -308,8 +308,12 @@ std::uint64_t fnv1a(const std::string& bytes) {
 // The other byte-identity tests compare two runs of one build (two
 // kernels, traced and untraced), so a change that moves both sides
 // passes them.  This one pins the bytes themselves: the size and FNV-1a
-// hash of three waveforms, recorded from the kernel that kept separate
-// current/next value arrays and wrote its VCD through std::ofstream.
+// hash of three waveforms.  They were last re-pinned when the stream
+// iterators dissolved: the designs lost the iterators' renaming wires
+// and gained their tie-off wires under the iterator scopes, so the
+// header and the id numbering moved.  Every signal both versions have
+// changes at the same ticks to the same values (test_dissolution.cpp
+// checks that against recordings of the earlier designs).
 TEST(Vcd, WaveformBytesNeverMove) {
   struct Pin {
     const char* name;
@@ -322,14 +326,14 @@ TEST(Vcd, WaveformBytesNeverMove) {
        designs::make_saa2vga_pattern(
            {.width = 16, .height = 12,
             .device = devices::DeviceKind::FifoCore}),
-       16'802, 0x336c275c03328e47},
+       11'807, 0x17d37a9bd92e35c9},
       {"sram_16x12",
        designs::make_saa2vga_pattern(
            {.width = 16, .height = 12, .device = devices::DeviceKind::Sram}),
-       57'773, 0xe419ac4689bc860d},
+       47'066, 0x90e628189d837d5a},
       {"triclk_2lane_16x12_5to2to3",
        designs::make_saa2vga_triclk({.width = 16, .height = 12, .lanes = 2}),
-       129'445, 0x5df5426690746d9e},
+       98'385, 0xc454fbba6ed96502},
   };
   for (Pin& p : pins) {
     const std::string bytes =

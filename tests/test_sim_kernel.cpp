@@ -68,7 +68,9 @@ void expect_kernels_equivalent(const std::string& label,
 
   EXPECT_EQ(evt.cycles, ref.cycles) << label << ": cycle counts differ";
   EXPECT_EQ(evt.frames, ref.frames) << label << ": output frames differ";
-  EXPECT_EQ(evt.vcd, ref.vcd) << label << ": VCD traces differ";
+  EXPECT_TRUE(evt.vcd == ref.vcd)
+      << label << ": VCD traces differ: "
+      << tb::vcd_difference_report(evt.vcd, ref.vcd);
   // The point of the exercise: strictly fewer eval_comb() calls and
   // signal commits than the sweep kernel on any non-trivial design.
   EXPECT_LT(evt.stats.evals, ref.stats.evals) << label;
@@ -260,7 +262,9 @@ void expect_device_parity(const std::string& label, int cycles) {
   };
   const Out evt = run(false);
   const Out ref = run(true);
-  EXPECT_EQ(evt.vcd, ref.vcd) << label << ": VCD traces differ";
+  EXPECT_TRUE(evt.vcd == ref.vcd)
+      << label << ": VCD traces differ: "
+      << tb::vcd_difference_report(evt.vcd, ref.vcd);
   EXPECT_LT(evt.stats.evals, ref.stats.evals) << label;
   EXPECT_LT(evt.stats.commits, ref.stats.commits) << label;
   EXPECT_GT(evt.stats.seq_skips, 0u)
