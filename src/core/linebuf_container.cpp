@@ -7,13 +7,11 @@ LineBufferContainer::LineBufferContainer(Module* parent, std::string name,
                                          const Bit& sof)
     : Container(parent, std::move(name), ContainerKind::ReadBuffer,
                 DeviceKind::LineBuffer3, cfg.pixel_bits),
-      cfg_(cfg),
-      p_(p),
-      wr_ready_(*this, "wr_ready") {
-  if (p_.push_data.width() != cfg_.pixel_bits)
+      cfg_(cfg) {
+  if (p.push_data.width() != cfg_.pixel_bits)
     throw SpecError("linebuffer container '" + this->name() +
                     "': push_data width must equal pixel_bits");
-  if (p_.front.width() != column_bits())
+  if (p.front.width() != column_bits())
     throw SpecError("linebuffer container '" + this->name() +
                     "': front width must be 3*pixel_bits");
   dev_ = std::make_unique<devices::LineBuffer3>(
@@ -22,20 +20,15 @@ LineBufferContainer::LineBufferContainer(Module* parent, std::string name,
                                  .line_width = cfg_.line_width,
                                  .col_fifo_depth = cfg_.col_fifo_depth,
                                  .strict = cfg_.strict},
-      devices::LineBuffer3Ports{.wr_en = p_.push,
-                                .wr_data = p_.push_data,
+      devices::LineBuffer3Ports{.wr_en = p.push,
+                                .wr_data = p.push_data,
                                 .sof = sof,
-                                .wr_ready = wr_ready_,
-                                .rd_en = p_.pop,
-                                .col_data = p_.front,
-                                .col_valid = p_.can_pop});
-}
-
-void LineBufferContainer::eval_comb() {
-  p_.can_push.write(wr_ready_.read());
-  p_.empty.write(!p_.can_pop.read());
-  p_.full.write(!wr_ready_.read());
-  p_.size.write(0);  // column count is internal to the device
+                                .wr_ready = p.can_push,
+                                .rd_en = p.pop,
+                                .col_data = p.front,
+                                .col_valid = p.can_pop,
+                                .full = &p.full,
+                                .empty = &p.empty});
 }
 
 }  // namespace hwpat::core

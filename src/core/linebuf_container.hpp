@@ -4,8 +4,12 @@
 //
 // The push side accepts single pixels (raster order, with a
 // start-of-frame strobe); the pop side delivers packed columns of
-// 3 * pixel_width bits.  Like the FIFO binding, the container itself is
-// a pure wrapper: the device child reports the storage.
+// 3 * pixel_bits bits.  Like the FIFO binding, the container only wires
+// the method interface to the device: the device's wr_ready and
+// col_valid are can_push and can_pop, and the device drives full and
+// empty as their inverses.  The column count is internal to the device,
+// so `size` is left undriven and reads 0.  The container evaluates
+// nothing after reset, and the device child reports the storage.
 #pragma once
 
 #include <memory>
@@ -30,9 +34,7 @@ class LineBufferContainer : public Container {
   LineBufferContainer(Module* parent, std::string name, Config cfg,
                       StreamImpl p, const Bit& sof);
 
-  void eval_comb() override;
-  // Pure combinational wrapper: no on_clock() at all — pruned from
-  // the activation list entirely.
+  // Wiring only: no process at all — pruned from the activation list.
   void declare_state() override { declare_comb_only(); }
   void report(rtl::PrimitiveTally&) const override {}  // pure wrapper
 
@@ -41,8 +43,6 @@ class LineBufferContainer : public Container {
 
  private:
   Config cfg_;
-  StreamImpl p_;
-  Bit wr_ready_;
   std::unique_ptr<devices::LineBuffer3> dev_;
 };
 

@@ -17,6 +17,19 @@
 //  * Single-cycle bindings (FIFO/LIFO cores) hold can_push/can_pop high
 //    whenever not full/empty; multi-cycle bindings (external SRAM) drop
 //    them while the memory transaction is in flight.
+//  * Who drives can_push and can_pop, per binding:
+//      - FIFO or LIFO core (CoreStreamContainer): the FifoCore or
+//        LifoCore, as the inverses of its full/empty;
+//      - async FIFO (CdcStreamContainer): the AsyncFifo's write side
+//        drives can_push and its read side can_pop, each in its own
+//        clock domain;
+//      - line buffer (LineBufferContainer): LineBuffer3, whose wr_ready
+//        and col_valid are can_push and can_pop (it drives full and
+//        empty as their inverses);
+//      - external SRAM (SramStreamContainer): the container itself,
+//        from its memory FSM.
+//    So the first three containers are wiring only, as their
+//    synthesized wrappers are, and are never evaluated after reset.
 //
 // == Iterator method protocol (Table 2 ops) ==
 //  * `ready` high: the algorithm may assert a combination of operation

@@ -6,8 +6,7 @@ CdcStreamContainer::CdcStreamContainer(Module* parent, std::string name,
                                        Config cfg, StreamImpl p)
     : Container(parent, std::move(name), cfg.kind,
                 DeviceKind::AsyncFifoCore, cfg.elem_bits),
-      cfg_(cfg),
-      p_(p) {
+      cfg_(cfg) {
   HWPAT_ASSERT(cfg_.kind == ContainerKind::Queue ||
                cfg_.kind == ContainerKind::ReadBuffer ||
                cfg_.kind == ContainerKind::WriteBuffer);
@@ -18,21 +17,15 @@ CdcStreamContainer::CdcStreamContainer(Module* parent, std::string name,
       devices::AsyncFifoConfig{.width = cfg_.elem_bits,
                                .depth = cfg_.depth,
                                .strict = cfg_.strict},
-      devices::AsyncFifoPorts{.wr_en = p_.push,
-                              .wr_data = p_.push_data,
-                              .full = p_.full,
-                              .rd_en = p_.pop,
-                              .rd_data = p_.front,
-                              .empty = p_.empty},
+      devices::AsyncFifoPorts{.wr_en = p.push,
+                              .wr_data = p.push_data,
+                              .full = p.full,
+                              .rd_en = p.pop,
+                              .rd_data = p.front,
+                              .empty = p.empty,
+                              .can_push = &p.can_push,
+                              .can_pop = &p.can_pop},
       cfg_.wr_domain, cfg_.rd_domain);
-}
-
-void CdcStreamContainer::eval_comb() {
-  p_.can_push.write(!p_.full.read());
-  p_.can_pop.write(!p_.empty.read());
-  // No global occupancy exists across clock domains; the spec layer
-  // rejects the size method, so the wire is tied off.
-  p_.size.write(0);
 }
 
 }  // namespace hwpat::core

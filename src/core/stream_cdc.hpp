@@ -5,13 +5,15 @@
 // producer half of the method interface (push/can_push/full) lives in
 // the write-clock domain and the consumer half (pop/front/can_pop/
 // empty) in the read-clock domain; the AsyncFifo child carries the data
-// across.  The wrapper itself is purely combinational polarity
-// adaptation — combinational logic models wires, and wires do not
-// belong to a clock, so the wrapper needs no domain of its own.
+// across.  The container only wires the method interface to the core:
+// its write side drives can_push with full and its read side drives
+// can_pop with empty, each in its own domain, so the container itself
+// evaluates nothing after reset and needs no domain of its own.
 //
 // There is no `size` method: a global occupancy does not exist across
 // clock domains (each side only has its conservative synchronized
-// view), and the spec layer rejects binding it (meta/spec.cpp).
+// view), and the spec layer rejects binding it (meta/spec.cpp).  The
+// `size` wire is left undriven and reads 0, its initial value.
 #pragma once
 
 #include <memory>
@@ -37,12 +39,10 @@ class CdcStreamContainer : public Container {
   CdcStreamContainer(Module* parent, std::string name, Config cfg,
                      StreamImpl p);
 
-  void eval_comb() override;
-  // Pure combinational wrapper: no on_clock() at all — pruned from
-  // the activation list entirely.
+  // Wiring only: no process at all — pruned from the activation list.
   void declare_state() override { declare_comb_only(); }
-  // Pure wrapper: dissolves at synthesis.  The storage core is a child
-  // module and reports itself.
+  // Dissolves at synthesis.  The storage core is a child module and
+  // reports itself.
   void report(rtl::PrimitiveTally&) const override {}
 
   [[nodiscard]] const Config& config() const { return cfg_; }
@@ -50,7 +50,6 @@ class CdcStreamContainer : public Container {
 
  private:
   Config cfg_;
-  StreamImpl p_;
   std::unique_ptr<devices::AsyncFifo> fifo_;
 };
 

@@ -3,10 +3,13 @@
 //
 // This is the binding Figure 4 of the paper shows for `rbuffer_fifo`:
 // "the VHDL architecture is simply a wrapper of the FIFO core and
-// hardly includes any logic".  Accordingly the container adds only the
-// polarity adaptation between the core's empty/full flags and the
-// method interface's can_pop/can_push, and reports no resources of its
-// own — the FIFO/LIFO core child reports the storage.
+// hardly includes any logic".  The simulated container is that wrapper
+// and nothing more: it only wires the method interface to its core,
+// push/pop to wr_en/rd_en, front to rd_data and size to level, and the
+// core drives can_push/can_pop itself (the inverses of its full/empty,
+// written in the same evaluation).  So the container evaluates nothing
+// after reset, has no clock, and reports no resources of its own — the
+// FIFO/LIFO core child reports the storage.
 #pragma once
 
 #include <memory>
@@ -29,12 +32,10 @@ class CoreStreamContainer : public Container {
   CoreStreamContainer(Module* parent, std::string name, Config cfg,
                       StreamImpl p);
 
-  void eval_comb() override;
-  // Pure combinational wrapper: no on_clock() at all — pruned from
-  // the activation list entirely.
+  // Wiring only: no process at all — pruned from the activation list.
   void declare_state() override { declare_comb_only(); }
-  // Pure wrapper: dissolves at synthesis.  The storage core is a child
-  // module and reports itself.
+  // Dissolves at synthesis.  The storage core is a child module and
+  // reports itself.
   void report(rtl::PrimitiveTally&) const override {}
 
   [[nodiscard]] const Config& config() const { return cfg_; }
@@ -43,7 +44,6 @@ class CoreStreamContainer : public Container {
   static DeviceKind device_for(ContainerKind kind);
 
   Config cfg_;
-  StreamImpl p_;
   std::unique_ptr<devices::FifoCore> fifo_;
   std::unique_ptr<devices::LifoCore> lifo_;
 };

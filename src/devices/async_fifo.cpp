@@ -17,10 +17,10 @@ namespace hwpat::devices {
 
 /// Owns the binary write pointer, the gray write pointer register (in
 /// the parent) and the 2-flop synchronizer of the read pointer.  The
-/// `full` flag is a pure function of signals (wr gray vs synced rd gray
-/// with the top two bits inverted), so eval_comb() reads no internal
-/// C++ state and the declared register signals carry all change
-/// propagation.
+/// `full` flag (and `can_push`, its inverse) is a pure function of
+/// signals (wr gray vs synced rd gray with the top two bits inverted),
+/// so eval_comb() reads no internal C++ state and the declared register
+/// signals carry all change propagation.
 class AsyncFifo::WriteSide : public rtl::Module {
  public:
   explicit WriteSide(AsyncFifo* f)
@@ -32,8 +32,10 @@ class AsyncFifo::WriteSide : public rtl::Module {
   }
 
   void eval_comb() override {
-    f_.p_.full.write(f_.wptr_gray_.read() ==
-                     (rsync2_.read() ^ f_.top2_mask()));
+    const bool full =
+        f_.wptr_gray_.read() == (rsync2_.read() ^ f_.top2_mask());
+    f_.p_.full.write(full);
+    if (f_.p_.can_push != nullptr) f_.p_.can_push->write(!full);
   }
 
   /// Strict-mode validate phase: the full test below is a pure function
@@ -95,12 +97,13 @@ class AsyncFifo::WriteSide : public rtl::Module {
 
 /// Owns the binary read pointer, the gray read pointer register (in the
 /// parent) and the 2-flop synchronizer of the write pointer.  `empty`
-/// is gray-pointer equality against the synced write pointer.  The
-/// show-ahead `rd_data` reads the shared storage array (internal state
-/// of the parent): that is safe across the domain boundary because the
-/// exposed cell is frozen from the moment the synced pointer makes it
-/// visible until this side's own pointer moves past it — and pointer
-/// moves are declared register updates, so re-evaluation is triggered.
+/// (and `can_pop`, its inverse) is gray-pointer equality against the
+/// synced write pointer.  The show-ahead `rd_data` reads the shared
+/// storage array (internal state of the parent): that is safe across
+/// the domain boundary because the exposed cell is frozen from the
+/// moment the synced pointer makes it visible until this side's own
+/// pointer moves past it — and pointer moves are declared register
+/// updates, so re-evaluation is triggered.
 class AsyncFifo::ReadSide : public rtl::Module {
  public:
   explicit ReadSide(AsyncFifo* f)
@@ -125,6 +128,7 @@ class AsyncFifo::ReadSide : public rtl::Module {
   void eval_comb() override {
     const bool empty_now = f_.rptr_gray_.read() == wsync2_.read();
     f_.p_.empty.write(empty_now);
+    if (f_.p_.can_pop != nullptr) f_.p_.can_pop->write(!empty_now);
     f_.p_.rd_data.write(
         empty_now ? 0
                   : f_.mem_[static_cast<std::size_t>(rbin_) &

@@ -57,6 +57,10 @@ struct AsyncFifoPorts {
   const Bit& rd_en;
   Bus& rd_data;  ///< show-ahead front element (0 while empty)
   Bit& empty;
+  // Optional stream-container flags (see FifoPorts; nullptr = open),
+  // each driven by the side that drives its flag.
+  Bit* can_push = nullptr;  ///< write side: !full
+  Bit* can_pop = nullptr;   ///< read side: !empty
 };
 
 class AsyncFifo : public rtl::Module {

@@ -36,8 +36,12 @@ void FifoCore::declare_state() {
 }
 
 void FifoCore::eval_comb() {
-  p_.empty.write(count_ == 0);
-  p_.full.write(count_ == cfg_.depth);
+  const bool empty = count_ == 0;
+  const bool full = count_ == cfg_.depth;
+  p_.empty.write(empty);
+  p_.full.write(full);
+  if (p_.can_push != nullptr) p_.can_push->write(!full);
+  if (p_.can_pop != nullptr) p_.can_pop->write(!empty);
   p_.level.write(static_cast<Word>(count_));
   // Show-ahead: present the front element whenever one exists.
   p_.rd_data.write(count_ > 0 ? mem_[static_cast<std::size_t>(head_)] : 0);

@@ -8,7 +8,9 @@
 //
 // Wiring convention (used across all hwpat modules): the *parent* owns
 // the wires; the port struct carries const references for the module's
-// inputs and mutable references for the outputs it drives.
+// inputs and mutable references for the outputs it drives.  An output
+// behind a pointer is optional: nullptr leaves it unconnected, as a
+// VHDL `open` does.
 #pragma once
 
 #include <vector>
@@ -38,6 +40,11 @@ struct FifoPorts {
   Bit& empty;
   Bit& full;
   Bus& level;  ///< current number of stored elements
+  // The stream-container flags (core/ports.hpp), driven with empty and
+  // full when the core is a container's storage: a container binding
+  // is then pure wiring, as its synthesized wrapper is.
+  Bit* can_push = nullptr;  ///< !full
+  Bit* can_pop = nullptr;   ///< !empty
 };
 
 class FifoCore : public rtl::Module {

@@ -32,6 +32,9 @@ struct LifoPorts {
   Bit& empty;
   Bit& full;
   Bus& level;
+  // Optional stream-container flags (see FifoPorts).
+  Bit* can_push = nullptr;  ///< !full
+  Bit* can_pop = nullptr;   ///< !empty
 };
 
 class LifoCore : public rtl::Module {

@@ -43,8 +43,12 @@ void LineBuffer3::declare_state() {
 }
 
 void LineBuffer3::eval_comb() {
-  p_.col_valid.write(colq_count_ > 0);
-  p_.wr_ready.write(colq_count_ < cfg_.col_fifo_depth);
+  const bool valid = colq_count_ > 0;
+  const bool ready = colq_count_ < cfg_.col_fifo_depth;
+  p_.col_valid.write(valid);
+  p_.wr_ready.write(ready);
+  if (p_.full != nullptr) p_.full->write(!ready);
+  if (p_.empty != nullptr) p_.empty->write(!valid);
   p_.col_data.write(
       colq_count_ > 0 ? colq_[static_cast<std::size_t>(colq_head_)] : 0);
 }

@@ -44,6 +44,12 @@ struct LineBuffer3Ports {
   const Bit& rd_en;
   Bus& col_data;  ///< 3 * pixel_width bits, packed as documented above
   Bit& col_valid;
+  // wr_ready and col_valid are a stream container's can_push and
+  // can_pop (core/ports.hpp); a read buffer bound to this device also
+  // has the inverse flags, which the device drives when they are
+  // connected (nullptr = open).
+  Bit* full = nullptr;   ///< !wr_ready
+  Bit* empty = nullptr;  ///< !col_valid
 };
 
 class LineBuffer3 : public rtl::Module {

@@ -171,6 +171,20 @@ void Simulator::load_values(StateReader& r) {
     const std::uint32_t slot = sig_slot_[first];
     if (kind == SigKind::kWord) {
       r.array(word_cur_ + slot, len, "signal values");
+      // Bus::write() truncates to the width, so a wider value is one no
+      // run can reach.
+      for (std::size_t i = 0; i < len; ++i) {
+        const SignalBase& sig = *signals_[first + i];
+        const Word v = word_cur_[slot + i];
+        if ((v & ~mask_of(sig.width_)) == 0) continue;
+        char hex[19];
+        std::snprintf(hex, sizeof hex, "0x%llx",
+                      static_cast<unsigned long long>(v));
+        throw SnapshotError("snapshot: signal '" + sig.full_name() +
+                            "' is " + std::to_string(sig.width_) +
+                            " bits wide and cannot hold the value " + hex +
+                            " — corrupted blob");
+      }
       std::copy_n(word_cur_ + slot, len, word_nxt_ + slot);
     } else {
       r.bools(bool_cur_ + slot, len);

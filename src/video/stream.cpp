@@ -92,6 +92,18 @@ VgaSink::VgaSink(Module* parent, std::string name, Config cfg,
       in_(in),
       current_(cfg.width, cfg.height, cfg.channels) {
   HWPAT_ASSERT(cfg_.pixel_interval >= 1);
+  // A strict sink throws from the pre-edge validate phase, so an
+  // underrun aborts the whole clock-edge event before ANY state moved.
+  if (cfg_.strict_rate) enable_clock_check();
+}
+
+void VgaSink::on_clock_check() const {
+  // Mirrors on_clock(): a sink waiting out its pixel interval takes no
+  // pixel, and one that has not started streaming may still wait.
+  if (wait_ == 0 && streaming_ && in_.can_pop.as_word_fast() == 0)
+    throw ProtocolError("VGA sink '" + full_name() +
+                        "': pixel underrun (pipeline too slow for the "
+                        "display rate)");
 }
 
 void VgaSink::eval_comb() {
@@ -110,13 +122,9 @@ void VgaSink::on_clock() {
     if (--wait_ == 0) seq_touch();
     return;
   }
-  if (!in_.can_pop.read()) {
-    if (cfg_.strict_rate && streaming_)
-      throw ProtocolError("VGA sink '" + full_name() +
-                          "': pixel underrun (pipeline too slow for the "
-                          "display rate)");
-    return;
-  }
+  // No pixel: wait (a strict sink has already thrown an underrun from
+  // on_clock_check(), before any on_clock() ran).
+  if (!in_.can_pop.read()) return;
   streaming_ = true;
   current_.pixels()[pix_idx_] = in_.front.read();
   ++received_;

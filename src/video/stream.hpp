@@ -14,8 +14,9 @@
 //
 // VgaSink models the VGA coder + monitor: it consumes pixels from a
 // stream container's consumer port and reassembles frames.  With
-// `strict_rate` it underruns (throws) when a pixel is not available
-// within `pixel_interval` cycles — the real-time constraint of a CRT.
+// `strict_rate` it underruns (throws, from the validate phase of the
+// edge) when a pixel is not available within `pixel_interval` cycles —
+// the real-time constraint of a CRT.
 #pragma once
 
 #include <vector>
@@ -83,6 +84,9 @@ class VgaSink : public Module {
           core::StreamConsumer in);
 
   void eval_comb() override;
+  /// strict_rate validate phase: raises the underrun ProtocolError from
+  /// settled inputs and pre-edge state, before any on_clock() ran.
+  void on_clock_check() const override;
   void on_clock() override;
   void on_reset() override;
   void declare_state() override;

@@ -1,27 +1,35 @@
-// Stream iterators dissolve at elaboration: an algorithm drives and
-// reads its containers' own wires, and the iterator modules only check
-// the protocol in the validate phase of each edge.
+// Stream iterators and stream containers dissolve at elaboration: an
+// algorithm drives and reads its containers' own wires, the iterator
+// modules only check the protocol in the validate phase of each edge,
+// and a FIFO, LIFO, async-FIFO or line-buffer container is wiring to
+// its storage core, which drives the method interface's flags.
 //
 // The waveforms in tests/data/waveform_*.vcd were recorded, with the
 // configurations below, at commit 524e234, when each stream iterator
 // was an evaluated module over wires of its own (the designs' `it_in_*`
-// and `it_out_*` wires).  Every rewired design must still produce the
+// and `it_out_*` wires) and each container derived can_pop/can_push
+// from its core's flags.  Every rewired design must still produce the
 // same waveform on every signal it kept; each signal it dropped is
-// listed here, either as dissolved into the container wire it renamed
-// (and must have carried exactly that wire's values) or as renamed to
-// a tie-off wire of the iterator module (and must carry the same
-// values under its new path).
+// listed here, either as dissolved into the wire it renamed (and must
+// have carried exactly that wire's values) or as renamed to a tie-off
+// wire of the iterator module (and must carry the same values under
+// its new path).
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/iterator.hpp"
+#include "core/linebuf_container.hpp"
+#include "core/stream_cdc.hpp"
+#include "core/stream_core.hpp"
 #include "designs/design.hpp"
 #include "designs/saa2vga_shared.hpp"
 #include "rtl/simulator.hpp"
@@ -67,12 +75,23 @@ struct IterPair {
   std::string rb, wb;           ///< e.g. "rb", "wb"
 };
 
+/// Old wire -> the wire it was a pure renaming of.
+struct Dissolved {
+  std::string old_path, wire_path;
+};
+/// Old wire -> the iterator's tie-off wire that replaced it.
+struct Renamed {
+  std::string old_path, new_path;
+};
+
 struct Case {
   const char* name;
   const char* file;
   std::function<std::unique_ptr<designs::VideoDesign>()> make;
   std::string scope;
   std::vector<IterPair> pairs;
+  /// Container wires that dissolved (besides the iterators' wires).
+  std::vector<Dissolved> wires = {};
 };
 
 std::vector<Case> cases() {
@@ -108,18 +127,13 @@ std::vector<Case> cases() {
         {"it_in1", "it_out1", "rbuffer_it1", "wbuffer_it1", "rb1", "wb1"}}},
       {"blur_pattern", "waveform_blur_pattern_8x6.vcd",
        [] { return designs::make_blur_pattern({.width = 8, .height = 6}); },
-       "blur_pattern", {one}},
+       "blur_pattern", {one},
+       // The line buffer's ready output was the container's own wire,
+       // which the container copied to can_push; the device now drives
+       // can_push itself.
+       {{"blur_pattern.rbuffer.wr_ready", "blur_pattern.rb_can_push"}}},
   };
 }
-
-/// Old wire -> the container wire it was a pure renaming of.
-struct Dissolved {
-  std::string old_path, wire_path;
-};
-/// Old wire -> the iterator's tie-off wire that replaced it.
-struct Renamed {
-  std::string old_path, new_path;
-};
 
 void list_pair(const std::string& scope, const IterPair& p,
                std::vector<Dissolved>& dissolved,
@@ -160,7 +174,7 @@ TEST(Dissolution, WaveformsMatchTheRecordingOnEveryKeptSignal) {
     ASSERT_FALSE(old_w.empty());
     ASSERT_FALSE(new_w.empty());
 
-    std::vector<Dissolved> dissolved;
+    std::vector<Dissolved> dissolved = c.wires;
     std::vector<Renamed> renamed;
     for (const IterPair& p : c.pairs) list_pair(c.scope, p, dissolved, renamed);
     for (const Dissolved& d : dissolved) {
@@ -239,6 +253,74 @@ TEST(Dissolution, StreamIteratorsAreCombOnlyCheckers) {
     });
     EXPECT_EQ(iterators, 2 * static_cast<int>(c.pairs.size()));
   }
+}
+
+/// A stack fed and drained by testbench modules: the LIFO binding,
+/// which no shipped design uses.
+struct StackTop : rtl::Module {
+  core::StreamWires w{*this, "st", 8, 8};
+  core::CoreStreamContainer stack{this, "stack",
+                                  {.kind = core::ContainerKind::Stack,
+                                   .elem_bits = 8, .depth = 4},
+                                  w.impl()};
+  tb::StreamFeeder feeder{this, "feeder", w.producer(), {1, 2, 3, 4, 5}};
+  tb::StreamDrainer drainer{this, "drainer", w.consumer()};
+  StackTop() : Module(nullptr, "stacktop") {}
+  void declare_state() override { declare_comb_only(); }
+};
+
+/// Runs `top` from reset until `done` with a module profile, and checks
+/// that no stream container under it is evaluated after reset, while
+/// its core (or the core's two sides) is.  Adds each container's
+/// binding to `kinds`.
+void expect_containers_idle(rtl::Module& top,
+                            const std::function<bool()>& done,
+                            std::set<std::string>& kinds) {
+  Simulator sim(top);
+  sim.reset();
+  sim.trace_start({.profile_modules = true});
+  ASSERT_TRUE(sim.run(done, 1'000'000).ok());
+  std::map<std::string, std::uint64_t> evals;
+  for (const rtl::ModuleProfile& m : sim.telemetry()->hot_modules(SIZE_MAX))
+    evals[m.path] = m.eval_calls;
+  top.visit([&](rtl::Module& m) {
+    const char* kind = nullptr;
+    if (const auto* c = dynamic_cast<core::CoreStreamContainer*>(&m))
+      kind = c->kind() == core::ContainerKind::Stack ? "LIFO" : "FIFO";
+    else if (dynamic_cast<core::CdcStreamContainer*>(&m) != nullptr)
+      kind = "async FIFO";
+    else if (dynamic_cast<core::LineBufferContainer*>(&m) != nullptr)
+      kind = "line buffer";
+    if (kind == nullptr) return;
+    kinds.insert(kind);
+    EXPECT_EQ(evals[m.full_name()], 0u) << m.full_name();
+    ASSERT_EQ(m.children().size(), 1u) << m.full_name();
+    const rtl::Module& core = *m.children().front();
+    std::uint64_t core_evals = evals[core.full_name()];
+    for (const rtl::Module* side : core.children())
+      core_evals += evals[side->full_name()];
+    EXPECT_GT(core_evals, 0u) << core.full_name();
+  });
+}
+
+// Every stream container is wiring to its storage core, which drives
+// the method interface's flags: once reset has settled, no container
+// of the shipped designs (FIFO, async-FIFO and line-buffer bindings)
+// or of a stack (the LIFO binding) is evaluated again.
+TEST(Dissolution, StreamContainersAreNotEvaluatedAfterReset) {
+  std::set<std::string> kinds;
+  for (const Case& c : cases()) {
+    SCOPED_TRACE(c.name);
+    const auto design = c.make();
+    expect_containers_idle(*design, [&] { return design->finished(); },
+                           kinds);
+  }
+  StackTop stack;
+  expect_containers_idle(
+      stack, [&] { return stack.drainer.got().size() == 5; }, kinds);
+  EXPECT_EQ(stack.drainer.got().size(), 5u);
+  EXPECT_EQ(kinds, (std::set<std::string>{"FIFO", "LIFO", "async FIFO",
+                                          "line buffer"}));
 }
 
 // A blob saved before the change names modules and signals the design

@@ -29,6 +29,7 @@
 #include "rtl/clock.hpp"
 #include "rtl/simulator.hpp"
 #include "tb_util.hpp"
+#include "video/stream.hpp"
 
 namespace hwpat {
 namespace {
@@ -726,6 +727,23 @@ struct LineBufTop : AtomicTop {
   }
 };
 
+/// A strict-rate VGA sink on a read buffer's consumer wires, which the
+/// test drives: prime() lets it take a pixel, so it is streaming.
+struct VgaSinkTop : AtomicTop {
+  core::StreamWires w{*this, "rb", 8, 8};
+  video::VgaSink vga{this, "vga",
+                     {.width = 4, .height = 2, .strict_rate = true},
+                     w.consumer()};
+  VgaSinkTop() : AtomicTop("sinktop") { vga.set_clock_domain(&own); }
+  void prime(Simulator& sim, int) {
+    w.can_pop.write(true);
+    w.front.write(0x11);
+    sim.step();
+  }
+  /// 0: no pixel while streaming at the display rate (an underrun).
+  void arm_violation(int, bool on) { w.can_pop.write(!on); }
+};
+
 /// Runs the property on a fresh `Top` and a twin under one kernel: the
 /// violation aborts the edge with `expect` in the message; the state is
 /// the blob saved before the step; now() and cycle() stand still; the
@@ -816,6 +834,12 @@ TEST(EdgeTransaction, LineBuffer3ChecksBeforeAnyEdge) {
     expect_violation_aborts_atomically<LineBufTop>(
         1, full_sweep, "LineBuffer3 'lbtop.lb': column FIFO overflow");
   }
+}
+
+TEST(EdgeTransaction, VgaSinkChecksBeforeAnyEdge) {
+  for (const bool full_sweep : {false, true})
+    expect_violation_aborts_atomically<VgaSinkTop>(
+        0, full_sweep, "VGA sink 'sinktop.vga': pixel underrun");
 }
 
 /// Domain-filtered run(): the predicate is only evaluated after

@@ -1476,5 +1476,47 @@ TEST(Snapshot, OutOfRangeDeviceScalarIsRejectedNamingTheField) {
   EXPECT_EQ(Observed::of(sim, top), Observed::of(ref, fresh));
 }
 
+/// A 4-bit counter: every state a run reaches has q in 0..15.
+struct NibbleTop : Module {
+  Bus q{*this, "q", 4};
+  NibbleTop() : Module(nullptr, "nibtop") {}
+  void on_clock() override { q.write(q.read() + 1); }
+  void on_reset() override { q.write(0); }
+  void declare_state() override { register_seq(q); }
+};
+
+TEST(Snapshot, BusValueWiderThanItsSignalIsRejectedNamingTheSignal) {
+  NibbleTop top;
+  Simulator sim(top, {});
+  sim.reset();
+  run_steps(sim, 3);
+  const std::vector<std::uint8_t> good = sim.save_snapshot().bytes();
+  // v1 layout up to the values (see DuplicateFanoutEntryInBlobRejects-
+  // Loudly): one domain, then the signal count and q's value.
+  const std::size_t q_at =
+      4 + 1 + 1 + 8 + 8 + 8 + 8 * 1 + 12 * 8 + (4 + 8 * 1) + 4;
+  ASSERT_EQ(rd_u64(good, q_at), 3u) << "value offset drifted";
+  std::vector<std::uint8_t> bad = good;
+  wr_u64(bad, q_at, 0xFFFF);
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bad)));
+    FAIL() << "a 4-bit register restored the value 0xffff";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("signal 'nibtop.q'"));
+    EXPECT_THAT(e.what(), HasSubstr("4 bits wide"));
+    EXPECT_THAT(e.what(), HasSubstr("0xffff"));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  EXPECT_EQ(sim.now(), 0u);
+  EXPECT_EQ(top.q.read(), 0u);
+  // The widest value that fits restores, and counts on from there.
+  std::vector<std::uint8_t> top_value = good;
+  wr_u64(top_value, q_at, 0xF);
+  sim.restore_snapshot(rtl::Snapshot(std::move(top_value)));
+  EXPECT_EQ(top.q.read(), 0xFu);
+  sim.step();
+  EXPECT_EQ(top.q.read(), 0u);
+}
+
 }  // namespace
 }  // namespace hwpat
