@@ -2,6 +2,13 @@
 
 namespace hwpat::core {
 
+namespace {
+/// The strobe that advances `it` in direction `which` (Inc or Dec).
+Bit& advance_strobe(const IterClient& it, Op which) {
+  return which == Op::Dec ? it.dec : it.inc;
+}
+}  // namespace
+
 Algorithm::Algorithm(Module* parent, std::string name, AlgoControl ctl)
     : Module(parent, std::move(name)), ctl_(ctl) {}
 
@@ -56,27 +63,13 @@ bool TransformFsm::transfer_now() const {
          out_.ready.read();
 }
 
-void TransformFsm::drive_advance(IterClient& it, Op which, bool v) {
-  if (which == Op::Dec) {
-    it.dec.write(v);
-    it.inc.write(false);
-  } else {
-    it.inc.write(v);
-    it.dec.write(false);
-  }
-}
-
 void TransformFsm::eval_comb() {
   Algorithm::eval_comb();
   const bool go = transfer_now();
   in_.read.write(go);
-  drive_advance(in_, cfg_.in_advance, go);
-  in_.write.write(false);
-  in_.index_op.write(false);
+  advance_strobe(in_, cfg_.in_advance).write(go);
   out_.write.write(go);
-  drive_advance(out_, cfg_.out_advance, go);
-  out_.read.write(false);
-  out_.index_op.write(false);
+  advance_strobe(out_, cfg_.out_advance).write(go);
   out_.wdata.write(cfg_.op(in_.rdata.read()));
 }
 
@@ -130,9 +123,6 @@ void FillFsm::eval_comb() {
   const bool go = transfer_now();
   out_.write.write(go);
   out_.inc.write(go);
-  out_.dec.write(false);
-  out_.read.write(false);
-  out_.index_op.write(false);
   out_.wdata.write(cfg_.value);
 }
 
@@ -169,15 +159,7 @@ void ReduceFsm::eval_comb() {
   Algorithm::eval_comb();
   const bool go = transfer_now();
   in_.read.write(go);
-  if (cfg_.in_advance == Op::Dec) {
-    in_.dec.write(go);
-    in_.inc.write(false);
-  } else {
-    in_.inc.write(go);
-    in_.dec.write(false);
-  }
-  in_.write.write(false);
-  in_.index_op.write(false);
+  advance_strobe(in_, cfg_.in_advance).write(go);
   result_.write(acc_);
 }
 

@@ -13,6 +13,12 @@
 // `ready` is high.  A stream iterator's client view is its container's
 // own wires, so the strobe *is* the container's pop or push; there is no
 // gate in between, and a strobe without `ready` is a ProtocolError.
+//
+// An algorithm drives only the strobes it can raise: its advance
+// direction, `read` on an input, `write` and `wdata` on an output.  It
+// never writes the ones it holds low (the other direction, `index`,
+// `write` on an input, `read` on an output): they keep their reset value
+// 0, like a constant '0' that synthesis folds away.
 #pragma once
 
 #include "core/opspec.hpp"
@@ -96,7 +102,6 @@ class TransformFsm : public Algorithm {
 
  private:
   [[nodiscard]] bool transfer_now() const;
-  void drive_advance(IterClient& it, Op which, bool v);
 
   Config cfg_;
   IterClient in_;

@@ -50,14 +50,8 @@ void BlurFsm::eval_comb() {
   const bool wr = output_now();
   in_.read.write(rd);
   in_.inc.write(rd);
-  in_.dec.write(false);
-  in_.write.write(false);
-  in_.index_op.write(false);
   out_.write.write(wr);
   out_.inc.write(wr);
-  out_.dec.write(false);
-  out_.read.write(false);
-  out_.index_op.write(false);
   // Window = (x-2, x-1, incoming column x).
   out_.wdata.write(
       kernel3x3(win_[0], win_[1], in_.rdata.read(), cfg_.pixel_bits));

@@ -30,8 +30,10 @@ void Iterator::guard_strobes(const IterClient& c) const {
       {Op::Read, c.read},   {Op::Write, c.write},
       {Op::Index, c.index_op},
   };
+  // Only a strobe outside ops() can be a violation, so only such a
+  // strobe is read.
   for (const auto& pr : probes) {
-    if (pr.strobe.as_word_fast() != 0 && !ops().contains(pr.op))
+    if (!ops().contains(pr.op) && pr.strobe.as_word_fast() != 0)
       throw ProtocolError("iterator '" + full_name() + "': operation '" +
                           to_string(pr.op) +
                           "' strobed but not implemented (ops " +

@@ -46,8 +46,9 @@ class Iterator : public rtl::Module {
   [[nodiscard]] virtual IterClient client() = 0;
 
  protected:
-  /// Raises ProtocolError when a strobe outside ops() is asserted.
-  /// Untraced reads, so it may run in the validate phase.
+  /// Raises ProtocolError when a strobe outside ops() is asserted.  It
+  /// reads only those strobes, untraced, so it may run in the validate
+  /// phase.
   void guard_strobes(const IterClient& c) const;
 
  private:
@@ -64,8 +65,9 @@ class Iterator : public rtl::Module {
 /// on can_pop, `rdata` on front, and the advance strobe (inc for
 /// forward traversal, dec for the backward traversal of a stack) on
 /// pop.  The strobes the container has no wire for are tie-off wires
-/// of this module, which the algorithm drives and the validate phase
-/// checks.  The module writes no signal and has no on_clock().
+/// of this module, which no algorithm drives (they hold their reset
+/// value 0) and the validate phase checks.  The module writes no signal
+/// and has no on_clock().
 class StreamInputIterator : public Iterator {
  public:
   StreamInputIterator(Module* parent, std::string name, Spec spec,

@@ -40,6 +40,10 @@
 //  * A strobe is raised only while `ready` is high; asserting one
 //    without `ready`, or one outside the iterator's admissible set, is
 //    a model bug and raises ProtocolError.
+//  * An algorithm writes only the strobes it can raise (its advance
+//    direction, `read` on an input, `write` and `wdata` on an output);
+//    the rest are never driven and keep their reset value 0, like a
+//    constant '0' that synthesis folds away.
 //  * A stream iterator's client view is its container's own wires:
 //    `ready`/`rvalid` are can_pop and `rdata` is front (input), or
 //    `ready` is can_push, `write` is push and `wdata` is push_data

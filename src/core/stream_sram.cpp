@@ -194,14 +194,35 @@ void SramStreamContainer::save_state(rtl::StateWriter& w) const {
 }
 
 void SramStreamContainer::load_state(rtl::StateReader& r) {
-  state_ = static_cast<State>(r.u32());
-  head_ = r.i32();
-  tail_ = r.i32();
-  count_ = r.i32();
+  const int cap = cfg_.capacity;
+  state_ = static_cast<State>(
+      r.u32_in(0, static_cast<std::uint32_t>(State::Fetch), "state_"));
+  head_ = r.i32_in(0, cap - 1, "head_");
+  tail_ = r.i32_in(0, cap, "tail_");
+  count_ = r.i32_in(0, cap, "count_");
   front_ = r.word();
   front_valid_ = r.boolean();
   wpend_ = r.boolean();
   wreg_ = r.word();
+  // Invariants every run keeps (see on_clock()).
+  const char* broken = nullptr;
+  if (front_valid_ && count_ == 0)
+    broken = "front_valid_ is set while count_ is 0";
+  else if (wpend_ && count_ == cap)
+    broken = "wpend_ is set while count_ is at capacity";
+  else if (state_ == State::Write && !wpend_)
+    broken = "state_ is Write while wpend_ is clear";
+  else if (state_ == State::Fetch && (front_valid_ || count_ == 0))
+    broken = "state_ is Fetch while front_valid_ is set or count_ is 0";
+  else if (lifo_discipline() && tail_ != count_)
+    broken = "a stack's tail_ differs from its count_";
+  if (broken != nullptr)
+    throw SnapshotError(
+        std::string("snapshot: ") + broken + " (state_ = " +
+        std::to_string(static_cast<int>(state_)) + ", tail_ = " +
+        std::to_string(tail_) + ", count_ = " + std::to_string(count_) +
+        ", front_valid_ = " + std::to_string(front_valid_) +
+        ", wpend_ = " + std::to_string(wpend_) + ") — corrupted blob");
 }
 
 }  // namespace hwpat::core

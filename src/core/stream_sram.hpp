@@ -68,7 +68,7 @@ class SramStreamContainer : public Container {
   // Architectural registers (the "few registers" of the paper).
   State state_ = State::Idle;
   int head_ = 0;        // FIFO: index of front; LIFO: unused
-  int tail_ = 0;        // FIFO: next free slot; LIFO: stack pointer
+  int tail_ = 0;        // FIFO: unused (0); LIFO: stack pointer
   int count_ = 0;       // elements logically stored (incl. cached front)
   Word front_ = 0;      // cached front element
   bool front_valid_ = false;

@@ -107,13 +107,21 @@ void validate(const ContainerSpec& spec) {
       throw SpecError("container spec '" + spec.name +
                       "': the dual-clock FIFO crosses whole elements and "
                       "does not support width adaptation");
-    for (Method m : spec.used_methods)
-      if (m == Method::Size)
-        throw SpecError("container spec '" + spec.name +
-                        "': the dual-clock FIFO has no global occupancy "
-                        "(each clock domain only sees its synchronized "
-                        "view) — the size method cannot be bound");
   }
+  // Devices without an occupancy count cannot bind an explicit `size`.
+  const char* no_size =
+      spec.device == DeviceKind::AsyncFifoCore
+          ? "the dual-clock FIFO has no global occupancy (each clock "
+            "domain only sees its synchronized view)"
+      : spec.device == DeviceKind::LineBuffer3
+          ? "the line buffer drives no occupancy count"
+          : nullptr;
+  if (no_size != nullptr &&
+      std::find(spec.used_methods.begin(), spec.used_methods.end(),
+                Method::Size) != spec.used_methods.end())
+    throw SpecError("container spec '" + spec.name +
+                    "': used_methods lists size, but " + no_size +
+                    " — the size method cannot be bound");
 }
 
 OpSet IteratorSpec::effective_ops() const {

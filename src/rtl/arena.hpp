@@ -51,7 +51,7 @@ class Arena {
   }
 
   /// Allocates and value-initializes an array of `n` trivially
-  /// destructible Ts (the SoA arrays: ints, Words, bools, flags).
+  /// destructible Ts (the SoA arrays: ints, Words, flags).
   /// Nothing is ever destroyed individually — teardown is the chunk
   /// free — hence the restriction.
   template <typename T>

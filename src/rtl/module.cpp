@@ -5,8 +5,14 @@
 namespace hwpat::rtl {
 
 SignalBase::SignalBase(Module& owner, std::string name, int width,
-                       SigKind kind)
-    : owner_(owner), name_(std::move(name)), width_(width), kind_(kind) {
+                       SigKind kind, Word init)
+    : owner_(owner),
+      name_(std::move(name)),
+      width_(width),
+      kind_(kind),
+      curs_(init),
+      nxts_(init),
+      init_(init) {
   HWPAT_ASSERT(width >= 1 && width <= kMaxBusBits);
   owner.add_signal(this);
 }

@@ -9,20 +9,24 @@
 // A signal is one of the two port types the generator emits: a Bit (a
 // std_logic, Signal<bool>) or a Bus (a std_logic_vector of 1..64 bits,
 // Signal<Word>).  Signal<T> admits no other T and only Bit and Bus
-// construct one, so the SigKind tag names a signal's concrete type: the
-// kernel commits, rolls back, resets, serializes and samples signals by
-// dispatching on it, and a signal object carries no vtable.
+// construct one.  Both store one Word per phase — a Bit holds 0 or 1,
+// as a synthesized std_logic and std_logic_vector are both wires — so
+// the kernel commits, rolls back, resets and samples every signal the
+// same way, and a signal object carries no vtable.  The SigKind tag
+// names the concrete type only where it is meaning, not storage: the
+// typed read()/write(), the snapshot's value encoding and the topology
+// hash.
 //
 // Data-oriented layout (see src/rtl/README.md, "Kernel memory layout"):
 // an unbound signal keeps its values in the object (curs_/nxts_), but a
-// binding Simulator *adopts* the storage into dense SoA arrays it owns,
-// indexed by slot — the signal's curp_/nxtp_ pointers are rebound into
-// those arrays, so read()/write() are unchanged while the simulator's
-// commit and VCD loops stream through contiguous memory instead of
-// chasing heap objects.  All other per-signal kernel state (pending
-// flag, fanout CSR spans, merge stamp) lives in simulator-owned arrays
-// indexed by the dense signal id; the signal itself carries the two
-// pointers the write fast path needs (pend_flag_, queue_), the id, its
+// binding Simulator *adopts* the storage into two dense Word arrays it
+// owns, indexed by the signal's id — the signal's curp_/nxtp_ pointers
+// are rebound into those arrays, so read()/write() are unchanged while
+// the simulator's commit and VCD loops stream through contiguous memory
+// instead of chasing heap objects.  All other per-signal kernel state
+// (pending flag, fanout CSR spans, merge stamp) lives in simulator-owned
+// arrays indexed by the id; the signal itself carries the two pointers
+// the write fast path needs (pend_flag_, queue_), the id, its
 // domain-affinity partition and its reader mark.
 //
 // Event-driven hooks: once a Simulator binds the design, every write()
@@ -50,10 +54,9 @@ class Module;
 class SignalBase;
 
 /// Concrete type of a signal, set once at construction: kWord signals
-/// are Signal<Word> (Bus), kBool signals Signal<bool> (Bit).  The
-/// binding Simulator adopts both kinds' values into dense arrays of
-/// their own and dispatches on the tag.  The values are part of the
-/// snapshot topology hash.
+/// are Signal<Word> (Bus), kBool signals Signal<bool> (Bit).  Both store
+/// Words; the tag picks a value's snapshot encoding (u64 for a Bus, one
+/// byte for a Bit) and is part of the snapshot topology hash.
 enum class SigKind : unsigned char { kWord = 0, kBool = 1 };
 
 /// Untyped base for all signals.  Signals register themselves with their
@@ -96,13 +99,15 @@ class SignalBase {
 
   /// Current value as a word, without the read tracing read() does: for
   /// the VCD writer and for validate-phase checks that must not join a
-  /// module's sensitivity.  Defined after Signal<T> below.
-  [[nodiscard]] Word as_word_fast() const;
+  /// module's sensitivity.
+  [[nodiscard]] Word as_word_fast() const { return *curp_; }
 
  protected:
   /// Only Signal<T>, so only Bit and Bus, constructs a signal; `kind`
-  /// names its concrete type.  Asserts a width of 1..64.
-  SignalBase(Module& owner, std::string name, int width, SigKind kind);
+  /// names its concrete type and `init` is its construction-time value
+  /// (0 or 1 for a Bit).  Asserts a width of 1..64.
+  SignalBase(Module& owner, std::string name, int width, SigKind kind,
+             Word init);
   /// Protected, as there is no vtable: a signal is destroyed as the Bit
   /// or Bus it is, never through a base pointer.
   ~SignalBase();
@@ -130,6 +135,8 @@ class SignalBase {
  private:
   friend class Simulator;
   friend class TraceGuard;
+  template <typename>
+  friend class Signal;  // read()/write() reach the values
 
   Module& owner_;
   std::string name_;
@@ -156,6 +163,36 @@ class SignalBase {
   /// The binding simulator's pending-commit list (ids).
   ArenaVector<std::int32_t>* queue_ = nullptr;
 
+  /// Values are reached through curp_/nxtp_: they point at the inline
+  /// curs_/nxts_ until a binding Simulator rebinds them into its dense
+  /// value arrays (adopt_storage), so the kernel's commit/VCD loops
+  /// stream contiguous memory while read() and write() stay oblivious.
+  Word curs_;  ///< inline current value (authoritative while unbound)
+  Word nxts_;  ///< inline next value
+  Word init_;  ///< construction-time value, for reset_value()
+  Word* curp_ = &curs_;
+  Word* nxtp_ = &nxts_;
+
+  /// Restores the construction-time value on both phases (reset).
+  void reset_value() { *curp_ = *nxtp_ = init_; }
+  /// Moves the two-phase values into simulator-owned dense cells (the
+  /// current inline values are copied over, so adoption is invisible).
+  void adopt_storage(Word* cur, Word* nxt) {
+    *cur = *curp_;
+    *nxt = *nxtp_;
+    curp_ = cur;
+    nxtp_ = nxt;
+  }
+  /// Returns the values to the inline members (unbind).  Tolerates a
+  /// partially bound signal (elaboration threw before adoption).
+  void release_storage() {
+    if (curp_ == &curs_) return;
+    curs_ = *curp_;
+    nxts_ = *nxtp_;
+    curp_ = &curs_;
+    nxtp_ = &nxts_;
+  }
+
   /// The id of the module whose eval_comb() this thread is tracing (-1
   /// outside a traced evaluation), and that evaluation's read list; set
   /// by TraceGuard.  thread_local because SweepDriver runs simulators
@@ -178,13 +215,8 @@ class TraceGuard {
   TraceGuard& operator=(const TraceGuard&) = delete;
 };
 
-/// Two-phase signal of a Bit (T = bool) or a Bus (T = Word).
-///
-/// Values are reached through curp_/nxtp_: they point at the inline
-/// curs_/nxts_ members until a binding Simulator rebinds them into its
-/// dense SoA value arrays (adopt_storage), so the kernel's commit/VCD
-/// loops stream contiguous memory while read() and write() stay
-/// oblivious.
+/// Two-phase signal of a Bit (T = bool) or a Bus (T = Word): the typed
+/// face of SignalBase's Word storage.
 template <typename T>
 class Signal : public SignalBase {
   static_assert(std::is_same_v<T, Word> || std::is_same_v<T, bool>,
@@ -195,56 +227,23 @@ class Signal : public SignalBase {
       std::is_same_v<T, Word> ? SigKind::kWord : SigKind::kBool;
 
   /// Value visible to processes this round.
-  [[nodiscard]] const T& read() const {
+  [[nodiscard]] T read() const {
     note_read();
-    return *curp_;
+    return static_cast<T>(*curp_);
   }
   /// Schedules `v` to become visible after the next commit.  Writes
   /// that leave the visible value unchanged need no commit, so they are
   /// not enqueued on the simulator's pending list (the common case: a
   /// comb process re-asserting the same output every delta).
-  void write(const T& v) {
+  void write(T v) {
     *nxtp_ = v;
-    if (!(*nxtp_ == *curp_)) note_write();
+    if (*nxtp_ != *curp_) note_write();
   }
 
  protected:
   Signal(Module& owner, std::string name, int width, T init)
-      : SignalBase(owner, std::move(name), width, kKind),
-        curs_(init),
-        nxts_(init),
-        init_(init) {}
+      : SignalBase(owner, std::move(name), width, kKind, init) {}
   ~Signal() = default;
-
- private:
-  friend class SignalBase;  // as_word_fast()
-  friend class Simulator;
-
-  /// Restores the construction-time value on both phases (reset).
-  void reset_value() { *curp_ = *nxtp_ = init_; }
-  /// Moves the two-phase values into simulator-owned dense cells (the
-  /// current inline values are copied over, so adoption is invisible).
-  void adopt_storage(T* cur, T* nxt) {
-    *cur = *curp_;
-    *nxt = *nxtp_;
-    curp_ = cur;
-    nxtp_ = nxt;
-  }
-  /// Returns the values to the inline members (unbind).  Tolerates a
-  /// partially bound signal (elaboration threw before adoption).
-  void release_storage() {
-    if (curp_ == &curs_) return;
-    curs_ = *curp_;
-    nxts_ = *nxtp_;
-    curp_ = &curs_;
-    nxtp_ = &nxts_;
-  }
-
-  T curs_;  ///< inline current value (authoritative while unbound)
-  T nxts_;  ///< inline next value
-  T init_;  ///< construction-time value, for reset_value()
-  T* curp_ = &curs_;
-  T* nxtp_ = &nxts_;
 };
 
 /// Single-bit hardware signal.
@@ -267,13 +266,5 @@ class Bus : public Signal<Word> {
  private:
   Word mask_;  ///< mask_of(width()), kept so write() need not rebuild it
 };
-
-inline Word SignalBase::as_word_fast() const {
-  // Sound because kind_ is derived from T at construction, and Signal<T>
-  // exists only for T = Word and T = bool.
-  if (kind_ == SigKind::kWord)
-    return *static_cast<const Signal<Word>*>(this)->curp_;
-  return *static_cast<const Signal<bool>*>(this)->curp_;
-}
 
 }  // namespace hwpat::rtl

@@ -153,10 +153,8 @@ void Simulator::bind() {
 void Simulator::build_soa() {
   const std::size_t ns = signals_.size();
   const std::size_t nm = modules_.size();
-  sig_kind_ = arena_.alloc_array<SigKind>(ns);
   sig_pending_ = arena_.alloc_array<unsigned char>(ns);
   sig_vcdmark_ = arena_.alloc_array<unsigned char>(ns);
-  sig_slot_ = arena_.alloc_array<std::uint32_t>(ns);
   sig_mark_ = arena_.alloc_array<std::uint64_t>(ns);
   seq_owner_ = arena_.alloc_array<std::int32_t>(ns);
   fan_begin_ = arena_.alloc_array<std::uint32_t>(ns);
@@ -169,34 +167,14 @@ void Simulator::build_soa() {
   seq_count_ = arena_.alloc_array<std::uint32_t>(nm);
   mod_dirty_ = arena_.alloc_array<unsigned char>(nm);
   mod_mark_ = arena_.alloc_array<std::uint64_t>(nm);
-  // Slot every signal into the dense two-phase value arrays of its
-  // kind, in id order — the commit drains then stream contiguously.
-  std::size_t nw = 0;
-  for (const SignalBase* s : signals_)
-    if (s->kind() == SigKind::kWord) ++nw;
-  const std::size_t nb = ns - nw;
-  word_cur_ = arena_.alloc_array<Word>(nw);
-  word_nxt_ = arena_.alloc_array<Word>(nw);
-  bool_cur_ = arena_.alloc_array<bool>(nb);
-  bool_nxt_ = arena_.alloc_array<bool>(nb);
-  std::uint32_t wslot = 0, bslot = 0;
+  word_cur_ = arena_.alloc_array<Word>(ns);
+  word_nxt_ = arena_.alloc_array<Word>(ns);
   for (std::size_t i = 0; i < ns; ++i) {
     SignalBase* s = signals_[i];
     s->id_ = static_cast<int>(i);
-    sig_kind_[i] = s->kind();
     s->last_reader_ = -1;
     s->pend_flag_ = &sig_pending_[i];
-    if (s->kind() == SigKind::kWord) {
-      sig_slot_[i] = wslot;
-      static_cast<Signal<Word>*>(s)->adopt_storage(&word_cur_[wslot],
-                                                   &word_nxt_[wslot]);
-      ++wslot;
-    } else {
-      sig_slot_[i] = bslot;
-      static_cast<Signal<bool>*>(s)->adopt_storage(&bool_cur_[bslot],
-                                                   &bool_nxt_[bslot]);
-      ++bslot;
-    }
+    s->adopt_storage(&word_cur_[i], &word_nxt_[i]);
   }
 }
 
@@ -273,20 +251,17 @@ void Simulator::unbind() {
     // Return adopted two-phase values to the inline members before the
     // arena dies (release_storage tolerates a never-adopted signal, so
     // a partial bind — elaboration threw mid-way — unwinds cleanly).
-    with_type(s, [](auto& sig) { sig.release_storage(); });
+    s->release_storage();
     s->id_ = -1;
     s->part_ = -1;
     s->last_reader_ = -1;
     s->pend_flag_ = nullptr;
     s->queue_ = nullptr;
   }
-  sig_kind_ = nullptr;
   sig_pending_ = sig_vcdmark_ = nullptr;
-  sig_slot_ = nullptr;
   sig_mark_ = nullptr;
   seq_owner_ = nullptr;
   word_cur_ = word_nxt_ = nullptr;
-  bool_cur_ = bool_nxt_ = nullptr;
   fan_begin_ = fan_count_ = fan_cap_ = nullptr;
   sens_begin_ = sens_count_ = sens_cap_ = nullptr;
   seq_begin_ = seq_count_ = nullptr;
@@ -716,7 +691,7 @@ void Simulator::abort_edge_event() {
   // leak-commit.  Same for the seq_touch() reports.
   for (const std::int32_t sid : pending_) {
     sig_pending_[sid] = 0;
-    discard_signal(sid);
+    word_nxt_[sid] = word_cur_[sid];
   }
   pending_.clear();
   for (Module* m : touched_) m->seq_touched_ = false;
@@ -826,8 +801,7 @@ void Simulator::reset() {
   touched_.clear();
   std::fill_n(sig_pending_, signals_.size(),
               static_cast<unsigned char>(0));
-  for (SignalBase* s : signals_)
-    with_type(s, [](auto& sig) { sig.reset_value(); });
+  for (SignalBase* s : signals_) s->reset_value();
   {
     // Reset means *construction-time* state, unconditionally: reload
     // every module's elaboration-time payload before on_reset() applies
@@ -868,8 +842,7 @@ void Simulator::fire_edges_full_sweep() {
     // landed straight in the signals' next values.  Right after a
     // settle every next == current, so discarding every write rolls
     // the event back to a no-op before the throw escapes.
-    const std::int32_t n = static_cast<std::int32_t>(signals_.size());
-    for (std::int32_t sid = 0; sid < n; ++sid) discard_signal(sid);
+    std::copy_n(word_cur_, signals_.size(), word_nxt_);
     throw;
   }
   // Same half-applied window as clock_edge_event(): the edge mutated

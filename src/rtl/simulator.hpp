@@ -58,15 +58,16 @@
 //
 // Kernel memory layout (the data-oriented refactor; see
 // src/rtl/README.md): the hot per-signal and per-module kernel state —
-// committed/next values of every signal (a Bus's in Word arrays, a
-// Bit's in bool arrays), pending/dirty flags, SigKind tags, merge
-// stamps — lives in dense SoA arrays owned by this class and indexed
-// by the dense signal/module ids, so the settle and commit loops stream
+// committed/next values of every signal (one Word per phase, a Bit's
+// 0 or 1 as much as a Bus's value), pending/dirty flags, merge stamps —
+// lives in dense SoA arrays owned by this class and indexed by the
+// dense signal/module ids, so the settle and commit loops stream
 // contiguous memory instead of chasing heap objects.  The one
 // exception is the reader mark, which a read compares with no index to
-// compute, so it sits on the signal.  Commit, rollback, reset, the
-// snapshot value section and its unsettled-write check dispatch on the
-// SigKind tag: a signal has no virtual function.  The learned fanout
+// compute, so it sits on the signal.  Commit, rollback, reset and the
+// snapshot's unsettled-write check treat every signal alike; only the
+// snapshot value section and the topology hash read a signal's SigKind
+// (a Bit's value travels as one byte).  The learned fanout
 // (signal -> reader modules) and the accumulated per-module read sets
 // are CSR-style spans ([begin,count,cap) per id) into two shared pools,
 // deduplicated with a seen-stamp instead of a linear find.  Everything
@@ -475,15 +476,6 @@ class Simulator {
   /// arena, adopts every signal's two-phase values into the dense value
   /// arrays, and seeds the per-id state.  Part of bind().
   void build_soa();
-  /// Calls f(sig) with `s` as the Signal<Word> or Signal<bool> its kind
-  /// tag names.
-  template <typename F>
-  static void with_type(SignalBase* s, F&& f) {
-    if (s->kind() == SigKind::kWord)
-      f(*static_cast<Signal<Word>*>(s));
-    else
-      f(*static_cast<Signal<bool>*>(s));
-  }
   /// Resolves every module's effective domain (nearest ancestor with an
   /// explicit assignment, else the built-in default), builds the
   /// per-domain activation lists, and stamps every module's
@@ -533,24 +525,9 @@ class Simulator {
   /// Commits signal `sid` in the dense value arrays.  Returns true when
   /// the visible value changed.
   bool commit_signal(std::int32_t sid) {
-    const std::uint32_t slot = sig_slot_[sid];
-    if (sig_kind_[sid] == SigKind::kWord) {
-      if (word_nxt_[slot] == word_cur_[slot]) return false;
-      word_cur_[slot] = word_nxt_[slot];
-      return true;
-    }
-    if (bool_nxt_[slot] == bool_cur_[slot]) return false;
-    bool_cur_[slot] = bool_nxt_[slot];
+    if (word_nxt_[sid] == word_cur_[sid]) return false;
+    word_cur_[sid] = word_nxt_[sid];
     return true;
-  }
-
-  /// next := current for signal `sid` (aborted-event rollback).
-  void discard_signal(std::int32_t sid) {
-    const std::uint32_t slot = sig_slot_[sid];
-    if (sig_kind_[sid] == SigKind::kWord)
-      word_nxt_[slot] = word_cur_[slot];
-    else
-      bool_nxt_[slot] = bool_cur_[slot];
   }
 
   /// Appends module `mid` to signal `sid`'s CSR fanout span, growing
@@ -721,17 +698,13 @@ class Simulator {
 
   // ---- dense SoA kernel state (arena-allocated, indexed by id) ------
   // Per-signal arrays, length signals_.size():
-  SigKind* sig_kind_ = nullptr;           ///< which value arrays
   unsigned char* sig_pending_ = nullptr;  ///< on the pending-commit list
   unsigned char* sig_vcdmark_ = nullptr;  ///< on vcd_changed_
-  std::uint32_t* sig_slot_ = nullptr;     ///< index into the value arrays
   std::uint64_t* sig_mark_ = nullptr;     ///< merge_reads() seen-stamps
-  // Dense two-phase value arrays; every signal's curp_/nxtp_ point into
-  // one pair after bind (slot order = id order, so commits stream).
+  // Dense two-phase values: every signal's curp_/nxtp_ point at its
+  // cells after bind.
   Word* word_cur_ = nullptr;
   Word* word_nxt_ = nullptr;
-  bool* bool_cur_ = nullptr;
-  bool* bool_nxt_ = nullptr;
   // CSR fanout (signal -> reader-module ids) and accumulated read sets
   // (module -> signal ids): [begin, begin+count) spans into the pools,
   // with cap for amortized relocate-to-tail growth.

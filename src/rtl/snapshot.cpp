@@ -82,15 +82,16 @@ void mix_path(std::uint64_t& h, const Module& m) {
 }
 
 /// Calls f(kind, first_id, count) for every maximal run of consecutive
-/// signal ids sharing a SigKind.  Each kind's signals own value slots in
-/// id order (Simulator::build_soa), so such a run is a contiguous
-/// stretch of one kind's dense value arrays and moves as one bulk array.
+/// signal ids sharing a SigKind: a stretch of the dense value arrays
+/// whose values share one blob encoding, so it moves as one bulk array.
 template <typename F>
-void for_each_kind_run(const SigKind* kinds, std::size_t n, F&& f) {
+void for_each_kind_run(const std::vector<SignalBase*>& sigs, F&& f) {
+  const std::size_t n = sigs.size();
   for (std::size_t first = 0; first < n;) {
+    const SigKind kind = sigs[first]->kind();
     std::size_t end = first + 1;
-    while (end < n && kinds[end] == kinds[first]) ++end;
-    f(kinds[first], first, end - first);
+    while (end < n && sigs[end]->kind() == kind) ++end;
+    f(kind, first, end - first);
     first = end;
   }
 }
@@ -148,14 +149,12 @@ std::uint64_t Simulator::topology_hash() const {
 
 void Simulator::save_values(StateWriter& w) const {
   w.u32(static_cast<std::uint32_t>(signals_.size()));
-  for_each_kind_run(sig_kind_, signals_.size(), [&](SigKind kind,
-                                                    std::size_t first,
-                                                    std::size_t len) {
-    const std::uint32_t slot = sig_slot_[first];
+  for_each_kind_run(signals_, [&](SigKind kind, std::size_t first,
+                                  std::size_t len) {
     if (kind == SigKind::kWord)
-      w.array(word_cur_ + slot, len);
+      w.array(word_cur_ + first, len);
     else
-      w.bools(bool_cur_ + slot, len);
+      w.bits(word_cur_ + first, len);
   });
 }
 
@@ -165,32 +164,29 @@ void Simulator::load_values(StateReader& r) {
     throw SnapshotError("snapshot: signal count mismatch (blob has " +
                         std::to_string(ns) + ", design has " +
                         std::to_string(signals_.size()) + ")");
-  for_each_kind_run(sig_kind_, signals_.size(), [&](SigKind kind,
-                                                    std::size_t first,
-                                                    std::size_t len) {
-    const std::uint32_t slot = sig_slot_[first];
-    if (kind == SigKind::kWord) {
-      r.array(word_cur_ + slot, len, "signal values");
-      // Bus::write() truncates to the width, so a wider value is one no
-      // run can reach.
-      for (std::size_t i = 0; i < len; ++i) {
-        const SignalBase& sig = *signals_[first + i];
-        const Word v = word_cur_[slot + i];
-        if ((v & ~mask_of(sig.width_)) == 0) continue;
-        char hex[19];
-        std::snprintf(hex, sizeof hex, "0x%llx",
-                      static_cast<unsigned long long>(v));
-        throw SnapshotError("snapshot: signal '" + sig.full_name() +
-                            "' is " + std::to_string(sig.width_) +
-                            " bits wide and cannot hold the value " + hex +
-                            " — corrupted blob");
-      }
-      std::copy_n(word_cur_ + slot, len, word_nxt_ + slot);
-    } else {
-      r.bools(bool_cur_ + slot, len);
-      std::copy_n(bool_cur_ + slot, len, bool_nxt_ + slot);
-    }
+  for_each_kind_run(signals_, [&](SigKind kind, std::size_t first,
+                                  std::size_t len) {
+    if (kind == SigKind::kWord)
+      r.array(word_cur_ + first, len, "signal values");
+    else
+      r.bits(word_cur_ + first, len);
   });
+  // Bus::write() truncates to the width and a Bit holds 0 or 1, so a
+  // wider value is one no run can reach.
+  for (std::size_t sid = 0; sid < ns; ++sid) {
+    const SignalBase& sig = *signals_[sid];
+    const Word v = word_cur_[sid];
+    if ((v & ~mask_of(sig.width_)) == 0) continue;
+    char hex[19];
+    std::snprintf(hex, sizeof hex, "0x%llx",
+                  static_cast<unsigned long long>(v));
+    throw SnapshotError("snapshot: signal '" + sig.full_name() + "' is " +
+                        std::to_string(sig.width_) +
+                        (sig.width_ == 1 ? " bit" : " bits") +
+                        " wide and cannot hold the value " + hex +
+                        " — corrupted blob");
+  }
+  std::copy_n(word_cur_, ns, word_nxt_);
 }
 
 void Simulator::save_fanout(StateWriter& w) const {
@@ -324,10 +320,7 @@ Snapshot Simulator::save_snapshot() const {
   // after the last settle leaves no list trace — compare every next
   // value with its current one instead.
   for (std::size_t sid = 0; sid < signals_.size(); ++sid) {
-    const std::uint32_t slot = sig_slot_[sid];
-    if (sig_kind_[sid] == SigKind::kWord
-            ? word_nxt_[slot] != word_cur_[slot]
-            : bool_nxt_[slot] != bool_cur_[slot])
+    if (word_nxt_[sid] != word_cur_[sid])
       throw SnapshotError("save_snapshot: signal '" +
                           signals_[sid]->full_name() +
                           "' has an uncommitted write — settle() (or "

@@ -163,10 +163,11 @@ class StateWriter {
     }
   }
 
-  /// n bools as one byte each (0/1), like boolean().
-  void bools(const bool* p, std::size_t n) {
+  /// n one-bit values held in Words as one byte each (0/1), like
+  /// boolean().
+  void bits(const Word* p, std::size_t n) {
     std::uint8_t* dst = grow(n);
-    for (std::size_t i = 0; i < n; ++i) dst[i] = p[i] ? 1 : 0;
+    for (std::size_t i = 0; i < n; ++i) dst[i] = p[i] != 0 ? 1 : 0;
   }
 
   /// Length-prefixed word vector: u64 count, then the words.  The
@@ -312,10 +313,12 @@ class StateReader {
     pos_ += n * sizeof(T);
   }
 
-  /// Mirror of StateWriter::bools(): any non-zero byte reads as true.
-  void bools(bool* p, std::size_t n) {
-    need(n, 1, "bool array");
-    for (std::size_t i = 0; i < n; ++i) p[i] = data_[pos_ + i] != 0;
+  /// Mirror of StateWriter::bits(): each byte into a Word as it is.  A
+  /// byte above 1 is no bit value; the caller rejects it with the name
+  /// of what it belongs to.
+  void bits(Word* p, std::size_t n) {
+    need(n, 1, "bit array");
+    for (std::size_t i = 0; i < n; ++i) p[i] = data_[pos_ + i];
     pos_ += n;
   }
 

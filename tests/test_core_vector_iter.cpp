@@ -1,11 +1,14 @@
 // Vector iterator tests: sequential (forward/backward/bidirectional)
 // and random iterators over the vector container, including the
-// dead-operation-elimination resource effects.
+// dead-operation-elimination resource effects, and the algorithms run
+// over vector and width-adapting iterators.
 #include <gtest/gtest.h>
 
 #include "core/algorithm.hpp"
 #include "core/iterator.hpp"
+#include "core/stream_core.hpp"
 #include "core/vector.hpp"
+#include "meta/factory.hpp"
 #include "rtl/simulator.hpp"
 #include "tb_util.hpp"
 
@@ -184,6 +187,228 @@ TEST(VectorSeqIter, ReadOnlySpecReportsNoAdder) {
   rtl::PrimitiveTally t;
   ro.it->report(t);
   EXPECT_EQ(t.add_bits, 0);
+}
+
+// ------------------------------------------------------------------
+// Algorithms over the iterators no bench_stats_gate scenario places
+// ------------------------------------------------------------------
+
+/// FillFsm through a forward vector output iterator, CopyFsm from a FIFO
+/// through a backward vector output iterator, and ReduceFsm over a
+/// forward vector input iterator.  The reduce never transfers: a vector
+/// raises rvalid only for the cycle after a read, and the algorithm
+/// raises read only once rvalid is high.
+struct VectorAlgoTb : Module {
+  static constexpr int kLen = 8;
+  AlgoWires fill_ctl, copy_ctl, reduce_ctl;
+  RandomWires fill_rw, copy_rw, reduce_rw;
+  IterWires fill_iw, copy_iw, reduce_iw;
+  StreamWires src_w;
+  Bus sum;
+  VectorContainer fill_vec, copy_vec, reduce_vec;
+  VectorSeqIterator fill_it, copy_it, reduce_it;
+  CoreStreamContainer src;
+  StreamInputIterator src_it;
+  tb::StreamFeeder feeder;
+  FillFsm fill;
+  CopyFsm copy;
+  ReduceFsm reduce;
+
+  VectorAlgoTb()
+      : Module(nullptr, "tb"),
+        fill_ctl(*this, "fill"),
+        copy_ctl(*this, "copy"),
+        reduce_ctl(*this, "reduce"),
+        fill_rw(*this, "fv", 8, 3),
+        copy_rw(*this, "cv", 8, 3),
+        reduce_rw(*this, "rv", 8, 3),
+        fill_iw(*this, "fit", 8, 3),
+        copy_iw(*this, "cit", 8, 3),
+        reduce_iw(*this, "rit", 8, 3),
+        src_w(*this, "src", 8, 4),
+        sum(*this, "sum", 8),
+        fill_vec(this, "fill_vec", {.elem_bits = 8, .length = kLen},
+                 fill_rw.impl()),
+        copy_vec(this, "copy_vec", {.elem_bits = 8, .length = kLen},
+                 copy_rw.impl()),
+        reduce_vec(this, "reduce_vec", {.elem_bits = 8, .length = kLen},
+                   reduce_rw.impl()),
+        fill_it(this, "fill_it",
+                {.traversal = Traversal::Forward, .role = IterRole::Output},
+                {.length = kLen}, fill_rw.client(), fill_iw),
+        copy_it(this, "copy_it",
+                {.traversal = Traversal::Backward, .role = IterRole::Output},
+                {.length = kLen, .start_pos = kLen - 1}, copy_rw.client(),
+                copy_iw),
+        reduce_it(this, "reduce_it",
+                  {.traversal = Traversal::Forward, .role = IterRole::Input},
+                  {.length = kLen}, reduce_rw.client(), reduce_iw),
+        src(this, "src",
+            {.kind = ContainerKind::ReadBuffer, .elem_bits = 8, .depth = 4},
+            src_w.impl()),
+        src_it(this, "src_it",
+               {.traversal = Traversal::Forward, .role = IterRole::Input},
+               ContainerKind::ReadBuffer, src_w.consumer()),
+        feeder(this, "feeder", src_w.producer(),
+               {11, 22, 33, 44, 55, 66, 77, 88}),
+        fill(this, "fill_alg", {.count = kLen, .value = 0x5a},
+             fill_it.client(), fill_ctl.control()),
+        copy(this, "copy_alg", {.count = kLen, .out_advance = Op::Dec},
+             src_it.client(), copy_it.client(), copy_ctl.control()),
+        reduce(this, "reduce_alg",
+               {.count = kLen, .op = ops_lib::sum(8)}, reduce_it.client(),
+               sum, reduce_ctl.control()) {}
+
+  void start(bool v) {
+    fill_ctl.start.write(v);
+    copy_ctl.start.write(v);
+    reduce_ctl.start.write(v);
+  }
+};
+
+/// rbuffer -> copy -> wbuffer of 24-bit elements over 8-bit FIFO lanes,
+/// through the width-adapting iterators.
+struct WidthCopyTb : Module {
+  static constexpr int kElems = 6, kLanes = 3;
+  StreamWires rb_w, wb_w;
+  AlgoWires ctl;
+  std::unique_ptr<Container> rbuf, wbuf;
+  std::unique_ptr<Iterator> it_in, it_out;
+  std::unique_ptr<CopyFsm> copy;
+  tb::StreamFeeder feeder;
+  tb::StreamDrainer drainer;
+
+  static std::vector<Word> lanes() {
+    std::vector<Word> v;
+    for (int i = 0; i < kElems * kLanes; ++i)
+      v.push_back(static_cast<Word>(i * 37 + 11) & 0xff);
+    return v;
+  }
+
+  WidthCopyTb()
+      : Module(nullptr, "tb"),
+        rb_w(*this, "rb", 8, 16),
+        wb_w(*this, "wb", 8, 16),
+        ctl(*this, "ctl"),
+        feeder(this, "feeder", rb_w.producer(), lanes()),
+        drainer(this, "drainer", wb_w.consumer()) {
+    meta::ContainerSpec rb{.name = "rbuffer",
+                           .kind = ContainerKind::ReadBuffer,
+                           .device = devices::DeviceKind::FifoCore,
+                           .elem_bits = 24,
+                           .depth = 8,
+                           .bus_bits = 8,
+                           .addr_bits = 16,
+                           .base_addr = 0,
+                           .used_methods = {},
+                           .shared_device = false};
+    meta::ContainerSpec wb = rb;
+    wb.name = "wbuffer";
+    wb.kind = ContainerKind::WriteBuffer;
+    rbuf = meta::build_stream_container(
+        this, rb, meta::StreamBuildPorts{.method = rb_w.impl()});
+    wbuf = meta::build_stream_container(
+        this, wb, meta::StreamBuildPorts{.method = wb_w.impl()});
+    it_in = meta::build_input_iterator(
+        this,
+        {.name = "rit", .traversal = Traversal::Forward,
+         .role = IterRole::Input, .used_ops = {}, .container = rb},
+        rb_w.consumer());
+    it_out = meta::build_output_iterator(
+        this,
+        {.name = "wit", .traversal = Traversal::Forward,
+         .role = IterRole::Output, .used_ops = {}, .container = wb},
+        wb_w.producer());
+    copy = std::make_unique<CopyFsm>(this, "copy", CopyFsm::Config{},
+                                     it_in->client(), it_out->client(),
+                                     ctl.control());
+  }
+
+  void start(bool v) { ctl.start.write(v); }
+};
+
+/// What a run of a testbench leaves behind: the two work counters and
+/// the waveform's size and FNV-1a hash.
+struct PathRun {
+  std::uint64_t evals, commits;
+  std::size_t vcd_size;
+  std::uint64_t vcd_hash;
+};
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Runs `bench` for `steps` edges with its algorithms started on the
+/// first, on the event or the full-sweep kernel, then calls `check()`.
+template <typename Tb, typename Check>
+PathRun run_path(Tb& bench, bool full_sweep, int steps, Check&& check) {
+  const std::string path = "test_core_vector_iter_paths.vcd";
+  PathRun out{};
+  {
+    Simulator::Options opt;
+    opt.full_sweep = full_sweep;
+    Simulator sim(bench, opt);
+    sim.open_vcd(path);
+    sim.reset();
+    bench.start(true);
+    sim.step();
+    bench.start(false);
+    sim.step(steps - 1);
+    check();
+    out.evals = sim.stats().evals;
+    out.commits = sim.stats().commits;
+  }
+  const std::string bytes = tb::slurp_and_remove(path);
+  out.vcd_size = bytes.size();
+  out.vcd_hash = fnv1a(bytes);
+  return out;
+}
+
+void expect_run(const PathRun& got, const PathRun& want, const char* what) {
+  EXPECT_EQ(got.evals, want.evals) << what;
+  EXPECT_EQ(got.commits, want.commits) << what;
+  EXPECT_EQ(got.vcd_size, want.vcd_size) << what;
+  EXPECT_EQ(got.vcd_hash, want.vcd_hash)
+      << what << ": 0x" << std::hex << got.vcd_hash;
+}
+
+// No bench_stats_gate scenario runs an algorithm over a vector or a
+// width-adapting iterator, so these pin such runs on both kernels: the
+// work counters and the waveform bytes.  The two kernels' waveforms are
+// the same bytes.
+TEST(AlgorithmPaths, VectorIteratorRunsNeverMove) {
+  const PathRun want[2] = {{150, 137, 5'132, 0x2111afc25a79d938},
+                           {1'530, 11'500, 5'132, 0x2111afc25a79d938}};
+  for (const bool full_sweep : {false, true}) {
+    VectorAlgoTb tb;
+    const PathRun got = run_path(tb, full_sweep, 24, [&] {
+      EXPECT_EQ(tb.fill.transfers(), 8u);
+      EXPECT_EQ(tb.fill_vec.bram()->mem(), std::vector<Word>(8, 0x5a));
+      EXPECT_EQ(tb.copy.transfers(), 8u);
+      EXPECT_EQ(tb.copy_vec.bram()->mem(),
+                (std::vector<Word>{88, 77, 66, 55, 44, 33, 22, 11}));
+      EXPECT_EQ(tb.reduce.transfers(), 0u);
+    });
+    expect_run(got, want[full_sweep], full_sweep ? "full sweep" : "event");
+  }
+}
+
+TEST(AlgorithmPaths, WidthAdaptingCopyRunsNeverMove) {
+  const PathRun want[2] = {{266, 314, 5'196, 0xece34d732d0a84c8},
+                           {1'410, 7'462, 5'196, 0xece34d732d0a84c8}};
+  for (const bool full_sweep : {false, true}) {
+    WidthCopyTb tb;
+    const PathRun got = run_path(tb, full_sweep, 40, [&] {
+      EXPECT_EQ(tb.drainer.got(), WidthCopyTb::lanes());
+    });
+    expect_run(got, want[full_sweep], full_sweep ? "full sweep" : "event");
+  }
 }
 
 }  // namespace

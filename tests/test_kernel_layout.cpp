@@ -492,8 +492,9 @@ TEST(ArenaFootprint, FanoutSizeRejectsForeignSignals) {
 // Signals are Bits and Buses
 // ------------------------------------------------------------------
 
-// The kernel dispatches on SigKind, so a signal has no virtual function
-// to carry a vtable for, and only Bit and Bus construct a Signal<T>.
+// Every signal stores Words, so the kernel treats all alike and a signal
+// has no virtual function to carry a vtable for; only Bit and Bus
+// construct a Signal<T>.
 static_assert(!std::is_polymorphic_v<rtl::SignalBase>);
 static_assert(!std::is_polymorphic_v<Bit>);
 static_assert(!std::is_polymorphic_v<Bus>);

@@ -89,6 +89,24 @@ TEST(Spec, IteratorValidation) {
   EXPECT_THROW(validate(is), SpecError);
 }
 
+TEST(Spec, LineBufferRejectsAnExplicitSize) {
+  // The line buffer drives no occupancy count, so a bound `size` wire
+  // would never be driven; the defaulted method set stays valid.
+  ContainerSpec s = rbuffer_fifo_spec();
+  s.device = DeviceKind::LineBuffer3;
+  EXPECT_NO_THROW(validate(s));
+  s.used_methods = {Method::Pop, Method::Empty, Method::Size};
+  try {
+    validate(s);
+    FAIL() << "a line-buffer read buffer bound an explicit size";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("used_methods"), std::string::npos)
+        << e.what();
+  }
+  s.used_methods = {Method::Pop, Method::Empty};
+  EXPECT_NO_THROW(validate(s));
+}
+
 TEST(Spec, MethodNamesRender) {
   EXPECT_EQ(to_string(Method::Pop), "pop");
   EXPECT_EQ(to_string(Method::Lookup), "lookup");

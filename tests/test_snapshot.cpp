@@ -11,8 +11,9 @@
 //     values — even internal module state that on_reset() deliberately
 //     leaves alone — so reset-after-restore equals a fresh construct;
 //   * corrupted blobs (truncated, bad magic, wrong version, topology
-//     mismatch, a device scalar out of range, a next edge other than
-//     the domain's first after the tick) fail loudly with actionable
+//     mismatch, a device or SRAM-container scalar out of range, a
+//     signal value its width cannot hold, a next edge other than the
+//     domain's first after the tick) fail loudly with actionable
 //     messages and never leave the simulator half-restored;
 //   * the construction baseline elides all-zero memories, while blobs
 //     keep every byte (an SRAM-bound blob is pinned), and reset() still
@@ -37,6 +38,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/stream_sram.hpp"
 #include "designs/design.hpp"
 #include "devices/fifo.hpp"
 #include "devices/sram.hpp"
@@ -1022,14 +1024,14 @@ TEST(StateCodec, BulkArraysEncodeExactlyLikeByteWiseFields) {
   for (std::size_t i = 0; i < mem.size(); ++i)
     mem[i] = 0x0123456789abcdefull * (i + 1);
   const std::int32_t ids[3] = {0, 7, 0x01020304};
-  const bool flags[4] = {true, false, false, true};
+  const Word flags[4] = {1, 0, 0, 1};
 
   rtl::StateWriter w;
   w.u32(0xa1b2c3d4u);
   w.words(mem);
   w.words({});
   w.array(ids, 3);
-  w.bools(flags, 4);
+  w.bits(flags, 4);
   const std::vector<std::uint8_t> got = std::move(w).take();
 
   std::vector<std::uint8_t> want;
@@ -1039,7 +1041,7 @@ TEST(StateCodec, BulkArraysEncodeExactlyLikeByteWiseFields) {
   append_le(want, 0, 8);
   for (const std::int32_t id : ids)
     append_le(want, static_cast<std::uint32_t>(id), 4);
-  for (const bool f : flags) want.push_back(f ? 1 : 0);
+  for (const Word f : flags) want.push_back(static_cast<std::uint8_t>(f));
   ASSERT_EQ(got, want);
 
   rtl::StateReader r(got);
@@ -1053,10 +1055,9 @@ TEST(StateCodec, BulkArraysEncodeExactlyLikeByteWiseFields) {
   r.array(ids_back, 3);
   EXPECT_EQ(ids_back[1], ids[1]);
   EXPECT_EQ(ids_back[2], ids[2]);
-  bool flags_back[4] = {};
-  r.bools(flags_back, 4);
-  EXPECT_TRUE(flags_back[0] && !flags_back[1] && !flags_back[2] &&
-              flags_back[3]);
+  Word flags_back[4] = {};
+  r.bits(flags_back, 4);
+  EXPECT_TRUE(std::equal(flags, flags + 4, flags_back));
   EXPECT_EQ(r.remaining(), 0u);
 }
 
@@ -1516,6 +1517,100 @@ TEST(Snapshot, BusValueWiderThanItsSignalIsRejectedNamingTheSignal) {
   EXPECT_EQ(top.q.read(), 0xFu);
   sim.step();
   EXPECT_EQ(top.q.read(), 0u);
+}
+
+/// A toggling Bit: every state a run reaches has t = 0 or 1.
+struct ToggleTop : Module {
+  Bit t{*this, "t"};
+  ToggleTop() : Module(nullptr, "toggletop") {}
+  void on_clock() override { t.write(!t.read()); }
+  void on_reset() override { t.write(false); }
+  void declare_state() override { register_seq(t); }
+};
+
+TEST(Snapshot, BitValueOtherThanZeroOrOneIsRejectedNamingTheSignal) {
+  ToggleTop top;
+  Simulator sim(top, {});
+  sim.reset();
+  run_steps(sim, 3);
+  const std::vector<std::uint8_t> good = sim.save_snapshot().bytes();
+  // v1 layout up to the values: one domain, then the signal count and
+  // t's value, one byte.
+  const std::size_t t_at =
+      4 + 1 + 1 + 8 + 8 + 8 + 8 * 1 + 12 * 8 + (4 + 8 * 1) + 4;
+  ASSERT_EQ(good[t_at], 1u) << "value offset drifted";
+  std::vector<std::uint8_t> bad = good;
+  bad[t_at] = 2;
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bad)));
+    FAIL() << "a Bit restored the byte 2";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("signal 'toggletop.t'"));
+    EXPECT_THAT(e.what(), HasSubstr("1 bit wide"));
+    EXPECT_THAT(e.what(), HasSubstr("0x2"));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  EXPECT_EQ(sim.now(), 0u);
+  EXPECT_FALSE(top.t.read());
+  // The intact blob restores and saves back byte for byte.
+  sim.restore_snapshot(rtl::Snapshot(good));
+  EXPECT_TRUE(top.t.read());
+  EXPECT_EQ(sim.save_snapshot().bytes(), good);
+}
+
+/// Saves the 16x12 SRAM saa2vga_pattern after 300 steps with one field
+/// of its first SRAM stream container's payload (`len` little-endian
+/// bytes at `at`) patched to `v`, and expects the restore to be refused
+/// naming the container and `field`, after which the design still runs
+/// to its camera frames.
+void expect_sram_field_rejected(std::size_t at, int len, std::uint64_t v,
+                                const std::string& field) {
+  const designs::Saa2VgaConfig cfg = small_saa2vga(devices::DeviceKind::Sram);
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  const core::SramStreamContainer* box = nullptr;
+  top->visit([&](Module& m) {
+    if (box == nullptr)
+      box = dynamic_cast<const core::SramStreamContainer*>(&m);
+  });
+  ASSERT_NE(box, nullptr);
+  Simulator sim(*top, {});
+  sim.reset();
+  sim.step(300);
+  std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+  rtl::StateWriter w;
+  box->save_state(w);
+  const std::vector<std::uint8_t> payload = std::move(w).take();
+  const auto it =
+      std::search(bytes.begin(), bytes.end(), payload.begin(), payload.end());
+  ASSERT_NE(it, bytes.end()) << "the container's payload is not in the blob";
+  const auto pos = static_cast<std::size_t>(it - bytes.begin()) + at;
+  for (int i = 0; i < len; ++i)
+    bytes[pos + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bytes)));
+    FAIL() << "an SRAM container restored " << field << " = " << v;
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("module '" + box->full_name() + "'"));
+    EXPECT_THAT(e.what(), HasSubstr(field + " = "));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  expect_runs_to_camera_frames(sim, *top, cfg);
+}
+
+// SramStreamContainer payload: state_ u32, then head_, tail_ and count_
+// as i64.
+TEST(Snapshot, SramContainerHeadOutsideItsCapacityIsRejected) {
+  expect_sram_field_rejected(4, 8, std::uint64_t{1} << 30, "head_");
+}
+
+TEST(Snapshot, SramContainerNegativeCountIsRejected) {
+  expect_sram_field_rejected(20, 8, static_cast<std::uint64_t>(-5),
+                             "count_");
+}
+
+TEST(Snapshot, SramContainerUnknownStateIsRejected) {
+  expect_sram_field_rejected(0, 4, 77, "state_");
 }
 
 }  // namespace
