@@ -12,6 +12,7 @@
 #include <string>
 
 #include "designs/design.hpp"
+#include "designs/saa2vga_shared.hpp"
 #include "rtl/simulator.hpp"
 #include "rtl/vcd.hpp"
 
@@ -308,12 +309,15 @@ std::uint64_t fnv1a(const std::string& bytes) {
 // The other byte-identity tests compare two runs of one build (two
 // kernels, traced and untraced), so a change that moves both sides
 // passes them.  This one pins the bytes themselves: the size and FNV-1a
-// hash of three waveforms.  They were last re-pinned when the stream
-// iterators dissolved: the designs lost the iterators' renaming wires
-// and gained their tie-off wires under the iterator scopes, so the
-// header and the id numbering moved.  Every signal both versions have
-// changes at the same ticks to the same values (test_dissolution.cpp
-// checks that against recordings of the earlier designs).
+// hash of one waveform per saa2vga binding (FIFO, SRAM, dual-clock,
+// shared SRAM and a two-lane tri-clock farm), so a refactor of the
+// pattern designs that moves their elaboration order is caught here.
+// The first three were last re-pinned when the stream iterators
+// dissolved: the designs lost the iterators' renaming wires and gained
+// their tie-off wires under the iterator scopes, so the header and the
+// id numbering moved.  Every signal both versions have changes at the
+// same ticks to the same values (test_dissolution.cpp checks that
+// against recordings of the earlier designs).
 TEST(Vcd, WaveformBytesNeverMove) {
   struct Pin {
     const char* name;
@@ -334,6 +338,12 @@ TEST(Vcd, WaveformBytesNeverMove) {
       {"triclk_2lane_16x12_5to2to3",
        designs::make_saa2vga_triclk({.width = 16, .height = 12, .lanes = 2}),
        98'385, 0xc454fbba6ed96502},
+      {"dualclk_16x12",
+       designs::make_saa2vga_dualclk({.width = 16, .height = 12}),
+       46'494, 0xe3dda80cabcbab3b},
+      {"shared_16x12",
+       designs::make_saa2vga_shared({.width = 16, .height = 12}),
+       91'686, 0xdcc4c832c774b4c5},
   };
   for (Pin& p : pins) {
     const std::string bytes =
