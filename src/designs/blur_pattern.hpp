@@ -36,8 +36,6 @@ class BlurPattern : public VideoDesign {
   }
   [[nodiscard]] bool finished() const override;
 
-  [[nodiscard]] const core::Iterator& rbuffer_it() const { return it_in_; }
-
  private:
   BlurConfig cfg_;
   rtl::Bit sof_;

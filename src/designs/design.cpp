@@ -7,8 +7,23 @@
 #include "designs/saa2vga_dualclk.hpp"
 #include "designs/saa2vga_pattern.hpp"
 #include "designs/saa2vga_triclk.hpp"
+#include "video/frame.hpp"
 
 namespace hwpat::designs {
+
+std::vector<video::Frame> camera_frames(int w, int h, int frames,
+                                        unsigned seed) {
+  std::vector<video::Frame> v;
+  v.reserve(static_cast<std::size_t>(frames));
+  for (int i = 0; i < frames; ++i) {
+    switch (i % 3) {
+      case 0: v.push_back(video::noise(w, h, seed + static_cast<unsigned>(i))); break;
+      case 1: v.push_back(video::gradient(w, h)); break;
+      default: v.push_back(video::checkerboard(w, h)); break;
+    }
+  }
+  return v;
+}
 
 std::unique_ptr<VideoDesign> make_saa2vga_pattern(
     const Saa2VgaConfig& cfg) {

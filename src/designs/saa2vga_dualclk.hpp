@@ -1,4 +1,4 @@
-// saa2vga, dual-clock: the pattern-based pipeline of Fig. 3 split
+// saa2vga, dual-clock: the model of Fig. 3 (saa2vga_lane.hpp) split
 // across the two clocks a real video board has — the decoder/VGA pixel
 // clock and the (faster) memory/processing clock:
 //
@@ -6,25 +6,20 @@
 //                                (CDC)               (CDC)
 //   memory domain:   ══rbuffer_it══► copy ══wbuffer_it══►
 //
-// The model is the *same* CopyFsm + iterator pair as the single-clock
-// Saa2VgaPattern; what changed is only the binding: both buffers are
-// rebound to DeviceKind::AsyncFifoCore (the dual-clock gray-pointer
-// FIFO), their producer/consumer halves assigned to the pixel and
-// memory domains, and the copy loop clocked by the memory domain.
-// That is the paper's reuse claim extended across a clock-domain
-// crossing: retargeting to a multi-clock platform touches the spec
-// layer, not the model.
+// The model is the *same* lane as the single-clock Saa2VgaPattern;
+// only the binding changed: both buffers are bound to
+// DeviceKind::AsyncFifoCore (the dual-clock gray-pointer FIFO), and the
+// copy side — the iterators, the copy loop and the buffers' inner
+// halves — is assigned the memory domain.  That is the paper's reuse
+// claim extended across a clock-domain crossing: retargeting to a
+// multi-clock platform touches the binding, not the model.
 //
 // End-to-end backpressure (decoder respects `full`, vga pops on
 // `!empty`) makes the pipeline lossless at *any* clock ratio, including
 // coprime ones — the CDC tests sweep 1:1, 1:3, 3:1 and 3:7.
 #pragma once
 
-#include "core/algorithm.hpp"
-#include "core/iterator.hpp"
-#include "designs/design.hpp"
-#include "meta/factory.hpp"
-#include "rtl/clock.hpp"
+#include "designs/saa2vga_lane.hpp"
 
 namespace hwpat::designs {
 
@@ -32,39 +27,22 @@ class Saa2VgaDualClk : public VideoDesign {
  public:
   explicit Saa2VgaDualClk(const Saa2VgaDualClkConfig& cfg);
 
-  void eval_comb() override;
+  void eval_comb() override { lane_.start(); }
   // Pure combinational top (drives the constant start strobe only).
   void declare_state() override { declare_comb_only(); }
 
   [[nodiscard]] const video::VgaSink& sink() const override {
-    return vga_;
+    return lane_.sink();
   }
   [[nodiscard]] const video::VideoSource& source() const override {
-    return src_;
+    return lane_.source();
   }
-  [[nodiscard]] bool finished() const override;
-
-  [[nodiscard]] const rtl::ClockDomain& pix_domain() const {
-    return pix_dom_;
-  }
-  [[nodiscard]] const rtl::ClockDomain& mem_domain() const {
-    return mem_dom_;
-  }
+  [[nodiscard]] bool finished() const override { return lane_.finished(); }
 
  private:
-  Saa2VgaDualClkConfig cfg_;
   rtl::ClockDomain pix_dom_;
   rtl::ClockDomain mem_dom_;
-  rtl::Bit sof_;
-  core::StreamWires rb_w_, wb_w_;
-  core::AlgoWires ctl_;
-  std::unique_ptr<core::Container> rbuf_;
-  std::unique_ptr<core::Container> wbuf_;
-  std::unique_ptr<core::Iterator> it_in_;
-  std::unique_ptr<core::Iterator> it_out_;
-  std::unique_ptr<core::CopyFsm> copy_;
-  video::VideoSource src_;
-  video::VgaSink vga_;
+  Saa2VgaLane lane_;
 };
 
 }  // namespace hwpat::designs

@@ -1,6 +1,7 @@
 #include "designs/variants.hpp"
 
 #include "common/error.hpp"
+#include "designs/saa2vga_lane.hpp"
 #include "meta/spec.hpp"
 #include "meta/sweep_grid.hpp"
 
@@ -38,17 +39,12 @@ DeviceKind parse_device(const std::string& s) {
                   "' is not a device token (fifo|sram)");
 }
 
-/// Mirrors saa2vga_pattern.cpp's read-side buffer spec so the grid can
-/// run the metamodel validator before elaborating anything.
-void validate_buffer(const Saa2VgaConfig& cfg) {
-  meta::ContainerSpec s;
-  s.name = "rbuffer";
-  s.kind = core::ContainerKind::ReadBuffer;
-  s.device = cfg.device;
-  s.elem_bits = 8;
-  s.depth = cfg.buffer_depth;
-  s.used_methods = {meta::Method::Pop, meta::Method::Empty};
-  meta::validate(s);
+/// Runs the metamodel validator over the variant's buffer specs before
+/// anything is elaborated.
+void validate_buffers(const Saa2VgaConfig& cfg) {
+  for (const bool read_side : {true, false})
+    meta::validate(saa2vga_buffer_spec(
+        {.device = cfg.device, .depth = cfg.buffer_depth}, read_side));
   // A depth smaller than a frame is legal (the stream just
   // backpressures), but the frame itself must have area.
   if (cfg.width <= 0 || cfg.height <= 0)
@@ -87,7 +83,7 @@ std::vector<rtl::SweepJob> saa2vga_sweep(const Saa2VgaSweepGrid& grid) {
     cfg.device = parse_device(p.at(axes, "device"));
     cfg.frames = grid.frames;
     cfg.pattern_seed = grid.pattern_seed;
-    validate_buffer(cfg);
+    validate_buffers(cfg);
 
     rtl::SweepJob job;
     job.name = "saa2vga_w" + std::to_string(cfg.width) + "_h" +
