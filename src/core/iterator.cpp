@@ -126,23 +126,23 @@ void StreamOutputIterator::on_clock_check() const {
 }
 
 // ---------------------------------------------------------------------
-// VectorRandomIterator
+// VectorIterator
 // ---------------------------------------------------------------------
 
-VectorRandomIterator::VectorRandomIterator(Module* parent, std::string name,
-                                           Spec spec, RandomClient rc,
-                                           IterWires& w, int length)
+VectorIterator::VectorIterator(Module* parent, std::string name, Spec spec,
+                               RandomClient rc, IterWires& w, int length,
+                               Word start_pos)
     : Iterator(parent, std::move(name), spec, ContainerKind::Vector),
-      rc_(rc),
       w_(w),
-      length_(length) {
-  if (this->spec().traversal != Traversal::Random)
-    throw SpecError("iterator '" + this->name() +
-                    "': VectorRandomIterator requires random traversal");
+      length_(length),
+      rc_(rc),
+      start_pos_(start_pos),
+      pos_(start_pos) {
   HWPAT_ASSERT(length_ >= 1);
+  HWPAT_ASSERT(start_pos_ < static_cast<Word>(length_));
 }
 
-void VectorRandomIterator::eval_comb() {
+void VectorIterator::eval_comb() {
   w_.ready.write(rc_.ready.read());
   w_.rvalid.write(rc_.rvalid.read());
   w_.rdata.write(rc_.rdata.read());
@@ -152,24 +152,47 @@ void VectorRandomIterator::eval_comb() {
   rc_.write.write(w_.write.read() && rc_.ready.read());
 }
 
-void VectorRandomIterator::on_clock() {
+void VectorIterator::check_access() const {
   guard_strobes(w_.client());
   if ((w_.read.read() || w_.write.read()) && !rc_.ready.read())
     throw ProtocolError("iterator '" + full_name() +
                         "': access while container busy");
-  if (w_.index_op.read()) {
-    const Word np = w_.index_pos.read();
-    if (np >= static_cast<Word>(length_))
-      throw ProtocolError("iterator '" + full_name() + "': index " +
-                          std::to_string(np) + " out of range");
-    if (np != pos_) {
-      pos_ = np;
-      seq_touch();
-    }
-  }
 }
 
-void VectorRandomIterator::on_reset() { pos_ = 0; }
+void VectorIterator::move_to(Word p) {
+  if (p == pos_) return;
+  pos_ = p;
+  seq_touch();
+}
+
+void VectorIterator::save_state(rtl::StateWriter& w) const { w.word(pos_); }
+
+void VectorIterator::load_state(rtl::StateReader& r) {
+  pos_ = static_cast<Word>(r.i32_in(0, length_ - 1, "pos_"));
+}
+
+// ---------------------------------------------------------------------
+// VectorRandomIterator
+// ---------------------------------------------------------------------
+
+VectorRandomIterator::VectorRandomIterator(Module* parent, std::string name,
+                                           Spec spec, RandomClient rc,
+                                           IterWires& w, int length)
+    : VectorIterator(parent, std::move(name), spec, rc, w, length, 0) {
+  if (this->spec().traversal != Traversal::Random)
+    throw SpecError("iterator '" + this->name() +
+                    "': VectorRandomIterator requires random traversal");
+}
+
+void VectorRandomIterator::on_clock() {
+  check_access();
+  if (!w_.index_op.read()) return;
+  const Word np = w_.index_pos.read();
+  if (np >= static_cast<Word>(length_))
+    throw ProtocolError("iterator '" + full_name() + "': index " +
+                        std::to_string(np) + " out of range");
+  move_to(np);
+}
 
 void VectorRandomIterator::report(rtl::PrimitiveTally& t) const {
   const int pbits = std::max(1, clog2(static_cast<Word>(length_)));
@@ -189,44 +212,24 @@ void VectorRandomIterator::report(rtl::PrimitiveTally& t) const {
 VectorSeqIterator::VectorSeqIterator(Module* parent, std::string name,
                                      Spec spec, Config cfg, RandomClient rc,
                                      IterWires& w)
-    : Iterator(parent, std::move(name), spec, ContainerKind::Vector),
-      cfg_(cfg),
-      rc_(rc),
-      w_(w),
-      pos_(cfg.start_pos) {
+    : VectorIterator(parent, std::move(name), spec, rc, w, cfg.length,
+                     cfg.start_pos) {
   if (this->spec().traversal == Traversal::Random)
     throw SpecError("iterator '" + this->name() +
                     "': VectorSeqIterator requires sequential traversal");
-  HWPAT_ASSERT(cfg_.length >= 1);
-  HWPAT_ASSERT(cfg_.start_pos < static_cast<Word>(cfg_.length));
-}
-
-void VectorSeqIterator::eval_comb() {
-  w_.ready.write(rc_.ready.read());
-  w_.rvalid.write(rc_.rvalid.read());
-  w_.rdata.write(rc_.rdata.read());
-  rc_.addr.write(pos_);
-  rc_.wdata.write(w_.wdata.read());
-  rc_.read.write(w_.read.read() && rc_.ready.read());
-  rc_.write.write(w_.write.read() && rc_.ready.read());
 }
 
 void VectorSeqIterator::on_clock() {
-  guard_strobes(w_.client());
-  if ((w_.read.read() || w_.write.read()) && !rc_.ready.read())
-    throw ProtocolError("iterator '" + full_name() +
-                        "': access while container busy");
-  const auto len = static_cast<Word>(cfg_.length);
-  const Word pre = pos_;
-  if (w_.inc.read()) pos_ = (pos_ + 1) % len;
-  if (w_.dec.read()) pos_ = (pos_ + len - 1) % len;
-  if (pos_ != pre) seq_touch();
+  check_access();
+  const auto len = static_cast<Word>(length_);
+  Word p = position();
+  if (w_.inc.read()) p = (p + 1) % len;
+  if (w_.dec.read()) p = (p + len - 1) % len;
+  move_to(p);
 }
 
-void VectorSeqIterator::on_reset() { pos_ = cfg_.start_pos; }
-
 void VectorSeqIterator::report(rtl::PrimitiveTally& t) const {
-  const int pbits = std::max(1, clog2(static_cast<Word>(cfg_.length)));
+  const int pbits = std::max(1, clog2(static_cast<Word>(length_)));
   t.regs(pbits);  // the position register of the ConcreteIterator
   // Dead-operation elimination: the increment/decrement datapath exists
   // only for the operations the design uses.
@@ -240,23 +243,6 @@ void VectorSeqIterator::report(rtl::PrimitiveTally& t) const {
   }
   if (ops().contains(Op::Inc) && ops().contains(Op::Dec)) t.mux2(pbits);
   t.depth(2);
-}
-
-
-void VectorRandomIterator::save_state(rtl::StateWriter& w) const {
-  w.word(pos_);
-}
-
-void VectorRandomIterator::load_state(rtl::StateReader& r) {
-  pos_ = r.word();
-}
-
-void VectorSeqIterator::save_state(rtl::StateWriter& w) const {
-  w.word(pos_);
-}
-
-void VectorSeqIterator::load_state(rtl::StateReader& r) {
-  pos_ = r.word();
 }
 
 }  // namespace hwpat::core

@@ -106,39 +106,59 @@ class StreamOutputIterator : public Iterator {
   IterClient client_;
 };
 
-/// Random iterator over a vector container: read/write/index (Table 2
-/// grants random iterators no inc/dec — sequential traversal of a
-/// vector uses VectorSeqIterator instead).
-class VectorRandomIterator : public Iterator {
+/// Common base of the vector iterators: a position register, the
+/// combinational pass-through from the client wires to the container's
+/// random port at that position, and the check that no access is
+/// strobed while the container is busy.
+class VectorIterator : public Iterator {
  public:
-  VectorRandomIterator(Module* parent, std::string name, Spec spec,
-                       RandomClient rc, IterWires& w, int length);
-
   [[nodiscard]] IterClient client() override { return w_.client(); }
   void eval_comb() override;
-  void on_clock() override;
-  void on_reset() override;
+  void on_reset() override { pos_ = start_pos_; }
   // The position register is internal state read by eval_comb();
   // on_clock() reports its changes via seq_touch().
   void declare_state() override { declare_seq_state(); }
   void save_state(rtl::StateWriter& w) const override;
   void load_state(rtl::StateReader& r) override;
-  void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] Word position() const { return pos_; }
 
+ protected:
+  VectorIterator(Module* parent, std::string name, Spec spec,
+                 RandomClient rc, IterWires& w, int length, Word start_pos);
+
+  /// guard_strobes(), then ProtocolError on a read or write strobed
+  /// while the container is busy.
+  void check_access() const;
+  /// Moves the position register to `p`, reporting a change.
+  void move_to(Word p);
+
+  IterWires& w_;
+  const int length_;
+
  private:
   RandomClient rc_;
-  IterWires& w_;
-  int length_;
-  Word pos_ = 0;
+  Word start_pos_;
+  Word pos_;
+};
+
+/// Random iterator over a vector container: read/write/index (Table 2
+/// grants random iterators no inc/dec — sequential traversal of a
+/// vector uses VectorSeqIterator instead).
+class VectorRandomIterator : public VectorIterator {
+ public:
+  VectorRandomIterator(Module* parent, std::string name, Spec spec,
+                       RandomClient rc, IterWires& w, int length);
+
+  void on_clock() override;
+  void report(rtl::PrimitiveTally& t) const override;
 };
 
 /// Sequential (forward / backward / bidirectional) iterator over a
 /// vector container.  Keeps the current position in a register and
 /// advances it with inc/dec; read/write access the element at the
 /// current position through the container's random port.
-class VectorSeqIterator : public Iterator {
+class VectorSeqIterator : public VectorIterator {
  public:
   struct Config {
     int length = 0;     ///< container length (wraps modulo length)
@@ -148,23 +168,8 @@ class VectorSeqIterator : public Iterator {
   VectorSeqIterator(Module* parent, std::string name, Spec spec,
                     Config cfg, RandomClient rc, IterWires& w);
 
-  [[nodiscard]] IterClient client() override { return w_.client(); }
-  void eval_comb() override;
   void on_clock() override;
-  void on_reset() override;
-  // Position register changes are reported via seq_touch().
-  void declare_state() override { declare_seq_state(); }
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
   void report(rtl::PrimitiveTally& t) const override;
-
-  [[nodiscard]] Word position() const { return pos_; }
-
- private:
-  Config cfg_;
-  RandomClient rc_;
-  IterWires& w_;
-  Word pos_;
 };
 
 }  // namespace hwpat::core

@@ -168,7 +168,8 @@ void VectorContainer::save_state(rtl::StateWriter& w) const {
 }
 
 void VectorContainer::load_state(rtl::StateReader& r) {
-  state_ = static_cast<State>(r.u32());
+  state_ = static_cast<State>(r.u32_in(
+      0, static_cast<std::uint32_t>(State::SramWrite), "state_"));
 }
 
 }  // namespace hwpat::core

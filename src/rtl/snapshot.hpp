@@ -273,7 +273,15 @@ class StateReader {
     return v;
   }
 
-  bool boolean() { return u8() != 0; }
+  /// StateWriter::boolean() writes 0 or 1; any other byte is one no
+  /// save produces, so it throws instead of reading as true.
+  bool boolean() {
+    const std::uint8_t b = u8();
+    if (b > 1)
+      throw SnapshotError("snapshot: boolean byte " + std::to_string(b) +
+                          " is neither 0 nor 1 — corrupted blob");
+    return b == 1;
+  }
   Word word() { return u64(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   int i32() { return static_cast<int>(i64()); }

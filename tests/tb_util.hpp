@@ -326,4 +326,26 @@ inline void pulse(Simulator& sim, Bit& bit) {
   bit.write(false);
 }
 
+/// Where module `m`'s payload starts in a snapshot blob of `top` that is
+/// `blob_size` bytes long: the module payloads end the blob, in
+/// elaboration (pre)order, each after its u32 length.  Lets a test
+/// corrupt one field of one module.
+inline std::size_t payload_offset(const rtl::Module& top,
+                                  const rtl::Module& m,
+                                  std::size_t blob_size) {
+  std::size_t tail = 0;
+  std::size_t before = 0;
+  bool seen = false;
+  top.visit([&](const rtl::Module& x) {
+    rtl::StateWriter w;
+    x.save_state(w);
+    if (&x == &m) seen = true;
+    if (!seen) before += 4 + w.size();
+    tail += 4 + w.size();
+  });
+  EXPECT_TRUE(seen) << m.full_name() << " is not in the tree of "
+                    << top.full_name();
+  return blob_size - tail + before + 4;
+}
+
 }  // namespace hwpat::tb

@@ -2,7 +2,11 @@
 // and random iterators over the vector container, including the
 // dead-operation-elimination resource effects, and the algorithms run
 // over vector and width-adapting iterators.
+#include <gmock/gmock.h>
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "core/algorithm.hpp"
 #include "core/iterator.hpp"
@@ -17,6 +21,7 @@ namespace {
 
 using rtl::Module;
 using rtl::Simulator;
+using ::testing::HasSubstr;
 
 struct VecIterTb : Module {
   static constexpr int kLen = 8;
@@ -164,6 +169,50 @@ TEST(VectorRandomIter, IncIsNotAnOperationOfRandomIterators) {
   sim.reset();
   tb.iw.inc.write(true);
   EXPECT_THROW(sim.step(), ProtocolError);
+}
+
+/// Saves `tb` after one write through its iterator with `len`
+/// little-endian bytes at offset `at` of module `m`'s payload patched to
+/// `v`, and expects the restore to be refused naming `m` and `field`.
+void expect_field_rejected(VecIterTb& tb, const Module& m, std::size_t at,
+                           int len, std::uint64_t v,
+                           const std::string& field) {
+  Simulator sim(tb);
+  sim.reset();
+  tb.iter_write(sim, 0x5A);
+  sim.settle();
+  std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+  const std::size_t pos = tb::payload_offset(tb, m, bytes.size()) + at;
+  for (int i = 0; i < len; ++i)
+    bytes[pos + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bytes)));
+    FAIL() << m.full_name() << " restored " << field << " = " << v;
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("module '" + m.full_name() + "'"));
+    EXPECT_THAT(e.what(), HasSubstr(field + " = " + std::to_string(v)));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+}
+
+// A vector iterator's position payload is one i64 below the length.
+TEST(VectorSeqIter, RestoredPositionAtTheLengthIsRejected) {
+  VecIterTb tb;
+  expect_field_rejected(tb, *tb.it, 0, 8, VecIterTb::kLen, "pos_");
+}
+
+TEST(VectorRandomIter, RestoredPositionPastTheLengthIsRejected) {
+  VecIterTb tb({.traversal = Traversal::Random,
+                .role = IterRole::InputOutput},
+               /*random=*/true);
+  expect_field_rejected(tb, *tb.it, 0, 8, 1000, "pos_");
+}
+
+// The container's payload is its state as a u32 (Idle .. SramWrite).
+TEST(VectorContainer, RestoredUnknownStateIsRejected) {
+  VecIterTb tb;
+  expect_field_rejected(tb, tb.vec, 0, 4, 77, "state_");
 }
 
 TEST(VectorSeqIter, DeadOpEliminationShrinksDatapath) {

@@ -1613,5 +1613,35 @@ TEST(Snapshot, SramContainerUnknownStateIsRejected) {
   expect_sram_field_rejected(0, 4, 77, "state_");
 }
 
+// StateWriter::boolean() writes 0 or 1, so any other byte is a
+// corrupted blob, not a flag that reads as true and saves back as 1.
+TEST(Snapshot, BooleanByteOtherThanZeroOrOneIsRejectedNamingTheModule) {
+  const designs::Saa2VgaConfig cfg = small_saa2vga(devices::DeviceKind::Sram);
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  const Module* copy = nullptr;
+  top->visit([&](Module& m) {
+    if (m.name() == "copy") copy = &m;
+  });
+  ASSERT_NE(copy, nullptr);
+  Simulator sim(*top, {});
+  sim.reset();
+  sim.step(300);
+  std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+  // Algorithm payload: running_ (one byte), then transfers_.
+  const std::size_t running_at =
+      tb::payload_offset(*top, *copy, bytes.size());
+  ASSERT_LE(bytes[running_at], 1u) << "running_ offset drifted";
+  bytes[running_at] = 2;
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bytes)));
+    FAIL() << "a boolean byte 2 was restored";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("module 'saa2vga_pattern.copy'"));
+    EXPECT_THAT(e.what(), HasSubstr("boolean byte 2"));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  expect_runs_to_camera_frames(sim, *top, cfg);
+}
+
 }  // namespace
 }  // namespace hwpat
