@@ -4,7 +4,7 @@
 //           ==wbuffer_it==> wbuffer --> vga
 //
 // Both iterators dissolve: blur drives and reads the buffers' own
-// method wires (see saa2vga_pattern.hpp).
+// method wires (see saa2vga_lane.hpp).
 //
 // "The rbuffer container, instead of a simple FIFO has been mapped over
 // a special one ... structured to provide 3 pixels in a column for each

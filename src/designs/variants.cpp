@@ -39,12 +39,12 @@ DeviceKind parse_device(const std::string& s) {
                   "' is not a device token (fifo|sram)");
 }
 
-/// Runs the metamodel validator over the variant's buffer specs before
-/// anything is elaborated.
-void validate_buffers(const Saa2VgaConfig& cfg) {
-  for (const bool read_side : {true, false})
-    meta::validate(saa2vga_buffer_spec(
-        {.device = cfg.device, .depth = cfg.buffer_depth}, read_side));
+/// Runs the metamodel validator over the variant's read-buffer spec
+/// (the write buffer has the same device and depth) before anything is
+/// elaborated.
+void validate_buffer(const Saa2VgaConfig& cfg) {
+  meta::validate(saa2vga_buffer_spec(
+      {.device = cfg.device, .depth = cfg.buffer_depth}, true));
   // A depth smaller than a frame is legal (the stream just
   // backpressures), but the frame itself must have area.
   if (cfg.width <= 0 || cfg.height <= 0)
@@ -83,7 +83,7 @@ std::vector<rtl::SweepJob> saa2vga_sweep(const Saa2VgaSweepGrid& grid) {
     cfg.device = parse_device(p.at(axes, "device"));
     cfg.frames = grid.frames;
     cfg.pattern_seed = grid.pattern_seed;
-    validate_buffers(cfg);
+    validate_buffer(cfg);
 
     rtl::SweepJob job;
     job.name = "saa2vga_w" + std::to_string(cfg.width) + "_h" +

@@ -1373,13 +1373,8 @@ TEST(Snapshot, FailedRestoreOfAReshapedSinkFrameStillResets) {
 
   // The sink's payload: collected-frame count u32 (0 here), then the
   // frame being assembled, width first.
-  rtl::StateWriter w;
-  top->sink().save_state(w);
-  const std::vector<std::uint8_t> payload = std::move(w).take();
-  const auto it =
-      std::search(bytes.begin(), bytes.end(), payload.begin(), payload.end());
-  ASSERT_NE(it, bytes.end()) << "the sink's payload is not in the blob";
-  const std::size_t at = static_cast<std::size_t>(it - bytes.begin());
+  const std::size_t at =
+      tb::payload_offset(*top, top->sink(), bytes.size());
   ASSERT_EQ(bytes[at], 0u) << "a frame was collected before the snapshot";
   ASSERT_EQ(bytes[at + 4], 16u) << "the frame width is not where expected";
   const std::size_t width_at = at + 4;
@@ -1444,17 +1439,8 @@ TEST(Snapshot, OutOfRangeDeviceScalarIsRejectedNamingTheField) {
   sim.reset();
   run_steps(sim, 6);
   std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
-  // The FIFO is the last module in elaboration order, so its payload —
-  // head, count, then the memory — ends the blob.
-  rtl::StateWriter w;
-  top.fifo.save_state(w);
-  const std::vector<std::uint8_t> payload = std::move(w).take();
-  ASSERT_GE(bytes.size(), payload.size());
-  const std::size_t at = bytes.size() - payload.size();
-  ASSERT_TRUE(std::equal(payload.begin(), payload.end(), bytes.begin() +
-                         static_cast<std::ptrdiff_t>(at)))
-      << "the FIFO payload no longer ends the blob; this test no longer "
-         "reaches the FIFO's count";
+  // FIFO payload: head, count, then the memory.
+  const std::size_t at = tb::payload_offset(top, top.fifo, bytes.size());
   const std::uint64_t count = 4 + 1;  // depth + 1
   for (int i = 0; i < 8; ++i)
     bytes[at + 8 + static_cast<std::size_t>(i)] =
@@ -1577,13 +1563,7 @@ void expect_sram_field_rejected(std::size_t at, int len, std::uint64_t v,
   sim.reset();
   sim.step(300);
   std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
-  rtl::StateWriter w;
-  box->save_state(w);
-  const std::vector<std::uint8_t> payload = std::move(w).take();
-  const auto it =
-      std::search(bytes.begin(), bytes.end(), payload.begin(), payload.end());
-  ASSERT_NE(it, bytes.end()) << "the container's payload is not in the blob";
-  const auto pos = static_cast<std::size_t>(it - bytes.begin()) + at;
+  const std::size_t pos = tb::payload_offset(*top, *box, bytes.size()) + at;
   for (int i = 0; i < len; ++i)
     bytes[pos + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(v >> (8 * i));
