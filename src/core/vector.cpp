@@ -170,6 +170,15 @@ void VectorContainer::save_state(rtl::StateWriter& w) const {
 void VectorContainer::load_state(rtl::StateReader& r) {
   state_ = static_cast<State>(r.u32_in(
       0, static_cast<std::uint32_t>(State::SramWrite), "state_"));
+  // Each binding reaches only its own states; on a BRAM binding the
+  // SRAM states would read a memory port that does not exist.
+  const bool sram_state =
+      state_ == State::SramRead || state_ == State::SramWrite;
+  if (state_ != State::Idle && sram_state != has_mem_)
+    throw SnapshotError(
+        "snapshot: state_ = " + std::to_string(static_cast<int>(state_)) +
+        " is not a state of the " + (has_mem_ ? "SRAM" : "BRAM") +
+        " binding — corrupted blob");
 }
 
 }  // namespace hwpat::core

@@ -209,10 +209,13 @@ TEST(VectorRandomIter, RestoredPositionPastTheLengthIsRejected) {
   expect_field_rejected(tb, *tb.it, 0, 8, 1000, "pos_");
 }
 
-// The container's payload is its state as a u32 (Idle .. SramWrite).
+// The container's payload is its state as a u32: Idle, BramRead,
+// SramRead, SramWrite.  A BRAM binding never reaches an SRAM state.
 TEST(VectorContainer, RestoredUnknownStateIsRejected) {
-  VecIterTb tb;
-  expect_field_rejected(tb, tb.vec, 0, 4, 77, "state_");
+  for (const std::uint64_t state : {77, 2}) {
+    VecIterTb tb;
+    expect_field_rejected(tb, tb.vec, 0, 4, state, "state_");
+  }
 }
 
 TEST(VectorSeqIter, DeadOpEliminationShrinksDatapath) {
