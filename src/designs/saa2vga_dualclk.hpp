@@ -23,26 +23,13 @@
 
 namespace hwpat::designs {
 
-class Saa2VgaDualClk : public VideoDesign {
+class Saa2VgaDualClk : public Saa2VgaSingleLane {
  public:
   explicit Saa2VgaDualClk(const Saa2VgaDualClkConfig& cfg);
-
-  void eval_comb() override { lane_.start(); }
-  // Pure combinational top (drives the constant start strobe only).
-  void declare_state() override { declare_comb_only(); }
-
-  [[nodiscard]] const video::VgaSink& sink() const override {
-    return lane_.sink();
-  }
-  [[nodiscard]] const video::VideoSource& source() const override {
-    return lane_.source();
-  }
-  [[nodiscard]] bool finished() const override { return lane_.finished(); }
 
  private:
   rtl::ClockDomain pix_dom_;
   rtl::ClockDomain mem_dom_;
-  Saa2VgaLane lane_;
 };
 
 }  // namespace hwpat::designs

@@ -64,8 +64,7 @@ void Saa2VgaLane::build(const Saa2VgaBinding& b, core::SramMaster* rmem,
        .rd_domain = b.mem});
   wbuf_ = meta::build_stream_container(
       &top_, wb_spec,
-      {.method = wb_w_.impl(), .mem = wmem, .wr_domain = b.mem,
-       .rd_domain = b.pix});
+      {.method = wb_w_.impl(), .mem = wmem, .wr_domain = b.mem});
   it_in_ = meta::build_input_iterator(
       &top_,
       {.name = lane_name("rbuffer_it", index_),
@@ -84,7 +83,6 @@ void Saa2VgaLane::build(const Saa2VgaBinding& b, core::SramMaster* rmem,
       &top_, lane_name("copy", index_), core::CopyFsm::Config{},
       it_in_->client(), it_out_->client(), ctl_.control());
   src_.set_clock_domain(b.cam);
-  vga_.set_clock_domain(b.pix);
   it_in_->set_clock_domain(b.mem);
   it_out_->set_clock_domain(b.mem);
   copy_->set_clock_domain(b.mem);

@@ -16,11 +16,11 @@
 // iterator modules only check the protocol at each edge.
 //
 // A design chooses only the Saa2VgaBinding — the buffers' device and
-// depth, whether both share one physical device, and the clock domain
-// of each stage — and builds the devices that binding needs.  The model
-// never changes: that is the paper's central reuse claim, and the four
-// saa2vga pattern designs (on-chip FIFOs or SRAMs, one shared SRAM, two
-// or three clock domains) differ in nothing else.
+// depth, whether both share one physical device, and the clock domains
+// of the camera and copy stages — and builds the devices that binding
+// needs.  The model never changes: that is the paper's central reuse
+// claim, and the four saa2vga pattern designs (on-chip FIFOs or SRAMs,
+// one shared SRAM, two or three clock domains) differ in nothing else.
 //
 // Elaboration order is part of every waveform, snapshot blob and
 // topology hash, so a lane is built in two calls: the constructor
@@ -30,6 +30,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 
 #include "core/algorithm.hpp"
 #include "core/iterator.hpp"
@@ -40,7 +41,7 @@
 namespace hwpat::designs {
 
 /// What a saa2vga design binds the model to.  A null clock domain means
-/// the top's domain.
+/// the top's domain, which also clocks the vga and wbuffer's read half.
 struct Saa2VgaBinding {
   DeviceKind device = DeviceKind::FifoCore;  ///< both buffers'
   int depth = 512;  ///< FIFO depth / SRAM region capacity
@@ -48,7 +49,6 @@ struct Saa2VgaBinding {
   const rtl::ClockDomain* cam = nullptr;  ///< decoder, rbuffer's write half
   /// The iterators, the copy loop and the buffers' copy-side halves.
   const rtl::ClockDomain* mem = nullptr;
-  const rtl::ClockDomain* pix = nullptr;  ///< wbuffer's read half, vga
 };
 
 /// The spec of lane `lane`'s read (`read_side`) or write buffer.  The
@@ -100,6 +100,34 @@ class Saa2VgaLane {
   std::unique_ptr<core::Container> rbuf_, wbuf_;
   std::unique_ptr<core::Iterator> it_in_, it_out_;
   std::unique_ptr<core::CopyFsm> copy_;
+};
+
+/// The top of a one-lane saa2vga design named `name`: its only logic is
+/// the lane's constant start strobe.  The lane is built first, so a
+/// derived design then builds its clock domains or memory devices and
+/// calls lane_.build().
+class Saa2VgaSingleLane : public VideoDesign {
+ public:
+  void eval_comb() override { lane_.start(); }
+  // Pure combinational top: no on_clock(), pruned from every
+  // activation list.
+  void declare_state() override { declare_comb_only(); }
+
+  [[nodiscard]] const video::VgaSink& sink() const override {
+    return lane_.sink();
+  }
+  [[nodiscard]] const video::VideoSource& source() const override {
+    return lane_.source();
+  }
+  [[nodiscard]] bool finished() const override { return lane_.finished(); }
+
+ protected:
+  Saa2VgaSingleLane(std::string name, int width, int height, int frames,
+                    unsigned pattern_seed)
+      : VideoDesign(nullptr, std::move(name)),
+        lane_(*this, width, height, frames, pattern_seed) {}
+
+  Saa2VgaLane lane_;
 };
 
 }  // namespace hwpat::designs

@@ -3,8 +3,8 @@
 namespace hwpat::designs {
 
 Saa2VgaPattern::Saa2VgaPattern(const Saa2VgaConfig& cfg)
-    : VideoDesign(nullptr, "saa2vga_pattern"),
-      lane_(*this, cfg.width, cfg.height, cfg.frames, cfg.pattern_seed) {
+    : Saa2VgaSingleLane("saa2vga_pattern", cfg.width, cfg.height,
+                        cfg.frames, cfg.pattern_seed) {
   const Saa2VgaBinding binding{.device = cfg.device,
                                .depth = cfg.buffer_depth};
   if (cfg.device != DeviceKind::Sram) {

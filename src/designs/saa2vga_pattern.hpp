@@ -11,24 +11,11 @@
 
 namespace hwpat::designs {
 
-class Saa2VgaPattern : public VideoDesign {
+class Saa2VgaPattern : public Saa2VgaSingleLane {
  public:
   explicit Saa2VgaPattern(const Saa2VgaConfig& cfg);
 
-  void eval_comb() override { lane_.start(); }
-  // Pure combinational top (drives the constant start strobe only).
-  void declare_state() override { declare_comb_only(); }
-
-  [[nodiscard]] const video::VgaSink& sink() const override {
-    return lane_.sink();
-  }
-  [[nodiscard]] const video::VideoSource& source() const override {
-    return lane_.source();
-  }
-  [[nodiscard]] bool finished() const override { return lane_.finished(); }
-
  private:
-  Saa2VgaLane lane_;
   // SRAM binding only (empty for the FIFO binding).
   std::unique_ptr<core::SramMasterWires> rm_, wm_;
   std::unique_ptr<devices::ExternalSram> sram_in_, sram_out_;

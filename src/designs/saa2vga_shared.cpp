@@ -4,8 +4,8 @@ namespace hwpat::designs {
 
 Saa2VgaPatternShared::Saa2VgaPatternShared(const Saa2VgaConfig& cfg,
                                            devices::ArbPolicy policy)
-    : VideoDesign(nullptr, "saa2vga_shared"),
-      lane_(*this, cfg.width, cfg.height, cfg.frames, cfg.pattern_seed),
+    : Saa2VgaSingleLane("saa2vga_shared", cfg.width, cfg.height,
+                        cfg.frames, cfg.pattern_seed),
       rm_(*this, "rm", 8, 16),
       wm_(*this, "wm", 8, 16),
       sm_(*this, "sm", 8, 16),

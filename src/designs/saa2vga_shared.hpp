@@ -18,28 +18,15 @@
 
 namespace hwpat::designs {
 
-class Saa2VgaPatternShared : public VideoDesign {
+class Saa2VgaPatternShared : public Saa2VgaSingleLane {
  public:
   explicit Saa2VgaPatternShared(const Saa2VgaConfig& cfg,
                                 devices::ArbPolicy policy =
                                     devices::ArbPolicy::RoundRobin);
 
-  void eval_comb() override { lane_.start(); }
-  // Pure combinational top (drives the constant start strobe only).
-  void declare_state() override { declare_comb_only(); }
-
-  [[nodiscard]] const video::VgaSink& sink() const override {
-    return lane_.sink();
-  }
-  [[nodiscard]] const video::VideoSource& source() const override {
-    return lane_.source();
-  }
-  [[nodiscard]] bool finished() const override { return lane_.finished(); }
-
   [[nodiscard]] const devices::SramArbiter& arbiter() const { return arb_; }
 
  private:
-  Saa2VgaLane lane_;
   core::SramMasterWires rm_, wm_, sm_;  // two masters + slave side
   devices::SramArbiter arb_;
   devices::ExternalSram sram_;

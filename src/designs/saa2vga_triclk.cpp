@@ -10,9 +10,9 @@ Saa2VgaTriClk::Saa2VgaTriClk(const Saa2VgaTriClkConfig& cfg)
       mem_dom_("mem", cfg.mem_period, cfg.mem_phase),
       pix_dom_("pix", cfg.pix_period, cfg.pix_phase) {
   HWPAT_ASSERT(cfg.lanes >= 1);
-  // The top (the comb glue) runs on the pixel clock.  All lanes share
-  // these three domains: the farm still has exactly three, each lanes×
-  // as heavy.
+  // The top (the comb glue), and with it each lane's vga and wbuffer
+  // read half, runs on the pixel clock.  All lanes share these three
+  // domains: the farm still has exactly three, each lanes× as heavy.
   set_clock_domain(&pix_dom_);
   lanes_.reserve(static_cast<std::size_t>(cfg.lanes));
   for (int i = 0; i < cfg.lanes; ++i) {
@@ -21,8 +21,7 @@ Saa2VgaTriClk::Saa2VgaTriClk(const Saa2VgaTriClkConfig& cfg)
     lanes_.back()->build({.device = DeviceKind::AsyncFifoCore,
                           .depth = cfg.cdc_depth,
                           .cam = &cam_dom_,
-                          .mem = &mem_dom_,
-                          .pix = &pix_dom_});
+                          .mem = &mem_dom_});
   }
 }
 
