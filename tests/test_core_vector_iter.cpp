@@ -5,6 +5,7 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -182,7 +183,11 @@ void expect_field_rejected(VecIterTb& tb, const Module& m, std::size_t at,
   tb.iter_write(sim, 0x5A);
   sim.settle();
   std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
-  const std::size_t pos = tb::payload_offset(tb, m, bytes.size()) + at;
+  const std::optional<std::size_t> payload =
+      tb::payload_offset(tb, m, bytes.size());
+  ASSERT_TRUE(payload) << "no " << m.full_name() << " payload in the blob";
+  const std::size_t pos = *payload + at;
+  ASSERT_LE(pos + static_cast<std::size_t>(len), bytes.size());
   for (int i = 0; i < len; ++i)
     bytes[pos + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(v >> (8 * i));

@@ -34,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -1373,8 +1374,11 @@ TEST(Snapshot, FailedRestoreOfAReshapedSinkFrameStillResets) {
 
   // The sink's payload: collected-frame count u32 (0 here), then the
   // frame being assembled, width first.
-  const std::size_t at =
+  const std::optional<std::size_t> payload =
       tb::payload_offset(*top, top->sink(), bytes.size());
+  ASSERT_TRUE(payload) << "no vga payload in the blob";
+  const std::size_t at = *payload;
+  ASSERT_LE(at + 5, bytes.size());
   ASSERT_EQ(bytes[at], 0u) << "a frame was collected before the snapshot";
   ASSERT_EQ(bytes[at + 4], 16u) << "the frame width is not where expected";
   const std::size_t width_at = at + 4;
@@ -1440,7 +1444,11 @@ TEST(Snapshot, OutOfRangeDeviceScalarIsRejectedNamingTheField) {
   run_steps(sim, 6);
   std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
   // FIFO payload: head, count, then the memory.
-  const std::size_t at = tb::payload_offset(top, top.fifo, bytes.size());
+  const std::optional<std::size_t> payload =
+      tb::payload_offset(top, top.fifo, bytes.size());
+  ASSERT_TRUE(payload) << "no FIFO payload in the blob";
+  const std::size_t at = *payload;
+  ASSERT_LE(at + 16, bytes.size());
   const std::uint64_t count = 4 + 1;  // depth + 1
   for (int i = 0; i < 8; ++i)
     bytes[at + 8 + static_cast<std::size_t>(i)] =
@@ -1563,7 +1571,11 @@ void expect_sram_field_rejected(std::size_t at, int len, std::uint64_t v,
   sim.reset();
   sim.step(300);
   std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
-  const std::size_t pos = tb::payload_offset(*top, *box, bytes.size()) + at;
+  const std::optional<std::size_t> payload =
+      tb::payload_offset(*top, *box, bytes.size());
+  ASSERT_TRUE(payload) << "no " << box->full_name() << " payload in the blob";
+  const std::size_t pos = *payload + at;
+  ASSERT_LE(pos + static_cast<std::size_t>(len), bytes.size());
   for (int i = 0; i < len; ++i)
     bytes[pos + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(v >> (8 * i));
@@ -1608,8 +1620,11 @@ TEST(Snapshot, BooleanByteOtherThanZeroOrOneIsRejectedNamingTheModule) {
   sim.step(300);
   std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
   // Algorithm payload: running_ (one byte), then transfers_.
-  const std::size_t running_at =
+  const std::optional<std::size_t> payload =
       tb::payload_offset(*top, *copy, bytes.size());
+  ASSERT_TRUE(payload) << "no copy payload in the blob";
+  const std::size_t running_at = *payload;
+  ASSERT_LT(running_at, bytes.size());
   ASSERT_LE(bytes[running_at], 1u) << "running_ offset drifted";
   bytes[running_at] = 2;
   try {
