@@ -13,7 +13,9 @@ BlockRam::BlockRam(Module* parent, std::string name, BramConfig cfg,
 }
 
 void BlockRam::preload(std::size_t offset, const std::vector<Word>& data) {
-  preload_words(*this, mem_, offset, data, cfg_.data_width);
+  check_preload_fits(*this, mem_.size(), offset, data.size());
+  for (std::size_t i = 0; i < data.size(); ++i)
+    mem_[offset + i] = truncate(data[i], cfg_.data_width);
 }
 
 void BlockRam::declare_state() {

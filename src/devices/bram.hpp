@@ -46,7 +46,7 @@ class BlockRam : public rtl::Module {
   [[nodiscard]] const BramConfig& config() const { return cfg_; }
   [[nodiscard]] const std::vector<Word>& mem() const { return mem_; }
   /// Writes data into the memory from `offset`; throws Error, writing
-  /// nothing, when it does not fit (see preload_words()).
+  /// nothing, when it does not fit (see check_preload_fits()).
   void preload(std::size_t offset, const std::vector<Word>& data);
 
  private:

@@ -45,16 +45,13 @@ DeviceTraits traits_of(DeviceKind k) {
   throw InternalError("unknown DeviceKind");
 }
 
-void preload_words(const rtl::Module& dev, std::vector<Word>& mem,
-                   std::size_t offset, const std::vector<Word>& data,
-                   int width) {
-  if (offset > mem.size() || data.size() > mem.size() - offset)
+void check_preload_fits(const rtl::Module& dev, std::size_t size,
+                        std::size_t offset, std::size_t count) {
+  if (offset > size || count > size - offset)
     throw Error("'" + dev.full_name() + "': preload of " +
-                std::to_string(data.size()) + " word(s) at offset " +
+                std::to_string(count) + " word(s) at offset " +
                 std::to_string(offset) + " does not fit its " +
-                std::to_string(mem.size()) + "-word memory");
-  for (std::size_t i = 0; i < data.size(); ++i)
-    mem[offset + i] = truncate(data[i], width);
+                std::to_string(size) + "-word memory");
 }
 
 }  // namespace hwpat::devices

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/bits.hpp"
 
@@ -40,14 +39,13 @@ struct DeviceTraits {
 
 [[nodiscard]] DeviceTraits traits_of(DeviceKind k);
 
-/// A memory device's testbench preload: writes `data` into `mem` from
-/// `offset`, each word truncated to `width` bits.  Throws Error naming
-/// `dev`'s path, the offset, the word count and the memory size when
-/// the words do not fit, and then leaves `mem` unchanged.  The check
-/// never forms offset + count, which wraps for an offset near SIZE_MAX.
-void preload_words(const rtl::Module& dev, std::vector<Word>& mem,
-                   std::size_t offset, const std::vector<Word>& data,
-                   int width);
+/// A memory device's testbench preload check, made before it writes a
+/// word: throws Error naming `dev`'s path, the offset, the word count
+/// and the memory size when `count` words from `offset` do not fit its
+/// `size`-word memory.  The check never forms offset + count, which
+/// wraps for an offset near SIZE_MAX.
+void check_preload_fits(const rtl::Module& dev, std::size_t size,
+                        std::size_t offset, std::size_t count);
 
 /// Block RAM macros needed to store `bits` on the modelled FPGA
 /// (Spartan-IIE: 4 Kbit per block RAM).

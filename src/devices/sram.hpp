@@ -13,8 +13,18 @@
 // Being off-chip, the SRAM itself consumes no FPGA resources (that is
 // why the paper's saa2vga_2 row shows 0 block RAMs); only the
 // controller logic inside containers does.
+//
+// The model keeps its 2^addr_width words in pages of 512 words (4 KiB),
+// or one page of the whole memory when it is smaller.  A page is
+// allocated, zeroed, at the first nonzero word written or preloaded
+// into it, and an absent page reads as 0, so a design that buffers a
+// few hundred pixels in a 2^16-word SRAM builds, elaborates and resets
+// at the cost of the pages it touched, not of 512 KiB.  Snapshots still
+// carry the flat image (StateWriter::paged_words()), and mem() returns
+// a flat copy of it.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "devices/device.hpp"
@@ -57,20 +67,35 @@ class ExternalSram : public rtl::Module {
   [[nodiscard]] const SramConfig& config() const { return cfg_; }
 
   /// Direct backdoor access for testbenches (load/readback images).
-  /// preload() throws Error, writing nothing, when the words do not fit
-  /// (see preload_words()).
-  [[nodiscard]] const std::vector<Word>& mem() const { return mem_; }
+  /// mem() returns a copy of all 2^addr_width words, so a caller that
+  /// inspects many takes it once.  preload() throws Error, writing
+  /// nothing, when the words do not fit (see check_preload_fits()).
+  [[nodiscard]] std::vector<Word> mem() const;
   void preload(std::size_t offset, const std::vector<Word>& data);
+
+  /// The pages allocated: those a nonzero word was written, preloaded
+  /// or restored into since construction or the last reset() (a
+  /// restore drops each page it stores as all zero).
+  [[nodiscard]] std::size_t resident_pages() const;
 
  private:
   enum class State { Idle, Busy, Turnaround };
 
   SramConfig cfg_;
   SramPorts p_;
-  std::vector<Word> mem_;
+  int page_bits_;  ///< log2 of the words per page
+  rtl::WordPages pages_;
   State state_ = State::Idle;
   int countdown_ = 0;
 
+  [[nodiscard]] std::size_t page_words() const {
+    return std::size_t{1} << page_bits_;
+  }
+  /// The word at address a (in range): 0 in an absent page.
+  [[nodiscard]] Word load(std::size_t a) const;
+  /// Stores v (truncated) at address a (in range), allocating its page
+  /// unless it is absent and v is 0.
+  void store(std::size_t a, Word v);
   void do_op();
 };
 

@@ -26,17 +26,22 @@
 // speed.
 //
 // The construction baseline uses its own encoding (Encoding::kBaseline)
-// in which an all-zero word array stores no words at all: an SRAM-bound
-// design's two 2^16-word memories are zero at elaboration, so its
-// baseline shrinks from 1 MiB to a few hundred bytes.  Blobs always use
-// the flat version-1 encoding.
+// in which an all-zero word array stores no words at all.  A paged
+// memory (paged_words(): an external SRAM's 2^addr_width words, kept in
+// pages that exist only once written) holds no page at elaboration, so
+// the baseline elides it without a scan: an SRAM-bound design's two
+// 2^16-word memories cost a few hundred baseline bytes, not 1 MiB.
+// Blobs always use the flat version-1 encoding, in which a paged
+// memory's absent pages are stored as the zeros they read as.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -83,6 +88,28 @@ void load(T* dst, const std::uint8_t* src, std::size_t n) {
 }
 
 }  // namespace le
+
+/// The OR of n words, folded in blocks of 32 (a loop compilers
+/// vectorize).  Stops after the first block whose fold has a bit of
+/// `stop` set, so a test for zero (the default) ends at the first set
+/// bit and a width check at the first word too wide.
+[[nodiscard]] inline Word or_fold(const Word* p, std::size_t n,
+                                  Word stop = ~Word{0}) {
+  constexpr std::size_t kBlock = 32;
+  Word acc = 0;
+  std::size_t i = 0;
+  for (; i + kBlock <= n && (acc & stop) == 0; i += kBlock)
+    for (std::size_t k = 0; k < kBlock; ++k) acc |= p[i + k];
+  if ((acc & stop) != 0) return acc;
+  for (; i < n; ++i) acc |= p[i];
+  return acc;
+}
+
+/// A word array kept in pages of equal length, in address order: a null
+/// page is absent and reads as zeros.  StateWriter::paged_words() and
+/// StateReader::paged_words() encode it exactly as words() and
+/// fixed_words() encode the flat image it stands for.
+using WordPages = std::vector<std::unique_ptr<Word[]>>;
 
 /// How StateWriter::words() lays out a word array.
 ///
@@ -175,16 +202,32 @@ class StateWriter {
   /// all-zero vector as the tag alone.
   void words(const std::vector<Word>& v) {
     u64(v.size());
-    if (enc_ == Encoding::kBaseline) {
-      ++tags_;
-      if (all_zero(v.data(), v.size())) {
-        u8(kWordsZero);
-        elided_ += v.size() * sizeof(Word);
-        return;
-      }
-      u8(kWordsData);
-    }
+    if (enc_ == Encoding::kBaseline &&
+        elide(or_fold(v.data(), v.size()) == 0, v.size()))
+      return;
     array(v.data(), v.size());
+  }
+
+  /// words() of the flat image of `pages` (each `page_words` long): an
+  /// absent page goes out as zeros.  The baseline encoding elides a
+  /// memory with no page without looking at a word, and scans only the
+  /// pages that exist otherwise.
+  void paged_words(const WordPages& pages, std::size_t page_words) {
+    const std::size_t n = pages.size() * page_words;
+    u64(n);
+    if (enc_ == Encoding::kBaseline) {
+      const bool zero = std::all_of(
+          pages.begin(), pages.end(), [&](const std::unique_ptr<Word[]>& p) {
+            return !p || or_fold(p.get(), page_words) == 0;
+          });
+      if (elide(zero, n)) return;
+    }
+    for (const std::unique_ptr<Word[]>& p : pages) {
+      if (p)
+        array(p.get(), page_words);
+      else
+        grow(page_words * sizeof(Word));  // zero-filled
+    }
   }
 
   /// Reserves a 4-byte length slot; patch it later with patch_u32().
@@ -211,19 +254,14 @@ class StateWriter {
   }
 
  private:
-  /// Whether all n words are zero.  OR-folds blocks of 32 words (a loop
-  /// compilers vectorize) and stops at the first block with a bit set.
-  static bool all_zero(const Word* p, std::size_t n) {
-    constexpr std::size_t kBlock = 32;
-    std::size_t i = 0;
-    for (; i + kBlock <= n; i += kBlock) {
-      Word acc = 0;
-      for (std::size_t k = 0; k < kBlock; ++k) acc |= p[i + k];
-      if (acc != 0) return false;
-    }
-    Word acc = 0;
-    for (; i < n; ++i) acc |= p[i];
-    return acc == 0;
+  /// Writes the baseline tag of an n-word array whose words are all
+  /// zero when `zero` holds, and returns `zero`: the array's words are
+  /// left out, and flat_size() counts them back in.
+  bool elide(bool zero, std::size_t n) {
+    ++tags_;
+    u8(zero ? kWordsZero : kWordsData);
+    if (zero) elided_ += n * sizeof(Word);
+    return zero;
   }
 
   /// Appends n bytes (zeroed) and returns where they start.
@@ -346,24 +384,43 @@ class StateReader {
   }
 
   /// Mirror of StateWriter::words() for a fixed-size memory, overwritten
-  /// in place.  The stored count must equal mem.size(): a memory never
-  /// changes size, so any other count means the blob was saved from a
-  /// differently sized memory (which the topology hash cannot see) or
-  /// was corrupted.
+  /// in place.  The stored count must equal mem.size() (memory_count()).
   void fixed_words(std::vector<Word>& mem) {
-    const std::uint64_t n = u64();
-    if (n != mem.size())
-      throw SnapshotError("snapshot: memory holds " +
-                          std::to_string(mem.size()) +
-                          " word(s) but the blob stores " +
-                          std::to_string(n) +
-                          " — saved from a differently sized memory, or "
-                          "corrupted");
+    memory_count(mem.size());
     if (read_elided_tag()) {
       std::fill(mem.begin(), mem.end(), Word{0});
       return;
     }
     array(mem.data(), mem.size(), "memory");
+  }
+
+  /// Mirror of StateWriter::paged_words(), with fixed_words()'s count
+  /// and truncation checks.  A page whose stored words are all zero is
+  /// dropped; only the others are allocated (or overwritten in place).
+  /// A stored word with a bit above `width` is one no write stores, so
+  /// it throws naming the word's address (its index in the flat image).
+  void paged_words(WordPages& pages, std::size_t page_words, int width) {
+    memory_count(pages.size() * page_words);
+    if (read_elided_tag()) {
+      for (std::unique_ptr<Word[]>& p : pages) p.reset();
+      return;
+    }
+    need(pages.size() * page_words, sizeof(Word), "memory");
+    const Word wide = ~mask_of(width);
+    std::unique_ptr<Word[]> spare;  // loads a page that is absent
+    for (std::size_t i = 0; i < pages.size(); ++i) {
+      std::unique_ptr<Word[]>& page = pages[i];
+      if (!page && !spare)
+        spare = std::make_unique_for_overwrite<Word[]>(page_words);
+      Word* dst = page ? page.get() : spare.get();
+      array(dst, page_words, "memory");
+      const Word acc = or_fold(dst, page_words, wide);
+      if ((acc & wide) != 0) too_wide(dst, page_words, i * page_words, width);
+      if (acc == 0)
+        page.reset();
+      else if (!page)
+        page = std::move(spare);
+    }
   }
 
   [[nodiscard]] std::size_t consumed() const { return pos_; }
@@ -382,6 +439,35 @@ class StateReader {
                         " is neither " + std::to_string(kWordsZero) +
                         " (all zero) nor " + std::to_string(kWordsData) +
                         " (data) — corrupted baseline");
+  }
+
+  /// Reads a fixed-size memory's stored word count, which must equal its
+  /// size: a memory never changes size, so any other count means the
+  /// blob was saved from a differently sized memory (which the topology
+  /// hash cannot see) or was corrupted.
+  void memory_count(std::size_t size) {
+    const std::uint64_t n = u64();
+    if (n != size)
+      throw SnapshotError("snapshot: memory holds " + std::to_string(size) +
+                          " word(s) but the blob stores " +
+                          std::to_string(n) +
+                          " — saved from a differently sized memory, or "
+                          "corrupted");
+  }
+
+  /// Throws naming the first of n loaded words (at addresses base,
+  /// base + 1, ...) that has a bit above `width`.
+  [[noreturn]] static void too_wide(const Word* p, std::size_t n,
+                                    std::size_t base, int width) {
+    std::size_t k = 0;
+    while (k + 1 < n && truncate(p[k], width) == p[k]) ++k;
+    char hex[17];
+    const auto end = std::to_chars(hex, hex + sizeof hex, p[k], 16).ptr;
+    throw SnapshotError("snapshot: memory word " + std::to_string(base + k) +
+                        " is " + std::to_string(width) +
+                        (width == 1 ? " bit" : " bits") +
+                        " wide and cannot hold the value 0x" +
+                        std::string(hex, end) + " — corrupted blob");
   }
 
   /// Throws unless `count` elements of `elem` bytes each remain.

@@ -172,7 +172,6 @@ std::vector<SweepResult> SweepDriver::run_forked(
     step_many(sim, base.warmup);
     blob = sim.save_snapshot();
   }
-  if (blob_out != nullptr) *blob_out = blob;
 
   std::vector<SweepResult> results(branches.size());
   for_each_indexed(branches.size(), opt_.workers, [&](std::size_t i) {
@@ -196,6 +195,10 @@ std::vector<SweepResult> SweepDriver::run_forked(
       results[i].snapshot_bytes = blob.size_bytes();
     });
   });
+  // The workers have joined, so nothing reads the blob any more: hand
+  // it over instead of copying it (1 MiB and its page faults for an
+  // SRAM-bound base).
+  if (blob_out != nullptr) *blob_out = std::move(blob);
   return results;
 }
 

@@ -127,9 +127,9 @@ class SweepDriver {
   /// base.warmup events, save_snapshot()s, then runs every branch on
   /// the pool — fresh instance, restore_snapshot(blob), stimulus,
   /// measured run.  Results in branch order; `blob_out` (optional)
-  /// receives the warmed base snapshot.  The base's at_warmup hook is
-  /// NOT applied to the warmed instance — it belongs to the measured
-  /// phase, which the branches own.
+  /// receives the warmed base snapshot once every branch has run.  The
+  /// base's at_warmup hook is NOT applied to the warmed instance — it
+  /// belongs to the measured phase, which the branches own.
   [[nodiscard]] std::vector<SweepResult> run_forked(
       const SweepJob& base, const std::vector<SweepBranch>& branches,
       Snapshot* blob_out = nullptr) const;

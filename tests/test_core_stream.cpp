@@ -212,10 +212,10 @@ TEST(SramStream, UsesOnlyItsAddressRegion) {
   sim.reset();
   tb::step_until(
       sim, [&] { return tb.drainer.got().size() == data.size(); }, 20000);
-  for (std::size_t a = 0; a < tb.sram.mem().size(); ++a) {
+  const std::vector<Word> mem = tb.sram.mem();
+  for (std::size_t a = 0; a < mem.size(); ++a) {
     if (a < 0x40 || a >= 0x48) {
-      EXPECT_EQ(tb.sram.mem()[a], 0u) << "stray write at 0x" << std::hex
-                                      << a;
+      EXPECT_EQ(mem[a], 0u) << "stray write at 0x" << std::hex << a;
     }
   }
 }

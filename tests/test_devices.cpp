@@ -4,7 +4,9 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -373,6 +375,107 @@ TEST(Sram, ResetRestoresAPreloadMadeBeforeConstruction) {
   EXPECT_EQ(tb.sram.mem(), image);
   tb.access(sim, false, 4);
   EXPECT_EQ(tb.rdata.read(), 0x22u);
+}
+
+/// Pages of `page` words in `image` that hold a nonzero word.
+std::size_t nonzero_pages(const std::vector<Word>& image, std::size_t page) {
+  std::size_t n = 0;
+  for (std::size_t at = 0; at < image.size(); at += page)
+    n += std::any_of(image.begin() + static_cast<std::ptrdiff_t>(at),
+                     image.begin() + static_cast<std::ptrdiff_t>(at + page),
+                     [](Word w) { return w != 0; });
+  return n;
+}
+
+/// `tb.sram` holds `ref`: its image, its save in both encodings (the
+/// words() of `ref` after the idle state and countdown), and a restore
+/// of that save into an SRAM whose every page is stale, which keeps
+/// only the pages that hold a nonzero word.
+void expect_sram_holds(SramTb& tb, const std::vector<Word>& ref,
+                       std::size_t page) {
+  EXPECT_EQ(tb.sram.mem(), ref);
+  EXPECT_GE(tb.sram.resident_pages(), nonzero_pages(ref, page));
+  for (const rtl::Encoding enc :
+       {rtl::Encoding::kFlat, rtl::Encoding::kBaseline}) {
+    SCOPED_TRACE(enc == rtl::Encoding::kFlat ? "flat" : "baseline");
+    rtl::StateWriter got(enc), want(enc);
+    tb.sram.save_state(got);
+    want.u32(0);  // State::Idle
+    want.i32(0);  // countdown
+    want.words(ref);
+    EXPECT_EQ(got.flat_size(), want.flat_size());
+    const std::vector<std::uint8_t> bytes = std::move(got).take();
+    EXPECT_EQ(bytes, std::move(want).take());
+
+    SramTb stale(tb.sram.config());
+    stale.sram.preload(0, std::vector<Word>(ref.size(), 0xABC));
+    rtl::StateReader r(bytes, enc);
+    stale.sram.load_state(r);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(stale.sram.mem(), ref);
+    EXPECT_EQ(stale.sram.resident_pages(), nonzero_pages(ref, page));
+  }
+}
+
+// The paged memory against a flat reference image, below, at and above
+// one 512-word page: handshake writes (zeros into absent pages too),
+// reads and preloads, their addresses clustered around page boundaries
+// so that preloads straddle them.
+TEST(Sram, PagedMemoryMatchesAFlatReference) {
+  for (const int aw : {4, 9, 10, 16}) {
+    SCOPED_TRACE("addr_width " + std::to_string(aw));
+    const std::size_t size = std::size_t{1} << aw;
+    const std::size_t page = std::min<std::size_t>(size, 512);
+    SramTb tb({.data_width = 12, .addr_width = aw, .latency = 1});
+    Simulator sim(tb);
+    sim.reset();
+    std::vector<Word> ref(size, 0);
+
+    // Zeros allocate nothing.
+    tb.access(sim, true, size - 1, 0);
+    tb.sram.preload(0, std::vector<Word>(std::min<std::size_t>(size, 3), 0));
+    EXPECT_EQ(tb.sram.resident_pages(), 0u);
+
+    std::mt19937_64 rng(static_cast<std::uint64_t>(aw));
+    const auto near_boundary = [&] {
+      const std::size_t edge = (rng() % (size / page + 1)) * page;
+      const std::size_t a = edge + rng() % 8 - 4;
+      return std::min(a, size - 1);  // a below 0 wrapped past size - 1
+    };
+    const auto datum = [&]() -> Word { return rng() % 3 == 0 ? 0 : rng(); };
+    for (int op = 0; op < 300; ++op) {
+      const std::size_t a =
+          rng() % 2 == 0 ? near_boundary() : rng() % size;
+      switch (rng() % 3) {
+        case 0: {
+          const Word d = datum();
+          tb.access(sim, true, a, d);
+          ref[a] = truncate(d, 12);
+          break;
+        }
+        case 1:
+          tb.access(sim, false, a);
+          ASSERT_EQ(tb.rdata.read(), ref[a]) << "read of " << a;
+          break;
+        default: {
+          std::vector<Word> data(std::min<std::size_t>(1 + rng() % 12,
+                                                       size - a));
+          for (Word& w : data) w = datum();
+          tb.sram.preload(a, data);
+          for (std::size_t i = 0; i < data.size(); ++i)
+            ref[a + i] = truncate(data[i], 12);
+        }
+      }
+    }
+    ASSERT_GT(nonzero_pages(ref, page), 0u);
+    expect_sram_holds(tb, ref, page);
+
+    // Resident pages of zeros save and restore like absent ones.
+    std::fill(ref.begin(), ref.end(), Word{0});
+    tb.sram.preload(0, ref);
+    ASSERT_GT(tb.sram.resident_pages(), 0u);
+    expect_sram_holds(tb, ref, page);
+  }
 }
 
 TEST(Sram, ReportsNoFpgaResources) {

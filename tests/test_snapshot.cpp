@@ -1358,6 +1358,70 @@ TEST(Snapshot, SramDesignMemoryIsZeroAgainAfterRunRestoreAndReset) {
   expect_runs_to_camera_frames(sim, *top, cfg);
 }
 
+TEST(Snapshot, SramDesignHoldsOnlyThePagesItsBuffersTouch) {
+  // Each SRAM keeps its 2^16 words in 512-word pages that exist once a
+  // nonzero word is written, so building, elaborating and resetting the
+  // design costs the pages its 64-deep buffers touch, not 2 x 512 KiB.
+  const designs::Saa2VgaConfig cfg = small_saa2vga(devices::DeviceKind::Sram);
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  const std::vector<const devices::ExternalSram*> srams = srams_of(*top);
+  ASSERT_EQ(srams.size(), 2u);
+  const auto resident = [&] {
+    std::vector<std::size_t> n;
+    for (const devices::ExternalSram* s : srams)
+      n.push_back(s->resident_pages());
+    return n;
+  };
+  Simulator sim(*top, {});
+  sim.reset();
+  EXPECT_THAT(resident(), ::testing::Each(0u));
+  expect_runs_to_camera_frames(sim, *top, cfg);
+  const auto most =
+      static_cast<std::size_t>(ceil_div(cfg.buffer_depth, 512));
+  EXPECT_THAT(resident(), ::testing::Each(::testing::AllOf(
+                              ::testing::Gt(0u), ::testing::Le(most))));
+  sim.reset();
+  EXPECT_THAT(resident(), ::testing::Each(0u));
+}
+
+TEST(Snapshot, SramWordWiderThanItsDataIsRejectedNamingTheAddress) {
+  // Every SRAM write and preload truncates to data_width, so no run
+  // stores a wider word: a blob that holds one is corrupted, and the
+  // restore falls back to construction state.
+  const designs::Saa2VgaConfig cfg = small_saa2vga(devices::DeviceKind::Sram);
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  const devices::ExternalSram* sram = nullptr;
+  for (const devices::ExternalSram* s : srams_of(*top))
+    if (s->name() == "sram_in") sram = s;
+  ASSERT_NE(sram, nullptr);
+  ASSERT_EQ(sram->config().data_width, 8);
+  Simulator sim(*top, {});
+  sim.reset();
+  sim.step(300);
+  std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+
+  // The SRAM's payload: state u32, countdown i64, word count u64, then
+  // the words.  Bit 8 of word 5 (in the read buffer's region).
+  const std::optional<std::size_t> payload =
+      tb::payload_offset(*top, *sram, bytes.size());
+  ASSERT_TRUE(payload) << "no sram_in payload in the blob";
+  const std::size_t at = *payload + 4 + 8 + 8 + 8 * 5;
+  ASSERT_LE(at + 8, bytes.size());
+  ASSERT_EQ(bytes[at + 1], 0u) << "word 5 is not where expected";
+  bytes[at + 1] = 1;
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bytes)));
+    FAIL() << "a 9-bit word restored into an 8-bit SRAM";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("module 'saa2vga_pattern.sram_in'"));
+    EXPECT_THAT(e.what(),
+                HasSubstr("memory word 5 is 8 bits wide and cannot hold "
+                          "the value 0x1"));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  expect_runs_to_camera_frames(sim, *top, cfg);
+}
+
 TEST(Snapshot, FailedRestoreOfAReshapedSinkFrameStillResets) {
   // A blob whose sink frame claims another shape fails after mutation
   // began, so the simulator falls back to its construction baseline —
