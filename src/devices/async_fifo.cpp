@@ -187,6 +187,7 @@ AsyncFifo::AsyncFifo(Module* parent, std::string name, AsyncFifoConfig cfg,
   HWPAT_ASSERT(cfg_.width >= 1 && cfg_.width <= kMaxBusBits);
   HWPAT_ASSERT(cfg_.depth >= 2 && (cfg_.depth & (cfg_.depth - 1)) == 0 &&
                "gray-coded pointers need a power-of-two depth");
+  check_data_bus_fits(*this, p_.wr_data.width(), cfg_.width);
   // The gray pointers are the declared clock-domain-crossing points:
   // each is written in one side's domain and sampled by the *other*
   // side's 2-flop synchronizer — the only register signals the CDC
@@ -203,7 +204,9 @@ AsyncFifo::~AsyncFifo() = default;
 
 void AsyncFifo::save_state(rtl::StateWriter& w) const { w.words(mem_); }
 
-void AsyncFifo::load_state(rtl::StateReader& r) { r.fixed_words(mem_); }
+void AsyncFifo::load_state(rtl::StateReader& r) {
+  r.fixed_words(mem_, cfg_.width);
+}
 
 int AsyncFifo::size() const {
   return static_cast<int>(wr_->wbin_ - rd_->rbin_);

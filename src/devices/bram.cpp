@@ -47,6 +47,8 @@ void BlockRam::report(rtl::PrimitiveTally& t) const {
 
 void BlockRam::save_state(rtl::StateWriter& w) const { w.words(mem_); }
 
-void BlockRam::load_state(rtl::StateReader& r) { r.fixed_words(mem_); }
+void BlockRam::load_state(rtl::StateReader& r) {
+  r.fixed_words(mem_, cfg_.data_width);
+}
 
 }  // namespace hwpat::devices

@@ -54,4 +54,11 @@ void check_preload_fits(const rtl::Module& dev, std::size_t size,
                 std::to_string(size) + "-word memory");
 }
 
+void check_data_bus_fits(const rtl::Module& dev, int bus_width, int width) {
+  if (bus_width > width)
+    throw Error("'" + dev.full_name() + "': wr_data bus is " +
+                std::to_string(bus_width) + " bits wide, wider than its " +
+                std::to_string(width) + "-bit words");
+}
+
 }  // namespace hwpat::devices

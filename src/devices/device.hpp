@@ -47,6 +47,12 @@ struct DeviceTraits {
 void check_preload_fits(const rtl::Module& dev, std::size_t size,
                         std::size_t offset, std::size_t count);
 
+/// A FIFO-style device's construction check on its write-data bus: it
+/// stores the bus value as read, so a bus wider than the `width` bits a
+/// memory word holds would store words that its own restore refuses
+/// (StateReader::fixed_words()).  Throws Error naming `dev`'s path.
+void check_data_bus_fits(const rtl::Module& dev, int bus_width, int width);
+
 /// Block RAM macros needed to store `bits` on the modelled FPGA
 /// (Spartan-IIE: 4 Kbit per block RAM).
 [[nodiscard]] constexpr int bram_macros_for(int bits) {

@@ -10,6 +10,7 @@ FifoCore::FifoCore(Module* parent, std::string name, FifoConfig cfg,
       mem_(static_cast<std::size_t>(cfg.depth), 0) {
   HWPAT_ASSERT(cfg_.width >= 1 && cfg_.width <= kMaxBusBits);
   HWPAT_ASSERT(cfg_.depth >= 1);
+  check_data_bus_fits(*this, p_.wr_data.width(), cfg_.width);
   // Strict mode throws from the pre-edge validate phase, so an illegal
   // operation aborts the whole clock-edge event before ANY state moved.
   if (cfg_.strict) enable_clock_check();
@@ -105,7 +106,7 @@ void FifoCore::save_state(rtl::StateWriter& w) const {
 void FifoCore::load_state(rtl::StateReader& r) {
   head_ = r.i32_in(0, cfg_.depth - 1, "head");
   count_ = r.i32_in(0, cfg_.depth, "count");
-  r.fixed_words(mem_);
+  r.fixed_words(mem_, cfg_.width);
 }
 
 }  // namespace hwpat::devices

@@ -10,6 +10,7 @@ LifoCore::LifoCore(Module* parent, std::string name, LifoConfig cfg,
       mem_(static_cast<std::size_t>(cfg.depth), 0) {
   HWPAT_ASSERT(cfg_.width >= 1 && cfg_.width <= kMaxBusBits);
   HWPAT_ASSERT(cfg_.depth >= 1);
+  check_data_bus_fits(*this, p_.wr_data.width(), cfg_.width);
   if (cfg_.strict) enable_clock_check();
 }
 
@@ -103,7 +104,7 @@ void LifoCore::save_state(rtl::StateWriter& w) const {
 
 void LifoCore::load_state(rtl::StateReader& r) {
   count_ = r.i32_in(0, cfg_.depth, "count");
-  r.fixed_words(mem_);
+  r.fixed_words(mem_, cfg_.width);
 }
 
 }  // namespace hwpat::devices

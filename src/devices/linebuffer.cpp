@@ -131,9 +131,9 @@ void LineBuffer3::save_state(rtl::StateWriter& w) const {
 }
 
 void LineBuffer3::load_state(rtl::StateReader& r) {
-  r.fixed_words(line1_);
-  r.fixed_words(line2_);
-  r.fixed_words(colq_);
+  r.fixed_words(line1_, cfg_.pixel_width);
+  r.fixed_words(line2_, cfg_.pixel_width);
+  r.fixed_words(colq_, 3 * cfg_.pixel_width);
   colq_head_ = r.i32_in(0, cfg_.col_fifo_depth - 1, "colq_head");
   colq_count_ = r.i32_in(0, cfg_.col_fifo_depth, "colq_count");
   wr_x_ = r.i32_in(0, cfg_.line_width - 1, "wr_x");

@@ -19,9 +19,10 @@
 // allocated, zeroed, at the first nonzero word written or preloaded
 // into it, and an absent page reads as 0, so a design that buffers a
 // few hundred pixels in a 2^16-word SRAM builds, elaborates and resets
-// at the cost of the pages it touched, not of 512 KiB.  Snapshots still
-// carry the flat image (StateWriter::paged_words()), and mem() returns
-// a flat copy of it.
+// at the cost of the pages it touched, not of 512 KiB.  Snapshots and
+// the construction baseline store a tag byte per page and the words of
+// the pages that hold a nonzero word only (StateWriter::paged_words()),
+// and mem() returns a flat copy of the image.
 #pragma once
 
 #include <cstddef>

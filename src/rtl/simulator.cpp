@@ -88,10 +88,9 @@ Simulator::Simulator(Module& top, Options opt)
     // Construction-time module states, so reset() after a restored
     // snapshot returns to construction values (not snapshot values).
     // Memories are still all zero here, so the baseline encoding keeps
-    // only their counts.
+    // only their counts and tags.
     StateWriter w(Encoding::kBaseline);
     save_module_states(w);
-    baseline_flat_size_ = w.flat_size();
     baseline_ = std::move(w).take();
   }
 }

@@ -760,11 +760,10 @@ class Simulator {
   /// Every module's save_state payload captured at construction, so
   /// reset() — after a restore, a crash, or an ordinary run — returns
   /// to construction-time state, not whatever the modules drifted to.
-  /// Baseline encoding: all-zero memories are elided (snapshot.hpp).
+  /// Baseline encoding: all-zero memories and pages are elided
+  /// (snapshot.hpp).  save_snapshot() reserves its size for the module
+  /// payloads.
   std::vector<std::uint8_t> baseline_;
-  /// baseline_'s size in the flat (blob) encoding, which save_snapshot()
-  /// reserves for the module payloads.
-  std::size_t baseline_flat_size_ = 0;
 
   // Fault-injection state (Options::fault_plan).
   FaultPlan fault_;

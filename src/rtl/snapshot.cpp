@@ -1,7 +1,7 @@
 // Snapshot/restore bodies of the Simulator (format in rtl/snapshot.hpp
 // and src/rtl/README.md).
 //
-// Blob layout (version 1, all integers little-endian):
+// Blob layout (version 2, all integers little-endian):
 //
 //   magic "HWPS" | version u8 | flags u8 | topology hash u64
 //   tick u64 | cycle u64 | per-domain next_edge u64...
@@ -12,6 +12,11 @@
 //     fanout order determines pending-commit order and therefore VCD
 //     emission order during replay, so it is state, not just a cache)
 //   module count u32 | per-module: payload length u32 + save_state bytes
+//
+// Version 1 differs in one field, a paged memory (an external SRAM):
+// it stored the flat image where version 2 stores a tag byte per page
+// and the words of the nonzero pages only (StateWriter::paged_words()).
+// restore_snapshot() reads both, picking the reader by the version byte.
 //
 // flags bit 0 marks a capture by the full-sweep kernel: its fanout
 // lists are empty (never traced), so an event-kernel restore re-seeds a
@@ -28,7 +33,7 @@ namespace hwpat::rtl {
 namespace {
 
 constexpr std::uint8_t kMagic[4] = {'H', 'W', 'P', 'S'};
-constexpr std::uint8_t kVersion = 1;
+constexpr std::uint8_t kVersion = 2;
 constexpr std::uint8_t kFlagFullSweep = 1;
 
 constexpr std::uint64_t kFnvPrime = 1099511628211ull;
@@ -331,7 +336,7 @@ Snapshot Simulator::save_snapshot() const {
   // Everything but the module payloads is bounded by the design's
   // shape; the payloads start from their construction-time size.
   w.reserve(64 + 16 * scheds_.size() + 12 * signals_.size() +
-            4 * fan_pool_.size() + baseline_flat_size_);
+            4 * fan_pool_.size() + baseline_.size());
   // Byte-at-a-time (identical blob): GCC 12's -Wstringop-overflow
   // misfires on vector::insert of the 4-byte array once this TU's
   // inlining shifts.
@@ -379,15 +384,19 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
         "restore_snapshot: called from inside a simulator callback "
         "(mid-event) — the event must finish or abort first; the "
         "simulator is unchanged");
-  StateReader r(snap.bytes());
+  // The version byte, after the 4-byte magic, picks the reader: a
+  // version-1 blob stores each paged memory as its flat image.
+  const std::vector<std::uint8_t>& bytes = snap.bytes();
+  const bool v1 = bytes.size() > 4 && bytes[4] == 1;
+  StateReader r(bytes, v1 ? Encoding::kBlobV1 : Encoding::kBlob);
   std::uint8_t magic[4];
   r.bytes(magic, 4);
   if (std::memcmp(magic, kMagic, 4) != 0)
     throw SnapshotError("restore_snapshot: not a hwpat snapshot (bad magic)");
   const std::uint8_t version = r.u8();
-  if (version != kVersion)
+  if (version != 1 && version != kVersion)
     throw SnapshotError("restore_snapshot: unsupported snapshot version " +
-                std::to_string(version) + " (this build reads version " +
+                std::to_string(version) + " (this build reads versions 1 and " +
                 std::to_string(kVersion) + ")");
   const std::uint8_t flags = r.u8();
   const bool from_full_sweep = (flags & kFlagFullSweep) != 0;

@@ -25,14 +25,16 @@
 // go through this codec, so each costs the state's size at memcpy
 // speed.
 //
-// The construction baseline uses its own encoding (Encoding::kBaseline)
-// in which an all-zero word array stores no words at all.  A paged
-// memory (paged_words(): an external SRAM's 2^addr_width words, kept in
-// pages that exist only once written) holds no page at elaboration, so
-// the baseline elides it without a scan: an SRAM-bound design's two
-// 2^16-word memories cost a few hundred baseline bytes, not 1 MiB.
-// Blobs always use the flat version-1 encoding, in which a paged
-// memory's absent pages are stored as the zeros they read as.
+// Blobs are version 2: a paged memory (paged_words(): an external
+// SRAM's 2^addr_width words, kept in pages that exist only once
+// written) stores a tag byte per page and the words of the pages that
+// hold a nonzero word only, so an SRAM-bound design's two 2^16-word
+// memories cost 256 tag bytes plus the pages its buffers touched, not
+// 1 MiB.  The construction baseline uses the same page layout and an
+// encoding of its own for flat word arrays (Encoding::kBaseline), in
+// which an all-zero array stores no words at all.  Version-1 blobs,
+// whose paged memories carry the flat image, still restore
+// (Encoding::kBlobV1).
 #pragma once
 
 #include <algorithm>
@@ -106,26 +108,29 @@ void load(T* dst, const std::uint8_t* src, std::size_t n) {
 }
 
 /// A word array kept in pages of equal length, in address order: a null
-/// page is absent and reads as zeros.  StateWriter::paged_words() and
-/// StateReader::paged_words() encode it exactly as words() and
-/// fixed_words() encode the flat image it stands for.
+/// page is absent and reads as zeros (StateWriter::paged_words()).
 using WordPages = std::vector<std::unique_ptr<Word[]>>;
 
-/// How StateWriter::words() lays out a word array.
+/// How StateWriter and StateReader lay out the two memory fields.
 ///
-///   kFlat      u64 count, then the words.  The snapshot encoding (blob
-///              version 1).
-///   kBaseline  u64 count, a tag byte, then the words; an all-zero array
-///              stores the tag alone and the reader zero-fills it.  Only
-///              the Simulator's in-memory construction baseline uses it
-///              (written at elaboration, read back by reset()); it never
-///              reaches a blob.
+///   kBlob      blob version 2, what save_snapshot() writes.  words():
+///              u64 count, then the words.  paged_words(): u64 count,
+///              then per page in address order a tag byte, kWordsZero
+///              for a page that reads as all zeros (nothing follows) or
+///              kWordsData followed by the page's words.
+///   kBaseline  the Simulator's in-memory construction baseline (written
+///              at elaboration, read back by reset()); it never reaches
+///              a blob.  As kBlob, but words() puts a tag byte after its
+///              count and stores an all-zero array as the tag alone.
+///   kBlobV1    blob version 1, read only.  As kBlob, but paged_words()
+///              is the flat image: u64 count, then every word, an absent
+///              page as zeros.
 ///
-/// Every other field encodes the same way in both.
-enum class Encoding : std::uint8_t { kFlat, kBaseline };
+/// Every other field encodes the same way in all three.
+enum class Encoding : std::uint8_t { kBlob, kBaseline, kBlobV1 };
 
-/// Tag bytes of a word array in the baseline encoding.
-inline constexpr std::uint8_t kWordsZero = 0;  ///< elided: all zero
+/// Tag bytes of a page (paged_words()) and of a baseline word array.
+inline constexpr std::uint8_t kWordsZero = 0;  ///< all zero, no words
 inline constexpr std::uint8_t kWordsData = 1;  ///< the words follow
 
 /// Opaque serialized simulator state.  Produced by
@@ -153,7 +158,9 @@ class Snapshot {
 /// Append-only little-endian encoder for snapshot payloads.
 class StateWriter {
  public:
-  explicit StateWriter(Encoding enc = Encoding::kFlat) : enc_(enc) {}
+  explicit StateWriter(Encoding enc = Encoding::kBlob) : enc_(enc) {
+    HWPAT_ASSERT(enc != Encoding::kBlobV1 && "version 1 is read only");
+  }
 
   /// Pre-sizes the buffer, so a writer whose final size is known up
   /// front never reallocates (and never re-copies a large payload).
@@ -202,31 +209,26 @@ class StateWriter {
   /// all-zero vector as the tag alone.
   void words(const std::vector<Word>& v) {
     u64(v.size());
-    if (enc_ == Encoding::kBaseline &&
-        elide(or_fold(v.data(), v.size()) == 0, v.size()))
-      return;
+    if (enc_ == Encoding::kBaseline) {
+      const bool zero = or_fold(v.data(), v.size()) == 0;
+      u8(zero ? kWordsZero : kWordsData);
+      if (zero) return;
+    }
     array(v.data(), v.size());
   }
 
-  /// words() of the flat image of `pages` (each `page_words` long): an
-  /// absent page goes out as zeros.  The baseline encoding elides a
-  /// memory with no page without looking at a word, and scans only the
-  /// pages that exist otherwise.
+  /// A memory of `pages` (each `page_words` long): its word count, then
+  /// per page a tag, and the words of a page that holds a nonzero word.
+  /// Absent pages cost one byte each and no scan.
   void paged_words(const WordPages& pages, std::size_t page_words) {
-    const std::size_t n = pages.size() * page_words;
-    u64(n);
-    if (enc_ == Encoding::kBaseline) {
-      const bool zero = std::all_of(
-          pages.begin(), pages.end(), [&](const std::unique_ptr<Word[]>& p) {
-            return !p || or_fold(p.get(), page_words) == 0;
-          });
-      if (elide(zero, n)) return;
-    }
+    u64(pages.size() * page_words);
     for (const std::unique_ptr<Word[]>& p : pages) {
-      if (p)
+      if (p && or_fold(p.get(), page_words) != 0) {
+        u8(kWordsData);
         array(p.get(), page_words);
-      else
-        grow(page_words * sizeof(Word));  // zero-filled
+      } else {
+        u8(kWordsZero);
+      }
     }
   }
 
@@ -243,27 +245,11 @@ class StateWriter {
 
   [[nodiscard]] std::size_t size() const { return buf_.size(); }
 
-  /// What size() would be had the same fields been written in the flat
-  /// encoding: the elided words back in, the tags out.
-  [[nodiscard]] std::size_t flat_size() const {
-    return buf_.size() + elided_ - tags_;
-  }
-
   [[nodiscard]] std::vector<std::uint8_t> take() && {
     return std::move(buf_);
   }
 
  private:
-  /// Writes the baseline tag of an n-word array whose words are all
-  /// zero when `zero` holds, and returns `zero`: the array's words are
-  /// left out, and flat_size() counts them back in.
-  bool elide(bool zero, std::size_t n) {
-    ++tags_;
-    u8(zero ? kWordsZero : kWordsData);
-    if (zero) elided_ += n * sizeof(Word);
-    return zero;
-  }
-
   /// Appends n bytes (zeroed) and returns where they start.
   std::uint8_t* grow(std::size_t n) {
     const std::size_t at = buf_.size();
@@ -273,8 +259,6 @@ class StateWriter {
 
   Encoding enc_;
   std::vector<std::uint8_t> buf_;
-  std::size_t tags_ = 0;    ///< baseline tag bytes written
-  std::size_t elided_ = 0;  ///< bytes of all-zero arrays left out
 };
 
 /// Bounds-checked little-endian decoder.  Every read validates the
@@ -287,11 +271,11 @@ class StateWriter {
 class StateReader {
  public:
   StateReader(const std::uint8_t* data, std::size_t size,
-              Encoding enc = Encoding::kFlat)
+              Encoding enc = Encoding::kBlob)
       : data_(data), size_(size), enc_(enc) {}
 
   explicit StateReader(const std::vector<std::uint8_t>& bytes,
-                       Encoding enc = Encoding::kFlat)
+                       Encoding enc = Encoding::kBlob)
       : StateReader(bytes.data(), bytes.size(), enc) {}
 
   std::uint8_t u8() {
@@ -374,7 +358,7 @@ class StateReader {
   /// against the bytes left, since an elided array has no bytes.
   void words(std::vector<Word>& out) {
     const std::uint64_t n = u64();
-    if (read_elided_tag()) {
+    if (enc_ == Encoding::kBaseline && !data_tag("word-array")) {
       out.assign(static_cast<std::size_t>(n), Word{0});
       return;
     }
@@ -383,43 +367,59 @@ class StateReader {
     array(out.data(), out.size(), "word vector");
   }
 
-  /// Mirror of StateWriter::words() for a fixed-size memory, overwritten
-  /// in place.  The stored count must equal mem.size() (memory_count()).
-  void fixed_words(std::vector<Word>& mem) {
+  /// Mirror of StateWriter::words() for a fixed-size memory of
+  /// `width`-bit words, overwritten in place.  The stored count must
+  /// equal mem.size() (memory_count()), and a stored word with a bit
+  /// above `width` is one no write stores, so it throws naming the
+  /// word's index.
+  void fixed_words(std::vector<Word>& mem, int width) {
     memory_count(mem.size());
-    if (read_elided_tag()) {
+    if (enc_ == Encoding::kBaseline && !data_tag("word-array")) {
       std::fill(mem.begin(), mem.end(), Word{0});
       return;
     }
-    array(mem.data(), mem.size(), "memory");
+    (void)load_words(mem.data(), mem.size(), 0, width);
   }
 
-  /// Mirror of StateWriter::paged_words(), with fixed_words()'s count
-  /// and truncation checks.  A page whose stored words are all zero is
-  /// dropped; only the others are allocated (or overwritten in place).
-  /// A stored word with a bit above `width` is one no write stores, so
-  /// it throws naming the word's address (its index in the flat image).
+  /// Mirror of StateWriter::paged_words(), with fixed_words()'s count,
+  /// truncation and width checks (a word named by its address, its
+  /// index in the flat image).  A page tagged all zero is dropped, and
+  /// a data page is allocated if absent or overwritten in place.  No
+  /// save writes a tag other than kWordsZero or kWordsData, or a data
+  /// page of zeros, so either throws naming the page.  A version-1
+  /// blob's flat image is read page by page, and a page whose stored
+  /// words are all zero is dropped.
   void paged_words(WordPages& pages, std::size_t page_words, int width) {
     memory_count(pages.size() * page_words);
-    if (read_elided_tag()) {
-      for (std::unique_ptr<Word[]>& p : pages) p.reset();
+    if (enc_ == Encoding::kBlobV1) {
+      need(pages.size() * page_words, sizeof(Word), "memory");
+      std::unique_ptr<Word[]> spare;  // loads a page that is absent
+      for (std::size_t i = 0; i < pages.size(); ++i) {
+        std::unique_ptr<Word[]>& page = pages[i];
+        if (!page && !spare)
+          spare = std::make_unique_for_overwrite<Word[]>(page_words);
+        Word* dst = page ? page.get() : spare.get();
+        if (load_words(dst, page_words, i * page_words, width) == 0)
+          page.reset();
+        else if (!page)
+          page = std::move(spare);
+      }
       return;
     }
-    need(pages.size() * page_words, sizeof(Word), "memory");
-    const Word wide = ~mask_of(width);
-    std::unique_ptr<Word[]> spare;  // loads a page that is absent
     for (std::size_t i = 0; i < pages.size(); ++i) {
       std::unique_ptr<Word[]>& page = pages[i];
-      if (!page && !spare)
-        spare = std::make_unique_for_overwrite<Word[]>(page_words);
-      Word* dst = page ? page.get() : spare.get();
-      array(dst, page_words, "memory");
-      const Word acc = or_fold(dst, page_words, wide);
-      if ((acc & wide) != 0) too_wide(dst, page_words, i * page_words, width);
-      if (acc == 0)
+      if (!data_tag("memory page", i)) {
         page.reset();
-      else if (!page)
-        page = std::move(spare);
+        continue;
+      }
+      need(page_words, sizeof(Word), "memory page");
+      if (!page) page = std::make_unique_for_overwrite<Word[]>(page_words);
+      if (load_words(page.get(), page_words, i * page_words, width) == 0)
+        throw SnapshotError("snapshot: memory page " + std::to_string(i) +
+                            " (words " + std::to_string(i * page_words) +
+                            " to " + std::to_string((i + 1) * page_words - 1) +
+                            ") is stored as data but holds only zeros — "
+                            "corrupted blob");
     }
   }
 
@@ -427,18 +427,30 @@ class StateReader {
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
 
  private:
-  /// Reads the tag that follows a word array's count in the baseline
-  /// encoding and returns whether the array was elided (all zero).  The
-  /// flat encoding has no tag: always false.
-  bool read_elided_tag() {
-    if (enc_ == Encoding::kFlat) return false;
+  /// Reads a tag byte and returns whether data follows (kWordsData)
+  /// or not (kWordsZero).  Any other byte throws naming `what` (and
+  /// `index` when it is not npos).
+  bool data_tag(const char* what, std::size_t index = std::string::npos) {
     const std::uint8_t tag = u8();
-    if (tag == kWordsZero) return true;
-    if (tag == kWordsData) return false;
-    throw SnapshotError("snapshot: word-array tag " + std::to_string(tag) +
-                        " is neither " + std::to_string(kWordsZero) +
-                        " (all zero) nor " + std::to_string(kWordsData) +
-                        " (data) — corrupted baseline");
+    if (tag == kWordsData) return true;
+    if (tag == kWordsZero) return false;
+    throw SnapshotError(
+        "snapshot: " + std::string(what) +
+        (index == std::string::npos ? "" : " " + std::to_string(index)) +
+        " tag " + std::to_string(tag) + " is neither " +
+        std::to_string(kWordsZero) + " (all zero) nor " +
+        std::to_string(kWordsData) + " (data) — corrupted blob");
+  }
+
+  /// Reads n words (at addresses base, base + 1, ...) into p and
+  /// returns their OR.  A word with a bit above `width` throws naming
+  /// its address; one OR-fold answers both that and 'all zero?'.
+  Word load_words(Word* p, std::size_t n, std::size_t base, int width) {
+    array(p, n, "memory");
+    const Word wide = ~mask_of(width);
+    const Word acc = or_fold(p, n, wide);
+    if ((acc & wide) != 0) too_wide(p, n, base, width);
+    return acc;
   }
 
   /// Reads a fixed-size memory's stored word count, which must equal its

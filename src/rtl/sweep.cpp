@@ -196,8 +196,8 @@ std::vector<SweepResult> SweepDriver::run_forked(
     });
   });
   // The workers have joined, so nothing reads the blob any more: hand
-  // it over instead of copying it (1 MiB and its page faults for an
-  // SRAM-bound base).
+  // it over instead of copying it (and paying a large blob's page
+  // faults).
   if (blob_out != nullptr) *blob_out = std::move(blob);
   return results;
 }

@@ -184,7 +184,8 @@ void load_frame(rtl::StateReader& r, Frame& f) {
   const int channels = r.i32();
   if (width == f.width() && height == f.height() &&
       channels == f.channels()) {
-    r.fixed_words(f.pixels());
+    // A frame holds whatever words its stream delivered.
+    r.fixed_words(f.pixels(), kMaxBusBits);
     return;
   }
   auto bad_shape = [&](const std::string& why) {
@@ -214,9 +215,16 @@ void VideoSource::save_state(rtl::StateWriter& w) const {
 }
 
 void VideoSource::load_state(rtl::StateReader& r) {
-  frame_idx_ = static_cast<std::size_t>(r.u64());
-  pix_idx_ = static_cast<std::size_t>(r.u64());
-  wait_ = r.i32();
+  // A looping source wraps to frame 0 as it finishes the last frame; a
+  // done one rests past the last frame, at pixel 0.
+  const int frames = static_cast<int>(frames_.size());
+  frame_idx_ = static_cast<std::size_t>(r.i32_in(
+      0, cfg_.loop && frames > 0 ? frames - 1 : frames, "frame_idx"));
+  const int pixels = frame_idx_ < frames_.size()
+                         ? static_cast<int>(frames_[frame_idx_].pixel_count())
+                         : 1;
+  pix_idx_ = static_cast<std::size_t>(r.i32_in(0, pixels - 1, "pix_idx"));
+  wait_ = r.i32_in(0, cfg_.pixel_interval - 1 + cfg_.frame_blanking, "wait");
   sent_ = static_cast<std::size_t>(r.u64());
 }
 
@@ -239,8 +247,9 @@ void VgaSink::load_state(rtl::StateReader& r) {
   frames_.resize(n);
   for (Frame& f : frames_) load_frame(r, f);
   load_frame(r, current_);
-  pix_idx_ = static_cast<std::size_t>(r.u64());
-  wait_ = r.i32();
+  pix_idx_ = static_cast<std::size_t>(r.i32_in(
+      0, static_cast<int>(current_.pixel_count()) - 1, "pix_idx"));
+  wait_ = r.i32_in(0, cfg_.pixel_interval - 1, "wait");
   streaming_ = r.boolean();
   received_ = static_cast<std::size_t>(r.u64());
 }

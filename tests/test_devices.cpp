@@ -6,16 +6,19 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "devices/async_fifo.hpp"
 #include "devices/bram.hpp"
 #include "devices/fifo.hpp"
 #include "devices/lifo.hpp"
 #include "devices/linebuffer.hpp"
 #include "devices/sram.hpp"
 #include "rtl/simulator.hpp"
+#include "tb_util.hpp"
 
 namespace hwpat::devices {
 namespace {
@@ -387,29 +390,44 @@ std::size_t nonzero_pages(const std::vector<Word>& image, std::size_t page) {
   return n;
 }
 
-/// `tb.sram` holds `ref`: its image, its save in both encodings (the
-/// words() of `ref` after the idle state and countdown), and a restore
-/// of that save into an SRAM whose every page is stale, which keeps
-/// only the pages that hold a nonzero word.
+/// `tb.sram` holds `ref`: its image; its save in both encodings (the
+/// idle state and countdown, the word count, then a tag per page and
+/// the words of each page of `ref` that holds a nonzero word); and a
+/// restore of that save, and of the version-1 flat image (the words()
+/// of `ref`), into an SRAM whose every page is stale, which keeps only
+/// the pages that hold a nonzero word.
 void expect_sram_holds(SramTb& tb, const std::vector<Word>& ref,
                        std::size_t page) {
   EXPECT_EQ(tb.sram.mem(), ref);
   EXPECT_GE(tb.sram.resident_pages(), nonzero_pages(ref, page));
+  rtl::StateWriter v2, v1;
+  for (rtl::StateWriter* w : {&v2, &v1}) {
+    w->u32(0);  // State::Idle
+    w->i32(0);  // countdown
+  }
+  v2.u64(ref.size());
+  for (const Word* p = ref.data(); p != ref.data() + ref.size(); p += page) {
+    const bool zero = std::all_of(p, p + page, [](Word w) { return w == 0; });
+    v2.u8(zero ? rtl::kWordsZero : rtl::kWordsData);
+    if (!zero) v2.array(p, page);
+  }
+  v1.words(ref);
+  const std::vector<std::uint8_t> paged = std::move(v2).take();
+  const std::vector<std::uint8_t> flat = std::move(v1).take();
   for (const rtl::Encoding enc :
-       {rtl::Encoding::kFlat, rtl::Encoding::kBaseline}) {
-    SCOPED_TRACE(enc == rtl::Encoding::kFlat ? "flat" : "baseline");
-    rtl::StateWriter got(enc), want(enc);
+       {rtl::Encoding::kBlob, rtl::Encoding::kBaseline}) {
+    SCOPED_TRACE(enc == rtl::Encoding::kBlob ? "save, blob" : "save, baseline");
+    rtl::StateWriter got(enc);
     tb.sram.save_state(got);
-    want.u32(0);  // State::Idle
-    want.i32(0);  // countdown
-    want.words(ref);
-    EXPECT_EQ(got.flat_size(), want.flat_size());
-    const std::vector<std::uint8_t> bytes = std::move(got).take();
-    EXPECT_EQ(bytes, std::move(want).take());
-
+    EXPECT_EQ(std::move(got).take(), paged);
+  }
+  for (const rtl::Encoding enc :
+       {rtl::Encoding::kBlob, rtl::Encoding::kBlobV1}) {
+    SCOPED_TRACE(enc == rtl::Encoding::kBlob ? "load, version 2"
+                                             : "load, version 1");
     SramTb stale(tb.sram.config());
     stale.sram.preload(0, std::vector<Word>(ref.size(), 0xABC));
-    rtl::StateReader r(bytes, enc);
+    rtl::StateReader r(enc == rtl::Encoding::kBlob ? paged : flat, enc);
     stale.sram.load_state(r);
     EXPECT_EQ(r.remaining(), 0u);
     EXPECT_EQ(stale.sram.mem(), ref);
@@ -715,6 +733,162 @@ TEST(LineBuffer, ReportsTwoLineMemories) {
   tb.lb.report(t);
   EXPECT_EQ(t.bram, 2);  // 2 x 2 Kbit lines, one macro each
   EXPECT_GT(t.dist_ram_bits, 0);
+}
+
+// ------------------------------------------------- Restored memory words
+
+/// Restores `sim`'s snapshot of `top` with bit `width` set in word `k`
+/// of the memory whose word count starts `mem_at` bytes into `dev`'s
+/// payload.  Every write and preload stores at most `width` bits, so the
+/// restore is refused naming `dev` and the word, the simulator resets,
+/// and the intact blob still restores and re-saves byte for byte.
+void expect_wide_word_rejected(Simulator& sim, const Module& top,
+                               const Module& dev, std::size_t mem_at,
+                               std::size_t k, int width) {
+  SCOPED_TRACE(dev.full_name() + " word " + std::to_string(k));
+  const rtl::Snapshot good = sim.save_snapshot();
+  std::vector<std::uint8_t> bytes = good.bytes();
+  const std::optional<std::size_t> payload =
+      tb::payload_offset(top, dev, bytes.size());
+  ASSERT_TRUE(payload) << "no payload in the blob";
+  const std::size_t at = *payload + mem_at + 8 + 8 * k;
+  ASSERT_LE(at + 8, bytes.size());
+  bytes[at + static_cast<std::size_t>(width / 8)] |=
+      static_cast<std::uint8_t>(1u << (width % 8));
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bytes)));
+    FAIL() << "a word wider than " << width << " bits was restored";
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(),
+                ::testing::HasSubstr("module '" + dev.full_name() + "'"));
+    EXPECT_THAT(e.what(), ::testing::HasSubstr(
+                              "memory word " + std::to_string(k) + " is " +
+                              std::to_string(width) + " bits wide"));
+    EXPECT_THAT(e.what(), ::testing::HasSubstr("reset to construction state"));
+  }
+  EXPECT_EQ(sim.now(), 0u);
+  sim.restore_snapshot(good);
+  EXPECT_EQ(sim.save_snapshot(), good);
+}
+
+// The FIFO, LIFO and async FIFO store their wr_data as read, so a bus
+// wider than their words is refused at construction: its words would
+// fail the restore check above.
+TEST(Fifo, RejectsAWriteBusWiderThanItsWords) {
+  Module top(nullptr, "tb");
+  Bit wr_en(top, "wr_en"), rd_en(top, "rd_en");
+  Bit empty(top, "empty"), full(top, "full");
+  Bus wr_data(top, "wr_data", 9), rd_data(top, "rd_data", 8);
+  Bus level(top, "level", 8);
+  const auto expect_refused = [&](const std::string& path, auto build) {
+    try {
+      build();
+      FAIL() << "a 9-bit wr_data bus over 8-bit words was accepted";
+    } catch (const Error& e) {
+      EXPECT_THAT(e.what(), ::testing::HasSubstr("'" + path + "'"));
+      EXPECT_THAT(e.what(), ::testing::HasSubstr(
+                                "wr_data bus is 9 bits wide, wider than "
+                                "its 8-bit words"));
+    }
+  };
+  expect_refused("tb.fifo", [&] {
+    FifoCore f(&top, "fifo", {.width = 8, .depth = 4},
+               {wr_en, wr_data, rd_en, rd_data, empty, full, level});
+  });
+  expect_refused("tb.lifo", [&] {
+    LifoCore l(&top, "lifo", {.width = 8, .depth = 4},
+               {wr_en, wr_data, rd_en, rd_data, empty, full, level});
+  });
+  expect_refused("tb.afifo", [&] {
+    AsyncFifo a(&top, "afifo", {.width = 8, .depth = 4},
+                {wr_en, wr_data, full, rd_en, rd_data, empty});
+  });
+  EXPECT_TRUE(top.children().empty());
+}
+
+TEST(Fifo, RestoredWordWiderThanItsWidthIsRejected) {
+  FifoTb tb({.width = 8, .depth = 4});
+  Simulator sim(tb);
+  sim.reset();
+  tb.wr_en.write(true);
+  for (const Word v : {0x12, 0x34}) {
+    tb.wr_data.write(v);
+    sim.step();
+  }
+  tb.wr_en.write(false);
+  sim.settle();
+  // Payload: head, count, then the memory.
+  expect_wide_word_rejected(sim, tb, tb.fifo, 16, 1, 8);
+}
+
+TEST(Lifo, RestoredWordWiderThanItsWidthIsRejected) {
+  LifoTb tb({.width = 8, .depth = 4});
+  Simulator sim(tb);
+  sim.reset();
+  tb.wr_en.write(true);
+  tb.wr_data.write(0x56);
+  sim.step();
+  tb.wr_en.write(false);
+  sim.settle();
+  // Payload: count, then the memory.
+  expect_wide_word_rejected(sim, tb, tb.lifo, 8, 0, 8);
+}
+
+TEST(Bram, RestoredWordWiderThanItsDataIsRejected) {
+  BramTb tb({.data_width = 8, .depth = 16});
+  Simulator sim(tb);
+  sim.reset();
+  tb.a_en.write(true);
+  tb.a_we.write(true);
+  tb.a_addr.write(3);
+  tb.a_wdata.write(0x99);
+  sim.step();
+  tb.a_we.write(false);
+  sim.settle();
+  // Payload: the memory.
+  expect_wide_word_rejected(sim, tb, tb.ram, 0, 3, 8);
+}
+
+TEST(AsyncFifo, RestoredWordWiderThanItsWidthIsRejected) {
+  struct AsyncTb : Module {
+    Bit wr_en{*this, "wr_en"}, rd_en{*this, "rd_en"};
+    Bit full{*this, "full"}, empty{*this, "empty"};
+    Bus wr_data{*this, "wr_data", 8}, rd_data{*this, "rd_data", 8};
+    AsyncFifo fifo{this, "afifo", {.width = 8, .depth = 4},
+                   {wr_en, wr_data, full, rd_en, rd_data, empty}};
+    AsyncTb() : Module(nullptr, "tb") {}
+  } tb;
+  Simulator sim(tb);
+  sim.reset();
+  tb.wr_en.write(true);
+  tb.wr_data.write(0x7e);
+  sim.step();
+  tb.wr_en.write(false);
+  sim.settle();
+  // The wrapper's payload: the shared memory.
+  expect_wide_word_rejected(sim, tb, tb.fifo, 0, 0, 8);
+}
+
+TEST(LineBuffer, RestoredWordWiderThanItsMemoryIsRejected) {
+  constexpr int kW = 4;
+  LbTb tb({.pixel_width = 8, .line_width = kW, .col_fifo_depth = 4});
+  Simulator sim(tb);
+  sim.reset();
+  tb.wr_en.write(true);
+  tb.sof.write(true);
+  tb.wr_data.write(0x21);
+  sim.step();
+  tb.sof.write(false);
+  sim.step(2 * kW);
+  tb.wr_en.write(false);
+  sim.settle();
+  ASSERT_TRUE(tb.col_valid.read());
+  // Payload: two lines of 8-bit pixels, then the column queue, whose
+  // words pack three pixels (24 bits).
+  constexpr std::size_t kLine = 8 + 8 * kW;
+  expect_wide_word_rejected(sim, tb, tb.lb, 0, 1, 8);
+  expect_wide_word_rejected(sim, tb, tb.lb, kLine, 2, 8);
+  expect_wide_word_rejected(sim, tb, tb.lb, 2 * kLine, 0, 24);
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 // mixers with data-dependent reads, internal-state accumulators
 // (seq_touch()), opaque modules (no declaration, conservative path),
 // exotic signal widths (1/63/64-bit among the ordinary ones, stressing
-// the VCD emitter and the Bus truncation boundary), and optionally
+// the VCD emitter and the Bus truncation boundary), optionally
 // strict-mode devices (a sync FifoCore and a dual-clock AsyncFifo)
-// driven without backpressure so their ProtocolErrors actually fire:
+// driven without backpressure so their ProtocolErrors actually fire —
 // the harness catches each throw, suppresses the enables for the
-// retried tick, and re-enables afterwards — exercising the
-// transactional clock-edge contract on designs nobody hand-wrote.
+// retried tick, and re-enables afterwards, exercising the
+// transactional clock-edge contract on designs nobody hand-wrote — and
+// optionally an ExternalSram of up to 8 pages, whose paged memory the
+// snapshot mode round-trips.
 // Each design is simulated twice with a VCD open — once under the
 // event-driven kernel, once under the full-sweep reference.  Cycle
 // counts, tick counts, every signal's final value, the per-domain edge
@@ -42,6 +44,7 @@
 
 #include "devices/async_fifo.hpp"
 #include "devices/fifo.hpp"
+#include "devices/sram.hpp"
 #include "rtl/clock.hpp"
 #include "rtl/simulator.hpp"
 #include "tb_util.hpp"
@@ -196,6 +199,41 @@ struct FuzzStrictAsync : Module {
     wr_en.write(!sup && (a.read() & 2) != 0);
     rd_en.write(!sup && (b.read() & 2) != 0);
     wr_data.write((a.read() << 1) ^ b.read());
+  }
+  void declare_state() override { declare_comb_only(); }
+};
+
+/// External SRAM under random traffic: req, we, addr and wdata come
+/// from random top wires.  The address bus is no wider than the address
+/// space, so every access is in range, and its pages fill with the
+/// words written (zeros included), so snapshots carry data pages, pages
+/// of zeros that were once written and absent pages.
+struct FuzzSram : Module {
+  Bit req{*this, "req"};
+  Bit we{*this, "we"};
+  Bit ack{*this, "ack"};
+  Bus addr;
+  Bus wdata;
+  Bus rdata;
+  const Bus& a;
+  const Bus& b;
+  const Bus& c;
+  devices::ExternalSram sram;
+  FuzzSram(Module* parent, std::string name, devices::SramConfig cfg,
+           int addr_bits, const Bus& ia, const Bus& ib, const Bus& ic)
+      : Module(parent, std::move(name)),
+        addr(*this, "addr", addr_bits),
+        wdata(*this, "wdata", cfg.data_width),
+        rdata(*this, "rdata", cfg.data_width),
+        a(ia),
+        b(ib),
+        c(ic),
+        sram(this, "sram", cfg, {req, we, addr, wdata, ack, rdata}) {}
+  void eval_comb() override {
+    req.write((a.read() & 1) != 0);
+    we.write((a.read() & 2) != 0);
+    addr.write(b.read() * 37 + (c.read() << 5));
+    wdata.write((c.read() & 4) != 0 ? 0 : b.read() ^ c.read());
   }
   void declare_state() override { declare_comb_only(); }
 };
@@ -358,11 +396,31 @@ struct FuzzDesign : Module {
           this, "safifo", *c, *e, *suppress, wd, rd);
     }
     steps = pick(30, 120);
+
+    // Half the seeds add an SRAM of 16 to 4096 words (up to 8 pages of
+    // 512) with 1 to 64-bit words on a random domain.  Its draws come
+    // last, so the rest of each design is what the seed built before.
+    if (pick(0, 1) != 0) {
+      const int aw = pick(4, 12);
+      static constexpr int kDataWidths[] = {1, 8, 13, 64};
+      const devices::SramConfig cfg{.data_width = kDataWidths[rng() % 4],
+                                    .addr_width = aw,
+                                    .latency = pick(1, 3)};
+      const int addr_bits = pick(1, aw);
+      const Bus* a = wires[rng() % wires.size()].get();
+      const Bus* b = wires[rng() % wires.size()].get();
+      const Bus* c = wires[rng() % wires.size()].get();
+      sram = std::make_unique<FuzzSram>(this, "xsram", cfg, addr_bits, *a,
+                                        *b, *c);
+      if (const int d = pick(0, ndom); d < ndom)
+        sram->set_clock_domain(domains[static_cast<std::size_t>(d)].get());
+    }
   }
 
   std::unique_ptr<Bit> suppress;  ///< harness-written strict-retry gate
   std::unique_ptr<FuzzStrictFifo> strict_sync;
   std::unique_ptr<FuzzStrictAsync> strict_async;
+  std::unique_ptr<FuzzSram> sram;
 
   void declare_state() override { declare_seq_state(); }
 };
@@ -378,12 +436,25 @@ struct RunResult {
   std::vector<Word> values;
   std::string vcd;
   Simulator::Stats stats;
+  std::size_t sram_pages = 0;  ///< the SRAM's resident pages at the end
 };
 
 /// What a run_kernel() run observes: a VCD (the observed build on
 /// every event), nothing (the plain build), or nothing but a tracer
 /// attached on some stretches of steps (both builds, alternating).
 enum class Observe { kVcd, kNothing, kTracerSwitching };
+
+/// Every wire's final value, then the SRAM's image if the design has
+/// one.
+std::vector<Word> final_values(const FuzzDesign& d) {
+  std::vector<Word> v;
+  for (const auto& w : d.wires) v.push_back(w->read());
+  if (d.sram != nullptr) {
+    const std::vector<Word> image = d.sram->sram.mem();
+    v.insert(v.end(), image.begin(), image.end());
+  }
+  return v;
+}
 
 RunResult run_kernel(unsigned seed, bool full_sweep,
                      Observe observe = Observe::kVcd) {
@@ -419,7 +490,8 @@ RunResult run_kernel(unsigned seed, bool full_sweep,
     out.cycles = sim.cycle();
     out.ticks = sim.now();
     out.stats = sim.stats();
-    for (const auto& w : d.wires) out.values.push_back(w->read());
+    out.values = final_values(d);
+    if (d.sram != nullptr) out.sram_pages = d.sram->sram.resident_pages();
   }  // destroying the simulator flushes the VCD stream
   if (observe == Observe::kVcd) out.vcd = tb::slurp_and_remove(path);
   return out;
@@ -459,6 +531,7 @@ TEST(FuzzKernel, EventKernelMatchesFullSweepOnRandomDesigns) {
   const unsigned count = env_or("HWPAT_FUZZ_SEEDS", 120);
   std::uint64_t multi_domain = 0;
   std::uint64_t strict_throws = 0;
+  std::uint64_t sram_paged = 0;  ///< seeds whose SRAM holds pages
   for (unsigned seed = base; seed < base + count; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed) +
                  " (replay: HWPAT_FUZZ_BASE=" + std::to_string(seed) +
@@ -487,13 +560,16 @@ TEST(FuzzKernel, EventKernelMatchesFullSweepOnRandomDesigns) {
     ASSERT_FALSE(::testing::Test::HasFailure());
     strict_throws += evt.throws;
     if (evt.stats.domain_edges.size() > 1) ++multi_domain;
+    if (evt.sram_pages > 0) ++sram_paged;
   }
   // The generator must actually exercise the multi-domain machinery,
   // not degenerate into single-clock designs — and the strict devices
-  // must genuinely throw (and be retried) somewhere in the sweep.
+  // must genuinely throw (and be retried) somewhere in the sweep, and
+  // the SRAMs must fill pages.
   EXPECT_GT(multi_domain, count / 2);
   if (count >= 20) {
     EXPECT_GT(strict_throws, 0u);
+    EXPECT_GT(sram_paged, 0u);
   }
 }
 
@@ -573,7 +649,7 @@ bool run_snapshot_scenario(unsigned seed, bool full_sweep,
     ref.cycles = sim.cycle();
     ref.ticks = sim.now();
     ref.stats = sim.stats();
-    for (const auto& w : d1.wires) ref.values.push_back(w->read());
+    ref.values = final_values(d1);
   }
   ref.vcd = tb::slurp_and_remove(ref_path);
 
@@ -622,7 +698,7 @@ bool run_snapshot_scenario(unsigned seed, bool full_sweep,
     rep.cycles = sim.cycle();
     rep.ticks = sim.now();
     rep.stats = sim.stats();
-    for (const auto& w : d2.wires) rep.values.push_back(w->read());
+    rep.values = final_values(d2);
   }
   rep.vcd = tb::slurp_and_remove(rep_path);
 

@@ -11,14 +11,16 @@
 //     values — even internal module state that on_reset() deliberately
 //     leaves alone — so reset-after-restore equals a fresh construct;
 //   * corrupted blobs (truncated, bad magic, wrong version, topology
-//     mismatch, a device or SRAM-container scalar out of range, a
-//     signal value its width cannot hold, a next edge other than the
-//     domain's first after the tick) fail loudly with actionable
-//     messages and never leave the simulator half-restored;
-//   * the construction baseline elides all-zero memories, while blobs
-//     keep every byte (an SRAM-bound blob is pinned), and reset() still
-//     zeroes a used memory and survives a failed restore that reshaped
-//     the sink's frame;
+//     mismatch, a device, video-endpoint or SRAM-container scalar out
+//     of range, a signal value or memory word its width cannot hold, a
+//     next edge other than the domain's first after the tick) fail
+//     loudly with actionable messages and never leave the simulator
+//     half-restored;
+//   * the construction baseline elides all-zero memories, blobs store
+//     an SRAM's nonzero pages only (an SRAM-bound blob is pinned), a
+//     version-1 blob still restores, and reset() still zeroes a used
+//     memory and survives a failed restore that reshaped the sink's
+//     frame;
 //   * save/restore from inside a simulator callback is refused;
 //   * the elaboration-time declare_comb_only() contract check rejects
 //     comb-only modules with a sequential process;
@@ -783,9 +785,13 @@ TEST(Snapshot, PreRefactorBlobRestoresIntoFreshInstanceAndReplays) {
     sim.restore_snapshot(pre_refactor_blob());
     EXPECT_EQ(sim.cycle(), 10u);
     EXPECT_EQ(sim.now(), 10u);
-    // ...re-save byte-identically (same version-1 format: scheduler,
-    // stats, values, learned fanout in the same list order)...
-    EXPECT_EQ(sim.save_snapshot(), pre_refactor_blob())
+    // ...re-save byte-identically but for the version byte (scheduler,
+    // stats, values, learned fanout in the same list order; version 2
+    // changed only the paged memories, and SnapTop has none)...
+    std::vector<std::uint8_t> want_bytes = pre_refactor_blob().bytes();
+    ASSERT_EQ(want_bytes[4], 1u) << "the fixture is not a version-1 blob";
+    want_bytes[4] = 2;
+    EXPECT_EQ(sim.save_snapshot().bytes(), want_bytes)
         << "SoA re-save is not byte-identical to the pre-refactor blob";
     // ...and replay the continuation exactly as the old kernel did.
     sim.open_vcd("snap_pre_got.vcd");
@@ -1102,9 +1108,6 @@ TEST(StateCodec, BaselineEncodingElidesAllZeroArraysOnly) {
   };
   rtl::StateWriter w(rtl::Encoding::kBaseline);
   write_all(w);
-  rtl::StateWriter flat;
-  write_all(flat);
-  EXPECT_EQ(w.flat_size(), flat.size());
   const std::vector<std::uint8_t> got = std::move(w).take();
 
   // Count, tag (0 = all zero, 1 = data), then the words of a data array.
@@ -1124,22 +1127,22 @@ TEST(StateCodec, BaselineEncodingElidesAllZeroArraysOnly) {
   ASSERT_EQ(got, want);
 
   {
-    // Fixed-size memories are overwritten in place: an elided one is
-    // zero-filled in its own buffer.
+    // Fixed-size memories (of 16-bit words) are overwritten in place:
+    // an elided one is zero-filled in its own buffer.
     rtl::StateReader r(got, rtl::Encoding::kBaseline);
     EXPECT_EQ(r.u32(), 0xa1b2c3d4u);
     std::vector<Word> mem(zero.size(), 0x55);
     const Word* buf = mem.data();
-    r.fixed_words(mem);
+    r.fixed_words(mem, 16);
     EXPECT_EQ(mem, zero);
     EXPECT_EQ(mem.data(), buf);
     std::vector<Word> mem2(sparse.size(), 0x55);
-    r.fixed_words(mem2);
+    r.fixed_words(mem2, 16);
     EXPECT_EQ(mem2, sparse);
     std::vector<Word> none;
-    r.fixed_words(none);
+    r.fixed_words(none, 16);
     std::vector<Word> mem3(grown.size(), 0);
-    r.fixed_words(mem3);
+    r.fixed_words(mem3, 16);
     EXPECT_EQ(mem3, grown);
     EXPECT_EQ(r.u64(), 42u);
     EXPECT_EQ(r.remaining(), 0u);
@@ -1189,6 +1192,98 @@ TEST(StateCodec, BaselineEncodingElidesAllZeroArraysOnly) {
   } catch (const SnapshotError& e) {
     EXPECT_THAT(e.what(), HasSubstr("word-array tag 2"));
   }
+}
+
+TEST(StateCodec, PagedMemoryStoresATagPerPageAndTheNonzeroPagesOnly) {
+  // Four 40-word pages: absent, resident but all zero, and two that
+  // hold data (one set word past the first 32-word block).
+  constexpr std::size_t kPage = 40;
+  rtl::WordPages pages(4);
+  pages[1] = std::make_unique<Word[]>(kPage);
+  pages[2] = std::make_unique<Word[]>(kPage);
+  pages[2][35] = 0x5a;
+  pages[3] = std::make_unique<Word[]>(kPage);
+  pages[3][0] = 0xff;
+  auto write = [&](rtl::Encoding enc) {
+    rtl::StateWriter w(enc);
+    w.paged_words(pages, kPage);
+    w.u64(42);
+    return std::move(w).take();
+  };
+  const std::vector<std::uint8_t> got = write(rtl::Encoding::kBlob);
+
+  // Word count, then a tag per page (0 = all zero, 1 = data) and the
+  // words of a data page.  The baseline writes the same bytes.
+  std::vector<std::uint8_t> want;
+  append_le(want, 4 * kPage, 8);
+  want.push_back(rtl::kWordsZero);
+  want.push_back(rtl::kWordsZero);
+  for (const std::size_t p : {2, 3}) {
+    want.push_back(rtl::kWordsData);
+    for (std::size_t k = 0; k < kPage; ++k) append_le(want, pages[p][k], 8);
+  }
+  append_le(want, 42, 8);
+  ASSERT_EQ(got, want);
+  EXPECT_EQ(write(rtl::Encoding::kBaseline), got);
+
+  // A load into stale pages drops the zero pages and overwrites or
+  // allocates the data pages.
+  rtl::WordPages back(4);
+  back[0] = std::make_unique<Word[]>(kPage);
+  back[2] = std::make_unique<Word[]>(kPage);
+  std::fill_n(back[0].get(), kPage, Word{0x11});
+  std::fill_n(back[2].get(), kPage, Word{0x11});
+  const Word* in_place = back[2].get();
+  {
+    rtl::StateReader r(got);
+    r.paged_words(back, kPage, 8);
+    EXPECT_EQ(r.u64(), 42u);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+  EXPECT_EQ(back[0], nullptr);
+  EXPECT_EQ(back[1], nullptr);
+  ASSERT_NE(back[2], nullptr);
+  ASSERT_NE(back[3], nullptr);
+  EXPECT_EQ(back[2].get(), in_place);
+  for (const std::size_t p : {2, 3})
+    EXPECT_TRUE(std::equal(back[p].get(), back[p].get() + kPage,
+                           pages[p].get()))
+        << "page " << p;
+
+  // Every cut reads as truncation, including one between two tags.
+  for (std::size_t cut = 0; cut < got.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    rtl::StateReader r(got.data(), cut);
+    rtl::WordPages v(4);
+    try {
+      r.paged_words(v, kPage, 8);
+      (void)r.u64();
+      FAIL() << "a truncated paged memory read through";
+    } catch (const SnapshotError& e) {
+      EXPECT_THAT(e.what(), HasSubstr("truncated"));
+    }
+  }
+
+  // No save writes a tag other than 0 or 1, or a data page of zeros.
+  const auto expect_rejected = [&](std::vector<std::uint8_t> bad,
+                                   const std::string& why) {
+    rtl::StateReader r(bad);
+    rtl::WordPages v(4);
+    try {
+      r.paged_words(v, kPage, 8);
+      FAIL() << "accepted: " << why;
+    } catch (const SnapshotError& e) {
+      EXPECT_THAT(e.what(), HasSubstr(why));
+    }
+  };
+  std::vector<std::uint8_t> bad_tag = got;
+  bad_tag[8 + 1] = 2;  // page 1's tag
+  expect_rejected(bad_tag, "memory page 1 tag 2 is neither 0 (all zero) "
+                           "nor 1 (data)");
+  std::vector<std::uint8_t> zero_page = got;
+  zero_page[8 + 2 + 1 + 8 * 35] = 0;  // page 2's only set word
+  expect_rejected(zero_page, "memory page 2 (words 80 to 119) is stored "
+                             "as data but holds only zeros");
 }
 
 /// Two levels of hierarchy under the top, two clock domains, fields
@@ -1313,8 +1408,9 @@ bool all_zero(const std::vector<Word>& mem) {
 }
 
 TEST(Snapshot, SramBoundBlobBytesNeverMove) {
-  // Both 2^16-word SRAMs travel in full, in the flat version-1
-  // encoding: the construction baseline elides them, a blob never does.
+  // Each 2^16-word SRAM travels as 128 page tags and the words of the
+  // pages its 64-deep buffer touched (version 2); the flat version-1
+  // image of both was 1,050,907 bytes.
   const designs::Saa2VgaConfig cfg = small_saa2vga(devices::DeviceKind::Sram);
   rtl::Snapshot blob;
   {
@@ -1326,14 +1422,83 @@ TEST(Snapshot, SramBoundBlobBytesNeverMove) {
   }
   // Re-pinned when the stream iterators dissolved (the design changed,
   // not the codec): 7 fewer signal values, fewer learned fanout
-  // entries and new module paths in the topology hash.
-  EXPECT_EQ(blob.size_bytes(), 1'050'907u);
-  EXPECT_EQ(fnv1a(blob.bytes()), 0x4398dd4548ec1a88ull);
+  // entries and new module paths in the topology hash.  Re-pinned
+  // again for version 2 (the codec changed, not the design).
+  EXPECT_EQ(blob.size_bytes(), 10'779u);
+  EXPECT_EQ(fnv1a(blob.bytes()), 0x825f402af3f5f325ull);
+  EXPECT_LT(blob.size_bytes(), 64u * 1024);
 
   const auto top = designs::make_saa2vga_pattern(cfg);
   Simulator sim(*top, {});
   sim.restore_snapshot(blob);
   EXPECT_EQ(sim.save_snapshot(), blob);
+  expect_runs_to_camera_frames(sim, *top, cfg);
+}
+
+/// `blob` rewritten as a version-1 blob: each SRAM's paged field as its
+/// flat image (every page's words, a page tagged zero as zeros), its
+/// payload length patched to match, and the version byte set to 1.
+std::vector<std::uint8_t> as_version_one(
+    Module& top, std::vector<std::uint8_t> blob) {
+  // Every offset is taken from the version-2 blob, and the later
+  // payload is rewritten first, so neither rewrite moves the other.
+  std::vector<std::pair<std::size_t, const devices::ExternalSram*>> srams;
+  for (const devices::ExternalSram* sram : srams_of(top)) {
+    const std::optional<std::size_t> payload =
+        tb::payload_offset(top, *sram, blob.size());
+    EXPECT_TRUE(payload);
+    if (!payload) return {};
+    srams.emplace_back(*payload, sram);
+  }
+  std::sort(srams.rbegin(), srams.rend());
+  for (const auto& [payload, sram] : srams) {
+    const std::size_t pages_at = payload + 4 + 8 + 8;  // after the count
+    const std::size_t page_words =
+        std::min<std::size_t>(512, std::size_t{1} << sram->config().addr_width);
+    const std::size_t npages = rd_u64(blob, pages_at - 8) / page_words;
+    std::vector<std::uint8_t> flat;
+    std::size_t at = pages_at;
+    for (std::size_t p = 0; p < npages; ++p) {
+      const bool data = blob[at++] == rtl::kWordsData;
+      const std::size_t n = data ? 8 * page_words : 0;
+      flat.insert(flat.end(), blob.begin() + static_cast<std::ptrdiff_t>(at),
+                  blob.begin() + static_cast<std::ptrdiff_t>(at + n));
+      flat.resize(flat.size() + 8 * page_words - n);
+      at += n;
+    }
+    const std::size_t len = 4 + 8 + 8 + flat.size();
+    for (std::size_t i = 0; i < 4; ++i)
+      blob[payload - 4 + i] = static_cast<std::uint8_t>(len >> (8 * i));
+    blob.erase(blob.begin() + static_cast<std::ptrdiff_t>(pages_at),
+               blob.begin() + static_cast<std::ptrdiff_t>(at));
+    blob.insert(blob.begin() + static_cast<std::ptrdiff_t>(pages_at),
+                flat.begin(), flat.end());
+  }
+  blob[4] = 1;
+  return blob;
+}
+
+TEST(Snapshot, VersionOneSramBlobStillRestores) {
+  // A version-1 blob stored each SRAM's 2^16 words in full; a blob
+  // persisted before version 2 must still restore, and the run it
+  // continues must reach the camera frames.
+  const designs::Saa2VgaConfig cfg = small_saa2vga(devices::DeviceKind::Sram);
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  Simulator sim(*top, {});
+  sim.reset();
+  sim.step(300);
+  const rtl::Snapshot v2 = sim.save_snapshot();
+  const std::vector<std::uint8_t> v1 = as_version_one(*top, v2.bytes());
+  // The bytes a version-1 save of this run wrote (the size and hash
+  // SramBoundBlobBytesNeverMove pinned before version 2).
+  ASSERT_EQ(v1.size(), 1'050'907u);
+  ASSERT_EQ(fnv1a(v1), 0x4398dd4548ec1a88ull);
+  expect_runs_to_camera_frames(sim, *top, cfg);
+
+  sim.restore_snapshot(rtl::Snapshot(v1));
+  EXPECT_EQ(sim.save_snapshot(), v2);
+  for (const devices::ExternalSram* s : srams_of(*top))
+    EXPECT_GT(s->resident_pages(), 0u) << s->full_name();
   expect_runs_to_camera_frames(sim, *top, cfg);
 }
 
@@ -1401,11 +1566,15 @@ TEST(Snapshot, SramWordWiderThanItsDataIsRejectedNamingTheAddress) {
   std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
 
   // The SRAM's payload: state u32, countdown i64, word count u64, then
-  // the words.  Bit 8 of word 5 (in the read buffer's region).
+  // the first page's tag and its words.  Bit 8 of word 5 (in the read
+  // buffer's region).
   const std::optional<std::size_t> payload =
       tb::payload_offset(*top, *sram, bytes.size());
   ASSERT_TRUE(payload) << "no sram_in payload in the blob";
-  const std::size_t at = *payload + 4 + 8 + 8 + 8 * 5;
+  const std::size_t tag_at = *payload + 4 + 8 + 8;
+  ASSERT_LT(tag_at, bytes.size());
+  ASSERT_EQ(bytes[tag_at], rtl::kWordsData) << "the first page holds no data";
+  const std::size_t at = tag_at + 1 + 8 * 5;
   ASSERT_LE(at + 8, bytes.size());
   ASSERT_EQ(bytes[at + 1], 0u) << "word 5 is not where expected";
   bytes[at + 1] = 1;
@@ -1700,6 +1869,73 @@ TEST(Snapshot, BooleanByteOtherThanZeroOrOneIsRejectedNamingTheModule) {
     EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
   }
   expect_runs_to_camera_frames(sim, *top, cfg);
+}
+
+/// Saves the 16x12 FIFO saa2vga_pattern after 100 steps (mid-frame:
+/// pixels arrived, none collected) with the 8-byte field that ends
+/// `from_end` bytes before the end of module `name`'s payload patched
+/// to `v`, and expects the restore to be refused naming the module and
+/// `field`, after which the design still runs to its camera frames.
+void expect_video_field_rejected(const std::string& name,
+                                 std::size_t from_end, std::uint64_t v,
+                                 const std::string& field) {
+  SCOPED_TRACE(name + "." + field + " = " + std::to_string(v));
+  const designs::Saa2VgaConfig cfg =
+      small_saa2vga(devices::DeviceKind::FifoCore);
+  const auto top = designs::make_saa2vga_pattern(cfg);
+  const Module* m = nullptr;
+  top->visit([&](Module& x) {
+    if (x.name() == name) m = &x;
+  });
+  ASSERT_NE(m, nullptr);
+  Simulator sim(*top, {});
+  sim.reset();
+  sim.step(100);
+  std::vector<std::uint8_t> bytes = sim.save_snapshot().bytes();
+  const std::optional<std::size_t> payload =
+      tb::payload_offset(*top, *m, bytes.size());
+  ASSERT_TRUE(payload) << "no " << name << " payload in the blob";
+  ASSERT_GE(*payload, 4u);
+  std::uint32_t len = 0;
+  for (int i = 3; i >= 0; --i)
+    len = len << 8 | bytes[*payload - 4 + static_cast<std::size_t>(i)];
+  ASSERT_LE(from_end, len);
+  const std::size_t at = *payload + len - from_end;
+  wr_u64(bytes, at, v);
+  try {
+    sim.restore_snapshot(rtl::Snapshot(std::move(bytes)));
+    FAIL() << "restored " << name << " with " << field << " = " << v;
+  } catch (const SnapshotError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("module '" + m->full_name() + "'"));
+    EXPECT_THAT(e.what(), HasSubstr(field + " = "));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+  expect_runs_to_camera_frames(sim, *top, cfg);
+}
+
+// VideoSource payload: frame_idx_, pix_idx_, wait_ and sent_, 8 bytes
+// each.  The decoder sends one frame of 16x12 pixels, one a cycle, with
+// 8 cycles of blanking after it.
+TEST(Snapshot, VideoSourceFrameIndexPastTheLastFrameIsRejected) {
+  expect_video_field_rejected("decoder", 32, 2, "frame_idx");
+}
+
+TEST(Snapshot, VideoSourcePixelIndexPastItsFrameIsRejected) {
+  expect_video_field_rejected("decoder", 24, 16 * 12, "pix_idx");
+}
+
+TEST(Snapshot, VideoSourceWaitBeyondIntervalAndBlankingIsRejected) {
+  expect_video_field_rejected("decoder", 16, 9, "wait");
+}
+
+// VgaSink payload ends with pix_idx_ and wait_ (8 bytes each),
+// streaming_ (1) and received_ (8).  The sink takes a pixel a cycle.
+TEST(Snapshot, VgaSinkPixelIndexPastItsFrameIsRejected) {
+  expect_video_field_rejected("vga", 25, 16 * 12, "pix_idx");
+}
+
+TEST(Snapshot, VgaSinkWaitBeyondItsIntervalIsRejected) {
+  expect_video_field_rejected("vga", 17, 1, "wait");
 }
 
 }  // namespace
